@@ -3,7 +3,9 @@
 Subcommands: ``validate``, ``check``, ``transform``, ``equiv``, ``fuzz``,
 ``lpa check``, ``lpa fuzz``, ``gen``.  Exit codes: 0 when everything passes,
 1 when a property violation or counterexample is found, 2 on input errors
-(malformed files, bad flags, unknown states).
+(malformed files, bad flags, unknown states), 3 on an internal error: any
+other exception, reported as ``internal error: ...`` with its traceback on
+stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from . import awareness, implicit, lpa, modelio, semantics, transforms, unawareness
@@ -26,6 +29,7 @@ from .unawareness import StateRef, UnawarenessModel, parse_space_key
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _emit_report(report: Report, fmt: str, label: str) -> int:
@@ -324,6 +328,10 @@ def main(argv=None) -> int:
     except AwarekitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

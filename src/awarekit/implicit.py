@@ -16,7 +16,6 @@ from .errors import (
     DerivationInconsistent,
     ModelFormatError,
     PreconditionFailed,
-    StraddledPossibilitySet,
     TransformInvariantBroken,
 )
 from .reports import Report
@@ -29,7 +28,9 @@ from .unawareness import (
     SuiteConfig,
     UnawarenessModel,
     ValidationConfig,
+    _aware_event,
     _corr_knowledge_event,
+    _corr_masks,
     _normalize_correspondence,
     _validate_lattice,
     a_op,
@@ -39,7 +40,6 @@ from .unawareness import (
     pi_space,
     space_key,
     state_order,
-    subsets,
     u_op,
     validate_hms,
 )
@@ -52,6 +52,7 @@ class ComplementedModel:
                  lambda_: Mapping[str, Mapping[StateRef, Iterable[StateRef]]]):
         self.base = base
         self.lambda_ = _normalize_correspondence(base.lattice, base.agents, lambda_, "lambda")
+        self._lambda_masks = _corr_masks(base.lattice, self.lambda_)
         self._op_cache: dict = {}
 
     @property
@@ -75,6 +76,10 @@ class ComplementedModel:
         return self.base.pi
 
     @property
+    def _pi_masks(self):
+        return self.base._pi_masks
+
+    @property
     def valuation(self):
         return self.base.valuation
 
@@ -93,6 +98,9 @@ class ImplicitModel:
         self.lambda_star = _normalize_correspondence(lattice, self.agents,
                                                      lambda_star, "lambda_star")
         self.alpha = _normalize_alpha(lattice, self.agents, alpha)
+        self._lambda_star_masks = _corr_masks(lattice, self.lambda_star)
+        self._alpha_masks = {agent: [lattice._masks[table[ref]] for ref in lattice.states]
+                             for agent, table in self.alpha.items()}
         self._op_cache: dict = {}
         self._derived: ComplementedModel | None = None
 
@@ -148,7 +156,7 @@ def l_op(model: ComplementedModel, agent: str, event: Event) -> Event:
     key = ("l", agent, event)
     out = cache.get(key)
     if out is None:
-        out = _corr_knowledge_event(model.lattice, model.lambda_[agent],
+        out = _corr_knowledge_event(model.lattice, model._lambda_masks[agent][0],
                                     model.lattice.check_event(event))
         cache[key] = out
     return out
@@ -160,7 +168,7 @@ def l_star_op(model: ImplicitModel, agent: str, event: Event) -> Event:
     key = ("l*", agent, event)
     out = cache.get(key)
     if out is None:
-        out = _corr_knowledge_event(model.lattice, model.lambda_star[agent],
+        out = _corr_knowledge_event(model.lattice, model._lambda_star_masks[agent][0],
                                     model.lattice.check_event(event))
         cache[key] = out
     return out
@@ -175,10 +183,7 @@ def a_star_op(model: ImplicitModel, agent: str, event: Event) -> Event:
     if out is None:
         lat = model.lattice
         lat.check_event(event)
-        need = event.base_space
-        alpha = model.alpha[agent]
-        base = frozenset(ref for ref in lat.states_of(need) if need <= alpha[ref])
-        out = Event(need, base)
+        out = _aware_event(lat, model._alpha_masks[agent], event)
         cache[key] = out
     return out
 
@@ -188,50 +193,58 @@ def a_star_op(model: ImplicitModel, agent: str, event: Event) -> Event:
 
 def _check_implicit_correspondence(lat: SpaceLattice, agent: str,
                                    corr: Mapping[StateRef, frozenset[StateRef]],
+                                   masks: tuple[list[int], list[int], list[int]],
                                    report: Report) -> None:
     """Reflexivity, Stationarity, and projection compatibility of a
-    within-space correspondence; strong confinement is checked first since
+    within-space correspondence (``masks`` is its image, image up-closure
+    and image space per state); strong confinement is checked first since
     the projection law cannot even be stated without it."""
-    confined: dict[StateRef, bool] = {}
-    for ref in lat.states:
+    states, index, spaces, proj, below, keys = (
+        lat.states, lat._index, lat._space, lat._proj, lat._below, lat._keys)
+    images, image_ups, levels = masks
+    confined = [level == space for level, space in zip(levels, spaces)]
+    for i, ref in enumerate(states):
         image = corr[ref]
-        ok = all(target.space == ref.space for target in image)
-        confined[ref] = ok
         report.count()
-        if not ok:
+        if not confined[i]:
             report.add("strong-confinement", agent, state=ref,
                        image=";".join(str(t) for t in sorted(image, key=state_order)))
             continue
+        mine = images[i]
         report.count()
-        if ref not in image:
+        if not mine >> i & 1:
             report.add("implicit-reflexivity", agent, state=ref)
         for target in image:
             report.count()
-            if corr[target] != image:
+            if images[index[target]] != mine:
                 report.add("implicit-stationarity", agent, state=ref, reached=target)
 
-    for ref in lat.states:
-        if not confined[ref]:
+    projections: dict[int, list[int]] = {}  # image mask -> its projections
+    for i, ref in enumerate(states):
+        if not confined[i]:
             continue
-        image = corr[ref]
-        for below in subsets(ref.space):
-            projected_state = lat.project(ref, below)
+        mine, row, space = images[i], proj[i], spaces[i]
+        projected = projections.get(mine)
+        if projected is None:
+            projected = projections[mine] = lat._projections(mine, space)
+        for below_space in below[space]:
             report.count()
-            if lat.project_set(image, below) != corr[projected_state]:
+            if projected[below_space] != images[row[below_space]]:
                 report.add("projections-preserve-implicit-knowledge", agent,
-                           state=ref, below=space_key(below))
+                           state=ref, below=keys[below_space])
 
     # Derived consequences, re-checked so a failure localizes a bug in the
     # primitive properties above.
-    for space, refs in lat.spaces.items():
-        cells = {corr[ref] for ref in refs if confined[ref]}
-        if not all(confined[ref] for ref in refs):
+    for space in lat.spaces:
+        span = lat._span[lat._masks[space]]
+        if not all(confined[i] for i in span):
             continue
-        covered: set[StateRef] = set()
+        cells = {images[i] for i in span}
+        covered = 0
         for cell in cells:
             covered |= cell
         report.count()
-        if covered != set(refs):
+        if covered != ((1 << len(span)) - 1) << span.start:
             report.add("implicit-partition", agent, space=space_key(space))
         for left in cells:
             for right in cells:
@@ -239,25 +252,18 @@ def _check_implicit_correspondence(lat: SpaceLattice, agent: str,
                 if left != right and left & right:
                     report.add("implicit-partition", agent, space=space_key(space))
 
-    def corr_up(ref: StateRef) -> frozenset[StateRef]:
-        out: set[StateRef] = set()
-        for target in corr[ref]:
-            out |= lat.up_set(target)
-        return frozenset(out)
-
-    for ref in lat.states:
-        if not confined[ref]:
+    for i, ref in enumerate(states):
+        if not confined[i]:
             continue
-        for below in subsets(ref.space):
-            if below == ref.space:
-                continue
-            projected = lat.project(ref, below)
+        mine_up, row = image_ups[i], proj[i]
+        for below_space in below[spaces[i]][:-1]:
+            projected = row[below_space]
             if not confined[projected]:
                 continue
             report.count()
-            if not corr_up(ref) <= corr_up(projected):
+            if mine_up & ~image_ups[projected]:
                 report.add("projections-preserve-implicit-ignorance", agent,
-                           state=ref, below=space_key(below))
+                           state=ref, below=keys[below_space])
 
 
 def validate_lambda(model: ComplementedModel,
@@ -267,42 +273,46 @@ def validate_lambda(model: ComplementedModel,
     coherence facts)."""
     report = Report()
     lat = model.lattice
+    states, index, spaces, keys = lat.states, lat._index, lat._space, lat._keys
     for agent in model.agents:
         corr = model.lambda_[agent]
         pi = model.pi[agent]
-        _check_implicit_correspondence(lat, agent, corr, report)
+        images, _, levels = model._lambda_masks[agent]
+        pi_images, _, pi_levels = model._pi_masks[agent]
+        _check_implicit_correspondence(lat, agent, corr, model._lambda_masks[agent], report)
 
-        for ref in lat.states:
-            image = corr[ref]
-            for target in image:
+        for i, ref in enumerate(states):
+            known = pi_images[i]
+            for target in corr[ref]:
                 report.count()
-                if pi[target] != pi[ref]:
+                if pi_images[index[target]] != known:
                     report.add("explicit-measurability", agent, state=ref, reached=target)
 
-            try:
-                level = pi_space(model, agent, ref)
-            except StraddledPossibilitySet:
+            level = pi_levels[i]
+            if level < 0:
                 report.add("confinement-single-space", agent, state=ref)
                 continue
-            if not level <= ref.space:
+            if level & ~spaces[i]:
                 report.add("confinement-expressible", agent, state=ref,
-                           image_space=space_key(level))
+                           image_space=keys[level])
                 continue
-            if not all(t.space == ref.space for t in image):
+            if levels[i] != spaces[i]:
                 continue
 
+            projected = lat._project_mask(images[i], level)
             for target in pi[ref]:
+                j = index[target]
                 report.count()
-                if corr[target] != lat.project_set(image, level):
+                if images[j] != projected:
                     report.add("implicit-measurability", agent, state=ref, reached=target)
                 report.count()
-                if corr[target] != pi[target]:
+                if images[j] != pi_images[j]:
                     report.add("implicit-matches-explicit-on-possibility-set", agent,
                                state=ref, reached=target)
 
             report.count()
-            if lat.project_set(image, level) != pi[ref]:
-                report.add("coherence", agent, state=ref, level=space_key(level))
+            if projected != known:
+                report.add("coherence", agent, state=ref, level=keys[level])
     return report
 
 
@@ -310,33 +320,37 @@ def validate_alpha(model: ImplicitModel) -> Report:
     """Check the awareness-function laws at every agent/state/space triple."""
     report = Report()
     lat = model.lattice
+    states, index, spaces, proj, below, keys = (
+        lat.states, lat._index, lat._space, lat._proj, lat._below, lat._keys)
     for agent in model.agents:
-        alpha = model.alpha[agent]
+        levels = model._alpha_masks[agent]
         corr = model.lambda_star[agent]
-        for ref in lat.states:
-            level = alpha[ref]
+        for i, ref in enumerate(states):
+            level, space = levels[i], spaces[i]
             report.count()
-            if not level <= ref.space:
-                report.add("lack-of-conception", agent, state=ref, level=space_key(level))
+            if level & ~space:
+                report.add("lack-of-conception", agent, state=ref, level=keys[level])
                 continue
             for target in corr[ref]:
+                j = index[target]
                 report.count()
-                if target.space == ref.space and alpha[target] != level:
+                if spaces[j] == space and levels[j] != level:
                     report.add("awareness-measurability", agent, state=ref, reached=target)
-            for below in subsets(ref.space):
-                projected = lat.project(ref, below)
+            row = proj[i]
+            for below_space in below[space]:
+                got = levels[row[below_space]]
                 report.count()
-                if below <= level and alpha[projected] != below:
+                if not below_space & ~level and got != below_space:
                     report.add("awareness-projects-to-level", agent, state=ref,
-                               below=space_key(below), got=space_key(alpha[projected]))
+                               below=keys[below_space], got=keys[got])
                 report.count()
-                if level <= below and alpha[projected] != level:
+                if not level & ~below_space and got != level:
                     report.add("awareness-constant-above-level", agent, state=ref,
-                               below=space_key(below), got=space_key(alpha[projected]))
+                               below=keys[below_space], got=keys[got])
                 report.count()
-                if not alpha[projected] <= level:
+                if got & ~level:
                     report.add("awareness-monotone-under-projection", agent, state=ref,
-                               below=space_key(below), got=space_key(alpha[projected]))
+                               below=keys[below_space], got=keys[got])
     return report
 
 
@@ -347,8 +361,8 @@ def validate_implicit(model: ImplicitModel,
     report = Report()
     _validate_lattice(model.lattice, report, config)
     for agent in model.agents:
-        _check_implicit_correspondence(model.lattice, agent,
-                                       model.lambda_star[agent], report)
+        _check_implicit_correspondence(model.lattice, agent, model.lambda_star[agent],
+                                       model._lambda_star_masks[agent], report)
     if report.ok:
         report.merge(validate_alpha(model))
     return report
@@ -395,30 +409,36 @@ def derive_pi_star(model: ImplicitModel,
         raise PreconditionFailed("derivation needs a valid implicit model", pre)
 
     lat = model.lattice
+    states, spaces, proj, below = lat.states, lat._space, lat._proj, lat._below
     pi_star: dict[str, dict[StateRef, frozenset[StateRef]]] = {}
     for agent in model.agents:
-        corr = model.lambda_star[agent]
-        alpha = model.alpha[agent]
-        table = {ref: lat.project_set(corr[ref], alpha[ref]) for ref in lat.states}
-        pi_star[agent] = table
+        images = model._lambda_star_masks[agent][0]
+        levels = model._alpha_masks[agent]
+        # The model validated, so every image lies in its state's space.
+        projections: dict[int, list[int]] = {}  # image mask -> its projections
+        for image, space in zip(images, spaces):
+            if image not in projections:
+                projections[image] = lat._projections(image, space)
+        table = [projections[image][level] for image, level in zip(images, levels)]
+        pi_star[agent] = {ref: frozenset(lat._refs(mask)) for ref, mask in zip(states, table)}
 
         # The defining clause quantifies over every projection of every
         # state; the direct per-state table must agree with all of them.
-        for ref in lat.states:
-            for below in subsets(ref.space):
-                projected = lat.project(ref, below)
-                expected = lat.project_set(corr[ref], alpha[projected])
-                if table[projected] != expected:
+        for i, ref in enumerate(states):
+            projected_image, level, row = projections[images[i]], levels[i], proj[i]
+            for below_space in below[spaces[i]]:
+                projected = row[below_space]
+                got = table[projected]
+                if got != projected_image[levels[projected]]:
                     raise DerivationInconsistent(
-                        f"derived possibility at {projected} disagrees with the "
+                        f"derived possibility at {states[projected]} disagrees with the "
                         f"defining clause instantiated from {ref}")
-                if below <= alpha[ref] and table[projected] != lat.project_set(corr[ref], below):
+                if not below_space & ~level and got != projected_image[below_space]:
                     raise DerivationInconsistent(
-                        f"projection below the awareness level broken at {projected}")
-                if alpha[ref] <= below and table[projected] != lat.project_set(
-                        corr[ref], alpha[ref]):
+                        f"projection below the awareness level broken at {states[projected]}")
+                if not level & ~below_space and got != projected_image[level]:
                     raise DerivationInconsistent(
-                        f"projection above the awareness level broken at {projected}")
+                        f"projection above the awareness level broken at {states[projected]}")
 
     hms = UnawarenessModel(lat, model.agents, pi_star)
     hms_report = validate_hms(hms, config)
@@ -470,7 +490,7 @@ def implicit_property_suite(model: ComplementedModel,
     families = event_families(basis, config)
 
     for agent in model.agents:
-        corr = model.lambda_[agent]
+        images = model._lambda_masks[agent][0]
 
         def check(law: str, left: Event, right: Event, **extra) -> None:
             report.count()
@@ -490,10 +510,10 @@ def implicit_property_suite(model: ComplementedModel,
         for event in basis:
             implicit = l_op(model, agent, event)
 
-            whole = frozenset(ref for ref in lat.states
-                              if corr[ref] <= lat.up_closure(event))
+            outside = ~lat._upc(event)
+            whole = sum(1 << i for i, image in enumerate(images) if not image & outside)
             report.count()
-            if lat.up_closure(implicit) != whole:
+            if lat._upc(implicit) != whole:
                 report.add("implicit-knowledge-based-event", agent, event=event,
                            result=implicit)
 

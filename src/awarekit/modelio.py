@@ -56,13 +56,50 @@ def _corr_to_data(corr) -> dict:
     }
 
 
+# -- shape checks: JSON values are only trusted after these ---------------------
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ModelFormatError(f"{what} must be an object")
+    return value
+
+
+def _strings(value, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ModelFormatError(f"{what} must be a list of strings")
+    return value
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ModelFormatError(f"{what} must be a string")
+    return value
+
+
+def _pairs(value, what: str) -> list:
+    """A relation: a list of two-string lists."""
+    if not isinstance(value, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 and all(isinstance(w, str) for w in pair)
+            for pair in value):
+        raise ModelFormatError(f"{what} must be a list of [world, world] pairs")
+    return value
+
+
+def _table(value, what: str, cell) -> dict:
+    """An object whose every value passes ``cell(value, what)``."""
+    return {key: cell(item, f"{what}[{key}]")
+            for key, item in _object(value, what).items()}
+
+
+def _table_of(cell):
+    """The check of an object whose every value passes ``cell``."""
+    return lambda value, what: _table(value, what, cell)
+
+
 def _corr_from_data(raw, name: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ModelFormatError(f"{name} must be an object keyed by agent")
     out = {}
-    for agent, table in raw.items():
-        if not isinstance(table, dict):
-            raise ModelFormatError(f"{name}[{agent}] must be an object keyed by state")
+    for agent, table in _table(raw, name, _table_of(_strings)).items():
         out[agent] = {
             parse_state_token(token): frozenset(parse_state_token(t) for t in image)
             for token, image in table.items()
@@ -97,12 +134,10 @@ def _require(data: dict, field: str):
 
 
 def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
-    atoms = _require(data, "atoms")
-    raw_spaces = _require(data, "spaces")
-    raw_projections = _require(data, "projections")
-    raw_valuation = _require(data, "valuation")
-    if not isinstance(raw_spaces, dict):
-        raise ModelFormatError("'spaces' must be an object keyed by space key")
+    atoms = _strings(_require(data, "atoms"), "atoms")
+    raw_spaces = _table(_require(data, "spaces"), "spaces", _strings)
+    raw_projections = _table(_require(data, "projections"), "projections", _table_of(_string))
+    raw_valuation = _table(_require(data, "valuation"), "valuation", _object)
     spaces = {parse_space_key(key): list(ids) for key, ids in raw_spaces.items()}
     if len(spaces) != len(raw_spaces):
         raise ModelFormatError("duplicate space keys after normalization")
@@ -112,17 +147,18 @@ def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
         if "->" not in key:
             raise ModelFormatError(f"projection key {key!r} is not of the form 'parent->child'")
         parent_key, _, child_key = key.partition("->")
-        projections[(parse_space_key(parent_key), parse_space_key(child_key))] = dict(table)
+        projections[(parse_space_key(parent_key), parse_space_key(child_key))] = table
 
     valuation = {}
     for atom, entry in raw_valuation.items():
-        if not isinstance(entry, dict) or "base_space" not in entry or "base" not in entry:
+        if "base_space" not in entry or "base" not in entry:
             raise ModelFormatError(f"valuation of {atom!r} must have base_space and base")
-        space = parse_space_key(entry["base_space"])
-        valuation[atom] = Event(space, frozenset(StateRef(space, i) for i in entry["base"]))
+        space = parse_space_key(_string(entry["base_space"], f"valuation[{atom}].base_space"))
+        ids = _strings(entry["base"], f"valuation[{atom}].base")
+        valuation[atom] = Event(space, frozenset(StateRef(space, i) for i in ids))
 
     lattice = SpaceLattice(atoms, spaces, projections, valuation)
-    agents = _require(data, "agents")
+    agents = _strings(_require(data, "agents"), "agents")
     return lattice, list(agents)
 
 
@@ -180,14 +216,14 @@ def data_to_model(data: dict) -> AnyModel:
     if not isinstance(data, dict):
         raise ModelFormatError("model file must contain a JSON object")
     if "worlds" in data:
+        relations = _table(_require(data, "relations"), "relations", _pairs)
         return AwarenessModel(
-            _require(data, "atoms"),
-            _require(data, "agents"),
-            list(_require(data, "worlds")),
-            {agent: [tuple(pair) for pair in pairs]
-             for agent, pairs in _require(data, "relations").items()},
-            _require(data, "awareness"),
-            _require(data, "valuation"),
+            _strings(_require(data, "atoms"), "atoms"),
+            _strings(_require(data, "agents"), "agents"),
+            list(_strings(_require(data, "worlds"), "worlds")),
+            {agent: [tuple(pair) for pair in pairs] for agent, pairs in relations.items()},
+            _table(_require(data, "awareness"), "awareness", _table_of(_strings)),
+            _table(_require(data, "valuation"), "valuation", _strings),
         )
     if "spaces" not in data:
         raise ModelFormatError("model file has neither 'worlds' nor 'spaces'")
@@ -198,7 +234,7 @@ def data_to_model(data: dict) -> AnyModel:
     lattice, agents = _lattice_from_data(data)
     if has_implicit:
         lambda_star = _corr_from_data(_require(data, "lambda_star"), "lambda_star")
-        raw_alpha = _require(data, "alpha")
+        raw_alpha = _table(_require(data, "alpha"), "alpha", _table_of(_string))
         alpha = {
             agent: {parse_state_token(token): parse_space_key(level)
                     for token, level in table.items()}

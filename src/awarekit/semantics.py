@@ -87,13 +87,23 @@ def _extension(model: LatticeModel, f: Formula) -> Event:
 
 def satisfies(model: LatticeModel, ref: StateRef, f: Formula) -> TruthValue:
     """Three-valued truth at a state: True inside the extension's up-closure,
-    False inside the negation's, Undefined outside both."""
+    False inside the negation's, Undefined outside both.  The two
+    up-closures are memoized per model and formula, as state masks."""
     lat = model.lattice
-    lat.require_state(ref)
-    event = extension(model, f)
-    if ref in lat.up_closure(event):
+    i = lat._state_index(ref)
+    cache = getattr(model, "_truth_cache", None)
+    if cache is None:
+        cache = {}
+        model._truth_cache = cache
+    closures = cache.get(f)
+    if closures is None:
+        event = extension(model, f)
+        closures = (lat._upc(event), lat._upc(lat.event_not(event)))
+        cache[f] = closures
+    true, false = closures
+    if true >> i & 1:
         return TruthValue.TRUE
-    if ref in lat.up_closure(lat.event_not(event)):
+    if false >> i & 1:
         return TruthValue.FALSE
     return TruthValue.UNDEFINED
 

@@ -116,6 +116,13 @@ class SpaceLattice:
     demand; the global composition law is a validator concern, not assumed
     here.  Construction fails on structural unreadability only: missing
     spaces or covering maps, dangling state ids, non-total maps.
+
+    Construction also builds a dense index that the validators and operators
+    run on.  State ``i`` is ``states[i]``; a space is a bitmask over the
+    sorted atoms; a set of states is a bitmask over state indices, held in a
+    Python int.  Each state has a projection list indexed by target-space
+    mask and an up-closure mask, and each space the index range of its
+    states (states of one space are contiguous in ``states``).
     """
 
     def __init__(
@@ -170,6 +177,10 @@ class SpaceLattice:
                     table[ref] = StateRef(child, image)
                 self._cover[(parent, child)] = table
 
+        self.states: tuple[StateRef, ...] = tuple(
+            sorted((ref for refs in self.spaces.values() for ref in refs), key=state_order))
+        self._index: dict[StateRef, int] = {ref: i for i, ref in enumerate(self.states)}
+
         if set(valuation) != self.atoms:
             missing = self.atoms - set(valuation)
             extra_atoms = set(valuation) - self.atoms
@@ -180,37 +191,58 @@ class SpaceLattice:
             if event.base_space not in self.spaces:
                 raise ModelFormatError(f"valuation of {atom!r} uses unknown space "
                                        f"{space_key(event.base_space)!r}")
-            known = set(self.spaces[event.base_space])
             for ref in event.base:
-                if ref not in known:
+                if ref not in self._index:
                     raise ModelFormatError(f"valuation of {atom!r} references unknown state {ref}")
         self.valuation = dict(valuation)
 
-        self.states: tuple[StateRef, ...] = tuple(
-            sorted((ref for refs in self.spaces.values() for ref in refs), key=state_order))
+        # Space masks: bit k stands for the k-th atom in sorted order, so the
+        # highest set bit of a mask is its greatest atom.
+        self._atom_bit = {atom: 1 << k for k, atom in enumerate(sorted(self.atoms))}
+        self._masks: dict[frozenset[str], int] = {
+            space: sum(self._atom_bit[atom] for atom in space) for space in self.spaces}
+        n_masks = 1 << len(self.atoms)
+        self._keys: list[str] = [""] * n_masks
+        self._below: list[list[int]] = [[] for _ in range(n_masks)]
+        self._span: list[range] = [range(0)] * n_masks
+        start = 0
+        for space, refs in sorted(self.spaces.items(),
+                                  key=lambda kv: (-len(kv[0]), space_key(kv[0]))):
+            mask = self._masks[space]
+            self._keys[mask] = space_key(space)
+            self._below[mask] = [self._masks[sub] for sub in subsets(space)]
+            self._span[mask] = range(start, start + len(refs))
+            start += len(refs)
+        self._space: list[int] = [self._masks[ref.space] for ref in self.states]
 
-        # Projections composed along the canonical chain (drop atoms in sorted
-        # order); path independence is exactly the composition law checked by
-        # the validator.
-        self._proj: dict[tuple[StateRef, frozenset[str]], StateRef] = {}
-        for ref in self.states:
-            self._proj[(ref, ref.space)] = ref
-        for ref in sorted(self.states, key=lambda r: len(r.space)):
-            for target in subsets(ref.space):
-                if (ref, target) in self._proj:
-                    continue
-                drop = max(ref.space - target)
-                step = self._cover[(ref.space, ref.space - {drop})][ref]
-                self._proj[(ref, target)] = self._proj[(step, target)]
+        # Projections composed along the canonical chain (drop atoms in
+        # greatest-first order); path independence is exactly the
+        # composition law checked by the validator.  Entries for targets
+        # that are not below the state's space stay -1.
+        index = self._index
+        self._proj: list[list[int]] = [[-1] * n_masks for _ in self.states]
+        for (parent, child), table in self._cover.items():
+            target = self._masks[child]
+            for ref, image in table.items():
+                self._proj[index[ref]][target] = index[image]
+        # States of smaller spaces come later in ``states``, so walking it
+        # backwards completes every row a composite projection reads.
+        for i in reversed(range(len(self.states))):
+            mask = self._space[i]
+            row = self._proj[i]
+            row[mask] = i
+            for target in self._below[mask]:
+                if row[target] < 0:
+                    drop = 1 << ((mask & ~target).bit_length() - 1)
+                    row[target] = self._proj[row[mask ^ drop]][target]
 
-        self._up: dict[StateRef, frozenset[StateRef]] = {}
-        buckets: dict[StateRef, set[StateRef]] = {ref: set() for ref in self.states}
-        for (ref, _target), image in self._proj.items():
-            buckets[image].add(ref)
-        for ref, above in buckets.items():
-            self._up[ref] = frozenset(above)
+        self._up: list[int] = [0] * len(self.states)
+        for i, row in enumerate(self._proj):
+            bit = 1 << i
+            for target in self._below[self._space[i]]:
+                self._up[row[target]] |= bit
 
-        self._upc_cache: dict[Event, frozenset[StateRef]] = {}
+        self._upc_cache: dict[Event, int] = {}
 
     # -- lookups ---------------------------------------------------------
 
@@ -224,49 +256,77 @@ class SpaceLattice:
             raise UnknownSpace(f"no space {space_key(space)!r}") from None
 
     def require_state(self, ref: StateRef) -> StateRef:
-        if ref not in self._up:
-            raise UnknownState(f"no state {ref}")
+        self._state_index(ref)
         return ref
 
     def cover_map(self, parent: frozenset[str], child: frozenset[str]) -> dict[StateRef, StateRef]:
         return self._cover[(parent, child)]
 
+    # -- the dense index ----------------------------------------------------
+
+    def _state_index(self, ref: StateRef) -> int:
+        i = self._index.get(ref)
+        if i is None:
+            raise UnknownState(f"no state {ref}")
+        return i
+
+    def _refs(self, mask: int) -> list[StateRef]:
+        """The states of a state mask, in index order."""
+        states = self.states
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(states[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+    def _project_mask(self, mask: int, target: int) -> int:
+        """The projection of a state mask into the space ``target``, which
+        must lie below the space of every state in the mask."""
+        proj = self._proj
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << proj[low.bit_length() - 1][target]
+            mask ^= low
+        return out
+
+    def _projections(self, mask: int, space: int) -> list[int]:
+        """The projections of a state mask inside ``space`` into every space
+        below it, as a list indexed by target mask."""
+        out = [0] * len(self._below)
+        for target in self._below[space]:
+            out[target] = self._project_mask(mask, target)
+        return out
+
+    def _upc(self, event: Event) -> int:
+        """The up-closure of a checked event, as a state mask (cached)."""
+        mask = self._upc_cache.get(event)
+        if mask is None:
+            if event.base_space not in self.spaces:
+                raise UnknownSpace(f"no space {space_key(event.base_space)!r}")
+            mask = 0
+            for ref in event.base:
+                mask |= self._up[self._state_index(ref)]
+            self._upc_cache[event] = mask
+        return mask
+
     # -- projections and up-closures --------------------------------------
 
     def project(self, ref: StateRef, target: frozenset[str]) -> StateRef:
-        self.require_state(ref)
+        i = self._state_index(ref)
         if not target <= ref.space:
             raise NotComparable(
                 f"space {space_key(target)!r} is not below {space_key(ref.space)!r}")
-        return self._proj[(ref, target)]
-
-    def project_set(self, refs: Iterable[StateRef], target: frozenset[str]) -> frozenset[StateRef]:
-        return frozenset(self.project(ref, target) for ref in refs)
-
-    def up_set(self, ref: StateRef) -> frozenset[StateRef]:
-        self.require_state(ref)
-        return self._up[ref]
+        return self.states[self._proj[i][self._masks[target]]]
 
     def up_closure(self, event: Event) -> frozenset[StateRef]:
-        cached = self._upc_cache.get(event)
-        if cached is not None:
-            return cached
-        if event.base_space not in self.spaces:
-            raise UnknownSpace(f"no space {space_key(event.base_space)!r}")
-        out: set[StateRef] = set()
-        for ref in event.base:
-            out |= self.up_set(ref)
-        result = frozenset(out)
-        self._upc_cache[event] = result
-        return result
+        return frozenset(self._refs(self._upc(event)))
 
     # -- events ------------------------------------------------------------
 
     def check_event(self, event: Event) -> Event:
-        if event.base_space not in self.spaces:
-            raise UnknownSpace(f"no space {space_key(event.base_space)!r}")
-        for ref in event.base:
-            self.require_state(ref)
+        self._upc(event)
         return event
 
     def omega(self) -> Event:
@@ -282,23 +342,25 @@ class SpaceLattice:
         return Event(event.base_space, frozenset(self.spaces[event.base_space]) - event.base)
 
     def event_and(self, events: Sequence[Event]) -> Event:
-        for event in events:
-            self.check_event(event)
+        masks = [self._upc(event) for event in events]
         if not events:
             return self.omega()
         join: frozenset[str] = frozenset()
         for event in events:
             join |= event.base_space
-        base = frozenset(
-            ref for ref in self.states_of(join)
-            if all(self._proj[(ref, e.base_space)] in e.base for e in events))
-        return Event(join, base)
+        # A state of the join space lies in an event's up-closure exactly
+        # when its projection to the event's base space lies in the base.
+        span = self._span[self._masks[join]]
+        base = ((1 << len(span)) - 1) << span.start
+        for mask in masks:
+            base &= mask
+        return Event(join, frozenset(self._refs(base)))
 
     def event_or(self, events: Sequence[Event]) -> Event:
         return self.event_not(self.event_and([self.event_not(e) for e in events]))
 
     def event_subset(self, left: Event, right: Event) -> bool:
-        return self.up_closure(left) <= self.up_closure(right)
+        return not self._upc(left) & ~self._upc(right)
 
 
 def _lattice(model) -> SpaceLattice:
@@ -317,6 +379,7 @@ class UnawarenessModel:
         if not self.agents:
             raise ModelFormatError("model needs at least one agent")
         self.pi = _normalize_correspondence(lattice, self.agents, pi, "pi")
+        self._pi_masks = _corr_masks(lattice, self.pi)
         self._op_cache: dict = {}
 
     @property
@@ -348,7 +411,7 @@ def _normalize_correspondence(lattice, agents, corr, name):
             if not image:
                 raise ModelFormatError(f"{name}[{agent}] is empty at state {ref}")
             for target in image:
-                if target not in lattice._up:
+                if target not in lattice._index:
                     raise ModelFormatError(f"{name}[{agent}] at {ref} references "
                                            f"unknown state {target}")
             table[ref] = image
@@ -357,6 +420,31 @@ def _normalize_correspondence(lattice, agents, corr, name):
             ref = sorted(extra, key=state_order)[0]
             raise ModelFormatError(f"{name}[{agent}] keyed by unknown state {ref}")
         out[agent] = table
+    return out
+
+
+def _corr_masks(lattice: SpaceLattice,
+                corr: Mapping[str, Mapping[StateRef, frozenset[StateRef]]]
+                ) -> dict[str, tuple[list[int], list[int], list[int]]]:
+    """Per agent, three lists indexed by state: the image as a state mask,
+    the up-closure of the image, and the space mask of the image (-1 when
+    the image straddles spaces)."""
+    index, space, up = lattice._index, lattice._space, lattice._up
+    out = {}
+    for agent, table in corr.items():
+        images, image_ups, levels = [], [], []
+        for ref in lattice.states:
+            image = image_up = 0
+            found = set()
+            for target in table[ref]:
+                j = index[target]
+                image |= 1 << j
+                image_up |= up[j]
+                found.add(space[j])
+            images.append(image)
+            image_ups.append(image_up)
+            levels.append(found.pop() if len(found) == 1 else -1)
+        out[agent] = (images, image_ups, levels)
     return out
 
 
@@ -418,14 +506,21 @@ def _pi_of(model, agent: str) -> Mapping[StateRef, frozenset[StateRef]]:
         raise UnknownAgent(f"no agent {agent!r}") from None
 
 
-def _corr_knowledge_event(lattice: SpaceLattice,
-                          corr: Mapping[StateRef, frozenset[StateRef]],
-                          event: Event) -> Event:
-    """States whose correspondence image sits inside the event, as an
-    event based at the input's base space (empty base is the vacuous
-    fallback, tagged with that same space)."""
-    upc = lattice.up_closure(event)
-    base = frozenset(ref for ref in lattice.states_of(event.base_space) if corr[ref] <= upc)
+def _pi_masks_of(model, agent: str) -> tuple[list[int], list[int], list[int]]:
+    try:
+        return model._pi_masks[agent]
+    except KeyError:
+        raise UnknownAgent(f"no agent {agent!r}") from None
+
+
+def _corr_knowledge_event(lattice: SpaceLattice, images: list[int], event: Event) -> Event:
+    """States whose correspondence image (a state mask per state) sits inside
+    the event, as an event based at the input's base space (empty base is
+    the vacuous fallback, tagged with that same space)."""
+    outside = ~lattice._upc(event)
+    span = lattice._span[lattice._masks[event.base_space]]
+    states = lattice.states
+    base = frozenset(states[i] for i in span if not images[i] & outside)
     return Event(event.base_space, base)
 
 
@@ -435,10 +530,19 @@ def k_op(model, agent: str, event: Event) -> Event:
     key = ("k", agent, event)
     out = cache.get(key)
     if out is None:
-        out = _corr_knowledge_event(model.lattice, _pi_of(model, agent),
+        out = _corr_knowledge_event(model.lattice, _pi_masks_of(model, agent)[0],
                                     model.lattice.check_event(event))
         cache[key] = out
     return out
+
+
+def _aware_event(lattice: SpaceLattice, levels: list[int], event: Event) -> Event:
+    """States of the event's base space whose level (a space mask per state)
+    sits at or above that space."""
+    need = lattice._masks[event.base_space]
+    states = lattice.states
+    base = frozenset(states[i] for i in lattice._span[need] if not need & ~levels[i])
+    return Event(event.base_space, base)
 
 
 def a_op(model, agent: str, event: Event) -> Event:
@@ -450,10 +554,11 @@ def a_op(model, agent: str, event: Event) -> Event:
     if out is None:
         lat = model.lattice
         lat.check_event(event)
-        need = event.base_space
-        base = frozenset(ref for ref in lat.states_of(need)
-                         if need <= pi_space(model, agent, ref))
-        out = Event(need, base)
+        levels = _pi_masks_of(model, agent)[2]
+        for i in lat._span[lat._masks[event.base_space]]:
+            if levels[i] < 0:
+                pi_space(model, agent, lat.states[i])
+        out = _aware_event(lat, levels, event)
         cache[key] = out
     return out
 
@@ -483,27 +588,29 @@ DEFAULT_VALIDATION = ValidationConfig()
 
 def _validate_lattice(lat: SpaceLattice, report: Report,
                       config: ValidationConfig = DEFAULT_VALIDATION) -> None:
-    for (parent, child), table in sorted(lat._cover.items(),
-                                         key=lambda kv: (space_key(kv[0][0]), space_key(kv[0][1]))):
-        hit = set(table.values())
+    states, proj, span, masks = lat.states, lat._proj, lat._span, lat._masks
+    for parent, child in sorted(lat._cover, key=lambda pair: (space_key(pair[0]),
+                                                              space_key(pair[1]))):
+        target = masks[child]
+        hit = {proj[i][target] for i in span[masks[parent]]}
         report.count()
-        for ref in lat.states_of(child):
-            if ref not in hit:
-                report.add("projection-surjective", state=ref,
+        for j in span[target]:
+            if j not in hit:
+                report.add("projection-surjective", state=states[j],
                            source=space_key(parent), target=space_key(child))
 
     # Commuting covering squares pin down path independence of every
     # composite projection, which is the general composition law.
     for space in lat.spaces:
+        mask = masks[space]
         for x, y in combinations(sorted(space), 2):
-            via_x = lat._cover[(space, space - {x})]
-            via_y = lat._cover[(space, space - {y})]
-            lower_x = lat._cover[(space - {x}, space - {x, y})]
-            lower_y = lat._cover[(space - {y}, space - {x, y})]
-            for ref in lat.states_of(space):
+            via_x = mask & ~lat._atom_bit[x]
+            via_y = mask & ~lat._atom_bit[y]
+            meet = via_x & via_y
+            for i in span[mask]:
                 report.count()
-                if lower_x[via_x[ref]] != lower_y[via_y[ref]]:
-                    report.add("projection-composition", state=ref,
+                if proj[proj[i][via_x]][meet] != proj[proj[i][via_y]][meet]:
+                    report.add("projection-composition", state=states[i],
                                space=space_key(space), dropped=f"{x},{y}")
 
     for atom in sorted(lat.atoms):
@@ -528,60 +635,55 @@ def validate_hms(model: UnawarenessModel,
     report = Report()
     lat = model.lattice
     _validate_lattice(lat, report, config)
+    states, index, spaces, proj, below, keys = (
+        lat.states, lat._index, lat._space, lat._proj, lat._below, lat._keys)
 
     for agent in model.agents:
         pi = model.pi[agent]
-        pi_spaces: dict[StateRef, frozenset[str] | None] = {}
-        for ref in lat.states:
-            image = pi[ref]
-            found = {target.space for target in image}
+        images, image_ups, levels = model._pi_masks[agent]
+        projections: dict[int, list[int]] = {}  # image mask -> its projections
+        for i, ref in enumerate(states):
             report.count()
-            if len(found) != 1:
+            if levels[i] < 0:
+                found = {target.space for target in pi[ref]}
                 report.add("confinement-single-space", agent, state=ref,
                            spaces=";".join(sorted(space_key(s) for s in found)))
-                pi_spaces[ref] = None
                 continue
-            space = next(iter(found))
-            pi_spaces[ref] = space
             report.count()
-            if not space <= ref.space:
+            if levels[i] & ~spaces[i]:
                 report.add("confinement-expressible", agent, state=ref,
-                           image_space=space_key(space))
+                           image_space=keys[levels[i]])
 
-        def pi_up(ref: StateRef) -> frozenset[StateRef]:
-            out: set[StateRef] = set()
-            for target in pi[ref]:
-                out |= lat.up_set(target)
-            return frozenset(out)
-
-        for ref in lat.states:
+        for i, ref in enumerate(states):
             image = pi[ref]
+            mine, mine_up, space = images[i], image_ups[i], spaces[i]
             report.count()
-            if ref not in pi_up(ref):
+            if not mine_up >> i & 1:
                 report.add("generalized-reflexivity", agent, state=ref,
                            image=";".join(str(t) for t in sorted(image, key=state_order)))
             for target in image:
                 report.count()
-                if pi[target] != image:
+                if images[index[target]] != mine:
                     report.add("stationarity", agent, state=ref, reached=target)
 
-            for below in subsets(ref.space):
-                if below == ref.space:
-                    continue
-                projected = lat.project(ref, below)
+            row = proj[i]
+            for target_space in below[space][:-1]:
                 report.count()
-                if not pi_up(ref) <= pi_up(projected):
+                if mine_up & ~image_ups[row[target_space]]:
                     report.add("projections-preserve-ignorance", agent,
-                               state=ref, below=space_key(below))
+                               state=ref, below=keys[target_space])
 
-            space = pi_spaces[ref]
-            if space is None or not space <= ref.space:
+            level = levels[i]
+            if level < 0 or level & ~space:
                 continue
-            for target_space in subsets(space):
+            projected = projections.get(mine)
+            if projected is None:
+                projected = projections[mine] = lat._projections(mine, level)
+            for target_space in below[level]:
                 report.count()
-                if lat.project_set(image, target_space) != pi[lat.project(ref, target_space)]:
+                if projected[target_space] != images[row[target_space]]:
                     report.add("projections-preserve-knowledge", agent,
-                               state=ref, below=space_key(target_space))
+                               state=ref, below=keys[target_space])
     return report
 
 
@@ -667,7 +769,7 @@ def explicit_property_suite(model: UnawarenessModel,
     omega = lat.omega()
 
     for agent in model.agents:
-        pi = model.pi[agent]
+        images, _, levels = model._pi_masks[agent]
 
         def check(law: str, left: Event, right: Event, **extra) -> None:
             report.count()
@@ -685,20 +787,16 @@ def explicit_property_suite(model: UnawarenessModel,
 
             # Knowledge and awareness of any event are events based at the
             # argument's own base space; compare against the raw definitions.
-            whole_k = frozenset(ref for ref in lat.states
-                                if pi[ref] <= lat.up_closure(event))
+            outside = ~lat._upc(event)
+            whole_k = sum(1 << i for i, image in enumerate(images) if not image & outside)
             report.count()
-            if lat.up_closure(known) != whole_k:
+            if lat._upc(known) != whole_k:
                 report.add("knowledge-based-event", agent, event=event, result=known)
-            whole_a = set()
-            for ref in lat.states:
-                try:
-                    if event.base_space <= pi_space(model, agent, ref):
-                        whole_a.add(ref)
-                except StraddledPossibilitySet:
-                    pass
+            need = lat._masks[event.base_space]
+            whole_a = sum(1 << i for i, level in enumerate(levels)
+                          if level >= 0 and not need & ~level)
             report.count()
-            if lat.up_closure(aware) != frozenset(whole_a):
+            if lat._upc(aware) != whole_a:
                 report.add("awareness-based-event", agent, event=event, result=aware)
 
             check_subset("knowledge-truth", known, event, event=event)
@@ -754,13 +852,13 @@ def explicit_property_suite(model: UnawarenessModel,
 
         # Possibility sets agree across every comparable space between the
         # image's space and the state's own space.
-        for ref in lat.states:
-            image_space = pi_space(model, agent, ref)
-            rest = ref.space - image_space
-            for extra_atoms in subsets(rest):
-                middle = image_space | extra_atoms
+        # The model validated, so every image lies in one space below the state's.
+        for i, ref in enumerate(lat.states):
+            level, row = levels[i], lat._proj[i]
+            for extra_atoms in lat._below[lat._space[i] & ~level]:
+                middle = level | extra_atoms
                 report.count()
-                if model.pi[agent][lat.project(ref, middle)] != model.pi[agent][ref]:
+                if images[row[middle]] != images[i]:
                     report.add("possibility-agrees-across-spaces", agent,
-                               state=ref, middle=space_key(middle))
+                               state=ref, middle=lat._keys[middle])
     return report

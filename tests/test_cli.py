@@ -168,3 +168,17 @@ def test_missing_file_is_input_error(capsys):
 
 def test_usage_error_is_exit_two(capsys):
     assert main(["transform", FIG1L]) == 2
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    from awarekit import cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_validate", broken)
+    code, out, err = run(capsys, "validate", FIG1L)
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert err.startswith("internal error: RuntimeError: boom")
+    assert "Traceback" in err

@@ -191,3 +191,63 @@ def test_load_model_io_errors(tmp_path):
     array.write_text("[1, 2]")
     with pytest.raises(ModelFormatError):
         load_model(array)
+
+
+# -- JSON shapes: every malformed shape is a ModelFormatError -----------------------
+
+
+FH_DATA = {
+    "atoms": ["p"], "agents": ["1"], "worlds": ["w0"],
+    "relations": {"1": [["w0", "w0"]]},
+    "awareness": {"1": {"w0": ["p"]}},
+    "valuation": {"p": ["w0"]},
+}
+
+
+def _rejected(data) -> None:
+    with pytest.raises(ModelFormatError):
+        data_to_model(data)
+
+
+def test_lattice_valuation_base_string_rejected(fig1L):
+    data = model_to_data(fig1L)
+    data["valuation"]["p"]["base"] = "p"
+    _rejected(data)
+
+
+def test_lattice_valuation_base_nested_list_rejected(fig1L):
+    data = model_to_data(fig1L)
+    data["valuation"]["p"]["base"] = [["p"]]
+    _rejected(data)
+
+
+def test_lattice_valuation_not_an_object_rejected(fig1L):
+    data = model_to_data(fig1L)
+    data["valuation"] = "x"
+    _rejected(data)
+
+
+@pytest.mark.parametrize("field,value", [("atoms", "pq"), ("agents", "1")])
+def test_atoms_and_agents_strings_rejected(fig1L, field, value):
+    data = model_to_data(fig1L)
+    data[field] = value
+    _rejected(data)
+
+
+def test_projection_table_as_pair_list_rejected(fig1L):
+    data = model_to_data(fig1L)
+    data["projections"]["p->"] = [[state, image]
+                                  for state, image in data["projections"]["p->"].items()]
+    _rejected(data)
+
+
+def test_fh_relation_triple_rejected():
+    data = json.loads(json.dumps(FH_DATA))
+    data["relations"]["1"] = [["w0", "w0", "w0"]]
+    _rejected(data)
+
+
+def test_fh_valuation_nested_list_rejected():
+    data = json.loads(json.dumps(FH_DATA))
+    data["valuation"]["p"] = [["w0"]]
+    _rejected(data)
