@@ -112,8 +112,9 @@ class AwarenessModel:
 
 def fh_extension(model: AwarenessModel, f: Formula) -> frozenset[str]:
     """The set of worlds satisfying ``f``; memoized per model."""
-    if not formula_atoms(f) <= model.language_atoms:
-        stray = sorted(formula_atoms(f) - model.language_atoms)
+    need = formula_atoms(f)
+    if not need <= model.language_atoms:
+        stray = sorted(need - model.language_atoms)
         raise UndefinedFormula(f"formula uses atoms outside the language: {stray}")
     return _fh_extension(model, f)
 

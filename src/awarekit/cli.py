@@ -24,7 +24,7 @@ from .gen import GenCaps, gen_fh, gen_hms, gen_implicit
 from .implicit import ComplementedModel, ImplicitModel
 from .reports import Report
 from .syntax import parse as parse_formula
-from .unawareness import StateRef, UnawarenessModel, parse_space_key
+from .unawareness import StateRef, UnawarenessModel
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -126,8 +126,8 @@ def _cmd_check(args) -> int:
             raise ModelFormatError("check needs a complemented or implicit model "
                                    "(a bare 'pi' model has no implicit layer)")
         if args.all:
-            rows = [(modelio.state_token(ref), str(semantics.satisfies(model, ref, formula)))
-                    for ref in model.states]
+            rows = [(modelio.state_token(ref), str(value))
+                    for ref, value in zip(model.states, semantics.truth_table(model, formula))]
         else:
             if not args.state:
                 raise ModelFormatError("check needs --state or --all")

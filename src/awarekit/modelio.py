@@ -19,7 +19,7 @@ from .awareness import AwarenessModel
 from .errors import ModelFormatError
 from .implicit import ComplementedModel, ImplicitModel
 from .lpa import AxiomInstance, ModusPonens, Necessitation, ProofLine, Taut
-from .syntax import Formula, parse, render
+from .syntax import Formula, is_agent_id, is_atom_name, parse, render
 from .unawareness import (
     Event,
     SpaceLattice,
@@ -77,6 +77,24 @@ def _string(value, what: str) -> str:
     return value
 
 
+def _names(value, what: str, valid, kind: str) -> list[str]:
+    """A list of atom names or agent ids, each of which must read back."""
+    for name in _strings(value, what):
+        if not valid(name):
+            raise ModelFormatError(f"{what}: {name!r} is not a valid {kind}")
+    return value
+
+
+def _atoms(data: dict) -> list[str]:
+    return _names(_require(data, "atoms"), "atoms", is_atom_name,
+                  "atom name ([A-Za-z][A-Za-z0-9_]*, not T, no l_/a_/k_ prefix)")
+
+
+def _agents(data: dict) -> list[str]:
+    return _names(_require(data, "agents"), "agents", is_agent_id,
+                  "agent id ([A-Za-z0-9_]+)")
+
+
 def _pairs(value, what: str) -> list:
     """A relation: a list of two-string lists."""
     if not isinstance(value, list) or not all(
@@ -97,13 +115,31 @@ def _table_of(cell):
     return lambda value, what: _table(value, what, cell)
 
 
-def _corr_from_data(raw, name: str) -> dict:
+def _state_reader(lattice: SpaceLattice):
+    """``parse_state_token`` for the correspondences of one load.  Each
+    distinct token is parsed once, and a token naming a state of
+    ``lattice`` reads as the lattice's own ``StateRef``, so all occurrences
+    of a state share one object."""
+    refs: dict[str, StateRef] = {}
+
+    def read(token: str) -> StateRef:
+        ref = refs.get(token)
+        if ref is None:
+            ref = parse_state_token(token)
+            i = lattice._index.get(ref)
+            if i is not None:
+                ref = lattice.states[i]
+            refs[token] = ref
+        return ref
+
+    return read
+
+
+def _corr_from_data(raw, name: str, read) -> dict:
     out = {}
     for agent, table in _table(raw, name, _table_of(_strings)).items():
-        out[agent] = {
-            parse_state_token(token): frozenset(parse_state_token(t) for t in image)
-            for token, image in table.items()
-        }
+        out[agent] = {read(token): frozenset(read(t) for t in image)
+                      for token, image in table.items()}
     return out
 
 
@@ -134,7 +170,7 @@ def _require(data: dict, field: str):
 
 
 def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
-    atoms = _strings(_require(data, "atoms"), "atoms")
+    atoms = _atoms(data)
     raw_spaces = _table(_require(data, "spaces"), "spaces", _strings)
     raw_projections = _table(_require(data, "projections"), "projections", _table_of(_string))
     raw_valuation = _table(_require(data, "valuation"), "valuation", _object)
@@ -158,8 +194,7 @@ def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
         valuation[atom] = Event(space, frozenset(StateRef(space, i) for i in ids))
 
     lattice = SpaceLattice(atoms, spaces, projections, valuation)
-    agents = _strings(_require(data, "agents"), "agents")
-    return lattice, list(agents)
+    return lattice, list(_agents(data))
 
 
 def unawareness_to_data(model: UnawarenessModel) -> dict:
@@ -218,8 +253,8 @@ def data_to_model(data: dict) -> AnyModel:
     if "worlds" in data:
         relations = _table(_require(data, "relations"), "relations", _pairs)
         return AwarenessModel(
-            _strings(_require(data, "atoms"), "atoms"),
-            _strings(_require(data, "agents"), "agents"),
+            _atoms(data),
+            _agents(data),
             list(_strings(_require(data, "worlds"), "worlds")),
             {agent: [tuple(pair) for pair in pairs] for agent, pairs in relations.items()},
             _table(_require(data, "awareness"), "awareness", _table_of(_strings)),
@@ -232,19 +267,19 @@ def data_to_model(data: dict) -> AnyModel:
         raise ModelFormatError("ambiguous model file: mixes implicit-primitive and "
                                "explicit-primitive fields")
     lattice, agents = _lattice_from_data(data)
+    read = _state_reader(lattice)
     if has_implicit:
-        lambda_star = _corr_from_data(_require(data, "lambda_star"), "lambda_star")
+        lambda_star = _corr_from_data(_require(data, "lambda_star"), "lambda_star", read)
         raw_alpha = _table(_require(data, "alpha"), "alpha", _table_of(_string))
-        alpha = {
-            agent: {parse_state_token(token): parse_space_key(level)
-                    for token, level in table.items()}
-            for agent, table in raw_alpha.items()
-        }
+        levels = {key: parse_space_key(key)
+                  for table in raw_alpha.values() for key in set(table.values())}
+        alpha = {agent: {read(token): levels[level] for token, level in table.items()}
+                 for agent, table in raw_alpha.items()}
         return ImplicitModel(lattice, agents, lambda_star, alpha)
-    pi = _corr_from_data(_require(data, "pi"), "pi")
+    pi = _corr_from_data(_require(data, "pi"), "pi", read)
     base = UnawarenessModel(lattice, agents, pi)
     if "lambda" in data:
-        return ComplementedModel(base, _corr_from_data(data["lambda"], "lambda"))
+        return ComplementedModel(base, _corr_from_data(data["lambda"], "lambda", read))
     return base
 
 

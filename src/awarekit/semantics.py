@@ -6,6 +6,15 @@ atoms of a formula lies outside both the formula's extension and the
 extension of its negation, and gets the value Undefined.  Collapsing
 Undefined to False would corrupt validity, which quantifies over defined
 states only.
+
+Truth is evaluated per formula over the whole model, not per state: the
+states where a formula is true and where it is false are two state masks,
+the up-closures of its extension and of that extension's negation (see
+:func:`truth_masks`).  Every question about many states reads these masks
+with one operation per formula; :func:`satisfies` reads one bit.  The
+witness of :func:`valid_in_model` is the lowest-index falsifying state,
+which is the first in the top-down order of ``model.states`` (more
+expressive spaces first).
 """
 
 from __future__ import annotations
@@ -85,27 +94,44 @@ def _extension(model: LatticeModel, f: Formula) -> Event:
     return out
 
 
-def satisfies(model: LatticeModel, ref: StateRef, f: Formula) -> TruthValue:
-    """Three-valued truth at a state: True inside the extension's up-closure,
-    False inside the negation's, Undefined outside both.  The two
-    up-closures are memoized per model and formula, as state masks."""
-    lat = model.lattice
-    i = lat._state_index(ref)
+def truth_masks(model: LatticeModel, f: Formula) -> tuple[int, int]:
+    """The states where ``f`` is true and where it is false, as state masks
+    over ``model.states``: the up-closures of its extension and of the
+    extension's negation.  Memoized per model and formula.  The two are
+    disjoint, because each state projects to a single state of the base
+    space."""
     cache = getattr(model, "_truth_cache", None)
     if cache is None:
         cache = {}
         model._truth_cache = cache
-    closures = cache.get(f)
-    if closures is None:
+    masks = cache.get(f)
+    if masks is None:
+        lat = model.lattice
         event = extension(model, f)
-        closures = (lat._upc(event), lat._upc(lat.event_not(event)))
-        cache[f] = closures
-    true, false = closures
+        masks = (lat._upc(event), lat._upc(lat.event_not(event)))
+        cache[f] = masks
+    return masks
+
+
+def _value(true: int, false: int, i: int) -> TruthValue:
     if true >> i & 1:
         return TruthValue.TRUE
     if false >> i & 1:
         return TruthValue.FALSE
     return TruthValue.UNDEFINED
+
+
+def satisfies(model: LatticeModel, ref: StateRef, f: Formula) -> TruthValue:
+    """Three-valued truth at a state: True inside the extension's up-closure,
+    False inside the negation's, Undefined outside both."""
+    i = model.lattice._state_index(ref)
+    return _value(*truth_masks(model, f), i)
+
+
+def truth_table(model: LatticeModel, f: Formula) -> list[TruthValue]:
+    """The value of ``f`` at every state, in the order of ``model.states``."""
+    true, false = truth_masks(model, f)
+    return [_value(true, false, i) for i in range(len(model.states))]
 
 
 def definedness_event(model: LatticeModel, f: Formula) -> Event:
@@ -126,7 +152,7 @@ def is_defined(model: LatticeModel, ref: StateRef, f: Formula) -> bool:
 def valid_in_model(model: LatticeModel, f: Formula) -> tuple[bool, StateRef | None]:
     """True when no defined state falsifies ``f``; otherwise the first
     falsifying state in top-down order is returned as a witness."""
-    for ref in model.states:
-        if satisfies(model, ref, f) is TruthValue.FALSE:
-            return False, ref
-    return True, None
+    false = truth_masks(model, f)[1]
+    if not false:
+        return True, None
+    return False, model.states[(false & -false).bit_length() - 1]

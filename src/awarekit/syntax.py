@@ -31,73 +31,87 @@ from .errors import FormulaSyntaxError
 
 
 class Formula:
-    """Base class for formula AST nodes. Nodes are immutable and hashable."""
+    """Base class for formula AST nodes. Nodes are immutable and hashable.
 
-    __slots__ = ()
+    Each node computes its structural hash and its nesting depth once, at
+    construction, from its fields and its children's cached values, so a
+    dict lookup keyed by a formula costs O(1) rather than a walk of the tree.
+    Nodes are not interned: equal formulas built separately are distinct
+    objects with equal hashes.
+    """
 
+    __slots__ = ("_hash", "depth")
 
-@dataclass(frozen=True)
-class Top(Formula):
+    def __post_init__(self) -> None:
+        parts = [getattr(self, name) for name in self.__match_args__]
+        depth = 0
+        for part in parts:
+            if isinstance(part, Formula) and part.depth >= depth:
+                depth = part.depth + 1
+        object.__setattr__(self, "_hash", hash((type(self).__name__, *parts)))
+        object.__setattr__(self, "depth", depth)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen, slotted dataclass node keeping :class:`Formula`'s cached hash
+    in place of the field-walking one the dataclass would generate."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
+class Top(Formula):
+    pass
+
+
+@_node
 class Atom(Formula):
     name: str
 
-    def __str__(self) -> str:
-        return render(self)
 
-
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     child: Formula
 
-    def __str__(self) -> str:
-        return render(self)
 
-
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self) -> str:
-        return render(self)
 
-
-@dataclass(frozen=True)
+@_node
 class L(Formula):
     """Implicit knowledge: agent implicitly knows the child formula."""
 
     agent: str
     child: Formula
 
-    def __str__(self) -> str:
-        return render(self)
 
-
-@dataclass(frozen=True)
+@_node
 class A(Formula):
     """Awareness: agent is aware of the child formula."""
 
     agent: str
     child: Formula
 
-    def __str__(self) -> str:
-        return render(self)
 
-
-@dataclass(frozen=True)
+@_node
 class K(Formula):
     """Explicit knowledge.  A primitive node: each model family has its own clause."""
 
     agent: str
     child: Formula
-
-    def __str__(self) -> str:
-        return render(self)
 
 
 TOP = Top()
@@ -144,23 +158,6 @@ def atoms(f: Formula) -> frozenset[str]:
             stack.append(node.left)
             stack.append(node.right)
         elif isinstance(node, (L, A, K)):
-            stack.append(node.child)
-    return frozenset(found)
-
-
-def agents_of(f: Formula) -> frozenset[str]:
-    """All agent ids mentioned by modalities in ``f``."""
-    found: set[str] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, And):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, (L, A, K)):
-            found.add(node.agent)
             stack.append(node.child)
     return frozenset(found)
 
@@ -213,6 +210,27 @@ _TOKEN_RE = re.compile(
 )
 
 _RESERVED_PREFIXES = ("l_", "a_", "k_")
+_ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_AGENT_ID = re.compile(r"[A-Za-z0-9_]+")
+
+
+def is_atom_name(name: str) -> bool:
+    """Whether ``name`` reads back as an atom in formulas and space keys."""
+    return (_ATOM_NAME.fullmatch(name) is not None and name != "T"
+            and not name.startswith(_RESERVED_PREFIXES))
+
+
+def is_agent_id(name: str) -> bool:
+    """Whether ``name`` reads back as the agent of a modality."""
+    return _AGENT_ID.fullmatch(name) is not None
+
+
+# Deepest formula `parse` accepts, counting both the nesting of the text
+# (parentheses, prefix operators, chained "->") and the depth of the tree
+# after desugaring.  The parser, `render` and the evaluators recurse once or
+# a few times per level, so this keeps them well inside the interpreter's
+# recursion limit.
+MAX_DEPTH = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -234,6 +252,7 @@ class _Parser:
         self.agents = agents
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -261,7 +280,18 @@ class _Parser:
         tok = self.peek()
         if tok is not None:
             raise FormulaSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
+        if f.depth > MAX_DEPTH:
+            raise FormulaSyntaxError(f"formula nests deeper than {MAX_DEPTH} levels", 0)
         return f
+
+    def nested(self, parse, pos: int) -> Formula:
+        """Run ``parse`` one nesting level down."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise FormulaSyntaxError(f"formula nests deeper than {MAX_DEPTH} levels", pos)
+        out = parse()
+        self.nesting -= 1
+        return out
 
     def parse_iff(self) -> Formula:
         out = self.parse_imp()
@@ -273,8 +303,8 @@ class _Parser:
     def parse_imp(self) -> Formula:
         left = self.parse_or()
         if self.at_op("->"):
-            self.pos += 1
-            return imp(left, self.parse_imp())
+            pos = self.next()[2]
+            return imp(left, self.nested(self.parse_imp, pos))
         return left
 
     def parse_or(self) -> Formula:
@@ -294,16 +324,16 @@ class _Parser:
     def parse_unary(self) -> Formula:
         kind, text, pos = self.next()
         if kind == "op" and text == "~":
-            return Not(self.parse_unary())
+            return Not(self.nested(self.parse_unary, pos))
         if kind == "op" and text == "(":
-            inner = self.parse_iff()
+            inner = self.nested(self.parse_iff, pos)
             self.expect(")")
             return inner
         if kind == "modal":
             letter, agent = text[0], text[2:]
             if self.agents is not None and agent not in self.agents:
                 raise FormulaSyntaxError(f"unknown agent {agent!r}", pos)
-            return _MODAL_CLASSES[letter](agent, self.parse_unary())
+            return _MODAL_CLASSES[letter](agent, self.nested(self.parse_unary, pos))
         if kind == "name":
             if text == "T":
                 return TOP
@@ -315,6 +345,9 @@ class _Parser:
 
 def parse(text: str, agents: Iterable[str] | None = None) -> Formula:
     """Parse formula text into its unique AST under the concrete grammar.
+
+    Text nesting deeper than :data:`MAX_DEPTH` levels, or desugaring to a
+    tree deeper than that, raises :class:`FormulaSyntaxError`.
 
     When ``agents`` is given, modal tokens naming agents outside the set
     raise :class:`FormulaSyntaxError`; with ``None`` any agent token is

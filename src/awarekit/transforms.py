@@ -27,7 +27,7 @@ from .implicit import (
     validate_lambda,
 )
 from .reports import Report
-from .semantics import TruthValue, satisfies
+from .semantics import TruthValue, satisfies, truth_masks
 from .syntax import atoms as formula_atoms
 from .unawareness import (
     Event,
@@ -160,6 +160,30 @@ def fh_star_transform(model: ImplicitModel) -> AwarenessModel:
 TRANSFORM_DIRECTIONS = ("hms", "implicit-hms", "fh", "fh-star")
 
 
+def _world_mask(worlds: tuple[str, ...], ext: frozenset[str]) -> int:
+    """A set of worlds as a bitmask over ``worlds``."""
+    return sum(1 << k for k, world in enumerate(worlds) if world in ext)
+
+
+def _aligned_start(lat: SpaceLattice, space: frozenset[str],
+                   worlds: tuple[str, ...]) -> int | None:
+    """When the state ids of ``space`` are exactly the sorted ``worlds``,
+    the index of the space's first state, so that world ``k`` is state
+    ``start + k``; otherwise None."""
+    refs = lat.spaces.get(space)
+    if refs is None or tuple(ref.id for ref in refs) != worlds:
+        return None
+    return lat._span[lat._masks[space]].start
+
+
+def _agrees(masks: tuple[int, int], start: int, ext: int, n: int) -> bool:
+    """Whether ``n`` states from ``start`` on are true exactly at ``ext`` and
+    false everywhere else, given a formula's truth masks."""
+    true, false = masks
+    full = (1 << n) - 1
+    return (true >> start) & full == ext and (false >> start) & full == full ^ ext
+
+
 def equivalence_check(source, produced, via: str, depth: int = 2,
                       config: EnumConfig | None = None) -> Report:
     """Modal equivalence between a model and its transform, by enumerating
@@ -169,7 +193,12 @@ def equivalence_check(source, produced, via: str, depth: int = 2,
     ``hms``/``implicit-hms`` check every world of the source awareness model
     against its tagged state in every space expressing the formula;
     ``fh``/``fh-star`` check every top-space state of the source lattice
-    model against its world."""
+    model against its world.
+
+    Per formula, a space whose state ids are the worlds is compared whole,
+    with one mask operation on the formula's truth masks.  A space that
+    disagrees or does not align is walked world by world, which finds the
+    violations and their witnesses."""
     config = config or EnumConfig()
     report = Report()
     if via in ("hms", "implicit-hms"):
@@ -178,17 +207,26 @@ def equivalence_check(source, produced, via: str, depth: int = 2,
         expected = ComplementedModel if via == "hms" else ImplicitModel
         if not isinstance(produced, expected):
             raise ModelFormatError(f"via {via!r} expects a {expected.__name__} as target")
-        known = set(produced.states)
+        lat = produced.lattice
+        worlds = source.worlds
+        spaces = [(space, _aligned_start(lat, space, worlds))
+                  for space in subsets(source.language_atoms)]
         formulas = enumerate_formulas(source.language_atoms, source.agents, depth, config)
         for f in formulas:
             ext = fh_extension(source, f)
-            for space in subsets(source.language_atoms):
-                if not formula_atoms(f) <= space:
+            ext_mask = _world_mask(worlds, ext)
+            need = formula_atoms(f)
+            for space, start in spaces:
+                if not need <= space:
                     continue
-                for world in source.worlds:
+                if start is not None and _agrees(truth_masks(produced, f), start,
+                                                 ext_mask, len(worlds)):
+                    report.count(len(worlds))
+                    continue
+                for world in worlds:
                     ref = StateRef(space, world)
                     report.count()
-                    if ref not in known:
+                    if ref not in lat._index:
                         report.add("state-alignment", state=ref)
                         continue
                     value = satisfies(produced, ref, f)
@@ -208,9 +246,15 @@ def equivalence_check(source, produced, via: str, depth: int = 2,
         lat = source.lattice
         top_states = lat.states_of(lat.atoms)
         worlds = set(produced.worlds)
+        start = _aligned_start(lat, lat.atoms, produced.worlds)
         formulas = enumerate_formulas(lat.atoms, source.agents, depth, config)
         for f in formulas:
             ext = fh_extension(produced, f)
+            if start is not None and _agrees(truth_masks(source, f), start,
+                                             _world_mask(produced.worlds, ext),
+                                             len(top_states)):
+                report.count(len(top_states))
+                continue
             for ref in top_states:
                 report.count()
                 if ref.id not in worlds:

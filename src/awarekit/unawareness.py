@@ -62,12 +62,25 @@ def subsets(space: frozenset[str]) -> Iterator[frozenset[str]]:
             yield frozenset(combo)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateRef:
-    """A state tagged with its space; tagging keeps distinct spaces disjoint."""
+    """A state tagged with its space; tagging keeps distinct spaces disjoint.
+
+    The hash is the dataclass's own, ``hash((space, id))``, computed once at
+    construction."""
 
     space: frozenset[str]
     id: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.space, self.id)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return StateRef, (self.space, self.id)
 
     def __str__(self) -> str:
         return f"{space_key(self.space)}:{self.id}"
@@ -103,10 +116,6 @@ class Event:
     def __str__(self) -> str:
         ids = ",".join(sorted(ref.id for ref in self.base))
         return f"{space_key(self.base_space)}:[{ids}]"
-
-
-def states_from_ids(space: frozenset[str], ids: Iterable[str]) -> frozenset[StateRef]:
-    return frozenset(StateRef(space, i) for i in ids)
 
 
 class SpaceLattice:
@@ -163,18 +172,18 @@ class SpaceLattice:
                     raise ModelFormatError(
                         f"missing projection {space_key(parent)!r} -> {space_key(child)!r}")
                 table: dict[StateRef, StateRef] = {}
-                child_ids = {ref.id for ref in self.spaces[child]}
+                child_refs = {ref.id: ref for ref in self.spaces[child]}
                 for ref in self.spaces[parent]:
                     image = raw.get(ref.id)
                     if image is None:
                         raise ModelFormatError(
                             f"projection {space_key(parent)!r} -> {space_key(child)!r} "
                             f"is undefined on state {ref.id!r}")
-                    if image not in child_ids:
+                    if image not in child_refs:
                         raise ModelFormatError(
                             f"projection {space_key(parent)!r} -> {space_key(child)!r} "
                             f"maps {ref.id!r} to unknown state {image!r}")
-                    table[ref] = StateRef(child, image)
+                    table[ref] = child_refs[image]
                 self._cover[(parent, child)] = table
 
         self.states: tuple[StateRef, ...] = tuple(

@@ -182,3 +182,23 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("internal error: RuntimeError: boom")
     assert "Traceback" in err
+
+
+def test_deeply_nested_formula_is_input_error(capsys):
+    code, out, err = run(capsys, "check", FIG1L, "--formula", "~" * 3000 + "p", "--all")
+    assert code == 2
+    assert "nests deeper" in err and out == ""
+
+
+def test_atom_that_cannot_round_trip_is_input_error(tmp_path, capsys):
+    model = tmp_path / "comma.model"
+    model.write_text(json.dumps({
+        "atoms": ["p,q"], "agents": ["1"], "worlds": ["w0"],
+        "relations": {"1": [["w0", "w0"]]},
+        "awareness": {"1": {"w0": ["p,q"]}},
+        "valuation": {"p,q": ["w0"]},
+    }))
+    for argv in (["validate", str(model)], ["transform", str(model), "--to", "hms"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "'p,q' is not a valid atom name" in err and out == ""

@@ -23,6 +23,7 @@ from awarekit.modelio import (
     state_token,
     lattice_dot,
 )
+from awarekit.transforms import hms_transform
 from awarekit.unawareness import StateRef, UnawarenessModel
 from conftest import PQ, ref
 
@@ -251,3 +252,34 @@ def test_fh_valuation_nested_list_rejected():
     data = json.loads(json.dumps(FH_DATA))
     data["valuation"]["p"] = [["w0"]]
     _rejected(data)
+
+
+@pytest.mark.parametrize("atom", ["p,q", "T", "l_x", "k_1", "1p", "p q", ""])
+def test_atom_names_that_cannot_round_trip_rejected(atom):
+    data = json.loads(json.dumps(FH_DATA).replace('"p"', json.dumps(atom)))
+    _rejected(data)
+    built = AwarenessModel(*(data[field] for field in (
+        "atoms", "agents", "worlds", "relations", "awareness", "valuation")))
+    _rejected(model_to_data(hms_transform(built)))
+
+
+@pytest.mark.parametrize("agent", ["a b", "1,2", "", "i:j"])
+def test_agent_ids_that_cannot_round_trip_rejected(fig1L, agent):
+    data = json.loads(json.dumps(FH_DATA))
+    data["agents"] = [agent]
+    for field in ("relations", "awareness"):
+        data[field] = {agent: data[field]["1"]}
+    _rejected(data)
+    data = model_to_data(fig1L)
+    data["agents"] = [agent]
+    for field in ("pi", "lambda"):
+        data[field] = {agent: data[field]["1"]}
+    _rejected(data)
+
+
+def test_names_of_the_token_grammar_load():
+    data = json.loads(json.dumps(FH_DATA))
+    data.update(atoms=["rain_now", "q1", "lx", "Tt"], agents=["alice", "2", "_b"],
+                relations={a: [["w0", "w0"]] for a in ("alice", "2", "_b")},
+                awareness={a: {"w0": ["q1"]} for a in ("alice", "2", "_b")})
+    assert data_to_model(data).language_atoms == {"rain_now", "q1", "lx", "Tt"}

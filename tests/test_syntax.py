@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +15,7 @@ from awarekit.syntax import (
     Atom,
     K,
     L,
+    MAX_DEPTH,
     Not,
     TOP,
     atoms,
@@ -22,6 +26,7 @@ from awarekit.syntax import (
     render,
     subformulas,
 )
+from awarekit.unawareness import StateRef
 
 
 def test_parse_modal_atom():
@@ -133,3 +138,35 @@ def test_sublanguage_closure(f):
     psi = atoms(f)
     phi = psi | {"extra"}
     assert atoms(f) <= psi <= phi
+
+
+def test_nesting_up_to_the_limit_parses():
+    assert parse("~" * MAX_DEPTH + "p").depth == MAX_DEPTH
+    assert parse("(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH) == Atom("p")
+
+
+@pytest.mark.parametrize("text", [
+    "~" * (MAX_DEPTH + 1) + "p",
+    "l_1 " * (MAX_DEPTH + 1) + "p",
+    "(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1),
+    " -> ".join(["p"] * 3000),
+    " & ".join(["p"] * (MAX_DEPTH + 2)),
+    " | ".join(["p"] * 3000),
+])
+def test_nesting_past_the_limit_is_a_syntax_error(text):
+    with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+        parse(text)
+
+
+def test_depth_is_cached_per_node():
+    f = parse("l_1 (p & ~q)")
+    assert (f.depth, f.child.depth, f.child.right.depth, TOP.depth) == (3, 2, 1, 0)
+
+
+def test_copies_recompute_the_cached_hash():
+    f = parse("l_1 (p & ~q)")
+    for copied in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert copied == f and hash(copied) == hash(f) and copied.depth == f.depth
+    ref = StateRef(frozenset({"p"}), "w")
+    for copied in (copy.deepcopy(ref), pickle.loads(pickle.dumps(ref))):
+        assert copied == ref and hash(copied) == hash(ref)
