@@ -16,13 +16,14 @@ from typing import Iterable, Mapping, Sequence
 
 from .enumeration import EnumConfig, enumerate_formulas
 from .errors import (
+    AwarekitError,
     ModelFormatError,
     PreconditionFailed,
     UndefinedFormula,
     UnknownAgent,
     UnknownState,
 )
-from .reports import Report
+from .reports import Report, memoised
 from .syntax import A, And, Atom, Formula, K, L, Not, Top, atoms as formula_atoms
 from .unawareness import space_key, subsets
 
@@ -48,6 +49,10 @@ class AwarenessModel:
             raise ModelFormatError("model needs at least one world")
         if len(set(worlds)) != len(worlds):
             raise ModelFormatError("duplicate world ids")
+        if "" in worlds:
+            # A world becomes the state id of a lattice state token, which
+            # cannot be empty.
+            raise ModelFormatError("world ids must be non-empty")
         self.worlds = tuple(sorted(worlds))
         known = set(self.worlds)
 
@@ -98,6 +103,7 @@ class AwarenessModel:
             self._succ[agent] = {w: frozenset(ts) for w, ts in table.items()}
 
         self._ext_cache: dict[Formula, frozenset[str]] = {}
+        self._reports: dict = {}  # see reports.memoised
 
     def successors(self, agent: str, world: str) -> frozenset[str]:
         try:
@@ -155,43 +161,43 @@ def fh_satisfies(model: AwarenessModel, world: str, f: Formula) -> bool:
     return world in fh_extension(model, f)
 
 
+@memoised
 def validate_fh(model: AwarenessModel) -> Report:
     """Partitionality per agent, awareness constancy on cells, and the
     language bounds on valuation and awareness sets."""
     report = Report()
+    checked = len(model.valuation)
     for atom in sorted(model.valuation):
-        report.count()
         if atom not in model.language_atoms:
             report.add("valuation-within-language", atom=atom)
     for agent in model.agents:
         aware = model.awareness_atoms[agent]
+        rel = model.relations[agent]
+        checked += 2 * len(model.worlds) + len(rel)
         for world in model.worlds:
-            report.count()
             if not aware[world] <= model.language_atoms:
                 report.add("awareness-within-language", agent, world=world,
                            atoms=",".join(sorted(aware[world] - model.language_atoms)))
 
-        rel = model.relations[agent]
         for world in model.worlds:
-            report.count()
             if (world, world) not in rel:
                 report.add("relation-reflexive", agent, world=world)
         for w, t in rel:
             for t2, u in rel:
                 if t == t2:
-                    report.count()
+                    checked += 1
                     if (w, u) not in rel:
                         report.add("relation-transitive", agent, chain=f"{w}->{t}->{u}")
-            report.count()
             if aware[w] != aware[t]:
                 report.add("awareness-constant-on-cells", agent, source=w, reached=t)
         for w, t in rel:
             for w2, u in rel:
                 if w == w2:
-                    report.count()
+                    checked += 1
                     if (t, u) not in rel:
                         report.add("relation-euclidean", agent,
                                    witness=f"({w},{t}) and ({w},{u})")
+    report.count(checked)
     return report
 
 
@@ -331,10 +337,21 @@ def _modal_partition(model: AwarenessModel) -> dict[str, frozenset[str]]:
     return {w: frozenset(cells[b]) for w, b in block_of.items()}
 
 
-def _quotient(model: AwarenessModel) -> tuple[AwarenessModel, dict[str, str]]:
+def _quotient(model: AwarenessModel) -> tuple[AwarenessModel, dict[str, str], dict[str, str]]:
+    """The quotient of ``model`` by modal equivalence, the name of each
+    world's block (its members joined by ``+``), and each block name's
+    representative (the block's first world)."""
     cell_of = _modal_partition(model)
     name_of = {w: "+".join(sorted(cell_of[w])) for w in model.worlds}
-    worlds = sorted(set(name_of.values()))
+    member_of: dict[str, str] = {}
+    for w in model.worlds:
+        first = min(cell_of[w])
+        if member_of.setdefault(name_of[w], first) != first:
+            raise AwarekitError(
+                f"cannot minimize: blocks {member_of[name_of[w]]!r} and {first!r} "
+                f"would both be named {name_of[w]!r}; rename worlds so that no "
+                f"world id equals a '+'-join of others")
+    worlds = sorted(member_of)
     relations = {
         agent: {(name_of[w], name_of[t]) for w, t in model.relations[agent]}
         for agent in model.agents
@@ -347,7 +364,7 @@ def _quotient(model: AwarenessModel) -> tuple[AwarenessModel, dict[str, str]]:
                  for p, hits in model.valuation.items()}
     out = AwarenessModel(model.language_atoms, model.agents, worlds,
                          relations, awareness, valuation)
-    return out, name_of
+    return out, name_of, member_of
 
 
 def build_category(model: AwarenessModel, minimize: bool = False) -> AwarenessCategory:
@@ -361,7 +378,8 @@ def build_category(model: AwarenessModel, minimize: bool = False) -> AwarenessCa
 
     atoms = model.language_atoms
     members: dict[frozenset[str], AwarenessModel] = {}
-    onto: dict[frozenset[str], dict[str, str]] = {}
+    onto: dict[frozenset[str], dict[str, str]] = {}    # world -> its member world
+    source: dict[frozenset[str], dict[str, str]] = {}  # member world -> a world
     for space in subsets(atoms):
         restricted = AwarenessModel(
             space,
@@ -373,19 +391,16 @@ def build_category(model: AwarenessModel, minimize: bool = False) -> AwarenessCa
             {p: model.valuation[p] for p in sorted(space) if p in model.valuation},
         )
         if minimize:
-            restricted, name_of = _quotient(restricted)
+            restricted, onto[space], source[space] = _quotient(restricted)
         else:
-            name_of = {w: w for w in model.worlds}
+            onto[space] = source[space] = {w: w for w in model.worlds}
         members[space] = restricted
-        onto[space] = name_of
 
     morphisms: dict[tuple[frozenset[str], frozenset[str]], BoundedMorphism] = {}
     for large in subsets(atoms):
         for small in subsets(large):
-            mapping = {}
-            for block in members[large].worlds:
-                source = block.split("+")[0] if minimize else block
-                mapping[block] = onto[small][source]
+            mapping = {block: onto[small][source[large][block]]
+                       for block in members[large].worlds}
             morphisms[(large, small)] = BoundedMorphism(large, small, mapping)
     return AwarenessCategory(atoms, members, morphisms)
 

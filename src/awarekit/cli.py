@@ -149,8 +149,8 @@ def _cmd_transform(args) -> int:
     if args.to in ("hms", "implicit-hms"):
         if not isinstance(model, AwarenessModel):
             raise ModelFormatError(f"--to {args.to} needs an awareness model file")
+        category = awareness.build_category(model, minimize=args.minimize)
         if args.dump_category:
-            category = awareness.build_category(model, minimize=args.minimize)
             directory = Path(args.dump_category)
             directory.mkdir(parents=True, exist_ok=True)
             manifest = {"atoms": sorted(model.language_atoms), "members": {}, "morphisms": {}}
@@ -164,8 +164,10 @@ def _cmd_transform(args) -> int:
                 manifest["morphisms"][pair] = dict(morphism.mapping)
             (directory / "category.json").write_text(
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        out = transforms.hms_transform(model, truncate=args.to == "implicit-hms",
-                                       minimize=args.minimize)
+        # The category built once serves both the dump and the transform.
+        out = transforms.category_to_implicit(category)
+        if args.to == "hms":
+            out = out.derived()
     elif args.to == "fh":
         if not isinstance(model, ComplementedModel):
             raise ModelFormatError("--to fh needs a complemented model file "
@@ -190,18 +192,22 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    """Per trial: generate an awareness model, transform it once into the
+    implicit lattice model, take the complemented model derived from that,
+    and run every validator and property suite on the three.  Each model is
+    validated once; the suites' own precondition checks reuse its report."""
     caps = _caps_from(args.caps)
     report = Report()
     for trial in range(args.trials):
         seed = args.seed + trial
         k = gen_fh(seed, caps)
         report.merge(awareness.validate_fh(k))
-        comp = transforms.hms_transform(k)
+        im = transforms.hms_transform(k, truncate=True)
+        comp = im.derived()
         report.merge(unawareness.validate_hms(comp.base))
         report.merge(implicit.validate_lambda(comp))
         report.merge(unawareness.explicit_property_suite(comp.base))
         report.merge(implicit.implicit_property_suite(comp))
-        im = transforms.hms_transform(k, truncate=True)
         report.merge(implicit.validate_implicit(im))
         report.merge(implicit.a_star_property_suite(im))
     return _emit_report(report, args.format, f"fuzz trials={args.trials}")
@@ -219,6 +225,9 @@ def _cmd_lpa_check(args) -> int:
 
 
 def _cmd_lpa_fuzz(args) -> int:
+    """Soundness fuzzing: per trial, one generated awareness model's
+    category, and the implicit and complemented models built from that same
+    category (see ``lpa.fuzz_soundness``)."""
     caps = _caps_from(args.caps)
     report = lpa.fuzz_soundness(trials=args.trials, depth=args.depth,
                                 caps=caps, seed=args.seed)

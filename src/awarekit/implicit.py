@@ -18,7 +18,7 @@ from .errors import (
     PreconditionFailed,
     TransformInvariantBroken,
 )
-from .reports import Report
+from .reports import Report, memoised
 from .unawareness import (
     DEFAULT_SUITE,
     DEFAULT_VALIDATION,
@@ -54,6 +54,7 @@ class ComplementedModel:
         self.lambda_ = _normalize_correspondence(base.lattice, base.agents, lambda_, "lambda")
         self._lambda_masks = _corr_masks(base.lattice, self.lambda_)
         self._op_cache: dict = {}
+        self._reports: dict = {}  # see reports.memoised
 
     @property
     def lattice(self) -> SpaceLattice:
@@ -102,6 +103,7 @@ class ImplicitModel:
         self._alpha_masks = {agent: [lattice._masks[table[ref]] for ref in lattice.states]
                              for agent, table in self.alpha.items()}
         self._op_cache: dict = {}
+        self._reports: dict = {}  # see reports.memoised
         self._derived: ComplementedModel | None = None
 
     @property
@@ -203,19 +205,18 @@ def _check_implicit_correspondence(lat: SpaceLattice, agent: str,
         lat.states, lat._index, lat._space, lat._proj, lat._below, lat._keys)
     images, image_ups, levels = masks
     confined = [level == space for level, space in zip(levels, spaces)]
+    checked = len(states)
     for i, ref in enumerate(states):
         image = corr[ref]
-        report.count()
         if not confined[i]:
             report.add("strong-confinement", agent, state=ref,
                        image=";".join(str(t) for t in sorted(image, key=state_order)))
             continue
         mine = images[i]
-        report.count()
+        checked += 1 + len(image)
         if not mine >> i & 1:
             report.add("implicit-reflexivity", agent, state=ref)
         for target in image:
-            report.count()
             if images[index[target]] != mine:
                 report.add("implicit-stationarity", agent, state=ref, reached=target)
 
@@ -227,8 +228,8 @@ def _check_implicit_correspondence(lat: SpaceLattice, agent: str,
         projected = projections.get(mine)
         if projected is None:
             projected = projections[mine] = lat._projections(mine, space)
+        checked += len(below[space])
         for below_space in below[space]:
-            report.count()
             if projected[below_space] != images[row[below_space]]:
                 report.add("projections-preserve-implicit-knowledge", agent,
                            state=ref, below=keys[below_space])
@@ -243,14 +244,16 @@ def _check_implicit_correspondence(lat: SpaceLattice, agent: str,
         covered = 0
         for cell in cells:
             covered |= cell
-        report.count()
+        checked += 1 + len(cells) ** 2
         if covered != ((1 << len(span)) - 1) << span.start:
             report.add("implicit-partition", agent, space=space_key(space))
-        for left in cells:
-            for right in cells:
-                report.count()
-                if left != right and left & right:
-                    report.add("implicit-partition", agent, space=space_key(space))
+        # Distinct cells are pairwise disjoint iff their sizes add up to the
+        # size of their union; only then can the pairwise scan be skipped.
+        if sum(cell.bit_count() for cell in cells) != covered.bit_count():
+            for left in cells:
+                for right in cells:
+                    if left != right and left & right:
+                        report.add("implicit-partition", agent, space=space_key(space))
 
     for i, ref in enumerate(states):
         if not confined[i]:
@@ -260,12 +263,14 @@ def _check_implicit_correspondence(lat: SpaceLattice, agent: str,
             projected = row[below_space]
             if not confined[projected]:
                 continue
-            report.count()
+            checked += 1
             if mine_up & ~image_ups[projected]:
                 report.add("projections-preserve-implicit-ignorance", agent,
                            state=ref, below=keys[below_space])
+    report.count(checked)
 
 
+@memoised
 def validate_lambda(model: ComplementedModel,
                     config: ValidationConfig = DEFAULT_VALIDATION) -> Report:
     """Check the implicit correspondence laws and their compatibility with
@@ -274,6 +279,7 @@ def validate_lambda(model: ComplementedModel,
     report = Report()
     lat = model.lattice
     states, index, spaces, keys = lat.states, lat._index, lat._space, lat._keys
+    checked = 0
     for agent in model.agents:
         corr = model.lambda_[agent]
         pi = model.pi[agent]
@@ -283,8 +289,9 @@ def validate_lambda(model: ComplementedModel,
 
         for i, ref in enumerate(states):
             known = pi_images[i]
-            for target in corr[ref]:
-                report.count()
+            image = corr[ref]
+            checked += len(image)
+            for target in image:
                 if pi_images[index[target]] != known:
                     report.add("explicit-measurability", agent, state=ref, reached=target)
 
@@ -300,19 +307,19 @@ def validate_lambda(model: ComplementedModel,
                 continue
 
             projected = lat._project_mask(images[i], level)
-            for target in pi[ref]:
+            possible = pi[ref]
+            checked += 2 * len(possible) + 1
+            for target in possible:
                 j = index[target]
-                report.count()
                 if images[j] != projected:
                     report.add("implicit-measurability", agent, state=ref, reached=target)
-                report.count()
                 if images[j] != pi_images[j]:
                     report.add("implicit-matches-explicit-on-possibility-set", agent,
                                state=ref, reached=target)
 
-            report.count()
             if projected != known:
                 report.add("coherence", agent, state=ref, level=keys[level])
+    report.count(checked)
     return report
 
 
@@ -322,38 +329,39 @@ def validate_alpha(model: ImplicitModel) -> Report:
     lat = model.lattice
     states, index, spaces, proj, below, keys = (
         lat.states, lat._index, lat._space, lat._proj, lat._below, lat._keys)
+    checked = 0
     for agent in model.agents:
         levels = model._alpha_masks[agent]
         corr = model.lambda_star[agent]
+        checked += len(states)
         for i, ref in enumerate(states):
             level, space = levels[i], spaces[i]
-            report.count()
             if level & ~space:
                 report.add("lack-of-conception", agent, state=ref, level=keys[level])
                 continue
-            for target in corr[ref]:
+            image = corr[ref]
+            checked += len(image) + 3 * len(below[space])
+            for target in image:
                 j = index[target]
-                report.count()
                 if spaces[j] == space and levels[j] != level:
                     report.add("awareness-measurability", agent, state=ref, reached=target)
             row = proj[i]
             for below_space in below[space]:
                 got = levels[row[below_space]]
-                report.count()
                 if not below_space & ~level and got != below_space:
                     report.add("awareness-projects-to-level", agent, state=ref,
                                below=keys[below_space], got=keys[got])
-                report.count()
                 if not level & ~below_space and got != level:
                     report.add("awareness-constant-above-level", agent, state=ref,
                                below=keys[below_space], got=keys[got])
-                report.count()
                 if got & ~level:
                     report.add("awareness-monotone-under-projection", agent, state=ref,
                                below=keys[below_space], got=keys[got])
+    report.count(checked)
     return report
 
 
+@memoised
 def validate_implicit(model: ImplicitModel,
                       config: ValidationConfig = DEFAULT_VALIDATION) -> Report:
     """Full validation of an implicit knowledge-based model: lattice laws,
@@ -537,11 +545,11 @@ def implicit_property_suite(model: ComplementedModel,
                   a_op(model, agent, implicit), aware, event=event)
 
         for family in families:
-            joined = lat.event_and(list(family))
+            joined = lat.event_and(family)
             check("implicit-conjunction",
                   l_op(model, agent, joined),
                   lat.event_and([l_op(model, agent, e) for e in family]),
-                  family=";".join(str(e) for e in family))
+                  family=family)
 
         for left in basis:
             for right in basis:
@@ -561,15 +569,14 @@ def a_star_property_suite(model: ImplicitModel,
     lat = model.lattice
     report = Report()
     basis = event_basis(model, config)
+    report.count(2 * len(model.agents) * len(basis))
     for agent in model.agents:
         for event in basis:
-            report.count()
             star = a_star_op(model, agent, event)
             plain = a_op(derived, agent, event)
             if star != plain:
                 report.add("awareness-function-matches-derived", agent,
                            event=event, from_function=star, from_derived=plain)
-            report.count()
             known = k_op(derived, agent, event)
             combined = lat.event_and([l_star_op(model, agent, event), star])
             if known != combined:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
-from .awareness import AwarenessCategory, fh_extension
+from .awareness import AwarenessCategory, _fh_extension
 from .gen import GenCaps, gen_fh, random_formula
 from .reports import Report
 from .semantics import valid_in_model
@@ -296,7 +296,8 @@ def category_valid(category: AwarenessCategory, f: Formula):
     for space, model in sorted(category.models.items(), key=lambda kv: -len(kv[0])):
         if not need <= space:
             continue
-        ext = fh_extension(model, f)
+        # The member's language holds the formula's atoms, as checked above.
+        ext = _fh_extension(model, f)
         for world in model.worlds:
             if world not in ext:
                 return False, f"{render(f)} fails at world {world} of member " \
@@ -312,13 +313,16 @@ def model_valid(model, f: Formula):
 
 
 def _default_models(seed: int, trial: int, caps: GenCaps):
-    from .transforms import build_category, hms_transform
+    """One generated awareness model's sublanguage category, and the
+    implicit and complemented lattice models built from that one category."""
+    from .transforms import build_category, category_to_implicit
 
-    base = gen_fh(seed * 1_000_003 + trial, caps)
+    category = build_category(gen_fh(seed * 1_000_003 + trial, caps))
+    implicit = category_to_implicit(category)
     return (
-        ("category", build_category(base)),
-        ("complemented", hms_transform(base)),
-        ("implicit", hms_transform(base, truncate=True)),
+        ("category", category),
+        ("complemented", implicit.derived()),
+        ("implicit", implicit),
     )
 
 
@@ -342,7 +346,12 @@ def fuzz_soundness(trials: int, depth: int = 2, caps: GenCaps = GenCaps(),
                    seed: int = 0, model_factory=None) -> Report:
     """Random axiom instances must be valid, in the definedness-relative
     sense, on random members of all three model classes, and the two
-    inference rules must preserve validity on them."""
+    inference rules must preserve validity on them.
+
+    By default each trial generates one awareness model and builds one
+    sublanguage category from it; the implicit lattice model is that
+    category repackaged, and the complemented model is derived from the
+    implicit one, so the three classes share one pipeline run."""
     factory = model_factory or (lambda trial: _default_models(seed, trial, caps))
     report = Report()
     for trial in range(trials):

@@ -4,10 +4,17 @@ Validators and suites never raise on a law violation; they collect one
 :class:`Violation` per failed check, each with enough witness data to
 reproduce the failure by hand.  A report with no violations means every
 check that ran passed.
+
+Models are immutable: no model may be changed after construction.  Each
+validator wrapped in :func:`memoised` therefore runs once per model object
+and config; its report is kept on the model and every call returns a fresh
+copy of it, so a caller may merge into what it gets.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, field
 
 
@@ -49,6 +56,9 @@ class Report:
     def add(self, law: str, agent: str | None = None, **witness) -> None:
         self.violations.append(Violation(law, agent, {k: str(v) for k, v in witness.items()}))
 
+    def copy(self) -> "Report":
+        return Report(list(self.violations), self.checked)
+
     def merge(self, other: "Report") -> "Report":
         self.violations.extend(other.violations)
         self.checked += other.checked
@@ -72,3 +82,25 @@ class Report:
         verdict = "PASS" if self.ok else f"FAIL ({len(self.violations)} violation(s))"
         lines.append(f"{verdict} — {self.checked} check(s) run")
         return "\n".join(lines)
+
+
+def memoised(validator):
+    """``validator(model, ...)``, run once per model object and arguments.
+
+    The report is kept in the model's ``_reports`` dict, keyed by the
+    validator and its arguments after defaults are applied, and each call
+    returns a copy."""
+    signature = inspect.signature(validator)
+
+    @functools.wraps(validator)
+    def run(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        model, *rest = bound.arguments.values()
+        key = (validator.__name__, *rest)
+        report = model._reports.get(key)
+        if report is None:
+            report = model._reports[key] = validator(*args, **kwargs)
+        return report.copy()
+
+    return run

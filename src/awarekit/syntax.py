@@ -145,19 +145,27 @@ def conj(formulas: Iterable[Formula]) -> Formula:
 
 
 def atoms(f: Formula) -> frozenset[str]:
-    """The set of atom names occurring in ``f``; empty for the constant true."""
+    """The set of atom names occurring in ``f``; empty for the constant true.
+
+    Formulas share subtrees (``iff`` holds each operand twice), so the walk
+    visits each node object once: linear in distinct nodes, not in the
+    size of the unfolded tree."""
     found: set[str] = set()
+    seen: set[int] = set()
     stack = [f]
     while stack:
         node = stack.pop()
         if isinstance(node, Atom):
             found.add(node.name)
-        elif isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, And):
+            continue
+        key = id(node)
+        if key in seen:
+            continue
+        seen.add(key)
+        if isinstance(node, And):
             stack.append(node.left)
             stack.append(node.right)
-        elif isinstance(node, (L, A, K)):
+        elif isinstance(node, (Not, L, A, K)):
             stack.append(node.child)
     return frozenset(found)
 

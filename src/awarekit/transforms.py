@@ -22,7 +22,6 @@ from .errors import ModelFormatError, PreconditionFailed, TransformInvariantBrok
 from .implicit import (
     ComplementedModel,
     ImplicitModel,
-    derive_pi_star,
     validate_implicit,
     validate_lambda,
 )
@@ -57,17 +56,6 @@ def category_to_implicit(category: AwarenessCategory) -> ImplicitModel:
             morphism = category.morphisms[(space, child)]
             projections[(space, child)] = dict(morphism.mapping)
 
-    lambda_star: dict[str, dict[StateRef, frozenset[StateRef]]] = {a: {} for a in agents}
-    alpha: dict[str, dict[StateRef, frozenset[str]]] = {a: {} for a in agents}
-    for space in subsets(atoms):
-        member = category.models[space]
-        for agent in agents:
-            for world in member.worlds:
-                ref = StateRef(space, world)
-                lambda_star[agent][ref] = frozenset(
-                    StateRef(space, t) for t in member.successors(agent, world))
-                alpha[agent][ref] = member.awareness_atoms[agent][world]
-
     valuation: dict[str, Event] = {}
     for atom in sorted(atoms):
         single = frozenset({atom})
@@ -76,16 +64,30 @@ def category_to_implicit(category: AwarenessCategory) -> ImplicitModel:
         valuation[atom] = Event(single, base)
 
     lattice = SpaceLattice(atoms, spaces, projections, valuation)
+    # The lattice's own state objects, so that the correspondences below
+    # index it by identity rather than by comparing equal copies.
+    refs = {space: {ref.id: ref for ref in lattice.states_of(space)} for space in lattice.spaces}
+
+    lambda_star: dict[str, dict[StateRef, frozenset[StateRef]]] = {a: {} for a in agents}
+    alpha: dict[str, dict[StateRef, frozenset[str]]] = {a: {} for a in agents}
+    for space, ref_of in refs.items():
+        member = category.models[space]
+        for agent in agents:
+            for world in member.worlds:
+                ref = ref_of[world]
+                lambda_star[agent][ref] = frozenset(
+                    ref_of[t] for t in member.successors(agent, world))
+                alpha[agent][ref] = member.awareness_atoms[agent][world]
 
     # The valuation of an atom must collect exactly the worlds where the atom
     # holds, across every member model that can express it.
     for atom in sorted(atoms):
         joined = {
-            StateRef(space, w)
-            for space in subsets(atoms) if atom in space
+            ref_of[w]
+            for space, ref_of in refs.items() if atom in space
             for w in category.models[space].valuation.get(atom, frozenset())
         }
-        if lattice.up_closure(valuation[atom]) != frozenset(joined):
+        if lattice.up_closure(lattice.valuation[atom]) != frozenset(joined):
             raise TransformInvariantBroken(
                 f"valuation of {atom!r} is not the up-closure of its base layer")
 
@@ -99,12 +101,11 @@ def category_to_implicit(category: AwarenessCategory) -> ImplicitModel:
 def hms_transform(model: AwarenessModel, truncate: bool = False,
                   minimize: bool = False) -> ComplementedModel | ImplicitModel:
     """Awareness model to lattice model: build the sublanguage category,
-    repackage it, and (unless ``truncate``) derive the explicit
-    correspondence, dropping the awareness function."""
+    repackage it, and (unless ``truncate``) take the complemented model over
+    the derived explicit correspondence, dropping the awareness function.
+    The complemented model is the implicit one's cached ``derived()``."""
     implicit = category_to_implicit(build_category(model, minimize=minimize))
-    if truncate:
-        return implicit
-    return derive_pi_star(implicit)
+    return implicit if truncate else implicit.derived()
 
 
 def _top_transform(model: ComplementedModel | ImplicitModel,

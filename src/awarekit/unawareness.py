@@ -8,6 +8,11 @@ possibility correspondences and all semantic content is expressed through
 The atom universe is finite and capped (default 6, override with the
 ``AWAREKIT_MAX_ATOMS`` environment variable) because the full powerset of
 spaces is materialized eagerly and validation is exhaustive.
+
+Lattices and models are immutable: nothing may change them after
+construction.  Their index tables and operator caches are built on that
+promise, and so is validation, which runs once per model object and config
+(:func:`reports.memoised`); later calls return copies of the first report.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import (
     UnknownSpace,
     UnknownState,
 )
-from .reports import Report
+from .reports import Report, memoised
 
 DEFAULT_MAX_ATOMS = 6
 MAX_ATOMS_ENV = "AWAREKIT_MAX_ATOMS"
@@ -157,6 +162,8 @@ class SpaceLattice:
                 raise ModelFormatError(f"space {space_key(space)!r} is empty")
             if len(set(ids)) != len(ids):
                 raise ModelFormatError(f"duplicate state ids in space {space_key(space)!r}")
+            if "" in ids:
+                raise ModelFormatError(f"empty state id in space {space_key(space)!r}")
             self.spaces[space] = tuple(StateRef(space, i) for i in sorted(ids))
         extra = set(spaces) - set(self.spaces)
         if extra:
@@ -196,14 +203,19 @@ class SpaceLattice:
             bad = sorted(missing | extra_atoms)
             raise ModelFormatError(f"valuation must be total on the atom universe; "
                                    f"mismatched atoms: {bad}")
+        # Valuation bases are rebuilt from the lattice's own states.
+        self.valuation: dict[str, Event] = {}
         for atom, event in valuation.items():
             if event.base_space not in self.spaces:
                 raise ModelFormatError(f"valuation of {atom!r} uses unknown space "
                                        f"{space_key(event.base_space)!r}")
+            base = []
             for ref in event.base:
-                if ref not in self._index:
+                i = self._index.get(ref)
+                if i is None:
                     raise ModelFormatError(f"valuation of {atom!r} references unknown state {ref}")
-        self.valuation = dict(valuation)
+                base.append(self.states[i])
+            self.valuation[atom] = Event(event.base_space, frozenset(base))
 
         # Space masks: bit k stands for the k-th atom in sorted order, so the
         # highest set bit of a mask is its greatest atom.
@@ -390,6 +402,7 @@ class UnawarenessModel:
         self.pi = _normalize_correspondence(lattice, self.agents, pi, "pi")
         self._pi_masks = _corr_masks(lattice, self.pi)
         self._op_cache: dict = {}
+        self._reports: dict = {}  # see reports.memoised
 
     @property
     def atoms(self) -> frozenset[str]:
@@ -598,11 +611,11 @@ DEFAULT_VALIDATION = ValidationConfig()
 def _validate_lattice(lat: SpaceLattice, report: Report,
                       config: ValidationConfig = DEFAULT_VALIDATION) -> None:
     states, proj, span, masks = lat.states, lat._proj, lat._span, lat._masks
+    report.count(len(lat._cover))
     for parent, child in sorted(lat._cover, key=lambda pair: (space_key(pair[0]),
                                                               space_key(pair[1]))):
         target = masks[child]
         hit = {proj[i][target] for i in span[masks[parent]]}
-        report.count()
         for j in span[target]:
             if j not in hit:
                 report.add("projection-surjective", state=states[j],
@@ -616,16 +629,16 @@ def _validate_lattice(lat: SpaceLattice, report: Report,
             via_x = mask & ~lat._atom_bit[x]
             via_y = mask & ~lat._atom_bit[y]
             meet = via_x & via_y
+            report.count(len(span[mask]))
             for i in span[mask]:
-                report.count()
                 if proj[proj[i][via_x]][meet] != proj[proj[i][via_y]][meet]:
                     report.add("projection-composition", state=states[i],
                                space=space_key(space), dropped=f"{x},{y}")
 
+    report.count(len(lat.atoms))
     for atom in sorted(lat.atoms):
         event = lat.valuation[atom]
         singleton = frozenset({atom})
-        report.count()
         if config.atom_base_exact:
             if event.base_space != singleton:
                 report.add("valuation-base-space", atom=atom,
@@ -636,6 +649,7 @@ def _validate_lattice(lat: SpaceLattice, report: Report,
                        required=f"below {space_key(singleton)}")
 
 
+@memoised
 def validate_hms(model: UnawarenessModel,
                  config: ValidationConfig = DEFAULT_VALIDATION) -> Report:
     """Check the lattice laws, the valuation convention, and every property
@@ -647,18 +661,19 @@ def validate_hms(model: UnawarenessModel,
     states, index, spaces, proj, below, keys = (
         lat.states, lat._index, lat._space, lat._proj, lat._below, lat._keys)
 
+    checked = 0
     for agent in model.agents:
         pi = model.pi[agent]
         images, image_ups, levels = model._pi_masks[agent]
         projections: dict[int, list[int]] = {}  # image mask -> its projections
+        checked += 2 * len(states)  # both confinement laws, the second when the first holds
         for i, ref in enumerate(states):
-            report.count()
             if levels[i] < 0:
+                checked -= 1
                 found = {target.space for target in pi[ref]}
                 report.add("confinement-single-space", agent, state=ref,
                            spaces=";".join(sorted(space_key(s) for s in found)))
                 continue
-            report.count()
             if levels[i] & ~spaces[i]:
                 report.add("confinement-expressible", agent, state=ref,
                            image_space=keys[levels[i]])
@@ -666,18 +681,17 @@ def validate_hms(model: UnawarenessModel,
         for i, ref in enumerate(states):
             image = pi[ref]
             mine, mine_up, space = images[i], image_ups[i], spaces[i]
-            report.count()
+            # reflexivity, stationarity per target, ignorance per lower space
+            checked += len(image) + len(below[space])
             if not mine_up >> i & 1:
                 report.add("generalized-reflexivity", agent, state=ref,
                            image=";".join(str(t) for t in sorted(image, key=state_order)))
             for target in image:
-                report.count()
                 if images[index[target]] != mine:
                     report.add("stationarity", agent, state=ref, reached=target)
 
             row = proj[i]
             for target_space in below[space][:-1]:
-                report.count()
                 if mine_up & ~image_ups[row[target_space]]:
                     report.add("projections-preserve-ignorance", agent,
                                state=ref, below=keys[target_space])
@@ -688,11 +702,12 @@ def validate_hms(model: UnawarenessModel,
             projected = projections.get(mine)
             if projected is None:
                 projected = projections[mine] = lat._projections(mine, level)
+            checked += len(below[level])
             for target_space in below[level]:
-                report.count()
                 if projected[target_space] != images[row[target_space]]:
                     report.add("projections-preserve-knowledge", agent,
                                state=ref, below=keys[target_space])
+    report.count(checked)
     return report
 
 
@@ -738,12 +753,23 @@ def event_basis(model, config: SuiteConfig = DEFAULT_SUITE) -> list[Event]:
     return basis
 
 
+class EventFamily(tuple):
+    """A family of events for the conjunction laws.  Its text, the events
+    joined by ``;``, is the ``family`` witness of a failed check; it is only
+    built when a report adds the violation."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return ";".join(str(e) for e in self)
+
+
 def event_families(basis: Sequence[Event], config: SuiteConfig = DEFAULT_SUITE
-                   ) -> list[tuple[Event, ...]]:
-    families: list[tuple[Event, ...]] = []
+                   ) -> list[EventFamily]:
+    families: list[EventFamily] = []
     for size in range(1, config.max_family_size + 1):
         for combo in combinations(basis, size):
-            families.append(combo)
+            families.append(EventFamily(combo))
             if len(families) >= config.max_families:
                 return families
     return families
@@ -842,15 +868,15 @@ def explicit_property_suite(model: UnawarenessModel,
         check("knowledge-necessitation", k_op(model, agent, omega), omega)
 
         for family in families:
-            joined = lat.event_and(list(family))
+            joined = lat.event_and(family)
             check("knowledge-conjunction",
                   k_op(model, agent, joined),
                   lat.event_and([k_op(model, agent, e) for e in family]),
-                  family=";".join(str(e) for e in family))
+                  family=family)
             check("awareness-conjunction",
                   a_op(model, agent, joined),
                   lat.event_and([a_op(model, agent, e) for e in family]),
-                  family=";".join(str(e) for e in family))
+                  family=family)
 
         for left in basis:
             for right in basis:
@@ -864,9 +890,10 @@ def explicit_property_suite(model: UnawarenessModel,
         # The model validated, so every image lies in one space below the state's.
         for i, ref in enumerate(lat.states):
             level, row = levels[i], lat._proj[i]
-            for extra_atoms in lat._below[lat._space[i] & ~level]:
+            extras = lat._below[lat._space[i] & ~level]
+            report.count(len(extras))
+            for extra_atoms in extras:
                 middle = level | extra_atoms
-                report.count()
                 if images[row[middle]] != images[i]:
                     report.add("possibility-agrees-across-spaces", agent,
                                state=ref, middle=lat._keys[middle])

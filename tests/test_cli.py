@@ -202,3 +202,60 @@ def test_atom_that_cannot_round_trip_is_input_error(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert "'p,q' is not a valid atom name" in err and out == ""
+
+
+def _write_fh(path, worlds, relation, valuation):
+    path.write_text(json.dumps({
+        "atoms": ["p"], "agents": ["1"], "worlds": worlds,
+        "relations": {"1": relation},
+        "awareness": {"1": {w: ["p"] for w in worlds}},
+        "valuation": {"p": valuation},
+    }))
+    return str(path)
+
+
+def test_empty_world_id_is_input_error(tmp_path, capsys):
+    model = _write_fh(tmp_path / "empty.model", ["", "w1"],
+                      [["", ""], ["w1", "w1"]], [""])
+    for argv in (["validate", model], ["transform", model, "--to", "hms"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "world ids must be non-empty" in err and out == ""
+
+
+def test_minimize_keeps_world_names_with_plus(tmp_path, capsys):
+    model = _write_fh(tmp_path / "plus.model", ["a+b", "c"],
+                      [[w, t] for w in ("a+b", "c") for t in ("a+b", "c")], ["a+b"])
+    out_path = tmp_path / "plus.hms"
+    code, _, err = run(capsys, "transform", model, "--to", "hms", "--minimize",
+                       "--out", str(out_path))
+    assert code == 0, err
+    assert load_model(out_path).lattice.has_space(frozenset({"p"}))
+    code, out, _ = run(capsys, "validate", str(out_path))
+    assert code == 0 and "PASS" in out
+
+
+def test_minimize_quotient_name_collision_is_input_error(tmp_path, capsys):
+    # With p, worlds a and b are equivalent and named "a+b", which is also
+    # the name of the singleton block of world a+b.
+    model = _write_fh(tmp_path / "clash.model", ["a", "b", "a+b"],
+                      [["a", "a"], ["b", "b"], ["a+b", "a+b"]], ["a", "b"])
+    code, out, err = run(capsys, "transform", model, "--to", "hms", "--minimize")
+    assert code == 2
+    assert "would both be named 'a+b'" in err and out == ""
+
+
+def test_transform_builds_the_category_once(tmp_path, capsys, monkeypatch):
+    from awarekit import awareness, transforms
+
+    calls = []
+    real = awareness.build_category
+    for module in (awareness, transforms):
+        monkeypatch.setattr(module, "build_category",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+    fh_path = tmp_path / "top.fh"
+    run(capsys, "transform", FIG1R, "--to", "fh", "--out", str(fh_path))
+    code, _, _ = run(capsys, "transform", str(fh_path), "--to", "hms",
+                     "--out", str(tmp_path / "out.model"),
+                     "--dump-category", str(tmp_path / "category"))
+    assert code == 0 and len(calls) == 1

@@ -103,6 +103,18 @@ def test_empty_possibility_set_rejected(fig1L):
         data_to_model(data)
 
 
+def test_empty_state_id_rejected():
+    data = {
+        "atoms": ["p"], "agents": ["1"],
+        "spaces": {"": [""], "p": ["w0"]},
+        "projections": {"p->": {"w0": ""}},
+        "valuation": {"p": {"base_space": "p", "base": ["w0"]}},
+        "pi": {"1": {":": [":"], "p:w0": ["p:w0"]}},
+    }
+    with pytest.raises(ModelFormatError, match="empty state id in space ''"):
+        data_to_model(data)
+
+
 def test_valuation_must_be_total(fig1L):
     data = model_to_data(fig1L)
     del data["valuation"]["q"]

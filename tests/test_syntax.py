@@ -78,6 +78,16 @@ def test_atoms_examples():
     assert atoms(And(A("1", Atom("p")), L("1", Not(Atom("q"))))) == {"p", "q"}
 
 
+def test_atoms_walks_shared_subtrees_once():
+    """``iff`` holds each operand twice, so a 26-operand chain unfolds to a
+    tree of about 2^26 nodes but has only about a hundred distinct ones."""
+    f = Atom("p")
+    for _ in range(25):
+        f = iff(Atom("p"), f)
+    assert atoms(f) == {"p"}
+    assert atoms(iff(Atom("q"), f)) == {"p", "q"}
+
+
 def test_syntax_errors_carry_offsets():
     with pytest.raises(FormulaSyntaxError):
         parse("")
