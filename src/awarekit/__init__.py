@@ -1,6 +1,7 @@
-"""Epistemic models with unawareness: two interchangeable model families,
-three-valued model checking, structural validators, transforms between the
-families, and a proof checker for the logic of propositional awareness."""
+"""Epistemic models with unawareness: awareness models and lattice models
+(one lattice model type, given knowledge by Π, by Π and Λ, or by Λ and α),
+three-valued model checking, structural validators, transforms between
+them, and a proof checker for the logic of propositional awareness."""
 
 from .awareness import (
     AwarenessCategory,
@@ -14,19 +15,14 @@ from .awareness import (
     validate_category,
     validate_fh,
 )
-from .enumeration import EnumConfig, enumerate_formulas
+from .enumeration import enumerate_formulas
 from .gen import GenCaps, gen_fh, gen_hms, gen_implicit, random_formula
 from .implicit import (
-    ComplementedModel,
-    ImplicitModel,
-    a_star_op,
     a_star_property_suite,
     candidate_lambda_from_pi,
     derive_pi_star,
     implicit_from_complemented,
     implicit_property_suite,
-    l_op,
-    l_star_op,
     validate_alpha,
     validate_implicit,
     validate_lambda,
@@ -61,16 +57,16 @@ from .transforms import (
 )
 from .unawareness import (
     Event,
+    LatticeModel,
     SpaceLattice,
     StateRef,
-    SuiteConfig,
-    UnawarenessModel,
     ValidationConfig,
     a_op,
     event_algebra,
     event_basis,
     explicit_property_suite,
     k_op,
+    l_op,
     pi_space,
     project_state,
     space_key,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .enumeration import EnumConfig, enumerate_formulas
+from .enumeration import enumerate_formulas
 from .errors import (
     AwarekitError,
     ModelFormatError,
@@ -31,6 +31,8 @@ from .unawareness import space_key, subsets
 class AwarenessModel:
     """Worlds, equivalence relations, awareness atom-sets, and a valuation
     over one fixed language."""
+
+    family = "awareness"
 
     def __init__(
         self,
@@ -435,8 +437,7 @@ def validate_category(category: AwarenessCategory) -> Report:
     return report
 
 
-def category_equivalence_suite(category: AwarenessCategory, depth: int = 3,
-                               config: EnumConfig | None = None) -> Report:
+def category_equivalence_suite(category: AwarenessCategory, depth: int = 3) -> Report:
     """Every morphism preserves and reflects truth of every enumerated
     formula of the smaller language, and the join/meet models of every
     family of sublanguages are modally equivalent to its members.
@@ -445,7 +446,6 @@ def category_equivalence_suite(category: AwarenessCategory, depth: int = 3,
     :func:`validate_category`; the scan itself runs regardless, so a broken
     category surfaces as formula-level counterexamples here.
     """
-    config = config or EnumConfig()
     report = Report()
     agents = category.agents
 
@@ -465,7 +465,7 @@ def category_equivalence_suite(category: AwarenessCategory, depth: int = 3,
         dst = category.models[small]
         morphism = category.morphisms[(large, small)]
         good = True
-        for f in enumerate_formulas(language, agents, depth, config):
+        for f in enumerate_formulas(language, agents, depth):
             ext_src = fh_extension(src, f)
             ext_dst = fh_extension(dst, f)
             for world in src.worlds:

@@ -2,29 +2,28 @@
 
 Subcommands: ``validate``, ``check``, ``transform``, ``equiv``, ``fuzz``,
 ``lpa check``, ``lpa fuzz``, ``gen``.  Exit codes: 0 when everything passes,
-1 when a property violation or counterexample is found, 2 on input errors
-(malformed files, bad flags, unknown states), 3 on an internal error: any
-other exception, reported as ``internal error: ...`` with its traceback on
-stderr.
+1 when a property violation or counterexample is found, 2 on input and
+output errors (malformed files, bad flags, unknown states, a standard
+output closed by its reader, as in ``awarekit check ... | head -1``), 3 on
+an internal error: any other exception, reported as ``internal error: ...``
+with its traceback on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from pathlib import Path
 
 from . import awareness, implicit, lpa, modelio, semantics, transforms, unawareness
-from .awareness import AwarenessModel
-from .enumeration import EnumConfig
 from .errors import AwarekitError, ModelFormatError, PreconditionFailed
 from .gen import GenCaps, gen_fh, gen_hms, gen_implicit
-from .implicit import ComplementedModel, ImplicitModel
 from .reports import Report
 from .syntax import parse as parse_formula
-from .unawareness import StateRef, UnawarenessModel
+from .unawareness import StateRef
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -42,30 +41,22 @@ def _emit_report(report: Report, fmt: str, label: str) -> int:
 
 
 def _validate_any(model) -> Report:
-    if isinstance(model, AwarenessModel):
+    if model.family == "awareness":
         return awareness.validate_fh(model)
-    if isinstance(model, ImplicitModel):
+    if model.family == "implicit":
         return implicit.validate_implicit(model)
-    if isinstance(model, ComplementedModel):
-        report = unawareness.validate_hms(model.base)
-        return report.merge(implicit.validate_lambda(model))
-    return unawareness.validate_hms(model)
+    report = unawareness.validate_hms(model)
+    if model.family == "complemented":
+        report.merge(implicit.validate_lambda(model))
+    return report
 
 
 def _resolve_state(model, token: str) -> StateRef:
-    """Resolve a 'spaceKey:stateId' token; when the key as written is not a
-    space and names no commas, also try it as a concatenation of single-
-    character atoms, so 'pq:pq' addresses the space {p, q}."""
+    """Resolve a 'spaceKey:stateId' token of the model's lattice."""
     ref = modelio.parse_state_token(token)
-    lattice = model.lattice
-    if lattice.has_space(ref.space):
-        return lattice.require_state(ref)
-    key = token.partition(":")[0]
-    if "," not in key:
-        candidate = frozenset(key)
-        if candidate <= model.atoms and lattice.has_space(candidate):
-            return lattice.require_state(StateRef(candidate, ref.id))
-    raise ModelFormatError(f"no space for state token {token!r}")
+    if not model.lattice.has_space(ref.space):
+        raise ModelFormatError(f"no space for state token {token!r}")
+    return model.lattice.require_state(ref)
 
 
 def _caps_from(arg: str | None) -> GenCaps:
@@ -96,7 +87,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 def _cmd_validate(args) -> int:
     model = modelio.load_model(args.file)
     if args.dot:
-        if isinstance(model, AwarenessModel):
+        if model.family == "awareness":
             raise ModelFormatError("--dot needs a lattice model file")
         Path(args.dot).write_text(modelio.lattice_dot(model), encoding="utf-8")
     return _emit_report(_validate_any(model), args.format, f"validate {args.file}")
@@ -111,7 +102,7 @@ def _cmd_check(args) -> int:
             f"run 'validate' for details")
     formula = parse_formula(args.formula, model.agents)
 
-    if isinstance(model, AwarenessModel):
+    if model.family == "awareness":
         if args.all:
             rows = [(w, str(awareness.fh_satisfies(model, w, formula)))
                     for w in model.worlds]
@@ -122,7 +113,7 @@ def _cmd_check(args) -> int:
                 raise ModelFormatError(f"no world {args.state!r}")
             rows = [(args.state, str(awareness.fh_satisfies(model, args.state, formula)))]
     else:
-        if isinstance(model, UnawarenessModel):
+        if model.family == "unawareness":
             raise ModelFormatError("check needs a complemented or implicit model "
                                    "(a bare 'pi' model has no implicit layer)")
         if args.all:
@@ -147,7 +138,7 @@ def _cmd_check(args) -> int:
 def _cmd_transform(args) -> int:
     model = modelio.load_model(args.file)
     if args.to in ("hms", "implicit-hms"):
-        if not isinstance(model, AwarenessModel):
+        if model.family != "awareness":
             raise ModelFormatError(f"--to {args.to} needs an awareness model file")
         category = awareness.build_category(model, minimize=args.minimize)
         if args.dump_category:
@@ -169,12 +160,12 @@ def _cmd_transform(args) -> int:
         if args.to == "hms":
             out = out.derived()
     elif args.to == "fh":
-        if not isinstance(model, ComplementedModel):
+        if model.family != "complemented":
             raise ModelFormatError("--to fh needs a complemented model file "
                                    "(with both 'pi' and 'lambda')")
         out = transforms.fh_transform(model)
     elif args.to == "fh-star":
-        if not isinstance(model, ImplicitModel):
+        if model.family != "implicit":
             raise ModelFormatError("--to fh-star needs an implicit model file "
                                    "(with 'lambda_star' and 'alpha')")
         out = transforms.fh_star_transform(model)
@@ -204,9 +195,9 @@ def _cmd_fuzz(args) -> int:
         report.merge(awareness.validate_fh(k))
         im = transforms.hms_transform(k, truncate=True)
         comp = im.derived()
-        report.merge(unawareness.validate_hms(comp.base))
+        report.merge(unawareness.validate_hms(comp))
         report.merge(implicit.validate_lambda(comp))
-        report.merge(unawareness.explicit_property_suite(comp.base))
+        report.merge(unawareness.explicit_property_suite(comp))
         report.merge(implicit.implicit_property_suite(comp))
         report.merge(implicit.validate_implicit(im))
         report.merge(implicit.a_star_property_suite(im))
@@ -330,7 +321,14 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return EXIT_INPUT if err.code else EXIT_PASS
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output.  Point it at the null device so
+        # that the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     except PreconditionFailed as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -3,27 +3,24 @@
 Formulas are generated in increasing AST size, filtered by modal depth, and
 canonicalized to curb redundancy: no double negation, conjunctions take
 render-ordered distinct operands, and the constant true never appears as an
-operand.  The count cap bounds test cost only; it does not change any
-semantic claim being checked.
+operand.  The caps (at most MAX_FORMULAS formulas of AST size at most
+MAX_SIZE) bound test cost only; they do not change any semantic claim being
+checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .syntax import A, And, Atom, Formula, K, L, Not, TOP, Top, modal_depth, render
 
 
-@dataclass(frozen=True)
-class EnumConfig:
-    max_formulas: int = 150
-    max_size: int = 9
+MAX_FORMULAS = 150
+MAX_SIZE = 9
 
 
-def enumerate_formulas(atoms: Iterable[str], agents: Iterable[str], depth: int,
-                       config: EnumConfig | None = None) -> list[Formula]:
-    config = config or EnumConfig()
+def enumerate_formulas(atoms: Iterable[str], agents: Iterable[str], depth: int
+                       ) -> list[Formula]:
     agent_list = sorted(set(agents))
     by_size: list[list[Formula]] = [[]]
     out: list[Formula] = []
@@ -31,11 +28,11 @@ def enumerate_formulas(atoms: Iterable[str], agents: Iterable[str], depth: int,
 
     def push(bucket: list[Formula], f: Formula) -> bool:
         if f in seen or modal_depth(f) > depth:
-            return len(out) < config.max_formulas
+            return len(out) < MAX_FORMULAS
         seen.add(f)
         bucket.append(f)
         out.append(f)
-        return len(out) < config.max_formulas
+        return len(out) < MAX_FORMULAS
 
     first = [TOP] + [Atom(name) for name in sorted(set(atoms))]
     bucket = []
@@ -45,7 +42,7 @@ def enumerate_formulas(atoms: Iterable[str], agents: Iterable[str], depth: int,
             return out
     by_size.append(bucket)
 
-    for size in range(2, config.max_size + 1):
+    for size in range(2, MAX_SIZE + 1):
         bucket = []
         candidates: list[Formula] = []
         for f in by_size[size - 1]:

@@ -12,19 +12,19 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from ..implicit import ComplementedModel
 from ..modelio import load_model
+from ..unawareness import LatticeModel
 
 
 def fixture_path(name: str) -> Path:
     return Path(str(resources.files(__package__) / name))
 
 
-def fig1L() -> ComplementedModel:
+def fig1L() -> LatticeModel:
     return load_model(fixture_path("fig1L.model"))
 
 
-def fig1R() -> ComplementedModel:
+def fig1R() -> LatticeModel:
     return load_model(fixture_path("fig1R.model"))
 
 

@@ -1,193 +1,44 @@
-"""Implicit knowledge layers over unawareness models.
+"""The implicit layer of lattice models: validators, derivations and
+property suites.
 
-Two variants.  A *complemented* model keeps the explicit possibility
-correspondence as primitive and adds a compatible within-space implicit
-correspondence.  An *implicit knowledge-based* model (CLI kind
-``implicit-hms``) instead takes the implicit correspondence and a per-state
-awareness function as primitives and derives the explicit correspondence.
+Implicit possibility Λ enters a :class:`~awarekit.unawareness.LatticeModel`
+in two families.  A *complemented* model keeps the explicit possibility
+correspondence Π as primitive and adds a compatible within-space Λ.  An
+*implicit knowledge-based* model (CLI kind ``implicit-hms``) instead takes
+Λ and a per-state awareness function α as primitives, and
+:func:`derive_pi_star` derives Π from them.  The operators themselves
+(``k_op``, ``l_op``, ``a_op``) live in :mod:`awarekit.unawareness`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import (
     CandidateInvalid,
     DerivationInconsistent,
-    ModelFormatError,
     PreconditionFailed,
     TransformInvariantBroken,
 )
 from .reports import Report, memoised
 from .unawareness import (
-    DEFAULT_SUITE,
     DEFAULT_VALIDATION,
-    Event,
+    LatticeModel,
     SpaceLattice,
     StateRef,
-    SuiteConfig,
-    UnawarenessModel,
     ValidationConfig,
-    _aware_event,
-    _corr_knowledge_event,
-    _corr_masks,
-    _normalize_correspondence,
+    _Suite,
     _validate_lattice,
     a_op,
     event_basis,
-    event_families,
     k_op,
+    l_op,
     pi_space,
     space_key,
     state_order,
     u_op,
     validate_hms,
 )
-
-
-class ComplementedModel:
-    """An unawareness model plus per-agent implicit possibility correspondences."""
-
-    def __init__(self, base: UnawarenessModel,
-                 lambda_: Mapping[str, Mapping[StateRef, Iterable[StateRef]]]):
-        self.base = base
-        self.lambda_ = _normalize_correspondence(base.lattice, base.agents, lambda_, "lambda")
-        self._lambda_masks = _corr_masks(base.lattice, self.lambda_)
-        self._op_cache: dict = {}
-        self._reports: dict = {}  # see reports.memoised
-
-    @property
-    def lattice(self) -> SpaceLattice:
-        return self.base.lattice
-
-    @property
-    def agents(self) -> tuple[str, ...]:
-        return self.base.agents
-
-    @property
-    def atoms(self):
-        return self.base.atoms
-
-    @property
-    def states(self):
-        return self.base.states
-
-    @property
-    def pi(self):
-        return self.base.pi
-
-    @property
-    def _pi_masks(self):
-        return self.base._pi_masks
-
-    @property
-    def valuation(self):
-        return self.base.valuation
-
-
-class ImplicitModel:
-    """Implicit correspondence and awareness function as primitives; the
-    explicit correspondence is derived, not stored."""
-
-    def __init__(self, lattice: SpaceLattice, agents: Iterable[str],
-                 lambda_star: Mapping[str, Mapping[StateRef, Iterable[StateRef]]],
-                 alpha: Mapping[str, Mapping[StateRef, frozenset[str]]]):
-        self.lattice = lattice
-        self.agents = tuple(dict.fromkeys(agents))
-        if not self.agents:
-            raise ModelFormatError("model needs at least one agent")
-        self.lambda_star = _normalize_correspondence(lattice, self.agents,
-                                                     lambda_star, "lambda_star")
-        self.alpha = _normalize_alpha(lattice, self.agents, alpha)
-        self._lambda_star_masks = _corr_masks(lattice, self.lambda_star)
-        self._alpha_masks = {agent: [lattice._masks[table[ref]] for ref in lattice.states]
-                             for agent, table in self.alpha.items()}
-        self._op_cache: dict = {}
-        self._reports: dict = {}  # see reports.memoised
-        self._derived: ComplementedModel | None = None
-
-    @property
-    def atoms(self):
-        return self.lattice.atoms
-
-    @property
-    def states(self):
-        return self.lattice.states
-
-    @property
-    def valuation(self):
-        return self.lattice.valuation
-
-    def derived(self) -> ComplementedModel:
-        """The complemented model over the derived explicit correspondence (cached)."""
-        if self._derived is None:
-            self._derived = derive_pi_star(self)
-        return self._derived
-
-
-def _normalize_alpha(lattice, agents, alpha):
-    if set(alpha) != set(agents):
-        raise ModelFormatError(f"alpha must cover exactly the agents {sorted(agents)}")
-    out: dict[str, dict[StateRef, frozenset[str]]] = {}
-    for agent in agents:
-        table = {}
-        per_agent = alpha[agent]
-        for ref in lattice.states:
-            value = per_agent.get(ref)
-            if value is None:
-                raise ModelFormatError(f"alpha[{agent}] is undefined on state {ref}")
-            value = frozenset(value)
-            if not lattice.has_space(value):
-                raise ModelFormatError(f"alpha[{agent}] at {ref} names unknown space "
-                                       f"{space_key(value)!r}")
-            table[ref] = value
-        extra = set(per_agent) - set(table)
-        if extra:
-            ref = sorted(extra, key=state_order)[0]
-            raise ModelFormatError(f"alpha[{agent}] keyed by unknown state {ref}")
-        out[agent] = table
-    return out
-
-
-# -- implicit knowledge operator ------------------------------------------------
-
-
-def l_op(model: ComplementedModel, agent: str, event: Event) -> Event:
-    """Implicit knowledge of an event over the complemented correspondence."""
-    cache = model._op_cache
-    key = ("l", agent, event)
-    out = cache.get(key)
-    if out is None:
-        out = _corr_knowledge_event(model.lattice, model._lambda_masks[agent][0],
-                                    model.lattice.check_event(event))
-        cache[key] = out
-    return out
-
-
-def l_star_op(model: ImplicitModel, agent: str, event: Event) -> Event:
-    """Implicit knowledge in an implicit knowledge-based model."""
-    cache = model._op_cache
-    key = ("l*", agent, event)
-    out = cache.get(key)
-    if out is None:
-        out = _corr_knowledge_event(model.lattice, model._lambda_star_masks[agent][0],
-                                    model.lattice.check_event(event))
-        cache[key] = out
-    return out
-
-
-def a_star_op(model: ImplicitModel, agent: str, event: Event) -> Event:
-    """Awareness straight from the awareness function: the agent's awareness
-    level sits at or above the event's base space."""
-    cache = model._op_cache
-    key = ("a*", agent, event)
-    out = cache.get(key)
-    if out is None:
-        lat = model.lattice
-        lat.check_event(event)
-        out = _aware_event(lat, model._alpha_masks[agent], event)
-        cache[key] = out
-    return out
 
 
 # -- validators -----------------------------------------------------------------
@@ -271,11 +122,11 @@ def _check_implicit_correspondence(lat: SpaceLattice, agent: str,
 
 
 @memoised
-def validate_lambda(model: ComplementedModel,
+def validate_lambda(model: LatticeModel,
                     config: ValidationConfig = DEFAULT_VALIDATION) -> Report:
-    """Check the implicit correspondence laws and their compatibility with
-    the explicit correspondence (measurability both ways, plus the derived
-    coherence facts)."""
+    """Check the implicit correspondence laws of a complemented model and
+    their compatibility with the explicit correspondence (measurability both
+    ways, plus the derived coherence facts)."""
     report = Report()
     lat = model.lattice
     states, index, spaces, keys = lat.states, lat._index, lat._space, lat._keys
@@ -323,7 +174,7 @@ def validate_lambda(model: ComplementedModel,
     return report
 
 
-def validate_alpha(model: ImplicitModel) -> Report:
+def validate_alpha(model: LatticeModel) -> Report:
     """Check the awareness-function laws at every agent/state/space triple."""
     report = Report()
     lat = model.lattice
@@ -331,8 +182,8 @@ def validate_alpha(model: ImplicitModel) -> Report:
         lat.states, lat._index, lat._space, lat._proj, lat._below, lat._keys)
     checked = 0
     for agent in model.agents:
-        levels = model._alpha_masks[agent]
-        corr = model.lambda_star[agent]
+        levels = model._alpha_masks[agent][2]
+        corr = model.lambda_[agent]
         checked += len(states)
         for i, ref in enumerate(states):
             level, space = levels[i], spaces[i]
@@ -362,15 +213,15 @@ def validate_alpha(model: ImplicitModel) -> Report:
 
 
 @memoised
-def validate_implicit(model: ImplicitModel,
+def validate_implicit(model: LatticeModel,
                       config: ValidationConfig = DEFAULT_VALIDATION) -> Report:
     """Full validation of an implicit knowledge-based model: lattice laws,
     the implicit correspondence laws, then the awareness-function laws."""
     report = Report()
     _validate_lattice(model.lattice, report, config)
     for agent in model.agents:
-        _check_implicit_correspondence(model.lattice, agent, model.lambda_star[agent],
-                                       model._lambda_star_masks[agent], report)
+        _check_implicit_correspondence(model.lattice, agent, model.lambda_[agent],
+                                       model._lambda_masks[agent], report)
     if report.ok:
         report.merge(validate_alpha(model))
     return report
@@ -379,7 +230,7 @@ def validate_implicit(model: ImplicitModel,
 # -- derivations ------------------------------------------------------------------
 
 
-def candidate_lambda_from_pi(model: UnawarenessModel) -> ComplementedModel:
+def candidate_lambda_from_pi(model: LatticeModel) -> LatticeModel:
     """Best-effort implicit correspondence grouping states of a space whose
     explicit possibility sets coincide.
 
@@ -399,15 +250,15 @@ def candidate_lambda_from_pi(model: UnawarenessModel) -> ComplementedModel:
             table[ref] = frozenset(
                 other for other in lat.states_of(ref.space) if pi[other] == pi[ref])
         lambda_[agent] = table
-    candidate = ComplementedModel(model, lambda_)
+    candidate = LatticeModel(lat, model.agents, pi=model.pi, lambda_=lambda_)
     report = validate_lambda(candidate)
     if not report.ok:
         raise CandidateInvalid("derived candidate violates the implicit laws", report)
     return candidate
 
 
-def derive_pi_star(model: ImplicitModel,
-                   config: ValidationConfig = DEFAULT_VALIDATION) -> ComplementedModel:
+def derive_pi_star(model: LatticeModel,
+                   config: ValidationConfig = DEFAULT_VALIDATION) -> LatticeModel:
     """Derive the explicit possibility correspondence from the implicit one
     and the awareness function, cross-checking the projected variants of the
     defining clause, then assert that the result is a valid complemented
@@ -420,8 +271,8 @@ def derive_pi_star(model: ImplicitModel,
     states, spaces, proj, below = lat.states, lat._space, lat._proj, lat._below
     pi_star: dict[str, dict[StateRef, frozenset[StateRef]]] = {}
     for agent in model.agents:
-        images = model._lambda_star_masks[agent][0]
-        levels = model._alpha_masks[agent]
+        images = model._lambda_masks[agent][0]
+        levels = model._alpha_masks[agent][2]
         # The model validated, so every image lies in its state's space.
         projections: dict[int, list[int]] = {}  # image mask -> its projections
         for image, space in zip(images, spaces):
@@ -448,12 +299,13 @@ def derive_pi_star(model: ImplicitModel,
                     raise DerivationInconsistent(
                         f"projection above the awareness level broken at {states[projected]}")
 
-    hms = UnawarenessModel(lat, model.agents, pi_star)
-    hms_report = validate_hms(hms, config)
+    complemented = LatticeModel(lat, model.agents, pi=pi_star)
+    # Λ is the implicit model's, already normalized: share its table and masks.
+    complemented.lambda_, complemented._lambda_masks = model.lambda_, model._lambda_masks
+    hms_report = validate_hms(complemented, config)
     if not hms_report.ok:
         raise DerivationInconsistent("derived explicit correspondence is not a valid "
                                      "unawareness model", hms_report)
-    complemented = ComplementedModel(hms, model.lambda_star)
     joint = validate_lambda(complemented, config)
     if not joint.ok:
         raise DerivationInconsistent("derived pair breaks explicit/implicit measurability",
@@ -461,7 +313,7 @@ def derive_pi_star(model: ImplicitModel,
     return complemented
 
 
-def implicit_from_complemented(model: ComplementedModel) -> ImplicitModel:
+def implicit_from_complemented(model: LatticeModel) -> LatticeModel:
     """Repackage a complemented model with implicit knowledge and the
     explicit correspondence's space as primitives; valid whenever the input
     is."""
@@ -469,7 +321,7 @@ def implicit_from_complemented(model: ComplementedModel) -> ImplicitModel:
         agent: {ref: pi_space(model, agent, ref) for ref in model.states}
         for agent in model.agents
     }
-    out = ImplicitModel(model.lattice, model.agents, model.lambda_, alpha)
+    out = LatticeModel(model.lattice, model.agents, lambda_=model.lambda_, alpha=alpha)
     report = validate_implicit(out)
     if not report.ok:
         raise TransformInvariantBroken("implicit view of a complemented model "
@@ -480,105 +332,69 @@ def implicit_from_complemented(model: ComplementedModel) -> ImplicitModel:
 # -- property suites ----------------------------------------------------------------
 
 
-def implicit_property_suite(model: ComplementedModel,
-                            config: SuiteConfig = DEFAULT_SUITE) -> Report:
+def implicit_property_suite(model: LatticeModel) -> Report:
     """Check the partitional laws of implicit knowledge and its interplay
     with explicit knowledge and awareness over the generated event basis."""
-    base_report = validate_hms(model.base)
-    if not base_report.ok:
-        raise PreconditionFailed("implicit property suite needs a valid model", base_report)
-    lambda_report = validate_lambda(model)
-    if not lambda_report.ok:
-        raise PreconditionFailed("implicit property suite needs valid implicit "
-                                 "correspondences", lambda_report)
-
-    lat = model.lattice
-    report = Report()
-    basis = event_basis(model, config)
-    families = event_families(basis, config)
+    suite = _Suite(model, [
+        (validate_hms, "implicit property suite needs a valid model"),
+        (validate_lambda, "implicit property suite needs valid implicit correspondences"),
+    ])
+    lat = suite.lat
+    check, check_subset = suite.check, suite.check_subset
 
     for agent in model.agents:
-        images = model._lambda_masks[agent][0]
-
-        def check(law: str, left: Event, right: Event, **extra) -> None:
-            report.count()
-            if left != right:
-                report.add(law, agent, left=left, right=right, **extra)
-
-        def check_subset(law: str, left: Event, right: Event, **extra) -> None:
-            report.count()
-            if not lat.event_subset(left, right):
-                report.add(law, agent, left=left, right=right, **extra)
-
         for space in lat.spaces:
             up = lat.space_up(space)
-            check("implicit-necessitation", l_op(model, agent, up), up,
+            check("implicit-necessitation", agent, l_op(model, agent, up), up,
                   space=space_key(space))
 
-        for event in basis:
+        for event in suite.basis:
             implicit = l_op(model, agent, event)
+            suite.check_raw("implicit-knowledge-based-event", agent, event, implicit,
+                            suite.boxed(model._lambda_masks[agent][0], event))
 
-            outside = ~lat._upc(event)
-            whole = sum(1 << i for i, image in enumerate(images) if not image & outside)
-            report.count()
-            if lat._upc(implicit) != whole:
-                report.add("implicit-knowledge-based-event", agent, event=event,
-                           result=implicit)
-
-            check_subset("implicit-truth", implicit, event, event=event)
-            check_subset("implicit-positive-introspection",
+            check_subset("implicit-truth", agent, implicit, event, event=event)
+            check_subset("implicit-positive-introspection", agent,
                          implicit, l_op(model, agent, implicit), event=event)
             not_l = lat.event_not(implicit)
-            check_subset("implicit-negative-introspection",
+            check_subset("implicit-negative-introspection", agent,
                          not_l, l_op(model, agent, not_l), event=event)
 
             aware = a_op(model, agent, event)
             unaware = u_op(model, agent, event)
-            check("explicit-equals-implicit-and-awareness",
+            check("explicit-equals-implicit-and-awareness", agent,
                   k_op(model, agent, event),
                   lat.event_and([implicit, aware]), event=event)
-            check("unawareness-implicitly-known", unaware,
+            check("unawareness-implicitly-known", agent, unaware,
                   l_op(model, agent, unaware), event=event)
-            check("awareness-implicitly-known", aware,
+            check("awareness-implicitly-known", agent, aware,
                   l_op(model, agent, aware), event=event)
-            check("awareness-of-implicit-knowledge",
+            check("awareness-of-implicit-knowledge", agent,
                   a_op(model, agent, implicit), aware, event=event)
 
-        for family in families:
-            joined = lat.event_and(family)
-            check("implicit-conjunction",
-                  l_op(model, agent, joined),
-                  lat.event_and([l_op(model, agent, e) for e in family]),
-                  family=family)
-
-        for left in basis:
-            for right in basis:
-                if lat.event_subset(left, right):
-                    check_subset("implicit-monotonicity",
-                                 l_op(model, agent, left), l_op(model, agent, right),
-                                 smaller=left, larger=right)
-    return report
+        suite.conjunctions(agent, (("implicit-conjunction", l_op),))
+        suite.monotonicity("implicit-monotonicity", agent, l_op)
+    return suite.report
 
 
-def a_star_property_suite(model: ImplicitModel,
-                          config: SuiteConfig = DEFAULT_SUITE) -> Report:
-    """Awareness from the awareness function must coincide with awareness
-    from the derived explicit correspondence, and explicit knowledge must be
-    implicit knowledge plus awareness."""
+def a_star_property_suite(model: LatticeModel) -> Report:
+    """On an implicit model: awareness from the awareness function must
+    coincide with awareness from the derived explicit correspondence, and
+    explicit knowledge must be implicit knowledge plus awareness."""
     derived = model.derived()
     lat = model.lattice
     report = Report()
-    basis = event_basis(model, config)
+    basis = event_basis(model)
     report.count(2 * len(model.agents) * len(basis))
     for agent in model.agents:
         for event in basis:
-            star = a_star_op(model, agent, event)
+            star = a_op(model, agent, event)
             plain = a_op(derived, agent, event)
             if star != plain:
                 report.add("awareness-function-matches-derived", agent,
                            event=event, from_function=star, from_derived=plain)
             known = k_op(derived, agent, event)
-            combined = lat.event_and([l_star_op(model, agent, event), star])
+            combined = lat.event_and([l_op(model, agent, event), star])
             if known != combined:
                 report.add("explicit-equals-implicit-and-awareness", agent,
                            event=event, known=known, combined=combined)

@@ -345,13 +345,14 @@ def instantiate(name: str, rng: random.Random, atoms, agents, depth: int) -> For
 def fuzz_soundness(trials: int, depth: int = 2, caps: GenCaps = GenCaps(),
                    seed: int = 0, model_factory=None) -> Report:
     """Random axiom instances must be valid, in the definedness-relative
-    sense, on random members of all three model classes, and the two
-    inference rules must preserve validity on them.
+    sense, on a random category and on the complemented and implicit
+    lattice models (the report's ``model_class``), and the two inference
+    rules must preserve validity on them.
 
     By default each trial generates one awareness model and builds one
     sublanguage category from it; the implicit lattice model is that
     category repackaged, and the complemented model is derived from the
-    implicit one, so the three classes share one pipeline run."""
+    implicit one, so the three share one pipeline run."""
     factory = model_factory or (lambda trial: _default_models(seed, trial, caps))
     report = Report()
     for trial in range(trials):

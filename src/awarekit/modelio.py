@@ -1,11 +1,12 @@
 """Reading and writing the documented model and proof file formats.
 
 All model files are JSON objects; docs/formats.md is the authoritative
-schema.  The model family is detected from the fields present: ``worlds``
-means an awareness model; ``spaces`` with ``lambda_star`` and ``alpha``
-means an implicit knowledge-based lattice model; ``spaces`` with ``lambda``
-means a complemented one; ``spaces`` with only ``pi`` is a bare unawareness
-model.  Proof files are JSON Lines with ``formula`` and ``by`` fields.
+schema.  ``worlds`` means an awareness model and ``spaces`` a
+:class:`~awarekit.unawareness.LatticeModel`, whose primitives are the
+correspondence fields present: ``pi`` alone, ``pi`` and ``lambda``, or
+``lambda_star`` and ``alpha``.  The model's Λ is written as ``lambda`` when
+Π is primitive and as ``lambda_star`` when α is.  Proof files are JSON Lines
+with ``formula`` and ``by`` fields.
 """
 
 from __future__ import annotations
@@ -17,20 +18,18 @@ from typing import Iterable
 
 from .awareness import AwarenessModel
 from .errors import ModelFormatError
-from .implicit import ComplementedModel, ImplicitModel
 from .lpa import AxiomInstance, ModusPonens, Necessitation, ProofLine, Taut
 from .syntax import Formula, is_agent_id, is_atom_name, parse, render
 from .unawareness import (
     Event,
+    LatticeModel,
     SpaceLattice,
     StateRef,
-    UnawarenessModel,
     parse_space_key,
     space_key,
-    subsets,
 )
 
-AnyModel = UnawarenessModel | ComplementedModel | ImplicitModel | AwarenessModel
+AnyModel = LatticeModel | AwarenessModel
 
 
 def state_token(ref: StateRef) -> str:
@@ -197,28 +196,19 @@ def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
     return lattice, list(_agents(data))
 
 
-def unawareness_to_data(model: UnawarenessModel) -> dict:
+def lattice_model_to_data(model: LatticeModel) -> dict:
     data = _lattice_to_data(model.lattice)
     data["agents"] = list(model.agents)
-    data["pi"] = _corr_to_data(model.pi)
-    return data
-
-
-def complemented_to_data(model: ComplementedModel) -> dict:
-    data = unawareness_to_data(model.base)
-    data["lambda"] = _corr_to_data(model.lambda_)
-    return data
-
-
-def implicit_to_data(model: ImplicitModel) -> dict:
-    data = _lattice_to_data(model.lattice)
-    data["agents"] = list(model.agents)
-    data["lambda_star"] = _corr_to_data(model.lambda_star)
-    data["alpha"] = {
-        agent: {state_token(ref): space_key(level)
-                for ref, level in sorted(table.items(), key=lambda kv: state_token(kv[0]))}
-        for agent, table in model.alpha.items()
-    }
+    if model.pi is not None:
+        data["pi"] = _corr_to_data(model.pi)
+    if model.lambda_ is not None:
+        data["lambda" if model.alpha is None else "lambda_star"] = _corr_to_data(model.lambda_)
+    if model.alpha is not None:
+        data["alpha"] = {
+            agent: {state_token(ref): space_key(level)
+                    for ref, level in sorted(table.items(), key=lambda kv: state_token(kv[0]))}
+            for agent, table in model.alpha.items()
+        }
     return data
 
 
@@ -236,15 +226,9 @@ def awareness_to_data(model: AwarenessModel) -> dict:
 
 
 def model_to_data(model: AnyModel) -> dict:
-    if isinstance(model, AwarenessModel):
+    if model.family == "awareness":
         return awareness_to_data(model)
-    if isinstance(model, ImplicitModel):
-        return implicit_to_data(model)
-    if isinstance(model, ComplementedModel):
-        return complemented_to_data(model)
-    if isinstance(model, UnawarenessModel):
-        return unawareness_to_data(model)
-    raise ModelFormatError(f"cannot serialize {type(model).__name__}")
+    return lattice_model_to_data(model)
 
 
 def data_to_model(data: dict) -> AnyModel:
@@ -275,12 +259,10 @@ def data_to_model(data: dict) -> AnyModel:
                   for table in raw_alpha.values() for key in set(table.values())}
         alpha = {agent: {read(token): levels[level] for token, level in table.items()}
                  for agent, table in raw_alpha.items()}
-        return ImplicitModel(lattice, agents, lambda_star, alpha)
+        return LatticeModel(lattice, agents, lambda_=lambda_star, alpha=alpha)
     pi = _corr_from_data(_require(data, "pi"), "pi", read)
-    base = UnawarenessModel(lattice, agents, pi)
-    if "lambda" in data:
-        return ComplementedModel(base, _corr_from_data(data["lambda"], "lambda", read))
-    return base
+    lambda_ = _corr_from_data(data["lambda"], "lambda", read) if "lambda" in data else None
+    return LatticeModel(lattice, agents, pi=pi, lambda_=lambda_)
 
 
 def dumps_model(model: AnyModel) -> str:

@@ -1,11 +1,16 @@
 """Extension-based satisfaction for lattice models.
 
-Formulas denote events, computed bottom-up and memoized per model.  Truth at
-a state is three-valued by design: a state whose space cannot express all
-atoms of a formula lies outside both the formula's extension and the
-extension of its negation, and gets the value Undefined.  Collapsing
-Undefined to False would corrupt validity, which quantifies over defined
-states only.
+Formulas denote events, computed bottom-up and memoized per model.  The
+modalities read the model's operators whatever its family: ``L`` is
+:func:`l_op` over Λ, ``A`` is :func:`a_op` (α's levels when α is primitive,
+Π's otherwise) and ``K`` is :func:`k_op` over Π, the model's own or the
+derived one.
+
+Truth at a state is three-valued by design: a state whose space cannot
+express all atoms of a formula lies outside both the formula's extension
+and the extension of its negation, and gets the value Undefined.
+Collapsing Undefined to False would corrupt validity, which quantifies over
+defined states only.
 
 Truth is evaluated per formula over the whole model, not per state: the
 states where a formula is true and where it is false are two state masks,
@@ -22,9 +27,8 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import UnknownAtom
-from .implicit import ComplementedModel, ImplicitModel, a_star_op, l_op, l_star_op
 from .syntax import A, And, Atom, Formula, K, L, Not, Top, atoms as formula_atoms
-from .unawareness import Event, StateRef, a_op, k_op
+from .unawareness import Event, LatticeModel, StateRef, a_op, k_op, l_op
 
 
 class TruthValue(Enum):
@@ -36,27 +40,6 @@ class TruthValue(Enum):
         return self.value
 
 
-LatticeModel = ComplementedModel | ImplicitModel
-
-
-def _l_event(model: LatticeModel, agent: str, event: Event) -> Event:
-    if isinstance(model, ImplicitModel):
-        return l_star_op(model, agent, event)
-    return l_op(model, agent, event)
-
-
-def _a_event(model: LatticeModel, agent: str, event: Event) -> Event:
-    if isinstance(model, ImplicitModel):
-        return a_star_op(model, agent, event)
-    return a_op(model, agent, event)
-
-
-def _k_event(model: LatticeModel, agent: str, event: Event) -> Event:
-    if isinstance(model, ImplicitModel):
-        return k_op(model.derived(), agent, event)
-    return k_op(model, agent, event)
-
-
 def extension(model: LatticeModel, f: Formula) -> Event:
     """The event denoted by ``f``, memoized per subformula."""
     stray = formula_atoms(f) - model.atoms
@@ -66,10 +49,7 @@ def extension(model: LatticeModel, f: Formula) -> Event:
 
 
 def _extension(model: LatticeModel, f: Formula) -> Event:
-    cache = getattr(model, "_ext_cache", None)
-    if cache is None:
-        cache = {}
-        model._ext_cache = cache
+    cache = model._ext_cache
     cached = cache.get(f)
     if cached is not None:
         return cached
@@ -83,11 +63,11 @@ def _extension(model: LatticeModel, f: Formula) -> Event:
     elif isinstance(f, And):
         out = lat.event_and([_extension(model, f.left), _extension(model, f.right)])
     elif isinstance(f, L):
-        out = _l_event(model, f.agent, _extension(model, f.child))
+        out = l_op(model, f.agent, _extension(model, f.child))
     elif isinstance(f, A):
-        out = _a_event(model, f.agent, _extension(model, f.child))
+        out = a_op(model, f.agent, _extension(model, f.child))
     elif isinstance(f, K):
-        out = _k_event(model, f.agent, _extension(model, f.child))
+        out = k_op(model, f.agent, _extension(model, f.child))
     else:
         raise TypeError(f"not a formula node: {f!r}")
     cache[f] = out
@@ -100,10 +80,7 @@ def truth_masks(model: LatticeModel, f: Formula) -> tuple[int, int]:
     extension's negation.  Memoized per model and formula.  The two are
     disjoint, because each state projects to a single state of the base
     space."""
-    cache = getattr(model, "_truth_cache", None)
-    if cache is None:
-        cache = {}
-        model._truth_cache = cache
+    cache = model._truth_cache
     masks = cache.get(f)
     if masks is None:
         lat = model.lattice

@@ -12,34 +12,28 @@ from __future__ import annotations
 from .awareness import (
     AwarenessCategory,
     AwarenessModel,
-    BoundedMorphism,
     build_category,
     fh_extension,
     validate_fh,
 )
-from .enumeration import EnumConfig, enumerate_formulas
+from .enumeration import enumerate_formulas
 from .errors import ModelFormatError, PreconditionFailed, TransformInvariantBroken
-from .implicit import (
-    ComplementedModel,
-    ImplicitModel,
-    validate_implicit,
-    validate_lambda,
-)
+from .implicit import validate_implicit, validate_lambda
 from .reports import Report
 from .semantics import TruthValue, satisfies, truth_masks
 from .syntax import atoms as formula_atoms
 from .unawareness import (
     Event,
+    LatticeModel,
     SpaceLattice,
     StateRef,
     pi_space,
-    space_key,
     subsets,
     validate_hms,
 )
 
 
-def category_to_implicit(category: AwarenessCategory) -> ImplicitModel:
+def category_to_implicit(category: AwarenessCategory) -> LatticeModel:
     """Repackage a sublanguage category as an implicit knowledge-based
     lattice model: spaces are the member models' worlds, projections are the
     morphisms, the implicit correspondence copies each member's relations,
@@ -91,7 +85,7 @@ def category_to_implicit(category: AwarenessCategory) -> ImplicitModel:
             raise TransformInvariantBroken(
                 f"valuation of {atom!r} is not the up-closure of its base layer")
 
-    model = ImplicitModel(lattice, agents, lambda_star, alpha)
+    model = LatticeModel(lattice, agents, lambda_=lambda_star, alpha=alpha)
     report = validate_implicit(model)
     if not report.ok:
         raise TransformInvariantBroken("category transform output fails validation", report)
@@ -99,7 +93,7 @@ def category_to_implicit(category: AwarenessCategory) -> ImplicitModel:
 
 
 def hms_transform(model: AwarenessModel, truncate: bool = False,
-                  minimize: bool = False) -> ComplementedModel | ImplicitModel:
+                  minimize: bool = False) -> LatticeModel:
     """Awareness model to lattice model: build the sublanguage category,
     repackage it, and (unless ``truncate``) take the complemented model over
     the derived explicit correspondence, dropping the awareness function.
@@ -108,20 +102,18 @@ def hms_transform(model: AwarenessModel, truncate: bool = False,
     return implicit if truncate else implicit.derived()
 
 
-def _top_transform(model: ComplementedModel | ImplicitModel,
-                   awareness_level) -> AwarenessModel:
+def _top_transform(model: LatticeModel, awareness_level) -> AwarenessModel:
     lat = model.lattice
     top = lat.atoms
     top_states = lat.states_of(top)
     worlds = [ref.id for ref in top_states]
-    corr = model.lambda_star if isinstance(model, ImplicitModel) else model.lambda_
 
     relations = {}
     awareness = {}
     for agent in model.agents:
         pairs = set()
         for ref in top_states:
-            for target in corr[agent][ref]:
+            for target in model.lambda_[agent][ref]:
                 pairs.add((ref.id, target.id))
         relations[agent] = pairs
         awareness[agent] = {ref.id: awareness_level(agent, ref) for ref in top_states}
@@ -139,17 +131,17 @@ def _top_transform(model: ComplementedModel | ImplicitModel,
     return out
 
 
-def fh_transform(model: ComplementedModel) -> AwarenessModel:
+def fh_transform(model: LatticeModel) -> AwarenessModel:
     """Complemented lattice model to awareness model: keep the top space,
     read the relations off the implicit correspondence, and take awareness
     at a state to be the atoms of the space its possibility set lives in."""
-    pre = validate_hms(model.base).merge(validate_lambda(model))
+    pre = validate_hms(model).merge(validate_lambda(model))
     if not pre.ok:
         raise PreconditionFailed("transform needs a valid complemented model", pre)
     return _top_transform(model, lambda agent, ref: pi_space(model, agent, ref))
 
 
-def fh_star_transform(model: ImplicitModel) -> AwarenessModel:
+def fh_star_transform(model: LatticeModel) -> AwarenessModel:
     """Like :func:`fh_transform` but awareness comes straight from the
     awareness function."""
     pre = validate_implicit(model)
@@ -185,8 +177,7 @@ def _agrees(masks: tuple[int, int], start: int, ext: int, n: int) -> bool:
     return (true >> start) & full == ext and (false >> start) & full == full ^ ext
 
 
-def equivalence_check(source, produced, via: str, depth: int = 2,
-                      config: EnumConfig | None = None) -> Report:
+def equivalence_check(source, produced, via: str, depth: int = 2) -> Report:
     """Modal equivalence between a model and its transform, by enumerating
     formulas up to the depth bound.
 
@@ -200,19 +191,18 @@ def equivalence_check(source, produced, via: str, depth: int = 2,
     with one mask operation on the formula's truth masks.  A space that
     disagrees or does not align is walked world by world, which finds the
     violations and their witnesses."""
-    config = config or EnumConfig()
     report = Report()
     if via in ("hms", "implicit-hms"):
-        if not isinstance(source, AwarenessModel):
+        if source.family != "awareness":
             raise ModelFormatError(f"via {via!r} expects an awareness model as source")
-        expected = ComplementedModel if via == "hms" else ImplicitModel
-        if not isinstance(produced, expected):
-            raise ModelFormatError(f"via {via!r} expects a {expected.__name__} as target")
+        expected = "complemented" if via == "hms" else "implicit"
+        if produced.family != expected:
+            raise ModelFormatError(f"via {via!r} expects the {expected} family as target")
         lat = produced.lattice
         worlds = source.worlds
         spaces = [(space, _aligned_start(lat, space, worlds))
                   for space in subsets(source.language_atoms)]
-        formulas = enumerate_formulas(source.language_atoms, source.agents, depth, config)
+        formulas = enumerate_formulas(source.language_atoms, source.agents, depth)
         for f in formulas:
             ext = fh_extension(source, f)
             ext_mask = _world_mask(worlds, ext)
@@ -239,16 +229,16 @@ def equivalence_check(source, produced, via: str, depth: int = 2,
         return report
 
     if via in ("fh", "fh-star"):
-        expected = ComplementedModel if via == "fh" else ImplicitModel
-        if not isinstance(source, expected):
-            raise ModelFormatError(f"via {via!r} expects a {expected.__name__} as source")
-        if not isinstance(produced, AwarenessModel):
+        expected = "complemented" if via == "fh" else "implicit"
+        if source.family != expected:
+            raise ModelFormatError(f"via {via!r} expects the {expected} family as source")
+        if produced.family != "awareness":
             raise ModelFormatError(f"via {via!r} expects an awareness model as target")
         lat = source.lattice
         top_states = lat.states_of(lat.atoms)
         worlds = set(produced.worlds)
         start = _aligned_start(lat, lat.atoms, produced.worlds)
-        formulas = enumerate_formulas(lat.atoms, source.agents, depth, config)
+        formulas = enumerate_formulas(lat.atoms, source.agents, depth)
         for f in formulas:
             ext = fh_extension(produced, f)
             if start is not None and _agrees(truth_masks(source, f), start,
@@ -273,12 +263,10 @@ def equivalence_check(source, produced, via: str, depth: int = 2,
                            f"expected one of {TRANSFORM_DIRECTIONS}")
 
 
-def round_trip_check(model: AwarenessModel, depth: int = 2,
-                     config: EnumConfig | None = None) -> Report:
+def round_trip_check(model: AwarenessModel, depth: int = 2) -> Report:
     """An awareness model, pushed through the category and back out of the
     implicit lattice model, satisfies the same enumerated formulas at every
     world."""
-    config = config or EnumConfig()
     report = Report()
     back = fh_star_transform(category_to_implicit(build_category(model)))
     report.count()
@@ -286,7 +274,7 @@ def round_trip_check(model: AwarenessModel, depth: int = 2,
         report.add("round-trip-worlds", expected=",".join(model.worlds),
                    got=",".join(back.worlds))
         return report
-    for f in enumerate_formulas(model.language_atoms, model.agents, depth, config):
+    for f in enumerate_formulas(model.language_atoms, model.agents, depth):
         before = fh_extension(model, f)
         after = fh_extension(back, f)
         for world in model.worlds:

@@ -1,9 +1,15 @@
-"""Lattice-based unawareness models (CLI model kind ``hms``).
+"""Lattice models (CLI model kinds ``hms`` and ``implicit-hms``).
 
-A model carries one disjoint state space per subset of its atom universe,
-linked by surjective commuting projections; knowledge lives in per-agent
-possibility correspondences and all semantic content is expressed through
-*events*: up-closed sets determined by a base set inside a base space.
+A :class:`SpaceLattice` carries one disjoint state space per subset of its
+atom universe, linked by surjective commuting projections; all semantic
+content is expressed through *events*: up-closed sets determined by a base
+set inside a base space.  A :class:`LatticeModel` gives the lattice
+knowledge through per-agent primitives: the explicit possibility
+correspondence Π, the implicit one Λ, and the awareness function α, in one
+of three shapes (Π; Π and Λ; Λ and α).  Two operators read them, whatever
+the shape: knowledge, the box of a correspondence (:meth:`SpaceLattice.box`:
+``k_op`` over Π, ``l_op`` over Λ), and awareness, a test of levels
+(:meth:`SpaceLattice.aware`: ``a_op``).
 
 The atom universe is finite and capped (default 6, override with the
 ``AWAREKIT_MAX_ATOMS`` environment variable) because the full powerset of
@@ -383,6 +389,27 @@ class SpaceLattice:
     def event_subset(self, left: Event, right: Event) -> bool:
         return not self._upc(left) & ~self._upc(right)
 
+    # -- operators ---------------------------------------------------------
+
+    def box(self, images: list[int], event: Event) -> Event:
+        """The states of the event's base space whose image (a state mask per
+        state) lies in the event's up-closure, as an event at that space; an
+        empty base is that space's vacuous event.  Knowledge is the box of a
+        possibility correspondence."""
+        outside = ~self._upc(event)
+        states = self.states
+        base = frozenset(states[i] for i in self._span[self._masks[event.base_space]]
+                         if not images[i] & outside)
+        return Event(event.base_space, base)
+
+    def aware(self, levels: list[int], event: Event) -> Event:
+        """The states of the event's base space whose level (a space mask per
+        state) sits at or above that space, as an event at that space."""
+        need = self._masks[event.base_space]
+        states = self.states
+        base = frozenset(states[i] for i in self._span[need] if not need & ~levels[i])
+        return Event(event.base_space, base)
+
 
 def _lattice(model) -> SpaceLattice:
     if isinstance(model, SpaceLattice):
@@ -390,19 +417,64 @@ def _lattice(model) -> SpaceLattice:
     return model.lattice
 
 
-class UnawarenessModel:
-    """A space lattice plus per-agent explicit possibility correspondences."""
+# The primitives a lattice model may be given: Π alone, Π and Λ, or Λ and α.
+_SHAPES = ((True, False, False), (True, True, False), (False, True, True))
 
-    def __init__(self, lattice: SpaceLattice, agents: Iterable[str],
-                 pi: Mapping[str, Mapping[StateRef, Iterable[StateRef]]]):
+
+class LatticeModel:
+    """A space lattice plus per-agent knowledge primitives, in one of three
+    shapes: ``pi`` alone (an unawareness model), ``pi`` and ``lambda_`` (a
+    complemented model), or ``lambda_`` and ``alpha`` (an implicit
+    knowledge-based model, whose Π is derived: :meth:`derived`).  Any other
+    shape is a :class:`ModelFormatError`.  Absent primitives are None, and
+    :attr:`family` is read off the ones present.  Each correspondence is
+    normalized and kept with its mask table (:func:`_corr_masks`); α's
+    table has the levels only.
+    """
+
+    def __init__(self, lattice: SpaceLattice, agents: Iterable[str], *,
+                 pi: Mapping[str, Mapping[StateRef, Iterable[StateRef]]] | None = None,
+                 lambda_: Mapping[str, Mapping[StateRef, Iterable[StateRef]]] | None = None,
+                 alpha: Mapping[str, Mapping[StateRef, Iterable[str]]] | None = None):
+        if (pi is not None, lambda_ is not None, alpha is not None) not in _SHAPES:
+            raise ModelFormatError("a lattice model takes pi, pi and lambda, "
+                                   "or lambda_star and alpha")
         self.lattice = lattice
         self.agents = tuple(dict.fromkeys(agents))
         if not self.agents:
             raise ModelFormatError("model needs at least one agent")
-        self.pi = _normalize_correspondence(lattice, self.agents, pi, "pi")
-        self._pi_masks = _corr_masks(lattice, self.pi)
+        self.pi = self._pi_masks = self.lambda_ = self._lambda_masks = None
+        self.alpha = self._alpha_masks = None
+        if pi is not None:
+            self.pi = _normalize_correspondence(lattice, self.agents, pi, "pi")
+            self._pi_masks = _corr_masks(lattice, self.pi)
+        if lambda_ is not None:
+            name = "lambda" if alpha is None else "lambda_star"
+            self.lambda_ = _normalize_correspondence(lattice, self.agents, lambda_, name)
+            self._lambda_masks = _corr_masks(lattice, self.lambda_)
+        if alpha is not None:
+            self.alpha = _normalize_alpha(lattice, self.agents, alpha)
+            self._alpha_masks = {
+                agent: (None, None, [lattice._masks[table[ref]] for ref in lattice.states])
+                for agent, table in self.alpha.items()}
+        self._derived: LatticeModel | None = None
         self._op_cache: dict = {}
-        self._reports: dict = {}  # see reports.memoised
+        self._ext_cache: dict = {}    # see semantics
+        self._truth_cache: dict = {}  # see semantics
+        self._reports: dict = {}      # see reports.memoised
+
+    @property
+    def family(self) -> str:
+        """``unawareness``, ``complemented`` or ``implicit``, after the
+        primitives present."""
+        if self.alpha is not None:
+            return "implicit"
+        return "unawareness" if self.lambda_ is None else "complemented"
+
+    @property
+    def base(self) -> LatticeModel:
+        """The model itself, for callers that read a complemented model's base."""
+        return self
 
     @property
     def atoms(self) -> frozenset[str]:
@@ -416,33 +488,62 @@ class UnawarenessModel:
     def valuation(self) -> dict[str, Event]:
         return self.lattice.valuation
 
+    def derived(self) -> LatticeModel:
+        """Of an implicit model: the complemented model over Λ and the Π
+        derived from Λ and α (:func:`implicit.derive_pi_star`, cached)."""
+        if self._derived is None:
+            from . import implicit
 
-def _normalize_correspondence(lattice, agents, corr, name):
-    """Check a per-agent state-to-state-set map for totality and dangling refs."""
-    if set(corr) != set(agents):
+            self._derived = implicit.derive_pi_star(self)
+        return self._derived
+
+
+def _normalize(lattice, agents, table, name, check):
+    """Check a per-agent, per-state table for totality and unknown keys;
+    ``check(agent, ref, value)`` checks one value, as a frozenset."""
+    if set(table) != set(agents):
         raise ModelFormatError(f"{name} must cover exactly the agents {sorted(agents)}")
-    out: dict[str, dict[StateRef, frozenset[StateRef]]] = {}
+    out: dict[str, dict[StateRef, frozenset]] = {}
     for agent in agents:
-        table = {}
-        per_agent = corr[agent]
+        row = {}
+        per_agent = table[agent]
         for ref in lattice.states:
-            image = per_agent.get(ref)
-            if image is None:
+            value = per_agent.get(ref)
+            if value is None:
                 raise ModelFormatError(f"{name}[{agent}] is undefined on state {ref}")
-            image = frozenset(image)
-            if not image:
-                raise ModelFormatError(f"{name}[{agent}] is empty at state {ref}")
-            for target in image:
-                if target not in lattice._index:
-                    raise ModelFormatError(f"{name}[{agent}] at {ref} references "
-                                           f"unknown state {target}")
-            table[ref] = image
-        extra = set(per_agent) - set(table)
+            row[ref] = value = frozenset(value)
+            check(agent, ref, value)
+        extra = set(per_agent) - set(row)
         if extra:
             ref = sorted(extra, key=state_order)[0]
             raise ModelFormatError(f"{name}[{agent}] keyed by unknown state {ref}")
-        out[agent] = table
+        out[agent] = row
     return out
+
+
+def _normalize_correspondence(lattice, agents, corr, name):
+    """A correspondence: each image is a non-empty set of known states."""
+
+    def check(agent, ref, image):
+        if not image:
+            raise ModelFormatError(f"{name}[{agent}] is empty at state {ref}")
+        for target in image:
+            if target not in lattice._index:
+                raise ModelFormatError(f"{name}[{agent}] at {ref} references "
+                                       f"unknown state {target}")
+
+    return _normalize(lattice, agents, corr, name, check)
+
+
+def _normalize_alpha(lattice, agents, alpha):
+    """The awareness function: each level is a space of the lattice."""
+
+    def check(agent, ref, level):
+        if not lattice.has_space(level):
+            raise ModelFormatError(f"alpha[{agent}] at {ref} names unknown space "
+                                   f"{space_key(level)!r}")
+
+    return _normalize(lattice, agents, alpha, "alpha", check)
 
 
 def _corr_masks(lattice: SpaceLattice,
@@ -506,14 +607,23 @@ def event_algebra(model, op: str, args: Sequence[Event]) -> Event:
     raise ValueError(f"unknown event operation {op!r}")
 
 
-def pi_space(model, agent: str, ref: StateRef) -> frozenset[str]:
+def _explicit(model: LatticeModel) -> LatticeModel:
+    """The model whose Π a model's explicit knowledge reads: its own, or
+    its derived model's when α is primitive."""
+    return model if model.pi is not None else model.derived()
+
+
+def pi_space(model: LatticeModel, agent: str, ref: StateRef) -> frozenset[str]:
     """The unique space containing the agent's possibility set at ``ref``.
 
     Raises :class:`StraddledPossibilitySet` when the image straddles spaces,
     rather than guessing one; Confinement makes this unambiguous on valid
     models.
     """
-    image = _pi_of(model, agent)[ref]
+    try:
+        image = _explicit(model).pi[agent][ref]
+    except KeyError:
+        raise UnknownAgent(f"no agent {agent!r}") from None
     found = {target.space for target in image}
     if len(found) != 1:
         raise StraddledPossibilitySet(
@@ -521,71 +631,50 @@ def pi_space(model, agent: str, ref: StateRef) -> frozenset[str]:
     return next(iter(found))
 
 
-def _pi_of(model, agent: str) -> Mapping[StateRef, frozenset[StateRef]]:
-    try:
-        return model.pi[agent]
-    except KeyError:
-        raise UnknownAgent(f"no agent {agent!r}") from None
-
-
-def _pi_masks_of(model, agent: str) -> tuple[list[int], list[int], list[int]]:
-    try:
-        return model._pi_masks[agent]
-    except KeyError:
-        raise UnknownAgent(f"no agent {agent!r}") from None
-
-
-def _corr_knowledge_event(lattice: SpaceLattice, images: list[int], event: Event) -> Event:
-    """States whose correspondence image (a state mask per state) sits inside
-    the event, as an event based at the input's base space (empty base is
-    the vacuous fallback, tagged with that same space)."""
-    outside = ~lattice._upc(event)
-    span = lattice._span[lattice._masks[event.base_space]]
-    states = lattice.states
-    base = frozenset(states[i] for i in span if not images[i] & outside)
-    return Event(event.base_space, base)
-
-
-def k_op(model, agent: str, event: Event) -> Event:
-    """Explicit knowledge of an event (requires a validated model)."""
-    cache = model._op_cache
-    key = ("k", agent, event)
-    out = cache.get(key)
+def _lookup(model: LatticeModel, kind: str, table: dict, agent: str, event: Event) -> Event:
+    """The operator ``kind`` for one agent over a mask table, cached per
+    model: ``"a"`` tests the row's levels (:meth:`SpaceLattice.aware`),
+    ``"k"`` and ``"l"`` box over its images (:meth:`SpaceLattice.box`)."""
+    key = (kind, agent, event)
+    out = model._op_cache.get(key)
     if out is None:
-        out = _corr_knowledge_event(model.lattice, _pi_masks_of(model, agent)[0],
-                                    model.lattice.check_event(event))
-        cache[key] = out
-    return out
-
-
-def _aware_event(lattice: SpaceLattice, levels: list[int], event: Event) -> Event:
-    """States of the event's base space whose level (a space mask per state)
-    sits at or above that space."""
-    need = lattice._masks[event.base_space]
-    states = lattice.states
-    base = frozenset(states[i] for i in lattice._span[need] if not need & ~levels[i])
-    return Event(event.base_space, base)
-
-
-def a_op(model, agent: str, event: Event) -> Event:
-    """Awareness of an event: the possibility set lives in a space at least
-    as expressive as the event's base space."""
-    cache = model._op_cache
-    key = ("a", agent, event)
-    out = cache.get(key)
-    if out is None:
+        try:
+            images, _, levels = table[agent]
+        except KeyError:
+            raise UnknownAgent(f"no agent {agent!r}") from None
         lat = model.lattice
         lat.check_event(event)
-        levels = _pi_masks_of(model, agent)[2]
-        for i in lat._span[lat._masks[event.base_space]]:
-            if levels[i] < 0:
-                pi_space(model, agent, lat.states[i])
-        out = _aware_event(lat, levels, event)
-        cache[key] = out
+        if kind == "a":
+            for i in lat._span[lat._masks[event.base_space]]:
+                if levels[i] < 0:
+                    pi_space(model, agent, lat.states[i])
+            out = lat.aware(levels, event)
+        else:
+            out = lat.box(images, event)
+        model._op_cache[key] = out
     return out
 
 
-def u_op(model, agent: str, event: Event) -> Event:
+def k_op(model: LatticeModel, agent: str, event: Event) -> Event:
+    """Explicit knowledge of an event (requires a validated model)."""
+    model = _explicit(model)
+    return _lookup(model, "k", model._pi_masks, agent, event)
+
+
+def l_op(model: LatticeModel, agent: str, event: Event) -> Event:
+    """Implicit knowledge of an event."""
+    return _lookup(model, "l", model._lambda_masks, agent, event)
+
+
+def a_op(model: LatticeModel, agent: str, event: Event) -> Event:
+    """Awareness of an event: the agent's level sits at or above the event's
+    base space.  The level is α's when α is primitive, and otherwise the
+    space of the possibility set."""
+    table = model._pi_masks if model.alpha is None else model._alpha_masks
+    return _lookup(model, "a", table, agent, event)
+
+
+def u_op(model: LatticeModel, agent: str, event: Event) -> Event:
     """Unawareness: the complement of awareness."""
     return model.lattice.event_not(a_op(model, agent, event))
 
@@ -650,11 +739,11 @@ def _validate_lattice(lat: SpaceLattice, report: Report,
 
 
 @memoised
-def validate_hms(model: UnawarenessModel,
+def validate_hms(model: LatticeModel,
                  config: ValidationConfig = DEFAULT_VALIDATION) -> Report:
     """Check the lattice laws, the valuation convention, and every property
-    required of the explicit possibility correspondences, reporting each
-    violation with a witness."""
+    required of the explicit possibility correspondences of a model with a
+    primitive Π, reporting each violation with a witness."""
     report = Report()
     lat = model.lattice
     _validate_lattice(lat, report, config)
@@ -711,35 +800,25 @@ def validate_hms(model: UnawarenessModel,
     return report
 
 
-# -- property suite ------------------------------------------------------------
+# -- property suites -------------------------------------------------------------
+
+# The event basis is built from the valuation events, their negations, and
+# pairwise conjunctions, truncated to MAX_BASIS events; the conjunction laws
+# run over subsets of the basis up to MAX_FAMILY_SIZE members, at most
+# MAX_FAMILIES families.
+MAX_BASIS = 12
+MAX_FAMILY_SIZE = 3
+MAX_FAMILIES = 400
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Caps for the exhaustive operator suites.
-
-    The event basis is built from the valuation events, their negations, and
-    pairwise conjunctions, truncated to ``max_basis``; conjunction laws run
-    over subsets of the basis up to ``max_family_size`` members, capped at
-    ``max_families`` families.
-    """
-
-    max_basis: int = 12
-    max_family_size: int = 3
-    max_families: int = 400
-
-
-DEFAULT_SUITE = SuiteConfig()
-
-
-def event_basis(model, config: SuiteConfig = DEFAULT_SUITE) -> list[Event]:
+def event_basis(model) -> list[Event]:
     lat = _lattice(model)
     seeds = [lat.valuation[atom] for atom in sorted(lat.atoms)]
     basis: list[Event] = []
     seen: set[Event] = set()
 
     def push(event: Event) -> None:
-        if event not in seen and len(basis) < config.max_basis:
+        if event not in seen and len(basis) < MAX_BASIS:
             seen.add(event)
             basis.append(event)
 
@@ -764,15 +843,76 @@ class EventFamily(tuple):
         return ";".join(str(e) for e in self)
 
 
-def event_families(basis: Sequence[Event], config: SuiteConfig = DEFAULT_SUITE
-                   ) -> list[EventFamily]:
+def event_families(basis: Sequence[Event]) -> list[EventFamily]:
     families: list[EventFamily] = []
-    for size in range(1, config.max_family_size + 1):
+    for size in range(1, MAX_FAMILY_SIZE + 1):
         for combo in combinations(basis, size):
             families.append(EventFamily(combo))
-            if len(families) >= config.max_families:
+            if len(families) >= MAX_FAMILIES:
                 return families
     return families
+
+
+class _Suite:
+    """What the explicit and implicit property suites share.
+
+    Construction checks the preconditions, each a validator and the message
+    of the :class:`PreconditionFailed` raised when the model fails it, and
+    builds the event basis and its families.  Each check counts once and
+    adds a violation, with the agent and the witness, when it fails."""
+
+    def __init__(self, model: LatticeModel, preconditions):
+        for validate, message in preconditions:
+            pre = validate(model)
+            if not pre.ok:
+                raise PreconditionFailed(message, pre)
+        self.model = model
+        self.lat = model.lattice
+        self.report = Report()
+        self.basis = event_basis(model)
+        self.families = event_families(self.basis)
+
+    def check(self, law: str, agent: str, left: Event, right: Event, **extra) -> None:
+        self.report.count()
+        if left != right:
+            self.report.add(law, agent, left=left, right=right, **extra)
+
+    def check_subset(self, law: str, agent: str, left: Event, right: Event, **extra) -> None:
+        self.report.count()
+        if not self.lat.event_subset(left, right):
+            self.report.add(law, agent, left=left, right=right, **extra)
+
+    def check_raw(self, law: str, agent: str, event: Event, result: Event, whole: int) -> None:
+        """An operator's ``result`` on ``event`` against its raw definition:
+        ``whole`` is every state, in every space, that the definition puts
+        in the up-closure of the result."""
+        self.report.count()
+        if self.lat._upc(result) != whole:
+            self.report.add(law, agent, event=event, result=result)
+
+    def boxed(self, images: list[int], event: Event) -> int:
+        """The raw definition of knowledge: every state whose image lies in
+        the event's up-closure."""
+        outside = ~self.lat._upc(event)
+        return sum(1 << i for i, image in enumerate(images) if not image & outside)
+
+    def conjunctions(self, agent: str, laws) -> None:
+        """Per family, and per (law, operator) in ``laws``: the operator of
+        the family's conjunction is the conjunction of the operator."""
+        lat, model = self.lat, self.model
+        for family in self.families:
+            joined = lat.event_and(family)
+            for law, op in laws:
+                self.check(law, agent, op(model, agent, joined),
+                           lat.event_and([op(model, agent, e) for e in family]), family=family)
+
+    def monotonicity(self, law: str, agent: str, op) -> None:
+        lat, model = self.lat, self.model
+        for left in self.basis:
+            for right in self.basis:
+                if lat.event_subset(left, right):
+                    self.check_subset(law, agent, op(model, agent, left),
+                                      op(model, agent, right), smaller=left, larger=right)
 
 
 def _strong_plausibility_limit(model, agent: str, event: Event) -> Event:
@@ -788,102 +928,66 @@ def _strong_plausibility_limit(model, agent: str, event: Event) -> Event:
     return acc
 
 
-def explicit_property_suite(model: UnawarenessModel,
-                            config: SuiteConfig = DEFAULT_SUITE) -> Report:
+def explicit_property_suite(model: LatticeModel) -> Report:
     """Exhaustively check every law of explicit knowledge and awareness over
     the generated event basis; raises :class:`PreconditionFailed` when the
     model itself does not validate."""
-    base_report = validate_hms(model)
-    if not base_report.ok:
-        raise PreconditionFailed("explicit property suite needs a valid model", base_report)
-
-    lat = model.lattice
-    report = Report()
-    basis = event_basis(model, config)
-    families = event_families(basis, config)
+    suite = _Suite(model, [(validate_hms, "explicit property suite needs a valid model")])
+    lat, report = suite.lat, suite.report
+    check, check_subset = suite.check, suite.check_subset
     omega = lat.omega()
 
     for agent in model.agents:
         images, _, levels = model._pi_masks[agent]
-
-        def check(law: str, left: Event, right: Event, **extra) -> None:
-            report.count()
-            if left != right:
-                report.add(law, agent, left=left, right=right, **extra)
-
-        def check_subset(law: str, left: Event, right: Event, **extra) -> None:
-            report.count()
-            if not lat.event_subset(left, right):
-                report.add(law, agent, left=left, right=right, **extra)
-
-        for event in basis:
+        for event in suite.basis:
             known = k_op(model, agent, event)
             aware = a_op(model, agent, event)
 
             # Knowledge and awareness of any event are events based at the
             # argument's own base space; compare against the raw definitions.
-            outside = ~lat._upc(event)
-            whole_k = sum(1 << i for i, image in enumerate(images) if not image & outside)
-            report.count()
-            if lat._upc(known) != whole_k:
-                report.add("knowledge-based-event", agent, event=event, result=known)
+            suite.check_raw("knowledge-based-event", agent, event, known,
+                            suite.boxed(images, event))
             need = lat._masks[event.base_space]
-            whole_a = sum(1 << i for i, level in enumerate(levels)
-                          if level >= 0 and not need & ~level)
-            report.count()
-            if lat._upc(aware) != whole_a:
-                report.add("awareness-based-event", agent, event=event, result=aware)
+            suite.check_raw("awareness-based-event", agent, event, aware,
+                            sum(1 << i for i, level in enumerate(levels)
+                                if level >= 0 and not need & ~level))
 
-            check_subset("knowledge-truth", known, event, event=event)
-            check_subset("knowledge-positive-introspection",
+            check_subset("knowledge-truth", agent, known, event, event=event)
+            check_subset("knowledge-positive-introspection", agent,
                          known, k_op(model, agent, known), event=event)
 
             not_k = lat.event_not(known)
             check_subset(
-                "weak-negative-introspection-1",
+                "weak-negative-introspection-1", agent,
                 lat.event_and([not_k, lat.event_not(k_op(model, agent, not_k))]),
                 lat.event_not(k_op(model, agent,
                                    lat.event_not(k_op(model, agent, not_k)))),
                 event=event)
 
             unaware = u_op(model, agent, event)
-            check("ku-introspection", k_op(model, agent, unaware),
+            check("ku-introspection", agent, k_op(model, agent, unaware),
                   Event(event.base_space, frozenset()), event=event)
-            check("au-introspection", unaware, u_op(model, agent, unaware), event=event)
-            check("weak-necessitation", aware,
+            check("au-introspection", agent, unaware, u_op(model, agent, unaware),
+                  event=event)
+            check("weak-necessitation", agent, aware,
                   k_op(model, agent, lat.space_up(event.base_space)), event=event)
-            check("plausibility", aware,
+            check("plausibility", agent, aware,
                   lat.event_or([known, k_op(model, agent, not_k)]), event=event)
-            check("strong-plausibility", unaware,
+            check("strong-plausibility", agent, unaware,
                   _strong_plausibility_limit(model, agent, event), event=event)
-            check("weak-negative-introspection-2",
+            check("weak-negative-introspection-2", agent,
                   lat.event_and([not_k, a_op(model, agent, not_k)]),
                   k_op(model, agent, not_k), event=event)
-            check("awareness-symmetry", aware,
+            check("awareness-symmetry", agent, aware,
                   a_op(model, agent, lat.event_not(event)), event=event)
-            check("ak-self-reflection", aware, a_op(model, agent, known), event=event)
-            check("aa-self-reflection", aware, a_op(model, agent, aware), event=event)
-            check("a-introspection", aware, k_op(model, agent, aware), event=event)
+            check("ak-self-reflection", agent, aware, a_op(model, agent, known), event=event)
+            check("aa-self-reflection", agent, aware, a_op(model, agent, aware), event=event)
+            check("a-introspection", agent, aware, k_op(model, agent, aware), event=event)
 
-        check("knowledge-necessitation", k_op(model, agent, omega), omega)
-
-        for family in families:
-            joined = lat.event_and(family)
-            check("knowledge-conjunction",
-                  k_op(model, agent, joined),
-                  lat.event_and([k_op(model, agent, e) for e in family]),
-                  family=family)
-            check("awareness-conjunction",
-                  a_op(model, agent, joined),
-                  lat.event_and([a_op(model, agent, e) for e in family]),
-                  family=family)
-
-        for left in basis:
-            for right in basis:
-                if lat.event_subset(left, right):
-                    check_subset("knowledge-monotonicity",
-                                 k_op(model, agent, left), k_op(model, agent, right),
-                                 smaller=left, larger=right)
+        check("knowledge-necessitation", agent, k_op(model, agent, omega), omega)
+        suite.conjunctions(agent, (("knowledge-conjunction", k_op),
+                                   ("awareness-conjunction", a_op)))
+        suite.monotonicity("knowledge-monotonicity", agent, k_op)
 
         # Possibility sets agree across every comparable space between the
         # image's space and the state's own space.

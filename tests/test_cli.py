@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import awarekit
 from awarekit.cli import main
 from awarekit.fixtures import fixture_path, proof_path
 from awarekit.modelio import load_model, model_to_data
@@ -46,9 +51,16 @@ def test_validate_detects_violations(tmp_path, capsys):
 
 def test_check_single_state(capsys):
     code, out, _ = run(capsys, "check", FIG1L, "--formula", "a_1 q",
-                       "--state", "pq:pq")
+                       "--state", "p,q:pq")
     assert code == 0
     assert out.strip() == "False"
+
+
+def test_check_space_key_without_commas_is_input_error(capsys):
+    code, _, err = run(capsys, "check", FIG1L, "--formula", "a_1 q",
+                       "--state", "pq:pq")
+    assert code == 2
+    assert "no space for state token 'pq:pq'" in err
 
 
 def test_check_canonical_space_key(capsys):
@@ -74,7 +86,7 @@ def test_check_unknown_state_is_input_error(capsys):
 
 def test_check_bad_formula_is_input_error(capsys):
     code, _, err = run(capsys, "check", FIG1L, "--formula", "k_9 p",
-                       "--state", "pq:pq")
+                       "--state", "p,q:pq")
     assert code == 2
 
 
@@ -259,3 +271,26 @@ def test_transform_builds_the_category_once(tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path / "out.model"),
                      "--dump-category", str(tmp_path / "category"))
     assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", FIG1L, "--formula", "p", "--all"],
+    ["gen", "--seed", "0", "--family", "hms", "--caps", "atoms=4,worlds=8"],
+], ids=["small", "large"])
+def test_closed_stdout_is_an_io_error(argv):
+    """Standard output is a pipe whose reader has already gone: exit 2, and
+    nothing on stderr about it, whether the output fits the stream's buffer
+    or not."""
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(awarekit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "awarekit.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "internal error" not in proc.stderr

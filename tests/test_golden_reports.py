@@ -37,7 +37,6 @@ from awarekit.errors import AwarekitError
 from awarekit.fixtures import fig1L, fig1R
 from awarekit.gen import GenCaps, gen_fh
 from awarekit.implicit import (
-    ComplementedModel,
     a_star_property_suite,
     implicit_property_suite,
     validate_alpha,
@@ -179,7 +178,7 @@ MUTATORS = {
 
 
 def _family(model) -> str:
-    return "hms" if isinstance(model, ComplementedModel) else "implicit-hms"
+    return {"complemented": "hms", "implicit": "implicit-hms"}[model.family]
 
 
 def mutated(name: str, model, index: int):
@@ -206,13 +205,14 @@ def _run(check):
 
 
 def lattice_checks(model) -> list[tuple[str, object]]:
-    if isinstance(model, ComplementedModel):
+    if model.family == "complemented":
         return [
             ("validate_hms", lambda: validate_hms(model.base)),
             ("validate_lambda", lambda: validate_lambda(model)),
             ("explicit_property_suite", lambda: explicit_property_suite(model.base)),
             ("implicit_property_suite", lambda: implicit_property_suite(model)),
         ]
+    assert model.family == "implicit"
     return [
         ("validate_implicit", lambda: validate_implicit(model)),
         ("validate_alpha", lambda: validate_alpha(model)),

@@ -8,22 +8,19 @@ import pytest
 from awarekit.errors import CandidateInvalid, PreconditionFailed
 from awarekit.gen import gen_hms, gen_implicit
 from awarekit.implicit import (
-    a_star_op,
     a_star_property_suite,
     candidate_lambda_from_pi,
     derive_pi_star,
     implicit_from_complemented,
     implicit_property_suite,
-    l_op,
-    l_star_op,
     validate_alpha,
     validate_implicit,
     validate_lambda,
 )
-from awarekit.modelio import complemented_to_data, data_to_model, implicit_to_data
+from awarekit.modelio import data_to_model, model_to_data
 from awarekit.semantics import TruthValue, satisfies
 from awarekit.syntax import parse
-from awarekit.unawareness import Event, SpaceLattice, UnawarenessModel, up_closure
+from awarekit.unawareness import Event, LatticeModel, SpaceLattice, a_op, l_op, up_closure
 from conftest import MEET, P, PQ, Q, ref
 from test_unawareness import mutate
 
@@ -103,7 +100,7 @@ def test_candidate_recovers_left_panel(fig1L):
 def test_candidate_on_degenerate_model_equals_pi():
     lattice = SpaceLattice([], {MEET: ["*"]}, {}, {})
     star = ref(MEET, "*")
-    model = UnawarenessModel(lattice, ["1"], {"1": {star: {star}}})
+    model = LatticeModel(lattice, ["1"], pi={"1": {star: {star}}})
     candidate = candidate_lambda_from_pi(model)
     assert candidate.lambda_ == model.pi
 
@@ -131,7 +128,7 @@ def test_alpha_projection_violation(fig1R):
     """Raising awareness at pq to the full space while its projection keeps a
     lower level breaks the cross-space consistency laws."""
     im = implicit_from_complemented(fig1R)
-    data = implicit_to_data(im)
+    data = model_to_data(im)
     data["alpha"]["1"]["p,q:pq"] = "p,q"
     data["alpha"]["1"]["p,q:p~q"] = "p,q"
     bad = data_to_model(data)
@@ -142,7 +139,7 @@ def test_alpha_projection_violation(fig1R):
 
 def test_alpha_measurability_violation(fig1L):
     im = implicit_from_complemented(fig1L)
-    data = implicit_to_data(im)
+    data = model_to_data(im)
     data["alpha"]["1"]["p,q:pq"] = "p,q"
     bad = data_to_model(data)
     report = validate_alpha(bad)
@@ -163,17 +160,17 @@ def test_full_awareness_keeps_implicit_cells(fig1R):
     """With awareness pinned to each state's own space, the derived explicit
     possibility is the implicit cell itself."""
     im = implicit_from_complemented(fig1R)
-    data = implicit_to_data(im)
+    data = model_to_data(im)
     for token in list(data["alpha"]["1"]):
         data["alpha"]["1"][token] = token.partition(":")[0]
     full = data_to_model(data)
     derived = derive_pi_star(full)
-    assert derived.pi == {agent: dict(table) for agent, table in full.lambda_star.items()}
+    assert derived.pi == {agent: dict(table) for agent, table in full.lambda_.items()}
 
 
 def test_no_conception_projects_to_meet(fig1R):
     im = implicit_from_complemented(fig1R)
-    data = implicit_to_data(im)
+    data = model_to_data(im)
     for token in list(data["alpha"]["1"]):
         data["alpha"]["1"][token] = ""
     blind = data_to_model(data)
@@ -185,7 +182,7 @@ def test_no_conception_projects_to_meet(fig1R):
 
 def test_derivation_requires_valid_input(fig1L):
     im = implicit_from_complemented(fig1L)
-    data = implicit_to_data(im)
+    data = model_to_data(im)
     data["alpha"]["1"]["p,q:pq"] = "p,q"
     with pytest.raises(PreconditionFailed):
         derive_pi_star(data_to_model(data))
@@ -197,13 +194,13 @@ def test_derivation_requires_valid_input(fig1L):
 def test_a_star_excludes_pq_for_q(fig1R):
     im = implicit_from_complemented(fig1R)
     event = Event(Q, frozenset({ref(Q, "q")}))
-    assert ref(PQ, "pq") not in up_closure(im, a_star_op(im, "1", event))
+    assert ref(PQ, "pq") not in up_closure(im, a_op(im, "1", event))
 
 
 def test_a_star_on_meet_based_event(fig1R):
     im = implicit_from_complemented(fig1R)
     event = Event(MEET, frozenset({ref(MEET, "*")}))
-    assert up_closure(im, a_star_op(im, "1", event)) == frozenset(im.states)
+    assert up_closure(im, a_op(im, "1", event)) == frozenset(im.states)
 
 
 def test_a_star_suite_on_fixtures(fig1L, fig1R):

@@ -10,7 +10,7 @@ from awarekit.awareness import AwarenessModel
 from awarekit.errors import ModelFormatError
 from awarekit.fixtures import fig1L as load_fig1L, fixture_path
 from awarekit.gen import gen_fh, gen_hms, gen_implicit
-from awarekit.implicit import ComplementedModel, ImplicitModel, implicit_from_complemented
+from awarekit.implicit import implicit_from_complemented
 from awarekit.modelio import (
     data_to_model,
     dumps_model,
@@ -24,12 +24,12 @@ from awarekit.modelio import (
     lattice_dot,
 )
 from awarekit.transforms import hms_transform
-from awarekit.unawareness import StateRef, UnawarenessModel
+from awarekit.unawareness import StateRef
 from conftest import PQ, ref
 
 
 def test_fixture_loads_as_complemented(fig1L):
-    assert isinstance(fig1L, ComplementedModel)
+    assert fig1L.family == "complemented"
 
 
 def test_fixture_file_round_trips():
@@ -38,34 +38,60 @@ def test_fixture_file_round_trips():
     assert model_to_data(model) == json.loads(dumps_model(model))
 
 
+def _bare_pi(seed: int):
+    data = model_to_data(gen_hms(seed))
+    del data["lambda"]
+    return data_to_model(data)
+
+
 @pytest.mark.parametrize("family,build", [
-    ("fh", lambda: gen_fh(5)),
-    ("hms", lambda: gen_hms(5)),
-    ("implicit", lambda: gen_implicit(5)),
+    ("fh", lambda seed: gen_fh(seed)),
+    ("hms", lambda seed: gen_hms(seed)),
+    ("implicit", lambda seed: gen_implicit(seed)),
+    ("unawareness", lambda seed: _bare_pi(seed)),
 ])
 def test_serialization_round_trip(family, build, tmp_path):
-    model = build()
-    path = tmp_path / f"{family}.model"
-    save_model(model, path)
-    loaded = load_model(path)
-    assert type(loaded) is type(model)
-    assert model_to_data(loaded) == model_to_data(model)
+    """Saving and loading keeps the model and its family, and dumping the
+    loaded model gives the saved bytes back."""
+    for seed in range(10):
+        model = build(seed)
+        path = tmp_path / f"{family}{seed}.model"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert type(loaded) is type(model) and loaded.family == model.family
+        assert model_to_data(loaded) == model_to_data(model)
+        assert dumps_model(loaded) == path.read_text(encoding="utf-8")
 
 
 def test_family_detection(fig1L):
     data = model_to_data(fig1L)
-    assert isinstance(data_to_model(data), ComplementedModel)
+    assert data_to_model(data).family == "complemented"
     data.pop("lambda")
-    assert isinstance(data_to_model(data), UnawarenessModel)
+    assert data_to_model(data).family == "unawareness"
     implicit = implicit_from_complemented(load_fig1L())
-    assert isinstance(data_to_model(model_to_data(implicit)), ImplicitModel)
+    assert data_to_model(model_to_data(implicit)).family == "implicit"
 
 
 def test_mixed_primitives_rejected(fig1L):
-    data = model_to_data(fig1L)
-    data["lambda_star"] = data["lambda"]
-    with pytest.raises(ModelFormatError):
-        data_to_model(data)
+    """Every shape of lattice primitives but pi, pi and lambda, and
+    lambda_star and alpha is a format error."""
+    complemented = model_to_data(fig1L)
+    implicit = model_to_data(implicit_from_complemented(fig1L))
+
+    def without(data: dict, name: str) -> dict:
+        return {key: value for key, value in data.items() if key != name}
+
+    shapes = {
+        "pi with lambda_star": {**complemented, "lambda_star": complemented["lambda"]},
+        "lambda without pi": without(complemented, "pi"),
+        "lambda_star without alpha": without(implicit, "alpha"),
+        "alpha without lambda_star": without(implicit, "lambda_star"),
+        "pi with alpha": {**without(complemented, "lambda"), "alpha": implicit["alpha"]},
+    }
+    for shape, data in shapes.items():
+        with pytest.raises(ModelFormatError):
+            data_to_model(data)
+            pytest.fail(f"{shape} was accepted")
 
 
 def test_missing_space_rejected(fig1L):
@@ -128,7 +154,7 @@ def test_atom_cap_enforced(monkeypatch, fig1L):
     with pytest.raises(ModelFormatError):
         data_to_model(data)
     monkeypatch.setenv("AWAREKIT_MAX_ATOMS", "2")
-    assert isinstance(data_to_model(data), ComplementedModel)
+    assert data_to_model(data).family == "complemented"
     monkeypatch.setenv("AWAREKIT_MAX_ATOMS", "zero")
     with pytest.raises(ModelFormatError):
         data_to_model(data)

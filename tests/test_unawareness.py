@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from awarekit.errors import PreconditionFailed
+from awarekit.errors import ModelFormatError, PreconditionFailed, UnknownAgent
 from awarekit.gen import gen_hms
-from awarekit.modelio import complemented_to_data, data_to_model
+from awarekit.implicit import implicit_from_complemented
+from awarekit.modelio import data_to_model, model_to_data
 from awarekit.unawareness import (
     Event,
+    LatticeModel,
     SpaceLattice,
-    UnawarenessModel,
     a_op,
     explicit_property_suite,
     k_op,
+    l_op,
     u_op,
     up_closure,
     validate_hms,
@@ -24,7 +26,7 @@ from conftest import MEET, P, PQ, Q, ref
 
 def mutate(model, **edits):
     """Rebuild a complemented model from its serialized form with edits applied."""
-    data = complemented_to_data(model)
+    data = model_to_data(model)
     for path, value in edits.items():
         node = data
         *parents, last = path.split(".")
@@ -60,8 +62,20 @@ def test_single_space_degenerate_model():
         projections={},
         valuation={},
     )
-    model = UnawarenessModel(lattice, ["1"], {"1": {ref(MEET, "*"): {ref(MEET, "*")}}})
+    model = LatticeModel(lattice, ["1"], pi={"1": {ref(MEET, "*"): {ref(MEET, "*")}}})
     assert validate_hms(model).ok
+
+
+@pytest.mark.parametrize("given", [(), ("lambda_",), ("alpha",), ("pi", "alpha"),
+                                   ("lambda_", "alpha", "pi")],
+                         ids=lambda given: ",".join(given) or "none")
+def test_lattice_model_takes_three_shapes_only(given):
+    lattice = SpaceLattice([], {MEET: ["*"]}, {}, {})
+    star = ref(MEET, "*")
+    values = {"pi": {"1": {star: {star}}}, "lambda_": {"1": {star: {star}}},
+              "alpha": {"1": {star: MEET}}}
+    with pytest.raises(ModelFormatError):
+        LatticeModel(lattice, ["1"], **{name: values[name] for name in given})
 
 
 def test_broken_projection_surjectivity(fig1L):
@@ -166,6 +180,15 @@ def test_awareness_of_meet_based_event_is_everything(fig1R):
 def test_unawareness_is_negated_awareness(fig1L):
     event = Event(Q, frozenset({ref(Q, "q")}))
     assert u_op(fig1L, "1", event) == fig1L.lattice.event_not(a_op(fig1L, "1", event))
+
+
+@pytest.mark.parametrize("op", [k_op, l_op, a_op, u_op], ids=lambda op: op.__name__)
+@pytest.mark.parametrize("family", ["complemented", "implicit"])
+def test_unknown_agent_is_unknown_agent_error(fig1L, family, op):
+    model = fig1L if family == "complemented" else implicit_from_complemented(fig1L)
+    assert model.family == family
+    with pytest.raises(UnknownAgent):
+        op(model, "9", model.lattice.omega())
 
 
 # -- the suite ----------------------------------------------------------------
