@@ -60,7 +60,6 @@ from .unawareness import (
     LatticeModel,
     SpaceLattice,
     StateRef,
-    ValidationConfig,
     a_op,
     event_algebra,
     event_basis,

@@ -12,8 +12,6 @@ correspondence Π as primitive and adds a compatible within-space Λ.  An
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from .errors import (
     CandidateInvalid,
     DerivationInconsistent,
@@ -22,11 +20,8 @@ from .errors import (
 )
 from .reports import Report, memoised
 from .unawareness import (
-    DEFAULT_VALIDATION,
     LatticeModel,
-    SpaceLattice,
     StateRef,
-    ValidationConfig,
     _Suite,
     _validate_lattice,
     a_op,
@@ -34,6 +29,7 @@ from .unawareness import (
     k_op,
     l_op,
     pi_space,
+    require,
     space_key,
     state_order,
     u_op,
@@ -44,17 +40,16 @@ from .unawareness import (
 # -- validators -----------------------------------------------------------------
 
 
-def _check_implicit_correspondence(lat: SpaceLattice, agent: str,
-                                   corr: Mapping[StateRef, frozenset[StateRef]],
-                                   masks: tuple[list[int], list[int], list[int]],
-                                   report: Report) -> None:
-    """Reflexivity, Stationarity, and projection compatibility of a
-    within-space correspondence (``masks`` is its image, image up-closure
-    and image space per state); strong confinement is checked first since
-    the projection law cannot even be stated without it."""
+def _check_implicit_correspondence(model: LatticeModel, agent: str, report: Report) -> None:
+    """Reflexivity, Stationarity, and projection compatibility of an
+    agent's within-space correspondence Λ; strong confinement is checked
+    first since the projection law cannot even be stated without it.  What
+    follows from these laws (Λ partitions every space, projections preserve
+    implicit ignorance) is checked as a theorem by the test suite."""
+    lat, corr = model.lattice, model.lambda_[agent]
     states, index, spaces, proj, below, keys = (
         lat.states, lat._index, lat._space, lat._proj, lat._below, lat._keys)
-    images, image_ups, levels = masks
+    images, _, levels = model._lambda_masks[agent]
     confined = [level == space for level, space in zip(levels, spaces)]
     checked = len(states)
     for i, ref in enumerate(states):
@@ -84,49 +79,15 @@ def _check_implicit_correspondence(lat: SpaceLattice, agent: str,
             if projected[below_space] != images[row[below_space]]:
                 report.add("projections-preserve-implicit-knowledge", agent,
                            state=ref, below=keys[below_space])
-
-    # Derived consequences, re-checked so a failure localizes a bug in the
-    # primitive properties above.
-    for space in lat.spaces:
-        span = lat._span[lat._masks[space]]
-        if not all(confined[i] for i in span):
-            continue
-        cells = {images[i] for i in span}
-        covered = 0
-        for cell in cells:
-            covered |= cell
-        checked += 1 + len(cells) ** 2
-        if covered != ((1 << len(span)) - 1) << span.start:
-            report.add("implicit-partition", agent, space=space_key(space))
-        # Distinct cells are pairwise disjoint iff their sizes add up to the
-        # size of their union; only then can the pairwise scan be skipped.
-        if sum(cell.bit_count() for cell in cells) != covered.bit_count():
-            for left in cells:
-                for right in cells:
-                    if left != right and left & right:
-                        report.add("implicit-partition", agent, space=space_key(space))
-
-    for i, ref in enumerate(states):
-        if not confined[i]:
-            continue
-        mine_up, row = image_ups[i], proj[i]
-        for below_space in below[spaces[i]][:-1]:
-            projected = row[below_space]
-            if not confined[projected]:
-                continue
-            checked += 1
-            if mine_up & ~image_ups[projected]:
-                report.add("projections-preserve-implicit-ignorance", agent,
-                           state=ref, below=keys[below_space])
     report.count(checked)
 
 
 @memoised
-def validate_lambda(model: LatticeModel,
-                    config: ValidationConfig = DEFAULT_VALIDATION) -> Report:
+def validate_lambda(model: LatticeModel) -> Report:
     """Check the implicit correspondence laws of a complemented model and
     their compatibility with the explicit correspondence (measurability both
     ways, plus the derived coherence facts)."""
+    require(model, "pi", "lambda")
     report = Report()
     lat = model.lattice
     states, index, spaces, keys = lat.states, lat._index, lat._space, lat._keys
@@ -136,7 +97,7 @@ def validate_lambda(model: LatticeModel,
         pi = model.pi[agent]
         images, _, levels = model._lambda_masks[agent]
         pi_images, _, pi_levels = model._pi_masks[agent]
-        _check_implicit_correspondence(lat, agent, corr, model._lambda_masks[agent], report)
+        _check_implicit_correspondence(model, agent, report)
 
         for i, ref in enumerate(states):
             known = pi_images[i]
@@ -176,6 +137,7 @@ def validate_lambda(model: LatticeModel,
 
 def validate_alpha(model: LatticeModel) -> Report:
     """Check the awareness-function laws at every agent/state/space triple."""
+    require(model, "lambda", "alpha")
     report = Report()
     lat = model.lattice
     states, index, spaces, proj, below, keys = (
@@ -213,15 +175,14 @@ def validate_alpha(model: LatticeModel) -> Report:
 
 
 @memoised
-def validate_implicit(model: LatticeModel,
-                      config: ValidationConfig = DEFAULT_VALIDATION) -> Report:
+def validate_implicit(model: LatticeModel) -> Report:
     """Full validation of an implicit knowledge-based model: lattice laws,
     the implicit correspondence laws, then the awareness-function laws."""
+    require(model, "lambda", "alpha")
     report = Report()
-    _validate_lattice(model.lattice, report, config)
+    _validate_lattice(model.lattice, report)
     for agent in model.agents:
-        _check_implicit_correspondence(model.lattice, agent, model.lambda_[agent],
-                                       model._lambda_masks[agent], report)
+        _check_implicit_correspondence(model, agent, report)
     if report.ok:
         report.merge(validate_alpha(model))
     return report
@@ -257,56 +218,42 @@ def candidate_lambda_from_pi(model: LatticeModel) -> LatticeModel:
     return candidate
 
 
-def derive_pi_star(model: LatticeModel,
-                   config: ValidationConfig = DEFAULT_VALIDATION) -> LatticeModel:
+def derive_pi_star(model: LatticeModel) -> LatticeModel:
     """Derive the explicit possibility correspondence from the implicit one
-    and the awareness function, cross-checking the projected variants of the
-    defining clause, then assert that the result is a valid complemented
-    model.  Any failed assertion raises :class:`DerivationInconsistent`."""
-    pre = validate_implicit(model, config)
+    and the awareness function, then assert that the result is a valid
+    complemented model; a failed assertion raises
+    :class:`DerivationInconsistent`.
+
+    Π at each state is Λ's image projected to the awareness level.  That
+    the projected forms of the defining clause agree with it follows from
+    the awareness-function laws and is checked as a theorem by the test
+    suite."""
+    pre = validate_implicit(model)
     if not pre.ok:
         raise PreconditionFailed("derivation needs a valid implicit model", pre)
 
     lat = model.lattice
-    states, spaces, proj, below = lat.states, lat._space, lat._proj, lat._below
+    states = lat.states
     pi_star: dict[str, dict[StateRef, frozenset[StateRef]]] = {}
     for agent in model.agents:
         images = model._lambda_masks[agent][0]
         levels = model._alpha_masks[agent][2]
-        # The model validated, so every image lies in its state's space.
-        projections: dict[int, list[int]] = {}  # image mask -> its projections
-        for image, space in zip(images, spaces):
-            if image not in projections:
-                projections[image] = lat._projections(image, space)
-        table = [projections[image][level] for image, level in zip(images, levels)]
+        # The model validated, so every level lies below its state's space.
+        projected: dict[tuple[int, int], int] = {}  # (image, level) -> projection
+        for key in zip(images, levels):
+            if key not in projected:
+                projected[key] = lat._project_mask(*key)
+        table = [projected[key] for key in zip(images, levels)]
         pi_star[agent] = {ref: frozenset(lat._refs(mask)) for ref, mask in zip(states, table)}
-
-        # The defining clause quantifies over every projection of every
-        # state; the direct per-state table must agree with all of them.
-        for i, ref in enumerate(states):
-            projected_image, level, row = projections[images[i]], levels[i], proj[i]
-            for below_space in below[spaces[i]]:
-                projected = row[below_space]
-                got = table[projected]
-                if got != projected_image[levels[projected]]:
-                    raise DerivationInconsistent(
-                        f"derived possibility at {states[projected]} disagrees with the "
-                        f"defining clause instantiated from {ref}")
-                if not below_space & ~level and got != projected_image[below_space]:
-                    raise DerivationInconsistent(
-                        f"projection below the awareness level broken at {states[projected]}")
-                if not level & ~below_space and got != projected_image[level]:
-                    raise DerivationInconsistent(
-                        f"projection above the awareness level broken at {states[projected]}")
 
     complemented = LatticeModel(lat, model.agents, pi=pi_star)
     # Λ is the implicit model's, already normalized: share its table and masks.
     complemented.lambda_, complemented._lambda_masks = model.lambda_, model._lambda_masks
-    hms_report = validate_hms(complemented, config)
+    hms_report = validate_hms(complemented)
     if not hms_report.ok:
         raise DerivationInconsistent("derived explicit correspondence is not a valid "
                                      "unawareness model", hms_report)
-    joint = validate_lambda(complemented, config)
+    joint = validate_lambda(complemented)
     if not joint.ok:
         raise DerivationInconsistent("derived pair breaks explicit/implicit measurability",
                                      joint)

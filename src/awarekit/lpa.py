@@ -312,7 +312,7 @@ def model_valid(model, f: Formula):
     return False, f"{render(f)} fails at state {witness}"
 
 
-def _default_models(seed: int, trial: int, caps: GenCaps):
+def _trial_models(seed: int, trial: int, caps: GenCaps):
     """One generated awareness model's sublanguage category, and the
     implicit and complemented lattice models built from that one category."""
     from .transforms import build_category, category_to_implicit
@@ -343,24 +343,23 @@ def instantiate(name: str, rng: random.Random, atoms, agents, depth: int) -> For
 
 
 def fuzz_soundness(trials: int, depth: int = 2, caps: GenCaps = GenCaps(),
-                   seed: int = 0, model_factory=None) -> Report:
+                   seed: int = 0) -> Report:
     """Random axiom instances must be valid, in the definedness-relative
     sense, on a random category and on the complemented and implicit
     lattice models (the report's ``model_class``), and the two inference
     rules must preserve validity on them.
 
-    By default each trial generates one awareness model and builds one
-    sublanguage category from it; the implicit lattice model is that
-    category repackaged, and the complemented model is derived from the
-    implicit one, so the three share one pipeline run."""
-    factory = model_factory or (lambda trial: _default_models(seed, trial, caps))
+    Each trial generates one awareness model and builds one sublanguage
+    category from it; the implicit lattice model is that category
+    repackaged, and the complemented model is derived from the implicit
+    one, so the three share one pipeline run."""
     report = Report()
     for trial in range(trials):
-        models = factory(trial)
+        models = _trial_models(seed, trial, caps)
         rng = random.Random(f"lpa:{seed}:{trial}")
-        _, top_model = models[0]
-        atoms = sorted(getattr(top_model, "atoms", frozenset()))
-        agents = sorted(top_model.agents)
+        _, category = models[0]
+        atoms = sorted(category.atoms)
+        agents = sorted(category.agents)
 
         instances = []
         for name in SCHEMA_NAMES:

@@ -6,15 +6,18 @@ reproduce the failure by hand.  A report with no violations means every
 check that ran passed.
 
 Models are immutable: no model may be changed after construction.  Each
-validator wrapped in :func:`memoised` therefore runs once per model object
-and config; its report is kept on the model and every call returns a fresh
-copy of it, so a caller may merge into what it gets.
+validator wrapped in :func:`memoised` therefore runs once per model object;
+its report is kept on the model and every call returns a fresh copy of it,
+so a caller may merge into what it gets.
+
+A validator checks each primitive law of its model once, and ``checked``
+counts those checks.  Consequences of the laws are not re-checked on every
+model; the test suite checks them as theorems.
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
 from dataclasses import dataclass, field
 
 
@@ -85,22 +88,16 @@ class Report:
 
 
 def memoised(validator):
-    """``validator(model, ...)``, run once per model object and arguments.
+    """``validator(model)``, run once per model object.
 
     The report is kept in the model's ``_reports`` dict, keyed by the
-    validator and its arguments after defaults are applied, and each call
-    returns a copy."""
-    signature = inspect.signature(validator)
+    validator, and each call returns a copy."""
 
     @functools.wraps(validator)
-    def run(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        model, *rest = bound.arguments.values()
-        key = (validator.__name__, *rest)
-        report = model._reports.get(key)
+    def run(model):
+        report = model._reports.get(validator)
         if report is None:
-            report = model._reports[key] = validator(*args, **kwargs)
+            report = model._reports[validator] = validator(model)
         return report.copy()
 
     return run

@@ -17,7 +17,7 @@ spaces is materialized eagerly and validation is exhaustive.
 
 Lattices and models are immutable: nothing may change them after
 construction.  Their index tables and operator caches are built on that
-promise, and so is validation, which runs once per model object and config
+promise, and so is validation, which runs once per model object
 (:func:`reports.memoised`); later calls return copies of the first report.
 """
 
@@ -631,15 +631,29 @@ def pi_space(model: LatticeModel, agent: str, ref: StateRef) -> frozenset[str]:
     return next(iter(found))
 
 
-def _lookup(model: LatticeModel, kind: str, table: dict, agent: str, event: Event) -> Event:
-    """The operator ``kind`` for one agent over a mask table, cached per
-    model: ``"a"`` tests the row's levels (:meth:`SpaceLattice.aware`),
-    ``"k"`` and ``"l"`` box over its images (:meth:`SpaceLattice.box`)."""
+# The mask table of each primitive, by the primitive's name in model files.
+_MASKS = {"pi": "_pi_masks", "lambda": "_lambda_masks", "alpha": "_alpha_masks"}
+
+
+def require(model: LatticeModel, *primitives: str) -> None:
+    """Raise :class:`ModelFormatError`, naming the model's family and the
+    primitive, unless the model has each of ``primitives``."""
+    for name in primitives:
+        if getattr(model, _MASKS[name]) is None:
+            raise ModelFormatError(f"the {model.family} model has no {name}")
+
+
+def _lookup(model: LatticeModel, kind: str, primitive: str, agent: str, event: Event) -> Event:
+    """The operator ``kind`` for one agent over a primitive's mask table,
+    cached per model: ``"a"`` tests the row's levels
+    (:meth:`SpaceLattice.aware`), ``"k"`` and ``"l"`` box over its images
+    (:meth:`SpaceLattice.box`)."""
     key = (kind, agent, event)
     out = model._op_cache.get(key)
     if out is None:
+        require(model, primitive)
         try:
-            images, _, levels = table[agent]
+            images, _, levels = getattr(model, _MASKS[primitive])[agent]
         except KeyError:
             raise UnknownAgent(f"no agent {agent!r}") from None
         lat = model.lattice
@@ -657,21 +671,19 @@ def _lookup(model: LatticeModel, kind: str, table: dict, agent: str, event: Even
 
 def k_op(model: LatticeModel, agent: str, event: Event) -> Event:
     """Explicit knowledge of an event (requires a validated model)."""
-    model = _explicit(model)
-    return _lookup(model, "k", model._pi_masks, agent, event)
+    return _lookup(_explicit(model), "k", "pi", agent, event)
 
 
 def l_op(model: LatticeModel, agent: str, event: Event) -> Event:
     """Implicit knowledge of an event."""
-    return _lookup(model, "l", model._lambda_masks, agent, event)
+    return _lookup(model, "l", "lambda", agent, event)
 
 
 def a_op(model: LatticeModel, agent: str, event: Event) -> Event:
     """Awareness of an event: the agent's level sits at or above the event's
     base space.  The level is α's when α is primitive, and otherwise the
     space of the possibility set."""
-    table = model._pi_masks if model.alpha is None else model._alpha_masks
-    return _lookup(model, "a", table, agent, event)
+    return _lookup(model, "a", "pi" if model.alpha is None else "alpha", agent, event)
 
 
 def u_op(model: LatticeModel, agent: str, event: Event) -> Event:
@@ -682,23 +694,7 @@ def u_op(model: LatticeModel, agent: str, event: Event) -> Event:
 # -- validation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationConfig:
-    """Knobs for structural validation.
-
-    ``atom_base_exact`` requires each atom's valuation event to be based at
-    the singleton space of that atom; relaxing it only requires the base
-    space to sit below that singleton.
-    """
-
-    atom_base_exact: bool = True
-
-
-DEFAULT_VALIDATION = ValidationConfig()
-
-
-def _validate_lattice(lat: SpaceLattice, report: Report,
-                      config: ValidationConfig = DEFAULT_VALIDATION) -> None:
+def _validate_lattice(lat: SpaceLattice, report: Report) -> None:
     states, proj, span, masks = lat.states, lat._proj, lat._span, lat._masks
     report.count(len(lat._cover))
     for parent, child in sorted(lat._cover, key=lambda pair: (space_key(pair[0]),
@@ -728,25 +724,20 @@ def _validate_lattice(lat: SpaceLattice, report: Report,
     for atom in sorted(lat.atoms):
         event = lat.valuation[atom]
         singleton = frozenset({atom})
-        if config.atom_base_exact:
-            if event.base_space != singleton:
-                report.add("valuation-base-space", atom=atom,
-                           base_space=space_key(event.base_space), required=space_key(singleton))
-        elif not event.base_space <= singleton:
+        if event.base_space != singleton:
             report.add("valuation-base-space", atom=atom,
-                       base_space=space_key(event.base_space),
-                       required=f"below {space_key(singleton)}")
+                       base_space=space_key(event.base_space), required=space_key(singleton))
 
 
 @memoised
-def validate_hms(model: LatticeModel,
-                 config: ValidationConfig = DEFAULT_VALIDATION) -> Report:
+def validate_hms(model: LatticeModel) -> Report:
     """Check the lattice laws, the valuation convention, and every property
     required of the explicit possibility correspondences of a model with a
     primitive Π, reporting each violation with a witness."""
+    require(model, "pi")
     report = Report()
     lat = model.lattice
-    _validate_lattice(lat, report, config)
+    _validate_lattice(lat, report)
     states, index, spaces, proj, below, keys = (
         lat.states, lat._index, lat._space, lat._proj, lat._below, lat._keys)
 

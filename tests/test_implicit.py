@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from awarekit.errors import CandidateInvalid, PreconditionFailed
+from awarekit.errors import CandidateInvalid, ModelFormatError, PreconditionFailed
 from awarekit.gen import gen_hms, gen_implicit
 from awarekit.implicit import (
     a_star_property_suite,
@@ -20,7 +20,15 @@ from awarekit.implicit import (
 from awarekit.modelio import data_to_model, model_to_data
 from awarekit.semantics import TruthValue, satisfies
 from awarekit.syntax import parse
-from awarekit.unawareness import Event, LatticeModel, SpaceLattice, a_op, l_op, up_closure
+from awarekit.unawareness import (
+    Event,
+    LatticeModel,
+    SpaceLattice,
+    a_op,
+    l_op,
+    up_closure,
+    validate_hms,
+)
 from conftest import MEET, P, PQ, Q, ref
 from test_unawareness import mutate
 
@@ -211,3 +219,36 @@ def test_a_star_suite_on_fixtures(fig1L, fig1R):
 @pytest.mark.parametrize("seed", [0, 3, 4, 7])
 def test_a_star_suite_on_generated_models(seed):
     assert a_star_property_suite(gen_implicit(seed)).ok
+
+
+CALLS = {
+    "l_op": lambda model: l_op(model, model.agents[0], model.lattice.omega()),
+    "derived": lambda model: model.derived(),
+    "validate_hms": validate_hms,
+    "validate_lambda": validate_lambda,
+    "validate_alpha": validate_alpha,
+    "validate_implicit": validate_implicit,
+    "implicit_property_suite": implicit_property_suite,
+    "a_star_property_suite": a_star_property_suite,
+}
+
+
+@pytest.mark.parametrize("call, shape, missing", [
+    ("l_op", "pi", "lambda"),
+    ("derived", "pi", "lambda"),
+    ("validate_lambda", "pi", "lambda"),
+    ("implicit_property_suite", "pi", "lambda"),
+    ("derived", "pi+lambda", "alpha"),
+    ("validate_alpha", "pi+lambda", "alpha"),
+    ("validate_implicit", "pi+lambda", "alpha"),
+    ("a_star_property_suite", "pi+lambda", "alpha"),
+    ("validate_hms", "lambda+alpha", "pi"),
+])
+def test_missing_primitive_is_model_format_error(fig1L, call, shape, missing):
+    model = {
+        "pi": LatticeModel(fig1L.lattice, fig1L.agents, pi=fig1L.pi),
+        "pi+lambda": fig1L,
+        "lambda+alpha": implicit_from_complemented(fig1L),
+    }[shape]
+    with pytest.raises(ModelFormatError, match=f"^the {model.family} model has no {missing}$"):
+        CALLS[call](model)

@@ -67,18 +67,16 @@ def test_merging_into_a_report_leaves_the_next_one_unchanged():
         assert again.to_data() == before and again.ok and again.checked > 0
 
 
-def test_validation_runs_once_per_model_and_config(monkeypatch):
+def test_validation_runs_once_per_model(monkeypatch):
     from awarekit import unawareness
-    from awarekit.unawareness import ValidationConfig
 
     comp = transforms.hms_transform(gen_fh(1, GenCaps()))
+    fresh = unawareness.LatticeModel(comp.lattice, comp.agents, pi=comp.pi)
     runs = []
     real = unawareness._validate_lattice
     monkeypatch.setattr(unawareness, "_validate_lattice",
                         lambda *a, **k: runs.append(1) or real(*a, **k))
-    loose = ValidationConfig(atom_base_exact=False)
-    for config in (None, None, unawareness.DEFAULT_VALIDATION, loose, loose):
-        report = validate_hms(comp.base) if config is None else validate_hms(comp.base, config)
-        assert report.ok
-    # The derivation validated the default already; the loose config runs once.
+    for model in (comp.base, comp.base, fresh, fresh, fresh):
+        assert validate_hms(model).ok
+    # The derivation validated comp already; the fresh model runs once.
     assert len(runs) == 1

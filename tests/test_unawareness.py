@@ -19,7 +19,6 @@ from awarekit.unawareness import (
     u_op,
     up_closure,
     validate_hms,
-    ValidationConfig,
 )
 from conftest import MEET, P, PQ, Q, ref
 
@@ -122,8 +121,6 @@ def test_valuation_base_space_convention(fig1L):
     bad = mutate(fig1L, **{"valuation.p": {"base_space": "", "base": ["*"]}})
     report = validate_hms(bad.base)
     assert any(v.law == "valuation-base-space" for v in report.violations)
-    relaxed = validate_hms(bad.base, ValidationConfig(atom_base_exact=False))
-    assert not any(v.law == "valuation-base-space" for v in relaxed.violations)
 
 
 def test_confinement_violation(fig1L):
