@@ -40,9 +40,7 @@ from .modelio import load_model, load_proof, model_to_data, data_to_model, save_
 from .reports import Report, Violation
 from .semantics import (
     TruthValue,
-    definedness_event,
     extension,
-    is_defined,
     satisfies,
     valid_in_model,
 )
@@ -61,7 +59,6 @@ from .unawareness import (
     SpaceLattice,
     StateRef,
     a_op,
-    event_algebra,
     event_basis,
     explicit_property_suite,
     k_op,
@@ -70,7 +67,6 @@ from .unawareness import (
     project_state,
     space_key,
     u_op,
-    up_closure,
     validate_hms,
 )
 

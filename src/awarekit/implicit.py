@@ -23,6 +23,7 @@ from .unawareness import (
     LatticeModel,
     StateRef,
     _Suite,
+    _refs,
     _validate_lattice,
     a_op,
     event_basis,
@@ -49,7 +50,7 @@ def _check_implicit_correspondence(model: LatticeModel, agent: str, report: Repo
     lat, corr = model.lattice, model.lambda_[agent]
     states, index, spaces, proj, below, keys = (
         lat.states, lat._index, lat._space, lat._proj, lat._below, lat._keys)
-    images, _, levels = model._lambda_masks[agent]
+    images, levels = model._lambda_masks[agent]
     confined = [level == space for level, space in zip(levels, spaces)]
     checked = len(states)
     for i, ref in enumerate(states):
@@ -95,8 +96,8 @@ def validate_lambda(model: LatticeModel) -> Report:
     for agent in model.agents:
         corr = model.lambda_[agent]
         pi = model.pi[agent]
-        images, _, levels = model._lambda_masks[agent]
-        pi_images, _, pi_levels = model._pi_masks[agent]
+        images, levels = model._lambda_masks[agent]
+        pi_images, pi_levels = model._pi_masks[agent]
         _check_implicit_correspondence(model, agent, report)
 
         for i, ref in enumerate(states):
@@ -144,7 +145,7 @@ def validate_alpha(model: LatticeModel) -> Report:
         lat.states, lat._index, lat._space, lat._proj, lat._below, lat._keys)
     checked = 0
     for agent in model.agents:
-        levels = model._alpha_masks[agent][2]
+        levels = model._alpha_masks[agent][1]
         corr = model.lambda_[agent]
         checked += len(states)
         for i, ref in enumerate(states):
@@ -237,14 +238,14 @@ def derive_pi_star(model: LatticeModel) -> LatticeModel:
     pi_star: dict[str, dict[StateRef, frozenset[StateRef]]] = {}
     for agent in model.agents:
         images = model._lambda_masks[agent][0]
-        levels = model._alpha_masks[agent][2]
+        levels = model._alpha_masks[agent][1]
         # The model validated, so every level lies below its state's space.
         projected: dict[tuple[int, int], int] = {}  # (image, level) -> projection
         for key in zip(images, levels):
             if key not in projected:
                 projected[key] = lat._project_mask(*key)
         table = [projected[key] for key in zip(images, levels)]
-        pi_star[agent] = {ref: frozenset(lat._refs(mask)) for ref, mask in zip(states, table)}
+        pi_star[agent] = {ref: frozenset(_refs(states, mask)) for ref, mask in zip(states, table)}
 
     complemented = LatticeModel(lat, model.agents, pi=pi_star)
     # Λ is the implicit model's, already normalized: share its table and masks.

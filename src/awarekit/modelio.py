@@ -21,7 +21,6 @@ from .errors import ModelFormatError
 from .lpa import AxiomInstance, ModusPonens, Necessitation, ProofLine, Taut
 from .syntax import Formula, is_agent_id, is_atom_name, parse, render
 from .unawareness import (
-    Event,
     LatticeModel,
     SpaceLattice,
     StateRef,
@@ -190,7 +189,7 @@ def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
             raise ModelFormatError(f"valuation of {atom!r} must have base_space and base")
         space = parse_space_key(_string(entry["base_space"], f"valuation[{atom}].base_space"))
         ids = _strings(entry["base"], f"valuation[{atom}].base")
-        valuation[atom] = Event(space, frozenset(StateRef(space, i) for i in ids))
+        valuation[atom] = (space, frozenset(StateRef(space, i) for i in ids))
 
     lattice = SpaceLattice(atoms, spaces, projections, valuation)
     return lattice, list(_agents(data))

@@ -1,6 +1,8 @@
 """Extension-based satisfaction for lattice models.
 
-Formulas denote events, computed bottom-up and memoized per model.  The
+Formulas denote events, computed bottom-up and memoized per model.  An
+event is two masks, its base space and its up-closure
+(:class:`~awarekit.unawareness.Event`), so evaluation runs on ints.  The
 modalities read the model's operators whatever its family: ``L`` is
 :func:`l_op` over Λ, ``A`` is :func:`a_op` (α's levels when α is primitive,
 Π's otherwise) and ``K`` is :func:`k_op` over Π, the model's own or the
@@ -14,7 +16,7 @@ defined states only.
 
 Truth is evaluated per formula over the whole model, not per state: the
 states where a formula is true and where it is false are two state masks,
-the up-closures of its extension and of that extension's negation (see
+the up-closure masks of its extension and of that extension's negation (see
 :func:`truth_masks`).  Every question about many states reads these masks
 with one operation per formula; :func:`satisfies` reads one bit.  The
 witness of :func:`valid_in_model` is the lowest-index falsifying state,
@@ -85,7 +87,7 @@ def truth_masks(model: LatticeModel, f: Formula) -> tuple[int, int]:
     if masks is None:
         lat = model.lattice
         event = extension(model, f)
-        masks = (lat._upc(event), lat._upc(lat.event_not(event)))
+        masks = (lat._upc(event), lat.event_not(event).up)
         cache[f] = masks
     return masks
 
@@ -109,21 +111,6 @@ def truth_table(model: LatticeModel, f: Formula) -> list[TruthValue]:
     """The value of ``f`` at every state, in the order of ``model.states``."""
     true, false = truth_masks(model, f)
     return [_value(true, false, i) for i in range(len(model.states))]
-
-
-def definedness_event(model: LatticeModel, f: Formula) -> Event:
-    """States where every atom of ``f`` has a truth value: the conjunction
-    over its atoms of (atom or not atom)."""
-    lat = model.lattice
-    parts = [lat.event_or([lat.valuation[p], lat.event_not(lat.valuation[p])])
-             for p in sorted(formula_atoms(f))]
-    if not parts:
-        return lat.omega()
-    return lat.event_and(parts)
-
-
-def is_defined(model: LatticeModel, ref: StateRef, f: Formula) -> bool:
-    return satisfies(model, ref, f) is not TruthValue.UNDEFINED
 
 
 def valid_in_model(model: LatticeModel, f: Formula) -> tuple[bool, StateRef | None]:

@@ -23,7 +23,6 @@ from .reports import Report
 from .semantics import TruthValue, satisfies, truth_masks
 from .syntax import atoms as formula_atoms
 from .unawareness import (
-    Event,
     LatticeModel,
     SpaceLattice,
     StateRef,
@@ -50,12 +49,11 @@ def category_to_implicit(category: AwarenessCategory) -> LatticeModel:
             morphism = category.morphisms[(space, child)]
             projections[(space, child)] = dict(morphism.mapping)
 
-    valuation: dict[str, Event] = {}
+    valuation = {}
     for atom in sorted(atoms):
         single = frozenset({atom})
-        base = frozenset(StateRef(single, w)
-                         for w in category.models[single].valuation.get(atom, frozenset()))
-        valuation[atom] = Event(single, base)
+        valuation[atom] = (single, frozenset(
+            StateRef(single, w) for w in category.models[single].valuation.get(atom, frozenset())))
 
     lattice = SpaceLattice(atoms, spaces, projections, valuation)
     # The lattice's own state objects, so that the correspondences below

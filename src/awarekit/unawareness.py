@@ -3,12 +3,16 @@
 A :class:`SpaceLattice` carries one disjoint state space per subset of its
 atom universe, linked by surjective commuting projections; all semantic
 content is expressed through *events*: up-closed sets determined by a base
-set inside a base space.  A :class:`LatticeModel` gives the lattice
-knowledge through per-agent primitives: the explicit possibility
-correspondence Π, the implicit one Λ, and the awareness function α, in one
-of three shapes (Π; Π and Λ; Λ and α).  Two operators read them, whatever
-the shape: knowledge, the box of a correspondence (:meth:`SpaceLattice.box`:
-``k_op`` over Π, ``l_op`` over Λ), and awareness, a test of levels
+set inside a base space.  An :class:`Event` is held as two masks, the base
+space as a space mask and the up-closure as a state mask, so the event
+algebra, the operators and the property suites run on ints; the base space,
+the base and the witness text ``<space key>:[<state ids>]`` are derived on
+demand.  A :class:`LatticeModel` gives the lattice knowledge through
+per-agent primitives: the explicit possibility correspondence Π, the
+implicit one Λ, and the awareness function α, in one of three shapes (Π; Π
+and Λ; Λ and α).  Two operators read them, whatever the shape: knowledge,
+the box of a correspondence (:meth:`SpaceLattice.box`: ``k_op`` over Π,
+``l_op`` over Λ), and awareness, a test of levels
 (:meth:`SpaceLattice.aware`: ``a_op``).
 
 The atom universe is finite and capped (default 6, override with the
@@ -26,7 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ModelFormatError,
@@ -102,31 +106,61 @@ def state_order(ref: StateRef) -> tuple:
     return (-len(ref.space), space_key(ref.space), ref.id)
 
 
-@dataclass(frozen=True)
-class Event:
-    """Base-space/base pair denoting the up-closed set ``base↑``.
+def _refs(states: Sequence[StateRef], mask: int) -> list[StateRef]:
+    """The states of a state mask, in index order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(states[low.bit_length() - 1])
+        mask ^= low
+    return out
 
-    Two events are equal iff both base space and base agree, so each space
+
+class _Names:
+    """What an event needs to name itself: a lattice's states and, per space
+    mask, the space, its key and the state mask of its states.  It holds no
+    reference back to the lattice, so events form no cycle with it."""
+
+    __slots__ = ("states", "spaces", "keys", "span_bits")
+
+    def __init__(self, states, spaces, keys, span_bits):
+        self.states, self.spaces, self.keys, self.span_bits = states, spaces, keys, span_bits
+
+
+class Event(NamedTuple):
+    """The event ``base↑`` as two masks: ``space``, the base space as a space
+    mask, and ``up``, the up-closure of the base as a state mask.
+
+    Two events of a lattice are equal iff both masks agree, so each space
     carries its own vacuous event (empty base): contradictions differ by the
-    vocabulary needed to state them.
+    vocabulary needed to state them.  ``names`` is the lattice's name table,
+    compared by identity, so events of different lattices are never equal.
+    Build events with :meth:`SpaceLattice.event`.
     """
 
-    base_space: frozenset[str]
-    base: frozenset[StateRef]
+    space: int
+    up: int
+    names: _Names
 
-    def __post_init__(self):
-        for ref in self.base:
-            if ref.space != self.base_space:
-                raise ModelFormatError(f"event base state {ref} lies outside base space "
-                                       f"{space_key(self.base_space)!r}")
+    @property
+    def base_space(self) -> frozenset[str]:
+        return self.names.spaces[self.space]
+
+    @property
+    def base(self) -> frozenset[StateRef]:
+        names = self.names
+        return frozenset(_refs(names.states, self.up & names.span_bits[self.space]))
 
     @property
     def is_vacuous(self) -> bool:
-        return not self.base
+        return not self.up
 
     def __str__(self) -> str:
         ids = ",".join(sorted(ref.id for ref in self.base))
-        return f"{space_key(self.base_space)}:[{ids}]"
+        return f"{self.names.keys[self.space]}:[{ids}]"
+
+    def __repr__(self) -> str:
+        return f"Event({str(self)!r})"
 
 
 class SpaceLattice:
@@ -135,14 +169,16 @@ class SpaceLattice:
     Projections are stored for covering pairs (drop one atom) and composed on
     demand; the global composition law is a validator concern, not assumed
     here.  Construction fails on structural unreadability only: missing
-    spaces or covering maps, dangling state ids, non-total maps.
+    spaces or covering maps, dangling state ids, non-total maps.  The
+    valuation maps each atom to a (base space, base states) pair.
 
     Construction also builds a dense index that the validators and operators
     run on.  State ``i`` is ``states[i]``; a space is a bitmask over the
     sorted atoms; a set of states is a bitmask over state indices, held in a
     Python int.  Each state has a projection list indexed by target-space
     mask and an up-closure mask, and each space the index range of its
-    states (states of one space are contiguous in ``states``).
+    states (states of one space are contiguous in ``states``), the mask of
+    those states, and the mask of every state at or above it.
     """
 
     def __init__(
@@ -150,7 +186,7 @@ class SpaceLattice:
         atoms: Iterable[str],
         spaces: Mapping[frozenset[str], Sequence[str]],
         projections: Mapping[tuple[frozenset[str], frozenset[str]], Mapping[str, str]],
-        valuation: Mapping[str, Event],
+        valuation: Mapping[str, tuple[frozenset[str], Iterable[StateRef]]],
     ):
         self.atoms = frozenset(atoms)
         cap = max_atoms()
@@ -209,19 +245,6 @@ class SpaceLattice:
             bad = sorted(missing | extra_atoms)
             raise ModelFormatError(f"valuation must be total on the atom universe; "
                                    f"mismatched atoms: {bad}")
-        # Valuation bases are rebuilt from the lattice's own states.
-        self.valuation: dict[str, Event] = {}
-        for atom, event in valuation.items():
-            if event.base_space not in self.spaces:
-                raise ModelFormatError(f"valuation of {atom!r} uses unknown space "
-                                       f"{space_key(event.base_space)!r}")
-            base = []
-            for ref in event.base:
-                i = self._index.get(ref)
-                if i is None:
-                    raise ModelFormatError(f"valuation of {atom!r} references unknown state {ref}")
-                base.append(self.states[i])
-            self.valuation[atom] = Event(event.base_space, frozenset(base))
 
         # Space masks: bit k stands for the k-th atom in sorted order, so the
         # highest set bit of a mask is its greatest atom.
@@ -229,18 +252,28 @@ class SpaceLattice:
         self._masks: dict[frozenset[str], int] = {
             space: sum(self._atom_bit[atom] for atom in space) for space in self.spaces}
         n_masks = 1 << len(self.atoms)
+        by_mask: list[frozenset[str]] = [frozenset()] * n_masks
         self._keys: list[str] = [""] * n_masks
         self._below: list[list[int]] = [[] for _ in range(n_masks)]
         self._span: list[range] = [range(0)] * n_masks
+        span_bits = [0] * n_masks
         start = 0
         for space, refs in sorted(self.spaces.items(),
                                   key=lambda kv: (-len(kv[0]), space_key(kv[0]))):
             mask = self._masks[space]
+            by_mask[mask] = space
             self._keys[mask] = space_key(space)
             self._below[mask] = [self._masks[sub] for sub in subsets(space)]
             self._span[mask] = range(start, start + len(refs))
+            span_bits[mask] = ((1 << len(refs)) - 1) << start
             start += len(refs)
         self._space: list[int] = [self._masks[ref.space] for ref in self.states]
+        self._names = _Names(self.states, by_mask, self._keys, span_bits)
+        # The states at or above each space: every state projects into it.
+        self._upspace: list[int] = [0] * n_masks
+        for mask in range(n_masks):
+            for target in self._below[mask]:
+                self._upspace[target] |= span_bits[mask]
 
         # Projections composed along the canonical chain (drop atoms in
         # greatest-first order); path independence is exactly the
@@ -269,7 +302,16 @@ class SpaceLattice:
             for target in self._below[self._space[i]]:
                 self._up[row[target]] |= bit
 
-        self._upc_cache: dict[Event, int] = {}
+        self._omega = Event(0, self._upspace[0], self._names)
+        self.valuation: dict[str, Event] = {}
+        for atom, (space, refs) in valuation.items():
+            if space not in self.spaces:
+                raise ModelFormatError(f"valuation of {atom!r} uses unknown space "
+                                       f"{space_key(space)!r}")
+            for ref in refs:
+                if ref not in self._index:
+                    raise ModelFormatError(f"valuation of {atom!r} references unknown state {ref}")
+            self.valuation[atom] = self.event(space, refs)
 
     # -- lookups ---------------------------------------------------------
 
@@ -297,16 +339,6 @@ class SpaceLattice:
             raise UnknownState(f"no state {ref}")
         return i
 
-    def _refs(self, mask: int) -> list[StateRef]:
-        """The states of a state mask, in index order."""
-        states = self.states
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(states[low.bit_length() - 1])
-            mask ^= low
-        return out
-
     def _project_mask(self, mask: int, target: int) -> int:
         """The projection of a state mask into the space ``target``, which
         must lie below the space of every state in the mask."""
@@ -326,17 +358,27 @@ class SpaceLattice:
             out[target] = self._project_mask(mask, target)
         return out
 
-    def _upc(self, event: Event) -> int:
-        """The up-closure of a checked event, as a state mask (cached)."""
-        mask = self._upc_cache.get(event)
+    def _close(self, mask: int) -> int:
+        """The union of the up-closures of the states of a state mask."""
+        up = self._up
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= up[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def _space_mask(self, space: frozenset[str]) -> int:
+        mask = self._masks.get(space)
         if mask is None:
-            if event.base_space not in self.spaces:
-                raise UnknownSpace(f"no space {space_key(event.base_space)!r}")
-            mask = 0
-            for ref in event.base:
-                mask |= self._up[self._state_index(ref)]
-            self._upc_cache[event] = mask
+            raise UnknownSpace(f"no space {space_key(space)!r}")
         return mask
+
+    def _upc(self, event: Event) -> int:
+        """The up-closure of an event, which must be one of this lattice's."""
+        if event.names is not self._names:
+            raise UnknownState(f"event {event} belongs to another lattice")
+        return event.up
 
     # -- projections and up-closures --------------------------------------
 
@@ -348,40 +390,47 @@ class SpaceLattice:
         return self.states[self._proj[i][self._masks[target]]]
 
     def up_closure(self, event: Event) -> frozenset[StateRef]:
-        return frozenset(self._refs(self._upc(event)))
+        """All states, in every space at least as expressive as the base
+        space, that project into the base (the base itself included)."""
+        return frozenset(_refs(self.states, self._upc(event)))
 
     # -- events ------------------------------------------------------------
 
-    def check_event(self, event: Event) -> Event:
-        self._upc(event)
-        return event
+    def event(self, space: frozenset[str], refs: Iterable[StateRef] = ()) -> Event:
+        """The event with base ``refs`` inside ``space``."""
+        mask = self._space_mask(space)
+        up = 0
+        for ref in refs:
+            if ref.space != space:
+                raise ModelFormatError(f"event base state {ref} lies outside base space "
+                                       f"{space_key(space)!r}")
+            up |= self._up[self._state_index(ref)]
+        return Event(mask, up, self._names)
 
     def omega(self) -> Event:
         """The sure event: full base in the meet space; its up-closure is all states."""
-        meet = frozenset()
-        return Event(meet, frozenset(self.spaces[meet]))
+        return self._omega
 
     def space_up(self, space: frozenset[str]) -> Event:
-        return Event(space, frozenset(self.states_of(space)))
+        mask = self._space_mask(space)
+        return Event(mask, self._upspace[mask], self._names)
 
     def event_not(self, event: Event) -> Event:
-        self.check_event(event)
-        return Event(event.base_space, frozenset(self.spaces[event.base_space]) - event.base)
+        """The rest of the base space: every state at or above it projects
+        into it, and those outside the event project outside the base."""
+        return Event(event.space, self._upspace[event.space] & ~self._upc(event), self._names)
 
     def event_and(self, events: Sequence[Event]) -> Event:
-        masks = [self._upc(event) for event in events]
-        if not events:
-            return self.omega()
-        join: frozenset[str] = frozenset()
+        """Elaborate every event to the join of their base spaces: a state of
+        the join lies in an event's up-closure exactly when its projection
+        to the event's base space lies in the base."""
+        join, base = 0, -1
         for event in events:
-            join |= event.base_space
-        # A state of the join space lies in an event's up-closure exactly
-        # when its projection to the event's base space lies in the base.
-        span = self._span[self._masks[join]]
-        base = ((1 << len(span)) - 1) << span.start
-        for mask in masks:
-            base &= mask
-        return Event(join, frozenset(self._refs(base)))
+            base &= self._upc(event)
+            join |= event.space
+        if not events:
+            return self._omega
+        return Event(join, self._close(base & self._names.span_bits[join]), self._names)
 
     def event_or(self, events: Sequence[Event]) -> Event:
         return self.event_not(self.event_and([self.event_not(e) for e in events]))
@@ -397,18 +446,23 @@ class SpaceLattice:
         empty base is that space's vacuous event.  Knowledge is the box of a
         possibility correspondence."""
         outside = ~self._upc(event)
-        states = self.states
-        base = frozenset(states[i] for i in self._span[self._masks[event.base_space]]
-                         if not images[i] & outside)
-        return Event(event.base_space, base)
+        up = self._up
+        out = 0
+        for i in self._span[event.space]:
+            if not images[i] & outside:
+                out |= up[i]
+        return Event(event.space, out, self._names)
 
     def aware(self, levels: list[int], event: Event) -> Event:
         """The states of the event's base space whose level (a space mask per
         state) sits at or above that space, as an event at that space."""
-        need = self._masks[event.base_space]
-        states = self.states
-        base = frozenset(states[i] for i in self._span[need] if not need & ~levels[i])
-        return Event(event.base_space, base)
+        need = event.space
+        up = self._up
+        out = 0
+        for i in self._span[need]:
+            if not need & ~levels[i]:
+                out |= up[i]
+        return Event(need, out, self._names)
 
 
 def _lattice(model) -> SpaceLattice:
@@ -455,7 +509,7 @@ class LatticeModel:
         if alpha is not None:
             self.alpha = _normalize_alpha(lattice, self.agents, alpha)
             self._alpha_masks = {
-                agent: (None, None, [lattice._masks[table[ref]] for ref in lattice.states])
+                agent: (None, [lattice._masks[table[ref]] for ref in lattice.states])
                 for agent, table in self.alpha.items()}
         self._derived: LatticeModel | None = None
         self._op_cache: dict = {}
@@ -548,63 +602,31 @@ def _normalize_alpha(lattice, agents, alpha):
 
 def _corr_masks(lattice: SpaceLattice,
                 corr: Mapping[str, Mapping[StateRef, frozenset[StateRef]]]
-                ) -> dict[str, tuple[list[int], list[int], list[int]]]:
-    """Per agent, three lists indexed by state: the image as a state mask,
-    the up-closure of the image, and the space mask of the image (-1 when
-    the image straddles spaces)."""
-    index, space, up = lattice._index, lattice._space, lattice._up
+                ) -> dict[str, tuple[list[int], list[int]]]:
+    """Per agent, two lists indexed by state: the image as a state mask, and
+    the space mask of the image (-1 when the image straddles spaces)."""
+    index, space = lattice._index, lattice._space
     out = {}
     for agent, table in corr.items():
-        images, image_ups, levels = [], [], []
+        images, levels = [], []
         for ref in lattice.states:
-            image = image_up = 0
+            image = 0
             found = set()
             for target in table[ref]:
                 j = index[target]
                 image |= 1 << j
-                image_up |= up[j]
                 found.add(space[j])
             images.append(image)
-            image_ups.append(image_up)
             levels.append(found.pop() if len(found) == 1 else -1)
-        out[agent] = (images, image_ups, levels)
+        out[agent] = (images, levels)
     return out
 
 
 # -- spec operations ---------------------------------------------------------
 
 
-def up_closure(model, event: Event) -> frozenset[StateRef]:
-    """All states, in every space at least as expressive as the base space,
-    that project into the base (the base itself included)."""
-    return _lattice(model).up_closure(event)
-
-
 def project_state(model, ref: StateRef, target: frozenset[str]) -> StateRef:
     return _lattice(model).project(ref, target)
-
-
-def event_algebra(model, op: str, args: Sequence[Event]) -> Event:
-    """Boolean operations on events.
-
-    ``not`` complements the base inside its own space; ``and`` intersects
-    after elaborating every argument to the join of their base spaces (so a
-    vacuous result is tagged with that join); ``or`` is the De Morgan dual.
-    """
-    lat = _lattice(model)
-    if op == "not":
-        if len(args) != 1:
-            raise ValueError("event 'not' takes exactly one argument")
-        return lat.event_not(args[0])
-    if op == "and":
-        if not args:
-            raise ValueError("event 'and' needs at least one argument")
-        return lat.event_and(list(args))
-    if op == "or":
-        if not args:
-            raise ValueError("event 'or' needs at least one argument")
-        return lat.event_or(list(args))
-    raise ValueError(f"unknown event operation {op!r}")
 
 
 def _explicit(model: LatticeModel) -> LatticeModel:
@@ -653,13 +675,13 @@ def _lookup(model: LatticeModel, kind: str, primitive: str, agent: str, event: E
     if out is None:
         require(model, primitive)
         try:
-            images, _, levels = getattr(model, _MASKS[primitive])[agent]
+            images, levels = getattr(model, _MASKS[primitive])[agent]
         except KeyError:
             raise UnknownAgent(f"no agent {agent!r}") from None
         lat = model.lattice
-        lat.check_event(event)
+        lat._upc(event)
         if kind == "a":
-            for i in lat._span[lat._masks[event.base_space]]:
+            for i in lat._span[event.space]:
                 if levels[i] < 0:
                     pi_space(model, agent, lat.states[i])
             out = lat.aware(levels, event)
@@ -722,11 +744,10 @@ def _validate_lattice(lat: SpaceLattice, report: Report) -> None:
 
     report.count(len(lat.atoms))
     for atom in sorted(lat.atoms):
-        event = lat.valuation[atom]
-        singleton = frozenset({atom})
-        if event.base_space != singleton:
+        space = lat.valuation[atom].space
+        if space != lat._atom_bit[atom]:
             report.add("valuation-base-space", atom=atom,
-                       base_space=space_key(event.base_space), required=space_key(singleton))
+                       base_space=lat._keys[space], required=atom)
 
 
 @memoised
@@ -744,7 +765,8 @@ def validate_hms(model: LatticeModel) -> Report:
     checked = 0
     for agent in model.agents:
         pi = model.pi[agent]
-        images, image_ups, levels = model._pi_masks[agent]
+        images, levels = model._pi_masks[agent]
+        image_ups = [lat._close(image) for image in images]
         projections: dict[int, list[int]] = {}  # image mask -> its projections
         checked += 2 * len(states)  # both confinement laws, the second when the first holds
         for i, ref in enumerate(states):
@@ -878,7 +900,7 @@ class _Suite:
         ``whole`` is every state, in every space, that the definition puts
         in the up-closure of the result."""
         self.report.count()
-        if self.lat._upc(result) != whole:
+        if result.up != whole:
             self.report.add(law, agent, event=event, result=result)
 
     def boxed(self, images: list[int], event: Event) -> int:
@@ -929,7 +951,7 @@ def explicit_property_suite(model: LatticeModel) -> Report:
     omega = lat.omega()
 
     for agent in model.agents:
-        images, _, levels = model._pi_masks[agent]
+        images, levels = model._pi_masks[agent]
         for event in suite.basis:
             known = k_op(model, agent, event)
             aware = a_op(model, agent, event)
@@ -938,7 +960,7 @@ def explicit_property_suite(model: LatticeModel) -> Report:
             # argument's own base space; compare against the raw definitions.
             suite.check_raw("knowledge-based-event", agent, event, known,
                             suite.boxed(images, event))
-            need = lat._masks[event.base_space]
+            need = event.space
             suite.check_raw("awareness-based-event", agent, event, aware,
                             sum(1 << i for i, level in enumerate(levels)
                                 if level >= 0 and not need & ~level))
@@ -957,7 +979,7 @@ def explicit_property_suite(model: LatticeModel) -> Report:
 
             unaware = u_op(model, agent, event)
             check("ku-introspection", agent, k_op(model, agent, unaware),
-                  Event(event.base_space, frozenset()), event=event)
+                  lat.event(event.base_space), event=event)
             check("au-introspection", agent, unaware, u_op(model, agent, unaware),
                   event=event)
             check("weak-necessitation", agent, aware,

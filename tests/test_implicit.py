@@ -21,12 +21,10 @@ from awarekit.modelio import data_to_model, model_to_data
 from awarekit.semantics import TruthValue, satisfies
 from awarekit.syntax import parse
 from awarekit.unawareness import (
-    Event,
     LatticeModel,
     SpaceLattice,
     a_op,
     l_op,
-    up_closure,
     validate_hms,
 )
 from conftest import MEET, P, PQ, Q, ref
@@ -69,10 +67,10 @@ def test_explicit_measurability_violation(fig1R):
 
 
 def test_implicitly_knows_q_only_in_right_model(fig1L, fig1R):
-    event = Event(Q, frozenset({ref(Q, "q")}))
     pq = ref(PQ, "pq")
-    assert pq in up_closure(fig1R, l_op(fig1R, "1", event))
-    assert pq not in up_closure(fig1L, l_op(fig1L, "1", event))
+    right, left = fig1R.lattice, fig1L.lattice
+    assert pq in right.up_closure(l_op(fig1R, "1", right.event(Q, {ref(Q, "q")})))
+    assert pq not in left.up_closure(l_op(fig1L, "1", left.event(Q, {ref(Q, "q")})))
 
 
 def test_implicit_knowledge_of_everything(fig1L):
@@ -201,14 +199,14 @@ def test_derivation_requires_valid_input(fig1L):
 
 def test_a_star_excludes_pq_for_q(fig1R):
     im = implicit_from_complemented(fig1R)
-    event = Event(Q, frozenset({ref(Q, "q")}))
-    assert ref(PQ, "pq") not in up_closure(im, a_op(im, "1", event))
+    event = im.lattice.event(Q, {ref(Q, "q")})
+    assert ref(PQ, "pq") not in im.lattice.up_closure(a_op(im, "1", event))
 
 
 def test_a_star_on_meet_based_event(fig1R):
     im = implicit_from_complemented(fig1R)
-    event = Event(MEET, frozenset({ref(MEET, "*")}))
-    assert up_closure(im, a_op(im, "1", event)) == frozenset(im.states)
+    event = im.lattice.event(MEET, {ref(MEET, "*")})
+    assert im.lattice.up_closure(a_op(im, "1", event)) == frozenset(im.states)
 
 
 def test_a_star_suite_on_fixtures(fig1L, fig1R):

@@ -129,14 +129,14 @@ def test_soundness_fuzz_catches_broken_awareness(monkeypatch):
     """A deliberately broken awareness clause must produce counterexamples on
     the awareness axioms."""
     import awarekit.semantics as semantics_module
-    from awarekit.unawareness import Event, pi_space
+    from awarekit.unawareness import pi_space
 
     def strict(model, agent, event):
         lat = model.lattice
         need = event.base_space
         base = frozenset(state for state in lat.states_of(need)
                          if need < pi_space(model, agent, state))
-        return Event(need, base)
+        return lat.event(need, base)
 
     monkeypatch.setattr(semantics_module, "a_op", strict)
     report = fuzz_soundness(trials=6, depth=1, seed=3)

@@ -1,4 +1,5 @@
-"""Differential tests: the mask-based evaluation against a per-state oracle.
+"""Differential tests: the mask-based kernel and evaluation against a
+per-state oracle.
 
 The oracle is written straight from the definitions and walks one state at
 a time, as the checker did before truth was evaluated over whole models: a
@@ -6,19 +7,26 @@ formula is defined at a state when the state's space contains the base space
 of the formula's event, and then true exactly when the state projects into
 the event's base.  `valid_in_model`, `equivalence_check` (all four
 directions) and `check --all` must give what the oracle gives, witnesses,
-their order and the `checked` count included.
+their order and the `checked` count included.  The event kernel (events as
+a base-space mask and an up-closure mask) must give what the definitions
+over sets of states give: up-closure, the event algebra, knowledge over Π
+and Λ, awareness, equality and the witness text.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import random
+from itertools import combinations
 
 import pytest
 
 from awarekit.awareness import AwarenessModel, fh_extension
 from awarekit.cli import main
 from awarekit.enumeration import enumerate_formulas
-from awarekit.gen import gen_fh
+from awarekit.fixtures import fig1L, fig1R
+from awarekit.gen import GenCaps, gen_fh
 from awarekit.modelio import data_to_model, model_to_data, save_model, state_token
 from awarekit.reports import Report
 from awarekit.semantics import TruthValue, extension, valid_in_model
@@ -29,7 +37,17 @@ from awarekit.transforms import (
     fh_transform,
     hms_transform,
 )
-from awarekit.unawareness import StateRef, subsets
+from awarekit.unawareness import (
+    StateRef,
+    a_op,
+    k_op,
+    l_op,
+    project_state,
+    space_key,
+    subsets,
+    validate_hms,
+)
+from test_golden_reports import misroute_projection
 
 SEEDS = range(10)
 
@@ -191,3 +209,122 @@ def test_equal_formulas_built_separately_share_a_hash():
     built = And(L("1", Not(And(Atom("p"), Not(A("2", Not(Atom("q"))))))), parse("k_1 T"))
     assert built == first and hash(built) == hash(first)
     assert {first: 1}[built] == 1
+
+
+# -- the event kernel ------------------------------------------------------------
+
+
+def naive_up(model, space, base):
+    """Every state at or above ``space`` whose projection into it is in ``base``."""
+    return frozenset(ref for ref in model.states
+                     if space <= ref.space and project_state(model, ref, space) in base)
+
+
+def naive_join(model, events, keep):
+    """Each (space, base) pair elaborated to the join of the spaces: the
+    states of the join whose projections ``keep`` accepts, one flag per event."""
+    join = frozenset().union(*(space for space, _ in events))
+    return join, frozenset(
+        ref for ref in model.lattice.states_of(join)
+        if keep([project_state(model, ref, space) in base for space, base in events]))
+
+
+def naive_box(model, image, space, base):
+    """The states of ``space`` whose image lies in the up-closure of ``base``."""
+    up = naive_up(model, space, base)
+    return frozenset(ref for ref in model.lattice.states_of(space) if image(ref) <= up)
+
+
+@functools.cache
+def kernel_models():
+    """Both fixtures and generated transforms up to 6 atoms, each as its
+    complemented and its implicit model."""
+    models = [fig1L(), fig1R()]
+    for seed in range(8):
+        k = gen_fh(seed, GenCaps(atoms=6, worlds=6))
+        models += [hms_transform(k), hms_transform(k, truncate=True)]
+    assert max(len(model.atoms) for model in models) == 6
+    return models
+
+
+def random_events(model, rng, count=10):
+    """Seeded (space, base) pairs, the empty and the full base among them."""
+    lat = model.lattice
+    spaces = sorted(lat.spaces, key=space_key)
+    out = [(spaces[0], frozenset()), (lat.atoms, frozenset(lat.states_of(lat.atoms)))]
+    while len(out) < count:
+        space = rng.choice(spaces)
+        states = lat.states_of(space)
+        out.append((space, frozenset(rng.sample(states, rng.randint(0, len(states))))))
+    return out
+
+
+def assert_event(model, event, space, base):
+    assert (event.base_space, event.base) == (space, base)
+    assert model.lattice.up_closure(event) == naive_up(model, space, base)
+    ids = ",".join(sorted(ref.id for ref in base))
+    assert str(event) == f"{space_key(space)}:[{ids}]"
+
+
+def check_event_kernel(model, rng):
+    lat = model.lattice
+    pairs = random_events(model, rng)
+    events = [lat.event(space, base) for space, base in pairs]
+    for event, (space, base) in zip(events, pairs):
+        assert_event(model, event, space, base)
+        assert_event(model, lat.event_not(event), space,
+                     frozenset(lat.states_of(space)) - base)
+    for size in (1, 2, 3):
+        for combo in rng.sample(list(combinations(range(len(pairs)), size)), 6):
+            chosen = [pairs[i] for i in combo]
+            assert_event(model, lat.event_and([events[i] for i in combo]),
+                         *naive_join(model, chosen, all))
+            assert_event(model, lat.event_or([events[i] for i in combo]),
+                         *naive_join(model, chosen, any))
+    for left, (left_space, left_base) in zip(events, pairs):
+        for right, (right_space, right_base) in zip(events, pairs):
+            same = (left_space, left_base) == (right_space, right_base)
+            assert (left == right) is same
+            assert not same or hash(left) == hash(right)
+
+
+@pytest.mark.parametrize("index", range(18))
+def test_event_kernel_matches_definitions(index):
+    check_event_kernel(kernel_models()[index], random.Random(index))
+
+
+def test_event_kernel_matches_definitions_where_projections_do_not_commute():
+    """Conjunction elaborates to the join and up-closes from there, which
+    differs from intersecting the up-closures once projections stop
+    commuting."""
+    broken = 0
+    for seed in range(8):
+        data = model_to_data(hms_transform(gen_fh(seed, GenCaps(atoms=4, worlds=4))))
+        rng = random.Random(seed)
+        if not misroute_projection(data, rng):
+            continue  # every projection is constant
+        model = data_to_model(data)
+        broken += any(v.law == "projection-composition" for v in validate_hms(model).violations)
+        check_event_kernel(model, rng)
+    assert broken
+
+
+@pytest.mark.parametrize("index", range(18))
+def test_operators_match_definitions(index):
+    model = kernel_models()[index]
+    derived = model if model.pi is not None else model.derived()
+    lat = model.lattice
+    for space, base in random_events(model, random.Random(index)):
+        event = lat.event(space, base)
+        for agent in model.agents:
+            for op, corr in ((k_op, derived.pi[agent]), (l_op, model.lambda_[agent])):
+                assert_event(model, op(model, agent, event), space,
+                             naive_box(model, corr.__getitem__, space, base))
+            if model.alpha is not None:
+                level = model.alpha[agent].__getitem__
+            else:
+                def level(ref, pi=model.pi[agent]):
+                    (found,) = {target.space for target in pi[ref]}
+                    return found
+            assert_event(model, a_op(model, agent, event), space,
+                         frozenset(ref for ref in lat.states_of(space) if space <= level(ref)))

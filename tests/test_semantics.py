@@ -7,33 +7,25 @@ import pytest
 from awarekit.errors import UnknownAtom, UnknownState
 from awarekit.gen import gen_hms, gen_implicit
 from awarekit.implicit import implicit_from_complemented
-from awarekit.semantics import (
-    TruthValue,
-    definedness_event,
-    extension,
-    is_defined,
-    satisfies,
-    valid_in_model,
-)
-from awarekit.syntax import parse
-from awarekit.unawareness import Event, up_closure
+from awarekit.semantics import TruthValue, extension, satisfies, valid_in_model
+from awarekit.syntax import atoms, parse
 from conftest import MEET, P, PQ, Q, ref
 
 
 def test_extension_of_explicit_knowledge(fig1L):
-    assert extension(fig1L, parse("k_1 p")) == Event(P, frozenset({ref(P, "p")}))
+    assert extension(fig1L, parse("k_1 p")) == fig1L.lattice.event(P, {ref(P, "p")})
 
 
 def test_extension_of_implicit_knowledge_contains_pq(fig1R):
     event = extension(fig1R, parse("l_1 q"))
     assert event.base_space == Q
-    assert ref(PQ, "pq") in up_closure(fig1R, event)
+    assert ref(PQ, "pq") in fig1R.lattice.up_closure(event)
 
 
 def test_extension_of_top_is_omega(fig1L):
     event = extension(fig1L, parse("T"))
     assert event == fig1L.lattice.omega()
-    assert up_closure(fig1L, event) == frozenset(fig1L.states)
+    assert fig1L.lattice.up_closure(event) == frozenset(fig1L.states)
 
 
 def test_extension_rejects_unknown_atom(fig1L):
@@ -87,14 +79,16 @@ def test_never_both_true_and_false(fig1L):
 
 def test_definedness_matches_space_expressibility(fig1L):
     """A formula has a truth value exactly at states whose space holds all
-    its atoms, and exactly inside the definedness event."""
+    its atoms, and exactly inside the definedness event: the conjunction
+    over its atoms of (atom or not atom)."""
+    lat = fig1L.lattice
     for text in ("p", "q", "p & q", "k_1 p", "a_1 q & p"):
         f = parse(text)
-        event = definedness_event(fig1L, f)
-        covered = up_closure(fig1L, event)
-        from awarekit.syntax import atoms
+        event = lat.event_and([lat.event_or([lat.valuation[p], lat.event_not(lat.valuation[p])])
+                               for p in sorted(atoms(f))])
+        covered = lat.up_closure(event)
         for state in fig1L.states:
-            defined = is_defined(fig1L, state, f)
+            defined = satisfies(fig1L, state, f) is not TruthValue.UNDEFINED
             assert defined == (state in covered)
             assert defined == (atoms(f) <= state.space)
 

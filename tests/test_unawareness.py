@@ -9,7 +9,6 @@ from awarekit.gen import gen_hms
 from awarekit.implicit import implicit_from_complemented
 from awarekit.modelio import data_to_model, model_to_data
 from awarekit.unawareness import (
-    Event,
     LatticeModel,
     SpaceLattice,
     a_op,
@@ -17,7 +16,6 @@ from awarekit.unawareness import (
     k_op,
     l_op,
     u_op,
-    up_closure,
     validate_hms,
 )
 from conftest import MEET, P, PQ, Q, ref
@@ -139,10 +137,11 @@ def test_stationarity_violation(fig1L):
 
 
 def test_knowledge_at_pq(fig1L):
-    event = Event(P, frozenset({ref(P, "p")}))
+    lat = fig1L.lattice
+    event = lat.event(P, {ref(P, "p")})
     known = k_op(fig1L, "1", event)
-    assert ref(PQ, "pq") in up_closure(fig1L, known)
-    assert known == Event(P, frozenset({ref(P, "p")}))
+    assert ref(PQ, "pq") in lat.up_closure(known)
+    assert known == lat.event(P, {ref(P, "p")})
 
 
 def test_knowledge_necessitation(fig1L):
@@ -151,31 +150,32 @@ def test_knowledge_necessitation(fig1L):
 
 
 def test_knowledge_of_vacuous_event_is_vacuous(fig1L):
-    vacuous = Event(Q, frozenset())
+    vacuous = fig1L.lattice.event(Q)
     assert k_op(fig1L, "1", vacuous) == vacuous
 
 
 def test_awareness_excludes_pq_for_q(fig1L):
-    event = Event(Q, frozenset({ref(Q, "q")}))
+    lat = fig1L.lattice
+    event = lat.event(Q, {ref(Q, "q")})
     aware = a_op(fig1L, "1", event)
-    assert ref(PQ, "pq") not in up_closure(fig1L, aware)
-    assert aware == Event(Q, frozenset())
+    assert ref(PQ, "pq") not in lat.up_closure(aware)
+    assert aware == lat.event(Q)
 
 
 def test_awareness_of_p_covers_both_upper_spaces(fig1L):
-    event = Event(P, frozenset({ref(P, "p")}))
-    covered = up_closure(fig1L, a_op(fig1L, "1", event))
+    event = fig1L.lattice.event(P, {ref(P, "p")})
+    covered = fig1L.lattice.up_closure(a_op(fig1L, "1", event))
     expected = set(fig1L.lattice.states_of(P)) | set(fig1L.lattice.states_of(PQ))
     assert covered == frozenset(expected)
 
 
 def test_awareness_of_meet_based_event_is_everything(fig1R):
-    event = Event(MEET, frozenset({ref(MEET, "*")}))
-    assert up_closure(fig1R, a_op(fig1R, "1", event)) == frozenset(fig1R.states)
+    event = fig1R.lattice.event(MEET, {ref(MEET, "*")})
+    assert fig1R.lattice.up_closure(a_op(fig1R, "1", event)) == frozenset(fig1R.states)
 
 
 def test_unawareness_is_negated_awareness(fig1L):
-    event = Event(Q, frozenset({ref(Q, "q")}))
+    event = fig1L.lattice.event(Q, {ref(Q, "q")})
     assert u_op(fig1L, "1", event) == fig1L.lattice.event_not(a_op(fig1L, "1", event))
 
 
