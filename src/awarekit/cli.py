@@ -12,6 +12,7 @@ with its traceback on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -244,7 +245,10 @@ def _add_format(parser) -> None:
                         help="human-readable text or machine-readable JSON")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Each subcommand names its
+    handler, which ``main`` looks up when it runs."""
     parser = argparse.ArgumentParser(
         prog="awarekit",
         description="Validate, check, transform, and fuzz epistemic models "
@@ -255,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--dot", metavar="PATH", help="also write a DOT digraph of the lattice")
     _add_format(p)
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func="_cmd_validate")
 
     p = sub.add_parser("check", help="evaluate a formula at a state (or all states)")
     p.add_argument("file")
@@ -264,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "for awareness models")
     p.add_argument("--all", action="store_true", help="print a value per state")
     _add_format(p)
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func="_cmd_check")
 
     p = sub.add_parser("transform", help="transform a model into the other family")
     p.add_argument("file")
@@ -274,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the sublanguage category into a directory")
     p.add_argument("--minimize", action="store_true",
                    help="quotient category members by modal equivalence")
-    p.set_defaults(func=_cmd_transform)
+    p.set_defaults(func="_cmd_transform")
 
     p = sub.add_parser("equiv", help="check modal equivalence of a model and its transform")
     p.add_argument("a", help="source model file")
@@ -282,35 +286,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--via", required=True, choices=transforms.TRANSFORM_DIRECTIONS)
     p.add_argument("--depth", type=int, default=2)
     _add_format(p)
-    p.set_defaults(func=_cmd_equiv)
+    p.set_defaults(func="_cmd_equiv")
 
     p = sub.add_parser("fuzz", help="generate models and run every validator and suite")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--caps", help="e.g. atoms=3,worlds=5,agents=2")
     p.add_argument("--seed", type=int, default=0)
     _add_format(p)
-    p.set_defaults(func=_cmd_fuzz)
+    p.set_defaults(func="_cmd_fuzz")
 
     p = sub.add_parser("lpa", help="proof checking and soundness fuzzing")
     lpa_sub = p.add_subparsers(dest="lpa_command", required=True)
     pc = lpa_sub.add_parser("check", help="check a proof file")
     pc.add_argument("proof")
     _add_format(pc)
-    pc.set_defaults(func=_cmd_lpa_check)
+    pc.set_defaults(func="_cmd_lpa_check")
     pf = lpa_sub.add_parser("fuzz", help="fuzz axiom validity on random models")
     pf.add_argument("--trials", type=int, default=50)
     pf.add_argument("--depth", type=int, default=2)
     pf.add_argument("--caps", help="e.g. atoms=3,worlds=5,agents=2")
     pf.add_argument("--seed", type=int, default=0)
     _add_format(pf)
-    pf.set_defaults(func=_cmd_lpa_fuzz)
+    pf.set_defaults(func="_cmd_lpa_fuzz")
 
     p = sub.add_parser("gen", help="emit a seeded random model")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--family", choices=("fh", "hms", "implicit-hms"), default="fh")
     p.add_argument("--caps", help="e.g. atoms=3,worlds=5,agents=2")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func="_cmd_gen")
     return parser
 
 
@@ -321,7 +325,7 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return EXIT_INPUT if err.code else EXIT_PASS
     try:
-        code = args.func(args)
+        code = globals()[args.func](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

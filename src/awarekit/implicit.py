@@ -21,9 +21,11 @@ from .errors import (
 from .reports import Report, memoised
 from .unawareness import (
     LatticeModel,
-    StateRef,
-    _Suite,
+    _explicit,
+    _holders,
+    _indices,
     _refs,
+    _Suite,
     _validate_lattice,
     a_op,
     event_basis,
@@ -32,7 +34,6 @@ from .unawareness import (
     pi_space,
     require,
     space_key,
-    state_order,
     u_op,
     validate_hms,
 )
@@ -47,25 +48,23 @@ def _check_implicit_correspondence(model: LatticeModel, agent: str, report: Repo
     first since the projection law cannot even be stated without it.  What
     follows from these laws (Λ partitions every space, projections preserve
     implicit ignorance) is checked as a theorem by the test suite."""
-    lat, corr = model.lattice, model.lambda_[agent]
-    states, index, spaces, proj, below, keys = (
-        lat.states, lat._index, lat._space, lat._proj, lat._below, lat._keys)
+    lat = model.lattice
+    states, spaces, proj, below, keys = lat.states, lat._space, lat._proj, lat._below, lat._keys
     images, levels = model._lambda_masks[agent]
     confined = [level == space for level, space in zip(levels, spaces)]
+    holders = _holders(images)
     checked = len(states)
     for i, ref in enumerate(states):
-        image = corr[ref]
+        mine = images[i]
         if not confined[i]:
             report.add("strong-confinement", agent, state=ref,
-                       image=";".join(str(t) for t in sorted(image, key=state_order)))
+                       image=";".join(map(str, _refs(states, mine))))
             continue
-        mine = images[i]
-        checked += 1 + len(image)
+        checked += 1 + mine.bit_count()
         if not mine >> i & 1:
             report.add("implicit-reflexivity", agent, state=ref)
-        for target in image:
-            if images[index[target]] != mine:
-                report.add("implicit-stationarity", agent, state=ref, reached=target)
+        for j in _indices(mine & ~holders[mine]):
+            report.add("implicit-stationarity", agent, state=ref, reached=states[j])
 
     projections: dict[int, list[int]] = {}  # image mask -> its projections
     for i, ref in enumerate(states):
@@ -91,22 +90,23 @@ def validate_lambda(model: LatticeModel) -> Report:
     require(model, "pi", "lambda")
     report = Report()
     lat = model.lattice
-    states, index, spaces, keys = lat.states, lat._index, lat._space, lat._keys
+    states, spaces, keys = lat.states, lat._space, lat._keys
     checked = 0
     for agent in model.agents:
-        corr = model.lambda_[agent]
-        pi = model.pi[agent]
         images, levels = model._lambda_masks[agent]
         pi_images, pi_levels = model._pi_masks[agent]
+        holders, pi_holders = _holders(images), _holders(pi_images)
+        # The states whose Λ and Π images differ.
+        differ = sum(1 << j for j, (image, known) in enumerate(zip(images, pi_images))
+                     if image != known)
+        projected_of: dict[tuple[int, int], int] = {}  # (image, level) -> projection
         _check_implicit_correspondence(model, agent, report)
 
         for i, ref in enumerate(states):
             known = pi_images[i]
-            image = corr[ref]
-            checked += len(image)
-            for target in image:
-                if pi_images[index[target]] != known:
-                    report.add("explicit-measurability", agent, state=ref, reached=target)
+            checked += images[i].bit_count()
+            for j in _indices(images[i] & ~pi_holders[known]):
+                report.add("explicit-measurability", agent, state=ref, reached=states[j])
 
             level = pi_levels[i]
             if level < 0:
@@ -119,16 +119,18 @@ def validate_lambda(model: LatticeModel) -> Report:
             if levels[i] != spaces[i]:
                 continue
 
-            projected = lat._project_mask(images[i], level)
-            possible = pi[ref]
-            checked += 2 * len(possible) + 1
-            for target in possible:
-                j = index[target]
-                if images[j] != projected:
-                    report.add("implicit-measurability", agent, state=ref, reached=target)
-                if images[j] != pi_images[j]:
+            key = images[i], level
+            projected = projected_of.get(key)
+            if projected is None:
+                projected = projected_of[key] = lat._project_mask(*key)
+            checked += 2 * known.bit_count() + 1
+            unlike = known & ~holders.get(projected, 0)
+            for j in _indices(unlike | known & differ):
+                if unlike >> j & 1:
+                    report.add("implicit-measurability", agent, state=ref, reached=states[j])
+                if differ >> j & 1:
                     report.add("implicit-matches-explicit-on-possibility-set", agent,
-                               state=ref, reached=target)
+                               state=ref, reached=states[j])
 
             if projected != known:
                 report.add("coherence", agent, state=ref, level=keys[level])
@@ -141,24 +143,22 @@ def validate_alpha(model: LatticeModel) -> Report:
     require(model, "lambda", "alpha")
     report = Report()
     lat = model.lattice
-    states, index, spaces, proj, below, keys = (
-        lat.states, lat._index, lat._space, lat._proj, lat._below, lat._keys)
+    states, spaces, proj, below, keys = lat.states, lat._space, lat._proj, lat._below, lat._keys
     checked = 0
+    span_bits = lat._names.span_bits
     for agent in model.agents:
         levels = model._alpha_masks[agent][1]
-        corr = model.lambda_[agent]
+        images = model._lambda_masks[agent][0]
+        holders = _holders(levels)
         checked += len(states)
         for i, ref in enumerate(states):
             level, space = levels[i], spaces[i]
             if level & ~space:
                 report.add("lack-of-conception", agent, state=ref, level=keys[level])
                 continue
-            image = corr[ref]
-            checked += len(image) + 3 * len(below[space])
-            for target in image:
-                j = index[target]
-                if spaces[j] == space and levels[j] != level:
-                    report.add("awareness-measurability", agent, state=ref, reached=target)
+            checked += images[i].bit_count() + 3 * len(below[space])
+            for j in _indices(images[i] & span_bits[space] & ~holders[level]):
+                report.add("awareness-measurability", agent, state=ref, reached=states[j])
             row = proj[i]
             for below_space in below[space]:
                 got = levels[row[below_space]]
@@ -203,16 +203,16 @@ def candidate_lambda_from_pi(model: LatticeModel) -> LatticeModel:
     base_report = validate_hms(model)
     if not base_report.ok:
         raise PreconditionFailed("candidate construction needs a valid model", base_report)
-    lat = model.lattice
-    lambda_: dict[str, dict[StateRef, frozenset[StateRef]]] = {}
+    spaces = model.lattice._space
+    lambda_ = {}
     for agent in model.agents:
-        pi = model.pi[agent]
-        table = {}
-        for ref in lat.states:
-            table[ref] = frozenset(
-                other for other in lat.states_of(ref.space) if pi[other] == pi[ref])
-        lambda_[agent] = table
-    candidate = LatticeModel(lat, model.agents, pi=model.pi, lambda_=lambda_)
+        keys = list(zip(spaces, model._pi_masks[agent][0]))  # (space, Π image) per state
+        cells: dict[tuple[int, int], int] = {}  # the states of each key
+        for i, key in enumerate(keys):
+            cells[key] = cells.get(key, 0) | 1 << i
+        lambda_[agent] = ([cells[key] for key in keys], list(spaces))
+    candidate = LatticeModel._from_masks(model.lattice, model.agents,
+                                         pi=model._pi_masks, lambda_=lambda_)
     report = validate_lambda(candidate)
     if not report.ok:
         raise CandidateInvalid("derived candidate violates the implicit laws", report)
@@ -234,22 +234,21 @@ def derive_pi_star(model: LatticeModel) -> LatticeModel:
         raise PreconditionFailed("derivation needs a valid implicit model", pre)
 
     lat = model.lattice
-    states = lat.states
-    pi_star: dict[str, dict[StateRef, frozenset[StateRef]]] = {}
+    pi_star = {}
     for agent in model.agents:
         images = model._lambda_masks[agent][0]
         levels = model._alpha_masks[agent][1]
-        # The model validated, so every level lies below its state's space.
+        # The model validated, so every level lies below its state's space,
+        # and every image is non-empty: its projection lies in the level.
         projected: dict[tuple[int, int], int] = {}  # (image, level) -> projection
         for key in zip(images, levels):
             if key not in projected:
                 projected[key] = lat._project_mask(*key)
-        table = [projected[key] for key in zip(images, levels)]
-        pi_star[agent] = {ref: frozenset(_refs(states, mask)) for ref, mask in zip(states, table)}
+        pi_star[agent] = ([projected[key] for key in zip(images, levels)], levels)
 
-    complemented = LatticeModel(lat, model.agents, pi=pi_star)
-    # Λ is the implicit model's, already normalized: share its table and masks.
-    complemented.lambda_, complemented._lambda_masks = model.lambda_, model._lambda_masks
+    # Λ is the implicit model's, already checked: share its table.
+    complemented = LatticeModel._from_masks(lat, model.agents, pi=pi_star,
+                                            lambda_=model._lambda_masks)
     hms_report = validate_hms(complemented)
     if not hms_report.ok:
         raise DerivationInconsistent("derived explicit correspondence is not a valid "
@@ -265,11 +264,14 @@ def implicit_from_complemented(model: LatticeModel) -> LatticeModel:
     """Repackage a complemented model with implicit knowledge and the
     explicit correspondence's space as primitives; valid whenever the input
     is."""
-    alpha = {
-        agent: {ref: pi_space(model, agent, ref) for ref in model.states}
-        for agent in model.agents
-    }
-    out = LatticeModel(model.lattice, model.agents, lambda_=model.lambda_, alpha=alpha)
+    alpha = {}
+    for agent in model.agents:
+        levels = _explicit(model)._pi_masks[agent][1]
+        if -1 in levels:  # a straddled image has no space
+            pi_space(model, agent, model.states[levels.index(-1)])
+        alpha[agent] = (None, levels)
+    out = LatticeModel._from_masks(model.lattice, model.agents,
+                                   lambda_=model._lambda_masks, alpha=alpha)
     report = validate_implicit(out)
     if not report.ok:
         raise TransformInvariantBroken("implicit view of a complemented model "

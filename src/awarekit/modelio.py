@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import shlex
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -24,34 +25,17 @@ from .unawareness import (
     LatticeModel,
     SpaceLattice,
     StateRef,
+    _indices,
     parse_space_key,
+    parse_state_token,
     space_key,
+    state_token,
 )
 
 AnyModel = LatticeModel | AwarenessModel
 
-
-def state_token(ref: StateRef) -> str:
-    return f"{space_key(ref.space)}:{ref.id}"
-
-
-def parse_state_token(token: str) -> StateRef:
-    if ":" not in token:
-        raise ModelFormatError(f"state token {token!r} is not of the form 'spaceKey:stateId'")
-    key, _, state_id = token.partition(":")
-    if not state_id:
-        raise ModelFormatError(f"state token {token!r} has an empty state id")
-    return StateRef(parse_space_key(key), state_id)
-
-
-def _corr_to_data(corr) -> dict:
-    return {
-        agent: {
-            state_token(ref): [state_token(t) for t in sorted(image, key=state_token)]
-            for ref, image in sorted(table.items(), key=lambda kv: state_token(kv[0]))
-        }
-        for agent, table in corr.items()
-    }
+# ``parse_state_token`` and ``state_token`` live in unawareness and are
+# imported here for the callers that read them from this module.
 
 
 # -- shape checks: JSON values are only trusted after these ---------------------
@@ -113,32 +97,21 @@ def _table_of(cell):
     return lambda value, what: _table(value, what, cell)
 
 
-def _state_reader(lattice: SpaceLattice):
-    """``parse_state_token`` for the correspondences of one load.  Each
-    distinct token is parsed once, and a token naming a state of
-    ``lattice`` reads as the lattice's own ``StateRef``, so all occurrences
-    of a state share one object."""
-    refs: dict[str, StateRef] = {}
-
-    def read(token: str) -> StateRef:
-        ref = refs.get(token)
-        if ref is None:
-            ref = parse_state_token(token)
-            i = lattice._index.get(ref)
-            if i is not None:
-                ref = lattice.states[i]
-            refs[token] = ref
-        return ref
-
-    return read
+def _rows(raw, name: str, cell, fits) -> dict:
+    """A primitive's per-agent rows, keyed by state token, whose every value
+    passes ``cell(value, what)``.  ``fits(value)`` is a quick test that
+    accepts most values; ``cell`` runs on the others, to raise its message."""
+    for agent, row in _object(raw, name).items():
+        for token, value in _object(row, f"{name}[{agent}]").items():
+            if not fits(value):
+                cell(value, f"{name}[{agent}][{token}]")
+    return raw
 
 
-def _corr_from_data(raw, name: str, read) -> dict:
-    out = {}
-    for agent, table in _table(raw, name, _table_of(_strings)).items():
-        out[agent] = {read(token): frozenset(read(t) for t in image)
-                      for token, image in table.items()}
-    return out
+def _corr_from_data(raw, name: str) -> dict:
+    """A correspondence's rows: state token -> list of state tokens."""
+    return _rows(raw, name, _strings,
+                 lambda image: type(image) is list and all(map(isinstance, image, repeat(str))))
 
 
 def _lattice_to_data(lattice: SpaceLattice) -> dict:
@@ -189,7 +162,7 @@ def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
             raise ModelFormatError(f"valuation of {atom!r} must have base_space and base")
         space = parse_space_key(_string(entry["base_space"], f"valuation[{atom}].base_space"))
         ids = _strings(entry["base"], f"valuation[{atom}].base")
-        valuation[atom] = (space, frozenset(StateRef(space, i) for i in ids))
+        valuation[atom] = (space, [StateRef(space, i) for i in ids])
 
     lattice = SpaceLattice(atoms, spaces, projections, valuation)
     return lattice, list(_agents(data))
@@ -198,16 +171,22 @@ def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
 def lattice_model_to_data(model: LatticeModel) -> dict:
     data = _lattice_to_data(model.lattice)
     data["agents"] = list(model.agents)
-    if model.pi is not None:
-        data["pi"] = _corr_to_data(model.pi)
-    if model.lambda_ is not None:
-        data["lambda" if model.alpha is None else "lambda_star"] = _corr_to_data(model.lambda_)
-    if model.alpha is not None:
-        data["alpha"] = {
-            agent: {state_token(ref): space_key(level)
-                    for ref, level in sorted(table.items(), key=lambda kv: state_token(kv[0]))}
-            for agent, table in model.alpha.items()
-        }
+    # Rows are written from the mask tables, keyed by sorted state tokens.
+    tokens, keys = model.lattice._tokens, model.lattice._keys
+    order = sorted(range(len(tokens)), key=tokens.__getitem__)
+
+    def correspondence(table) -> dict:
+        return {agent: {tokens[i]: sorted(tokens[j] for j in _indices(images[i])) for i in order}
+                for agent, (images, _) in table.items()}
+
+    if model._pi_masks is not None:
+        data["pi"] = correspondence(model._pi_masks)
+    if model._lambda_masks is not None:
+        name = "lambda" if model._alpha_masks is None else "lambda_star"
+        data[name] = correspondence(model._lambda_masks)
+    if model._alpha_masks is not None:
+        data["alpha"] = {agent: {tokens[i]: keys[levels[i]] for i in order}
+                         for agent, (_, levels) in model._alpha_masks.items()}
     return data
 
 
@@ -250,17 +229,14 @@ def data_to_model(data: dict) -> AnyModel:
         raise ModelFormatError("ambiguous model file: mixes implicit-primitive and "
                                "explicit-primitive fields")
     lattice, agents = _lattice_from_data(data)
-    read = _state_reader(lattice)
+    # The rows go to the model keyed by token; it resolves each token once.
     if has_implicit:
-        lambda_star = _corr_from_data(_require(data, "lambda_star"), "lambda_star", read)
-        raw_alpha = _table(_require(data, "alpha"), "alpha", _table_of(_string))
-        levels = {key: parse_space_key(key)
-                  for table in raw_alpha.values() for key in set(table.values())}
-        alpha = {agent: {read(token): levels[level] for token, level in table.items()}
-                 for agent, table in raw_alpha.items()}
+        lambda_star = _corr_from_data(_require(data, "lambda_star"), "lambda_star")
+        alpha = _rows(_require(data, "alpha"), "alpha", _string,
+                      lambda level: type(level) is str)
         return LatticeModel(lattice, agents, lambda_=lambda_star, alpha=alpha)
-    pi = _corr_from_data(_require(data, "pi"), "pi", read)
-    lambda_ = _corr_from_data(data["lambda"], "lambda", read) if "lambda" in data else None
+    pi = _corr_from_data(_require(data, "pi"), "pi")
+    lambda_ = _corr_from_data(data["lambda"], "lambda") if "lambda" in data else None
     return LatticeModel(lattice, agents, pi=pi, lambda_=lambda_)
 
 

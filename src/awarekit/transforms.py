@@ -26,7 +26,8 @@ from .unawareness import (
     LatticeModel,
     SpaceLattice,
     StateRef,
-    pi_space,
+    _indices,
+    _level_mask,
     subsets,
     validate_hms,
 )
@@ -37,6 +38,7 @@ def category_to_implicit(category: AwarenessCategory) -> LatticeModel:
     lattice model: spaces are the member models' worlds, projections are the
     morphisms, the implicit correspondence copies each member's relations,
     and the awareness level at a world is the space of its awareness atoms.
+    Λ and α are built as mask tables.
     """
     atoms = category.atoms
     agents = category.agents
@@ -52,38 +54,42 @@ def category_to_implicit(category: AwarenessCategory) -> LatticeModel:
     valuation = {}
     for atom in sorted(atoms):
         single = frozenset({atom})
-        valuation[atom] = (single, frozenset(
-            StateRef(single, w) for w in category.models[single].valuation.get(atom, frozenset())))
+        valuation[atom] = (single, tuple(
+            StateRef(single, w) for w in category.models[single].valuation.get(atom, ())))
 
     lattice = SpaceLattice(atoms, spaces, projections, valuation)
-    # The lattice's own state objects, so that the correspondences below
-    # index it by identity rather than by comparing equal copies.
-    refs = {space: {ref.id: ref for ref in lattice.states_of(space)} for space in lattice.spaces}
+    n = len(lattice.states)
+    # The index of each world of each member, by space.
+    index = {space: {ref.id: i for i, ref in zip(lattice._span[lattice._masks[space]], refs)}
+             for space, refs in lattice.spaces.items()}
 
-    lambda_star: dict[str, dict[StateRef, frozenset[StateRef]]] = {a: {} for a in agents}
-    alpha: dict[str, dict[StateRef, frozenset[str]]] = {a: {} for a in agents}
-    for space, ref_of in refs.items():
-        member = category.models[space]
+    lambda_star = {agent: ([0] * n, [0] * n) for agent in agents}
+    alpha = {agent: (None, [0] * n) for agent in agents}
+    for space, at in index.items():
+        member, mask = category.models[space], lattice._masks[space]
         for agent in agents:
+            images, levels = lambda_star[agent]
+            aware = alpha[agent][1]
             for world in member.worlds:
-                ref = ref_of[world]
-                lambda_star[agent][ref] = frozenset(
-                    ref_of[t] for t in member.successors(agent, world))
-                alpha[agent][ref] = member.awareness_atoms[agent][world]
+                i = at[world]
+                images[i] = sum(1 << at[t] for t in member.successors(agent, world))
+                levels[i] = mask
+                aware[i] = _level_mask(lattice, "alpha", agent, lattice.states[i],
+                                       member.awareness_atoms[agent][world])
 
     # The valuation of an atom must collect exactly the worlds where the atom
     # holds, across every member model that can express it.
     for atom in sorted(atoms):
-        joined = {
-            ref_of[w]
-            for space, ref_of in refs.items() if atom in space
-            for w in category.models[space].valuation.get(atom, frozenset())
-        }
-        if lattice.up_closure(lattice.valuation[atom]) != frozenset(joined):
+        joined = 0
+        for space, at in index.items():
+            if atom in space:
+                for w in category.models[space].valuation.get(atom, ()):
+                    joined |= 1 << at[w]
+        if lattice.valuation[atom].up != joined:
             raise TransformInvariantBroken(
                 f"valuation of {atom!r} is not the up-closure of its base layer")
 
-    model = LatticeModel(lattice, agents, lambda_=lambda_star, alpha=alpha)
+    model = LatticeModel._from_masks(lattice, agents, lambda_=lambda_star, alpha=alpha)
     report = validate_implicit(model)
     if not report.ok:
         raise TransformInvariantBroken("category transform output fails validation", report)
@@ -100,26 +106,27 @@ def hms_transform(model: AwarenessModel, truncate: bool = False,
     return implicit if truncate else implicit.derived()
 
 
-def _top_transform(model: LatticeModel, awareness_level) -> AwarenessModel:
+def _top_transform(model: LatticeModel, table) -> AwarenessModel:
+    """The awareness model on the top space's states: relations from Λ,
+    awareness from the levels of ``table``, the mask table of Π or α."""
     lat = model.lattice
     top = lat.atoms
-    top_states = lat.states_of(top)
-    worlds = [ref.id for ref in top_states]
+    states, spaces = lat.states, lat._names.spaces
+    span = lat._span[lat._masks[top]]
+    worlds = [states[i].id for i in span]
 
     relations = {}
     awareness = {}
     for agent in model.agents:
-        pairs = set()
-        for ref in top_states:
-            for target in model.lambda_[agent][ref]:
-                pairs.add((ref.id, target.id))
-        relations[agent] = pairs
-        awareness[agent] = {ref.id: awareness_level(agent, ref) for ref in top_states}
+        images = model._lambda_masks[agent][0]
+        relations[agent] = {(states[i].id, states[j].id) for i in span for j in _indices(images[i])}
+        levels = table[agent][1]
+        awareness[agent] = {states[i].id: spaces[levels[i]] for i in span}
 
     valuation = {}
     for atom in sorted(lat.atoms):
-        hits = lat.up_closure(lat.valuation[atom])
-        valuation[atom] = frozenset(ref.id for ref in top_states if ref in hits)
+        up = lat.valuation[atom].up
+        valuation[atom] = frozenset(states[i].id for i in span if up >> i & 1)
 
     out = AwarenessModel(top, model.agents, worlds, relations, awareness, valuation)
     report = validate_fh(out)
@@ -136,7 +143,8 @@ def fh_transform(model: LatticeModel) -> AwarenessModel:
     pre = validate_hms(model).merge(validate_lambda(model))
     if not pre.ok:
         raise PreconditionFailed("transform needs a valid complemented model", pre)
-    return _top_transform(model, lambda agent, ref: pi_space(model, agent, ref))
+    # The model validated, so every possibility set lies in one space.
+    return _top_transform(model, model._pi_masks)
 
 
 def fh_star_transform(model: LatticeModel) -> AwarenessModel:
@@ -145,7 +153,7 @@ def fh_star_transform(model: LatticeModel) -> AwarenessModel:
     pre = validate_implicit(model)
     if not pre.ok:
         raise PreconditionFailed("transform needs a valid implicit model", pre)
-    return _top_transform(model, lambda agent, ref: model.alpha[agent][ref])
+    return _top_transform(model, model._alpha_masks)
 
 
 TRANSFORM_DIRECTIONS = ("hms", "implicit-hms", "fh", "fh-star")

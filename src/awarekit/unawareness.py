@@ -10,10 +10,15 @@ the base and the witness text ``<space key>:[<state ids>]`` are derived on
 demand.  A :class:`LatticeModel` gives the lattice knowledge through
 per-agent primitives: the explicit possibility correspondence Π, the
 implicit one Λ, and the awareness function α, in one of three shapes (Π; Π
-and Λ; Λ and α).  Two operators read them, whatever the shape: knowledge,
-the box of a correspondence (:meth:`SpaceLattice.box`: ``k_op`` over Π,
-``l_op`` over Λ), and awareness, a test of levels
-(:meth:`SpaceLattice.aware`: ``a_op``).
+and Λ; Λ and α).  Each primitive is held as a mask table, lists indexed by
+state: a correspondence as its image masks and their levels, α as its
+levels.  Two operators read them, whatever the shape: knowledge, the box of
+a correspondence (:meth:`SpaceLattice.box`: ``k_op`` over Π, ``l_op`` over
+Λ), and awareness, a test of levels (:meth:`SpaceLattice.aware`:
+``a_op``).  The validators walk the same tables in state-index order, so
+their witnesses come out in one order whatever the hash seed.  The
+``StateRef``-keyed dicts ``pi``, ``lambda_`` and ``alpha`` are views,
+decoded from the tables on first read.
 
 The atom universe is finite and capped (default 6, override with the
 ``AWAREKIT_MAX_ATOMS`` environment variable) because the full powerset of
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -101,19 +107,38 @@ class StateRef:
         return f"{space_key(self.space)}:{self.id}"
 
 
+def state_token(ref: StateRef) -> str:
+    """The text of a state in model files: ``<space key>:<state id>``."""
+    return f"{space_key(ref.space)}:{ref.id}"
+
+
+def parse_state_token(token: str) -> StateRef:
+    if ":" not in token:
+        raise ModelFormatError(f"state token {token!r} is not of the form 'spaceKey:stateId'")
+    key, _, state_id = token.partition(":")
+    if not state_id:
+        raise ModelFormatError(f"state token {token!r} has an empty state id")
+    return StateRef(parse_space_key(key), state_id)
+
+
 def state_order(ref: StateRef) -> tuple:
     """Sort key putting more expressive spaces first."""
     return (-len(ref.space), space_key(ref.space), ref.id)
 
 
-def _refs(states: Sequence[StateRef], mask: int) -> list[StateRef]:
-    """The states of a state mask, in index order."""
+def _indices(mask: int) -> list[int]:
+    """The indices of the set bits of a mask, in increasing order."""
     out = []
     while mask:
         low = mask & -mask
-        out.append(states[low.bit_length() - 1])
+        out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _refs(states: Sequence[StateRef], mask: int) -> list[StateRef]:
+    """The states of a state mask, in index order."""
+    return [states[i] for i in _indices(mask)]
 
 
 class _Names:
@@ -339,6 +364,50 @@ class SpaceLattice:
             raise UnknownState(f"no state {ref}")
         return i
 
+    @cached_property
+    def _tokens(self) -> list[str]:
+        """The canonical token of each state, by index."""
+        keys, space = self._keys, self._space
+        return [f"{keys[space[i]]}:{ref.id}" for i, ref in enumerate(self.states)]
+
+    @cached_property
+    def _lookup(self) -> dict:
+        """Each state's index, keyed both by its ``StateRef`` and by its
+        canonical token."""
+        lookup = dict(self._index)
+        lookup.update(zip(self._tokens, range(len(self.states))))
+        return lookup
+
+    @cached_property
+    def _key_masks(self) -> dict[str, int]:
+        """Each space's mask, keyed by its canonical space key."""
+        return {key: mask for mask, key in enumerate(self._keys)}
+
+    def _resolve(self, state) -> int | None:
+        """The index of a state given as a ``StateRef`` or a state token,
+        None when the lattice has no such state.  A token whose space key is
+        spelled another way (``q,p:x`` for ``p,q:x``) is parsed; a malformed
+        token raises :class:`ModelFormatError`."""
+        i = self._lookup.get(state)
+        if i is None and type(state) is str:
+            i = self._index.get(parse_state_token(state))
+        return i
+
+    def _resolve_space(self, space) -> int | None:
+        """The mask of a space given as a set of atoms or a space key (atoms
+        in any order), None when the lattice has no such space."""
+        if type(space) is str:
+            mask = self._key_masks.get(space)
+            if mask is not None:
+                return mask
+            space = parse_space_key(space)
+        return self._masks.get(frozenset(space))
+
+    def _level(self, image: int) -> int:
+        """The space mask of a non-empty state mask, -1 when it straddles spaces."""
+        space = self._space[(image & -image).bit_length() - 1]
+        return -1 if image & ~self._names.span_bits[space] else space
+
     def _project_mask(self, mask: int, target: int) -> int:
         """The projection of a state mask into the space ``target``, which
         must lie below the space of every state in the mask."""
@@ -352,10 +421,17 @@ class SpaceLattice:
 
     def _projections(self, mask: int, space: int) -> list[int]:
         """The projections of a state mask inside ``space`` into every space
-        below it, as a list indexed by target mask."""
+        below it, as a list indexed by target mask.
+
+        The projection table composes along the chain that drops atoms
+        greatest first, so its last step into a target drops the target's
+        least missing atom: each target is projected from that covering
+        space's projection, a smaller mask, largest spaces first."""
         out = [0] * len(self._below)
-        for target in self._below[space]:
-            out[target] = self._project_mask(mask, target)
+        out[space] = mask
+        for target in reversed(self._below[space][:-1]):
+            missing = space & ~target
+            out[target] = self._project_mask(out[target | (missing & -missing)], target)
         return out
 
     def _close(self, mask: int) -> int:
@@ -480,16 +556,46 @@ class LatticeModel:
     shapes: ``pi`` alone (an unawareness model), ``pi`` and ``lambda_`` (a
     complemented model), or ``lambda_`` and ``alpha`` (an implicit
     knowledge-based model, whose Π is derived: :meth:`derived`).  Any other
-    shape is a :class:`ModelFormatError`.  Absent primitives are None, and
-    :attr:`family` is read off the ones present.  Each correspondence is
-    normalized and kept with its mask table (:func:`_corr_masks`); α's
-    table has the levels only.
+    shape is a :class:`ModelFormatError`.
+
+    Each primitive is given as per-agent rows keyed by state, as
+    ``StateRef``s or as state tokens, and is checked and turned into a mask
+    table once, by :func:`_normalize`: per agent, a correspondence becomes
+    two lists indexed by state, the image as a state mask and the space mask
+    of the image (-1 when it straddles spaces), and α becomes ``(None,
+    levels)``.  The tables are the only stored form.  Absent primitives are
+    None, and :attr:`family` is read off the ones present.  The attributes
+    ``pi``, ``lambda_`` and ``alpha`` are ``StateRef``-keyed views of the
+    tables, decoded on first read.
     """
 
     def __init__(self, lattice: SpaceLattice, agents: Iterable[str], *,
-                 pi: Mapping[str, Mapping[StateRef, Iterable[StateRef]]] | None = None,
-                 lambda_: Mapping[str, Mapping[StateRef, Iterable[StateRef]]] | None = None,
-                 alpha: Mapping[str, Mapping[StateRef, Iterable[str]]] | None = None):
+                 pi: Mapping[str, Mapping] | None = None,
+                 lambda_: Mapping[str, Mapping] | None = None,
+                 alpha: Mapping[str, Mapping] | None = None):
+        self._start(lattice, agents, pi, lambda_, alpha)
+        self._pi_masks = self._lambda_masks = self._alpha_masks = None
+        if pi is not None:
+            self._pi_masks = _normalize(lattice, self.agents, pi, "pi")
+        if lambda_ is not None:
+            name = "lambda" if alpha is None else "lambda_star"
+            self._lambda_masks = _normalize(lattice, self.agents, lambda_, name)
+        if alpha is not None:
+            self._alpha_masks = _normalize(lattice, self.agents, alpha, "alpha")
+
+    @classmethod
+    def _from_masks(cls, lattice: SpaceLattice, agents: Iterable[str], *,
+                    pi=None, lambda_=None, alpha=None) -> LatticeModel:
+        """A model over mask tables that the caller built as
+        :func:`_normalize` builds them: non-empty images of known states,
+        with their levels, and levels that are spaces.  The tables are
+        shared, not copied."""
+        model = cls.__new__(cls)
+        model._start(lattice, agents, pi, lambda_, alpha)
+        model._pi_masks, model._lambda_masks, model._alpha_masks = pi, lambda_, alpha
+        return model
+
+    def _start(self, lattice, agents, pi, lambda_, alpha) -> None:
         if (pi is not None, lambda_ is not None, alpha is not None) not in _SHAPES:
             raise ModelFormatError("a lattice model takes pi, pi and lambda, "
                                    "or lambda_star and alpha")
@@ -497,33 +603,35 @@ class LatticeModel:
         self.agents = tuple(dict.fromkeys(agents))
         if not self.agents:
             raise ModelFormatError("model needs at least one agent")
-        self.pi = self._pi_masks = self.lambda_ = self._lambda_masks = None
-        self.alpha = self._alpha_masks = None
-        if pi is not None:
-            self.pi = _normalize_correspondence(lattice, self.agents, pi, "pi")
-            self._pi_masks = _corr_masks(lattice, self.pi)
-        if lambda_ is not None:
-            name = "lambda" if alpha is None else "lambda_star"
-            self.lambda_ = _normalize_correspondence(lattice, self.agents, lambda_, name)
-            self._lambda_masks = _corr_masks(lattice, self.lambda_)
-        if alpha is not None:
-            self.alpha = _normalize_alpha(lattice, self.agents, alpha)
-            self._alpha_masks = {
-                agent: (None, [lattice._masks[table[ref]] for ref in lattice.states])
-                for agent, table in self.alpha.items()}
         self._derived: LatticeModel | None = None
         self._op_cache: dict = {}
         self._ext_cache: dict = {}    # see semantics
         self._truth_cache: dict = {}  # see semantics
         self._reports: dict = {}      # see reports.memoised
 
+    @cached_property
+    def pi(self) -> dict[str, dict[StateRef, frozenset[StateRef]]] | None:
+        return _decode_correspondence(self.lattice, self._pi_masks)
+
+    @cached_property
+    def lambda_(self) -> dict[str, dict[StateRef, frozenset[StateRef]]] | None:
+        return _decode_correspondence(self.lattice, self._lambda_masks)
+
+    @cached_property
+    def alpha(self) -> dict[str, dict[StateRef, frozenset[str]]] | None:
+        if self._alpha_masks is None:
+            return None
+        states, spaces = self.lattice.states, self.lattice._names.spaces
+        return {agent: {ref: spaces[level] for ref, level in zip(states, levels)}
+                for agent, (_, levels) in self._alpha_masks.items()}
+
     @property
     def family(self) -> str:
         """``unawareness``, ``complemented`` or ``implicit``, after the
         primitives present."""
-        if self.alpha is not None:
+        if self._alpha_masks is not None:
             return "implicit"
-        return "unawareness" if self.lambda_ is None else "complemented"
+        return "unawareness" if self._lambda_masks is None else "complemented"
 
     @property
     def base(self) -> LatticeModel:
@@ -552,74 +660,98 @@ class LatticeModel:
         return self._derived
 
 
-def _normalize(lattice, agents, table, name, check):
-    """Check a per-agent, per-state table for totality and unknown keys;
-    ``check(agent, ref, value)`` checks one value, as a frozenset."""
+def _decode_correspondence(lattice: SpaceLattice, table):
+    if table is None:
+        return None
+    states = lattice.states
+    return {agent: {ref: frozenset(_refs(states, image)) for ref, image in zip(states, images)}
+            for agent, (images, _) in table.items()}
+
+
+def _holders(values: Sequence[int]) -> dict[int, int]:
+    """Each distinct value of a per-state list, mapped to the state mask of
+    the states that hold it."""
+    out: dict[int, int] = {}
+    for i, value in enumerate(values):
+        out[value] = out.get(value, 0) | 1 << i
+    return out
+
+
+def _each(fn, keys: Iterable) -> list:
+    """``[fn(key) for key in keys]``, calling ``fn`` once per distinct key."""
+    memo: dict = {}
+    return [memo[key] if key in memo else memo.setdefault(key, fn(key)) for key in keys]
+
+
+def _as_ref(state) -> StateRef:
+    return parse_state_token(state) if type(state) is str else state
+
+
+def _normalize(lattice: SpaceLattice, agents: tuple[str, ...], table, name: str):
+    """Check a primitive's per-agent rows and turn them into its mask table.
+
+    A row maps each state, as a ``StateRef`` or a state token, to a value:
+    for a correspondence an image, a collection of states (``StateRef``s or
+    tokens), and for ``alpha`` a level, a space as a set of atoms or a space
+    key.  The checks run in this order, and the first that fails raises
+    :class:`ModelFormatError`: the rows cover exactly the agents; then per
+    agent, per state in index order, the state has a value, and the value
+    passes :func:`_image_mask` or :func:`_level_mask`; then every key of the
+    row names a state.  Tokens resolve through the lattice's token table;
+    only a token that misses it is parsed."""
     if set(table) != set(agents):
         raise ModelFormatError(f"{name} must cover exactly the agents {sorted(agents)}")
-    out: dict[str, dict[StateRef, frozenset]] = {}
-    for agent in agents:
-        row = {}
-        per_agent = table[agent]
-        for ref in lattice.states:
-            value = per_agent.get(ref)
-            if value is None:
-                raise ModelFormatError(f"{name}[{agent}] is undefined on state {ref}")
-            row[ref] = value = frozenset(value)
-            check(agent, ref, value)
-        extra = set(per_agent) - set(row)
-        if extra:
-            ref = sorted(extra, key=state_order)[0]
-            raise ModelFormatError(f"{name}[{agent}] keyed by unknown state {ref}")
-        out[agent] = row
-    return out
-
-
-def _normalize_correspondence(lattice, agents, corr, name):
-    """A correspondence: each image is a non-empty set of known states."""
-
-    def check(agent, ref, image):
-        if not image:
-            raise ModelFormatError(f"{name}[{agent}] is empty at state {ref}")
-        for target in image:
-            if target not in lattice._index:
-                raise ModelFormatError(f"{name}[{agent}] at {ref} references "
-                                       f"unknown state {target}")
-
-    return _normalize(lattice, agents, corr, name, check)
-
-
-def _normalize_alpha(lattice, agents, alpha):
-    """The awareness function: each level is a space of the lattice."""
-
-    def check(agent, ref, level):
-        if not lattice.has_space(level):
-            raise ModelFormatError(f"alpha[{agent}] at {ref} names unknown space "
-                                   f"{space_key(level)!r}")
-
-    return _normalize(lattice, agents, alpha, "alpha", check)
-
-
-def _corr_masks(lattice: SpaceLattice,
-                corr: Mapping[str, Mapping[StateRef, frozenset[StateRef]]]
-                ) -> dict[str, tuple[list[int], list[int]]]:
-    """Per agent, two lists indexed by state: the image as a state mask, and
-    the space mask of the image (-1 when the image straddles spaces)."""
-    index, space = lattice._index, lattice._space
+    states, lookup = lattice.states, lattice._lookup
+    cell = _level_mask if name == "alpha" else _image_mask
     out = {}
-    for agent, table in corr.items():
-        images, levels = [], []
-        for ref in lattice.states:
-            image = 0
-            found = set()
-            for target in table[ref]:
-                j = index[target]
-                image |= 1 << j
-                found.add(space[j])
-            images.append(image)
-            levels.append(found.pop() if len(found) == 1 else -1)
-        out[agent] = (images, levels)
+    for agent in agents:
+        row = [None] * len(states)
+        unknown = []
+        for key, value in table[agent].items():
+            i = lookup.get(key)
+            if i is None:
+                i = lattice._resolve(key)
+                if i is None:
+                    unknown.append(key)
+                    continue
+            row[i] = value
+        for i, value in enumerate(row):
+            if value is None:
+                raise ModelFormatError(f"{name}[{agent}] is undefined on state {states[i]}")
+            row[i] = cell(lattice, name, agent, states[i], value)
+        if unknown:
+            ref = min(map(_as_ref, unknown), key=state_order)
+            raise ModelFormatError(f"{name}[{agent}] keyed by unknown state {ref}")
+        out[agent] = (None, row) if name == "alpha" else (row, list(map(lattice._level, row)))
     return out
+
+
+def _image_mask(lattice: SpaceLattice, name: str, agent: str, ref: StateRef, image) -> int:
+    """An image as a state mask; it must be non-empty and name known states."""
+    if not image:
+        raise ModelFormatError(f"{name}[{agent}] is empty at state {ref}")
+    lookup = lattice._lookup
+    mask = 0
+    for target in image:
+        j = lookup.get(target)
+        if j is None:
+            j = lattice._resolve(target)
+            if j is None:
+                raise ModelFormatError(f"{name}[{agent}] at {ref} references "
+                                       f"unknown state {_as_ref(target)}")
+        mask |= 1 << j
+    return mask
+
+
+def _level_mask(lattice: SpaceLattice, name: str, agent: str, ref: StateRef, level) -> int:
+    """A level as a space mask; it must be a space of the lattice."""
+    mask = lattice._resolve_space(level)
+    if mask is None:
+        if type(level) is str:
+            level = parse_space_key(level)
+        raise ModelFormatError(f"{name}[{agent}] at {ref} names unknown space "
+                               f"{space_key(level)!r}")
+    return mask
 
 
 # -- spec operations ---------------------------------------------------------
@@ -643,14 +775,16 @@ def pi_space(model: LatticeModel, agent: str, ref: StateRef) -> frozenset[str]:
     models.
     """
     try:
-        image = _explicit(model).pi[agent][ref]
+        images, levels = _explicit(model)._pi_masks[agent]
     except KeyError:
         raise UnknownAgent(f"no agent {agent!r}") from None
-    found = {target.space for target in image}
-    if len(found) != 1:
+    lat = model.lattice
+    i = lat._state_index(ref)
+    if levels[i] < 0:
+        found = {lat._space[j] for j in _indices(images[i])}
         raise StraddledPossibilitySet(
             f"possibility set of agent {agent} at {ref} spans {len(found)} spaces")
-    return next(iter(found))
+    return lat._names.spaces[levels[i]]
 
 
 # The mask table of each primitive, by the primitive's name in model files.
@@ -759,38 +893,36 @@ def validate_hms(model: LatticeModel) -> Report:
     report = Report()
     lat = model.lattice
     _validate_lattice(lat, report)
-    states, index, spaces, proj, below, keys = (
-        lat.states, lat._index, lat._space, lat._proj, lat._below, lat._keys)
+    states, spaces, proj, below, keys = (
+        lat.states, lat._space, lat._proj, lat._below, lat._keys)
 
     checked = 0
     for agent in model.agents:
-        pi = model.pi[agent]
         images, levels = model._pi_masks[agent]
-        image_ups = [lat._close(image) for image in images]
+        image_ups = _each(lat._close, images)
+        holders = _holders(images)
         projections: dict[int, list[int]] = {}  # image mask -> its projections
         checked += 2 * len(states)  # both confinement laws, the second when the first holds
         for i, ref in enumerate(states):
             if levels[i] < 0:
                 checked -= 1
-                found = {target.space for target in pi[ref]}
+                found = {keys[spaces[j]] for j in _indices(images[i])}
                 report.add("confinement-single-space", agent, state=ref,
-                           spaces=";".join(sorted(space_key(s) for s in found)))
+                           spaces=";".join(sorted(found)))
                 continue
             if levels[i] & ~spaces[i]:
                 report.add("confinement-expressible", agent, state=ref,
                            image_space=keys[levels[i]])
 
         for i, ref in enumerate(states):
-            image = pi[ref]
             mine, mine_up, space = images[i], image_ups[i], spaces[i]
             # reflexivity, stationarity per target, ignorance per lower space
-            checked += len(image) + len(below[space])
+            checked += mine.bit_count() + len(below[space])
             if not mine_up >> i & 1:
                 report.add("generalized-reflexivity", agent, state=ref,
-                           image=";".join(str(t) for t in sorted(image, key=state_order)))
-            for target in image:
-                if images[index[target]] != mine:
-                    report.add("stationarity", agent, state=ref, reached=target)
+                           image=";".join(map(str, _refs(states, mine))))
+            for j in _indices(mine & ~holders[mine]):
+                report.add("stationarity", agent, state=ref, reached=states[j])
 
             row = proj[i]
             for target_space in below[space][:-1]:

@@ -70,6 +70,12 @@ def test_check_canonical_space_key(capsys):
     assert out.strip() == "True"
 
 
+def test_check_space_key_in_any_order(capsys):
+    """A space key is read as a set of atoms, so ``q,p`` names ``p,q``."""
+    assert run(capsys, "check", FIG1R, "--formula", "l_1 q", "--state", "q,p:pq") == \
+        run(capsys, "check", FIG1R, "--formula", "l_1 q", "--state", "p,q:pq")
+
+
 def test_check_all_states(capsys):
     code, out, _ = run(capsys, "check", FIG1L, "--formula", "p", "--all")
     assert code == 0
@@ -294,3 +300,27 @@ def test_closed_stdout_is_an_io_error(argv):
         os.close(write)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr and "internal error" not in proc.stderr
+
+
+def _fresh_process(argv):
+    src = str(Path(awarekit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "awarekit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_every_call(capsys):
+    """``main`` builds its parser once per process.  A usage error, then
+    ``validate``, ``check`` and ``lpa fuzz`` in one process give the exit
+    codes and output that each gives in a fresh process."""
+    calls = [
+        ["transform", FIG1L],
+        ["validate", FIG1L, "--format", "data"],
+        ["check", FIG1L, "--formula", "k_1 p -> l_1 p", "--all"],
+        ["lpa", "fuzz", "--trials", "1", "--format", "data"],
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in in_process] == [2, 0, 0, 0]
+    assert in_process == [_fresh_process(argv) for argv in calls]

@@ -8,13 +8,14 @@ raised, or the ``dumps_model`` text of a transform.  The models are the
 two bundled fixtures, seeded generated models of at most four atoms, and
 one seeded mutation of every lattice model.
 
-Validators walk correspondence images, which are frozensets, so the order
-of a report's violations follows the process's string hash seed.  The test
-therefore compares violations as a multiset (``checked`` and ``passed``
-exactly), and an error message up to its "first is ..." tail; transform
-outputs are compared byte for byte.  The file is written with
-``PYTHONHASHSEED=0``, and under that seed a fresh process must reproduce it
-byte for byte, violation order included.
+Every record comes from a lattice model, whose validators and suites walk
+states, images and events in index or sorted order, so a report's
+violations, and the "first is ..." tail of an error message, come out in
+one order whatever the process's string hash seed.  Records are therefore
+compared exactly, violation order included, in whatever hash seed the test
+process runs under; a fresh process under ``PYTHONHASHSEED=0`` must
+reproduce the file byte for byte, and ``validate --format data`` on a
+mutated lattice file must print the same bytes under two hash seeds.
 
 Regenerate the file (only when a change of output is intended) with:
 
@@ -251,16 +252,6 @@ def golden_records() -> list[dict]:
     return records
 
 
-def canonical(result):
-    """``result`` with hash-order-dependent parts made order-free."""
-    if isinstance(result, str):
-        return result
-    if "error" in result:
-        return {"error": result["error"].split(", first is ")[0]}
-    violations = sorted(json.dumps(v, sort_keys=True) for v in result["violations"])
-    return dict(result, violations=violations)
-
-
 def _recorded() -> list[dict]:
     return [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
 
@@ -286,16 +277,37 @@ def test_golden_mutations_fail_validation(current):
 @pytest.mark.parametrize("record", _recorded() if GOLDEN.exists() else [],
                          ids=lambda r: f"{r['model']}:{r['check']}")
 def test_matches_golden(record, current):
-    got = current[(record["model"], record["check"])]
-    assert canonical(got) == canonical(record["result"])
+    assert current[(record["model"], record["check"])] == record["result"]
+
+
+def _run_under_seed(seed: str, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=str(Path(awarekit.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
 
 def test_exact_under_recorded_hash_seed():
-    env = dict(os.environ, PYTHONHASHSEED="0",
-               PYTHONPATH=str(Path(awarekit.__file__).resolve().parents[1]))
-    run = subprocess.run([sys.executable, __file__, "--print"], env=env,
-                         capture_output=True, text=True, check=True)
+    run = _run_under_seed("0", __file__, "--print")
+    assert run.returncode == 0, run.stderr
     assert run.stdout == GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("seed,truncate", [(0, False), (0, True)],
+                         ids=["hms", "implicit-hms"])
+def test_validate_data_is_the_same_under_two_hash_seeds(seed, truncate, tmp_path):
+    """A mutated lattice file with several stationarity violations: its
+    ``validate --format data`` bytes do not depend on the hash seed."""
+    family = "implicit-hms" if truncate else "hms"
+    name, model = mutated(f"gen_fh({seed})->{family}",
+                          hms_transform(gen_fh(seed, CAPS), truncate=truncate), 0)
+    assert name.endswith("~drop_own_state")
+    path = tmp_path / "mutated.model"
+    path.write_text(dumps_model(model), encoding="utf-8")
+    runs = [_run_under_seed(hash_seed, "-m", "awarekit.cli", "validate", str(path),
+                            "--format", "data") for hash_seed in ("1", "2")]
+    assert [run.returncode for run in runs] == [1, 1], runs[0].stderr
+    assert len(json.loads(runs[0].stdout)["violations"]) > 1
+    assert runs[0].stdout == runs[1].stdout
 
 
 def main(argv: list[str]) -> int:

@@ -7,9 +7,10 @@ import json
 import pytest
 
 from awarekit.awareness import AwarenessModel
+from awarekit.cli import _validate_any
 from awarekit.errors import ModelFormatError
-from awarekit.fixtures import fig1L as load_fig1L, fixture_path
-from awarekit.gen import gen_fh, gen_hms, gen_implicit
+from awarekit.fixtures import fig1L as load_fig1L, fig1R as load_fig1R, fixture_path
+from awarekit.gen import GenCaps, gen_fh, gen_hms, gen_implicit
 from awarekit.implicit import implicit_from_complemented
 from awarekit.modelio import (
     data_to_model,
@@ -24,7 +25,7 @@ from awarekit.modelio import (
     lattice_dot,
 )
 from awarekit.transforms import hms_transform
-from awarekit.unawareness import StateRef
+from awarekit.unawareness import LatticeModel, StateRef
 from conftest import PQ, ref
 
 
@@ -321,3 +322,195 @@ def test_names_of_the_token_grammar_load():
                 relations={a: [["w0", "w0"]] for a in ("alice", "2", "_b")},
                 awareness={a: {"w0": ["q1"]} for a in ("alice", "2", "_b")})
     assert data_to_model(data).language_atoms == {"rain_now", "q1", "lx", "Tt"}
+
+
+# -- the loader against an oracle ----------------------------------------------------
+
+PRIMITIVES = (("pi", "_pi_masks"), ("lambda_", "_lambda_masks"), ("alpha", "_alpha_masks"))
+
+
+def _gen_at(atoms: int, build):
+    """A generated model with exactly ``atoms`` atoms."""
+    caps = GenCaps(atoms=atoms, worlds=3, agents=2)
+    seed = next(s for s in range(200) if len(gen_fh(s, caps).language_atoms) == atoms)
+    return build(seed, caps)
+
+
+def _oracle_masks(lattice, data: dict, field: str):
+    """A primitive's mask table straight from its token rows: a state is
+    its position in ``lattice.states``, a space the bits of its atoms'
+    positions in the sorted atoms."""
+    states = list(lattice.states)
+    atoms = sorted(lattice.atoms)
+
+    def position(token: str) -> int:
+        return states.index(parse_state_token(token))
+
+    def space_mask(space) -> int:
+        return sum(1 << atoms.index(atom) for atom in space)
+
+    table = {}
+    for agent, row in data[field].items():
+        if field == "alpha":
+            levels = [0] * len(states)
+            for token, key in row.items():
+                levels[position(token)] = space_mask(key.split(",") if key else [])
+            table[agent] = (None, levels)
+            continue
+        images, levels = [0] * len(states), [0] * len(states)
+        for token, image in row.items():
+            i = position(token)
+            images[i] = sum({1 << position(t) for t in image})
+            found = {parse_state_token(t).space for t in image}
+            levels[i] = space_mask(found.pop()) if len(found) == 1 else -1
+        table[agent] = (images, levels)
+    return table
+
+
+LOADED = [("fig1L", load_fig1L), ("fig1R", load_fig1R)] + [
+    (f"{name}@{atoms}", lambda atoms=atoms, build=build: _gen_at(atoms, build))
+    for atoms in range(2, 7) for name, build in (("hms", gen_hms), ("implicit", gen_implicit))]
+
+
+@pytest.mark.parametrize("name,build", LOADED, ids=[name for name, _ in LOADED])
+def test_loaded_masks_match_stateref_built_masks(name, build):
+    """The masks that a file's token rows load to equal the masks of the
+    same model built from ``StateRef`` mappings, and the oracle's."""
+    model = build()
+    given = {field: getattr(model, field) for field, _ in PRIMITIVES
+             if getattr(model, field) is not None}
+    from_refs = LatticeModel(model.lattice, model.agents, **given)
+    data = model_to_data(from_refs)
+    loaded = data_to_model(data)
+    fields = {"pi": "pi", "lambda_": "lambda" if "lambda" in data else "lambda_star",
+              "alpha": "alpha"}
+    for field, masks in PRIMITIVES:
+        assert getattr(loaded, masks) == getattr(from_refs, masks) == getattr(model, masks)
+        if field in given:
+            oracle = _oracle_masks(loaded.lattice, data, fields[field])
+            assert getattr(loaded, masks) == oracle, field
+
+
+@pytest.mark.parametrize("family,build", [
+    ("unawareness", _bare_pi),
+    ("complemented", gen_hms),
+    ("implicit", gen_implicit),
+])
+def test_dumps_load_dumps_is_a_fixed_point(family, build):
+    for seed in range(4):
+        text = dumps_model(build(seed))
+        loaded = data_to_model(json.loads(text))
+        assert loaded.family == family
+        assert dumps_model(loaded) == text
+
+
+def _fault_data():
+    """One file per fault, each with the message the loader gives for it."""
+    def complemented():
+        return model_to_data(load_fig1L())
+
+    def implicit():
+        return model_to_data(implicit_from_complemented(load_fig1L()))
+
+    cases = []
+    data = complemented()
+    del data["pi"]["1"]
+    cases.append(("missing agent", data, "pi must cover exactly the agents ['1']"))
+    data = complemented()
+    del data["lambda"]["1"]["p:~p"]
+    cases.append(("undefined state", data, "lambda[1] is undefined on state p:~p"))
+    data = complemented()
+    data["pi"]["1"]["p,q:~pq"] = []
+    cases.append(("empty image", data, "pi[1] is empty at state p,q:~pq"))
+    data = complemented()
+    data["lambda"]["1"]["q:q"] = ["q:q", "q,p:ghost"]
+    cases.append(("unknown target token", data,
+                  "lambda[1] at q:q references unknown state p,q:ghost"))
+    data = complemented()
+    data["pi"]["1"]["q,p:ghost"] = ["p:p"]
+    cases.append(("unknown key token", data, "pi[1] keyed by unknown state p,q:ghost"))
+    data = complemented()
+    data["pi"]["1"]["p:p"] = "p:p"
+    cases.append(("non-list image", data, "pi[1][p:p] must be a list of strings"))
+    data = complemented()
+    data["lambda"]["1"]["q:q"] = ["q:q", "q~q"]
+    cases.append(("malformed token", data,
+                  "state token 'q~q' is not of the form 'spaceKey:stateId'"))
+    data = complemented()
+    data["pi"]["1"]["p:p"] = ["p:"]
+    cases.append(("empty state id", data, "state token 'p:' has an empty state id"))
+    data = implicit()
+    del data["lambda_star"]["1"][":*"]
+    cases.append(("implicit undefined state", data, "lambda_star[1] is undefined on state :*"))
+    data = implicit()
+    data["alpha"]["1"]["q:q"] = "q,r"
+    cases.append(("unknown level", data, "alpha[1] at q:q names unknown space 'q,r'"))
+    data = implicit()
+    data["alpha"]["1"]["q:w"] = "q"
+    cases.append(("alpha unknown key token", data, "alpha[1] keyed by unknown state q:w"))
+    return cases
+
+
+@pytest.mark.parametrize("fault,data,message", _fault_data(),
+                         ids=[fault for fault, _, _ in _fault_data()])
+def test_each_correspondence_fault_has_its_message(fault, data, message):
+    with pytest.raises(ModelFormatError) as err:
+        data_to_model(data)
+    assert str(err.value) == message
+
+
+def _reversed_key(key: str) -> str:
+    return ",".join(reversed(key.split(",")))
+
+
+def _respelled(token: str) -> str:
+    key, _, state_id = token.partition(":")
+    return f"{_reversed_key(key)}:{state_id}"
+
+
+RESPELLED = [("fig1L", load_fig1L)] + LOADED[4:6]
+
+
+@pytest.mark.parametrize("name,build", RESPELLED, ids=[name for name, _ in RESPELLED])
+def test_space_key_order_does_not_matter(name, build):
+    """Tokens and levels whose space keys list their atoms in reverse
+    order (``q,p:pq`` for ``p,q:pq``) load to the same masks."""
+    model = build()
+    data = model_to_data(model)
+    for field in ("pi", "lambda", "lambda_star"):
+        if field in data:
+            data[field] = {agent: {_respelled(token): [_respelled(t) for t in image]
+                                   for token, image in row.items()}
+                           for agent, row in data[field].items()}
+    if "alpha" in data:
+        data["alpha"] = {agent: {_respelled(token): _reversed_key(level)
+                                 for token, level in row.items()}
+                         for agent, row in data["alpha"].items()}
+    assert data != model_to_data(model)
+    loaded = data_to_model(data)
+    for _, masks in PRIMITIVES:
+        assert getattr(loaded, masks) == getattr(model, masks)
+
+
+# -- the fast path stays fast: nothing decodes the StateRef views ------------------
+
+
+def _views_built(model) -> list[str]:
+    return [field for field, _ in PRIMITIVES if field in vars(model)]
+
+
+def test_load_and_validate_build_no_views(tmp_path):
+    broken = model_to_data(load_fig1L())
+    broken["lambda"]["1"]["p,q:pq"] = ["p,q:p~q"]
+    files = {"complemented": model_to_data(gen_hms(3)), "broken": broken,
+             "implicit": model_to_data(gen_implicit(3))}
+    for name, data in files.items():
+        path = tmp_path / f"{name}.model"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        model = load_model(path)
+        _validate_any(model)
+        assert _views_built(model) == [], name
+    assert model.family == "implicit"
+    derived = model.derived()
+    assert _views_built(model) == _views_built(derived) == []
+    assert derived.pi is not None and _views_built(derived) == ["pi"]
