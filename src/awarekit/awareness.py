@@ -2,17 +2,22 @@
 sublanguage categories.
 
 An awareness model pairs partitional accessibility relations with per-agent
-awareness sets.  Awareness sets are stored as atom subsets, never as formula
-sets: under propositional determination the agent is aware of a formula iff
-she is aware of each of its atoms, so the encoding is lossless, finite, and
-constant-time for membership.
+awareness sets, stored as atom sets: under propositional determination an
+agent is aware of a formula iff it is aware of each of the formula's atoms.
+Worlds are indices in sorted id order, and a model stores only mask tables
+(:class:`_Tables`), in which bit ``k`` of an atom mask is the ``k``-th
+language atom in sorted order, as in the space masks of a
+:class:`~awarekit.unawareness.SpaceLattice`.  Evaluation, validation, the
+category and the modal partition run on these ints; the mappings keyed by
+world id are views, decoded on first read.  Models are immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from functools import cache, cached_property, partial
+from itertools import combinations, compress
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .enumeration import enumerate_formulas
 from .errors import (
@@ -25,101 +30,149 @@ from .errors import (
 )
 from .reports import Report, memoised
 from .syntax import A, And, Atom, Formula, K, L, Not, Top, atoms as formula_atoms
-from .unawareness import space_key, subsets
+from .unawareness import _holders, _indices, space_key, subsets
+
+
+class _Tables(NamedTuple):
+    """Bit ``k`` of an atom mask is ``atoms[k]``: the language atoms, then
+    any other atom that awareness or the valuation names, each part sorted.
+    Bit ``i`` of a world mask is world ``i``."""
+
+    atoms: tuple[str, ...]
+    succ: dict[str, list[int]]   # per agent, each world's successor mask
+    aware: dict[str, list[int]]  # per agent, each world's awareness atom mask
+    val: dict[str, int]          # per valued atom, the worlds where it holds
+
+
+def _mask(position: Mapping[str, int], names: Iterable) -> int:
+    """The mask with bit ``position[name]`` set for each of ``names``."""
+    mask = 0
+    for name in names:
+        mask |= 1 << position[name]
+    return mask
+
+
+def _decode(names: Sequence[str], mask: int) -> frozenset[str]:
+    """The names at the set bits of ``mask``."""
+    return frozenset(compress(names, map("1".__eq__, bin(mask)[:1:-1])))
 
 
 class AwarenessModel:
-    """Worlds, equivalence relations, awareness atom-sets, and a valuation
-    over one fixed language."""
+    """Worlds, accessibility relations, awareness atom sets and a valuation
+    over one fixed language.
+
+    World ``i`` is ``worlds[i]``, the ``i``-th world id in sorted order.
+    The mappings keyed by world id are checked and encoded once into
+    :class:`_Tables`: per agent, each world's successors as a world mask and
+    its awareness set as an atom mask, and per valued atom the worlds where
+    it holds.  ``tables`` hands over tables built so (category members and
+    quotients are).  ``relations``, ``awareness_atoms``, ``valuation`` and
+    :meth:`successors` are views of the tables, decoded on first read."""
 
     family = "awareness"
 
-    def __init__(
-        self,
-        language_atoms: Iterable[str],
-        agents: Iterable[str],
-        worlds: Sequence[str],
-        relations: Mapping[str, Iterable[tuple[str, str]]],
-        awareness_atoms: Mapping[str, Mapping[str, Iterable[str]]],
-        valuation: Mapping[str, Iterable[str]],
-    ):
+    def __init__(self, language_atoms: Iterable[str], agents: Iterable[str],
+                 worlds: Sequence[str], relations: Mapping | None = None,
+                 awareness_atoms: Mapping | None = None, valuation: Mapping | None = None,
+                 *, tables: _Tables | None = None):
         self.language_atoms = frozenset(language_atoms)
         self.agents = tuple(dict.fromkeys(agents))
         if not self.agents:
             raise ModelFormatError("model needs at least one agent")
         if not worlds:
             raise ModelFormatError("model needs at least one world")
-        if len(set(worlds)) != len(worlds):
-            raise ModelFormatError("duplicate world ids")
-        if "" in worlds:
-            # A world becomes the state id of a lattice state token, which
-            # cannot be empty.
-            raise ModelFormatError("world ids must be non-empty")
         self.worlds = tuple(sorted(worlds))
-        known = set(self.worlds)
+        self._index = {w: i for i, w in enumerate(self.worlds)}
+        if tables is None:
+            if len(self._index) != len(worlds):
+                raise ModelFormatError("duplicate world ids")
+            if "" in self._index:
+                # A world becomes the state id of a lattice state token, which
+                # cannot be empty.
+                raise ModelFormatError("world ids must be non-empty")
+            tables = self._encode(relations, awareness_atoms, valuation)
+        self._atoms, self._succ, self._aware, self._val = tables
+        self._bit = {atom: k for k, atom in enumerate(self._atoms)}
+        self._ext_cache: dict[Formula, int] = {}
+        self._reports: dict = {}  # see reports.memoised
 
-        if set(relations) != set(self.agents):
-            raise ModelFormatError(f"relations must cover exactly the agents "
-                                   f"{sorted(self.agents)}")
-        self.relations: dict[str, frozenset[tuple[str, str]]] = {}
-        for agent in self.agents:
-            pairs = {(w, t) for w, t in relations[agent]}
-            for w, t in pairs:
-                if w not in known or t not in known:
+    def _encode(self, relations, awareness_atoms, valuation) -> _Tables:
+        worlds, index, agents = self.worlds, self._index, sorted(self.agents)
+        if set(relations) != set(agents):
+            raise ModelFormatError(f"relations must cover exactly the agents {agents}")
+        succ = {agent: [0] * len(worlds) for agent in self.agents}
+        for agent, rows in succ.items():
+            for w, t in relations[agent]:
+                if w not in index or t not in index:
                     raise ModelFormatError(f"relation of agent {agent} references "
                                            f"unknown world in ({w!r}, {t!r})")
-            self.relations[agent] = frozenset(pairs)
+                rows[index[w]] |= 1 << index[t]
 
-        if set(awareness_atoms) != set(self.agents):
-            raise ModelFormatError(f"awareness must cover exactly the agents "
-                                   f"{sorted(self.agents)}")
-        self.awareness_atoms: dict[str, dict[str, frozenset[str]]] = {}
+        if set(awareness_atoms) != set(agents):
+            raise ModelFormatError(f"awareness must cover exactly the agents {agents}")
         for agent in self.agents:
             per_agent = awareness_atoms[agent]
-            table = {}
-            for world in self.worlds:
+            for world in worlds:
                 if world not in per_agent:
                     raise ModelFormatError(f"awareness[{agent}] is undefined on "
                                            f"world {world!r}")
-                table[world] = frozenset(per_agent[world])
-            extra = set(per_agent) - known
+            extra = per_agent.keys() - index.keys()
             if extra:
                 raise ModelFormatError(f"awareness[{agent}] keyed by unknown world "
                                        f"{sorted(extra)[0]!r}")
-            self.awareness_atoms[agent] = table
+        named = set(valuation).union(*(per_agent[w] for per_agent in awareness_atoms.values()
+                                       for w in worlds))
+        atoms = tuple(sorted(self.language_atoms)) + tuple(sorted(named - self.language_atoms))
+        bit = {atom: k for k, atom in enumerate(atoms)}
+        aware = {agent: [_mask(bit, awareness_atoms[agent][w]) for w in worlds]
+                 for agent in self.agents}
 
-        self.valuation: dict[str, frozenset[str]] = {}
         for atom, hits in valuation.items():
-            hits = frozenset(hits)
-            missing = hits - known
-            if missing:
+            stray = [w for w in hits if w not in index]
+            if stray:
                 raise ModelFormatError(f"valuation of {atom!r} references unknown "
-                                       f"world {sorted(missing)[0]!r}")
-            self.valuation[atom] = hits
+                                       f"world {min(stray)!r}")
+        return _Tables(atoms, succ, aware, {a: _mask(index, hits) for a, hits in valuation.items()})
 
-        self._succ: dict[str, dict[str, frozenset[str]]] = {}
-        for agent in self.agents:
-            table: dict[str, set[str]] = {w: set() for w in self.worlds}
-            for w, t in self.relations[agent]:
-                table[w].add(t)
-            self._succ[agent] = {w: frozenset(ts) for w, ts in table.items()}
+    @cached_property
+    def _cells(self) -> dict[type, dict[str, dict[int, int]]]:
+        """Per operator, ``L`` or ``A``, and agent: each distinct successor
+        or awareness mask, and the worlds that have it."""
+        return {L: {agent: _holders(rows) for agent, rows in self._succ.items()},
+                A: {agent: _holders(rows) for agent, rows in self._aware.items()}}
 
-        self._ext_cache: dict[Formula, frozenset[str]] = {}
-        self._reports: dict = {}  # see reports.memoised
+    def _decoded(self, names: Sequence[str], table: dict[str, list[int]]) -> dict:
+        decode = cache(partial(_decode, names))
+        return {agent: dict(zip(self.worlds, map(decode, rows))) for agent, rows in table.items()}
+
+    @cached_property
+    def relations(self) -> dict[str, frozenset[tuple[str, str]]]:
+        return {agent: frozenset((w, t) for w, ts in rows.items() for t in ts)
+                for agent, rows in self._successor_sets.items()}
+
+    @cached_property
+    def awareness_atoms(self) -> dict[str, dict[str, frozenset[str]]]:
+        return self._decoded(self._atoms, self._aware)
+
+    @cached_property
+    def valuation(self) -> dict[str, frozenset[str]]:
+        return {atom: _decode(self.worlds, self._val[atom]) for atom in sorted(self._val)}
+
+    @cached_property
+    def _successor_sets(self) -> dict[str, dict[str, frozenset[str]]]:
+        return self._decoded(self.worlds, self._succ)
 
     def successors(self, agent: str, world: str) -> frozenset[str]:
-        try:
-            per_agent = self._succ[agent]
-        except KeyError:
-            raise UnknownAgent(f"no agent {agent!r}") from None
-        try:
-            return per_agent[world]
-        except KeyError:
-            raise UnknownState(f"no world {world!r}") from None
+        per_agent = self._successor_sets.get(agent)
+        if per_agent is None:
+            raise UnknownAgent(f"no agent {agent!r}")
+        if world not in per_agent:
+            raise UnknownState(f"no world {world!r}")
+        return per_agent[world]
 
 
-def fh_extension(model: AwarenessModel, f: Formula) -> frozenset[str]:
-    """The set of worlds satisfying ``f``; memoized per model."""
+def fh_mask(model: AwarenessModel, f: Formula) -> int:
+    """The worlds satisfying ``f``, as a world mask; memoized per model."""
     need = formula_atoms(f)
     if not need <= model.language_atoms:
         stray = sorted(need - model.language_atoms)
@@ -127,27 +180,40 @@ def fh_extension(model: AwarenessModel, f: Formula) -> frozenset[str]:
     return _fh_extension(model, f)
 
 
-def _fh_extension(model: AwarenessModel, f: Formula) -> frozenset[str]:
+def fh_extension(model: AwarenessModel, f: Formula) -> frozenset[str]:
+    """The set of worlds satisfying ``f``, decoded from :func:`fh_mask`."""
+    return _decode(model.worlds, fh_mask(model, f))
+
+
+def _fh_extension(model: AwarenessModel, f: Formula) -> int:
+    """:func:`fh_mask` unchecked; on a category member (which shares its
+    top model's memo) only for formulas of the member's language."""
     cached = model._ext_cache.get(f)
     if cached is not None:
         return cached
     if isinstance(f, Top):
-        out = frozenset(model.worlds)
+        out = (1 << len(model.worlds)) - 1
     elif isinstance(f, Atom):
-        out = model.valuation.get(f.name, frozenset())
+        out = model._val.get(f.name, 0)
     elif isinstance(f, Not):
-        out = frozenset(model.worlds) - _fh_extension(model, f.child)
+        out = ((1 << len(model.worlds)) - 1) & ~_fh_extension(model, f.child)
     elif isinstance(f, And):
         out = _fh_extension(model, f.left) & _fh_extension(model, f.right)
-    elif isinstance(f, L):
-        child = _fh_extension(model, f.child)
-        out = frozenset(w for w in model.worlds if model.successors(f.agent, w) <= child)
-    elif isinstance(f, A):
-        need = formula_atoms(f.child)
-        aware = model.awareness_atoms.get(f.agent)
-        if aware is None:
+    elif isinstance(f, (L, A)):
+        # Knowledge: the successors lie inside the child's extension.
+        # Awareness: the awareness set holds each atom of the child.
+        if isinstance(f, L):
+            child = _fh_extension(model, f.child)
+        else:
+            need = formula_atoms(f.child)
+            need = _mask(model._bit, need) if need <= model._bit.keys() else -1
+        cells = model._cells[type(f)].get(f.agent)
+        if cells is None:
             raise UnknownAgent(f"no agent {f.agent!r}")
-        out = frozenset(w for w in model.worlds if need <= aware[w])
+        out = 0
+        for cell, holders in cells.items():
+            if not (cell & ~child if isinstance(f, L) else need & ~cell):
+                out |= holders
     elif isinstance(f, K):
         # Explicit knowledge is implicit knowledge of an aware formula.
         out = _fh_extension(model, L(f.agent, f.child)) & _fh_extension(model, A(f.agent, f.child))
@@ -158,47 +224,48 @@ def _fh_extension(model: AwarenessModel, f: Formula) -> frozenset[str]:
 
 
 def fh_satisfies(model: AwarenessModel, world: str, f: Formula) -> bool:
-    if world not in set(model.worlds):
+    i = model._index.get(world)
+    if i is None:
         raise UnknownState(f"no world {world!r}")
-    return world in fh_extension(model, f)
+    return bool(fh_mask(model, f) >> i & 1)
 
 
 @memoised
 def validate_fh(model: AwarenessModel) -> Report:
     """Partitionality per agent, awareness constancy on cells, and the
-    language bounds on valuation and awareness sets."""
+    language bounds on valuation and awareness sets.  Worlds ``w`` and their
+    edges ``(w, t)`` are walked in index order, one and-not per edge and law:
+    ``succ[t] & ~succ[w]`` holds each ``u`` of a path ``w -> t -> u`` that
+    breaks transitivity, and ``succ[w] & ~succ[t]`` each ``u`` of an edge
+    pair ``(w, t), (w, u)`` that breaks euclideanness; ``checked`` counts
+    every such path and pair."""
     report = Report()
-    checked = len(model.valuation)
-    for atom in sorted(model.valuation):
-        if atom not in model.language_atoms:
-            report.add("valuation-within-language", atom=atom)
+    worlds, atoms = model.worlds, model._atoms
+    outside = ~_mask(model._bit, model.language_atoms)
+    checked = len(model._val)
+    for atom in sorted(model._val.keys() - model.language_atoms):
+        report.add("valuation-within-language", atom=atom)
     for agent in model.agents:
-        aware = model.awareness_atoms[agent]
-        rel = model.relations[agent]
-        checked += 2 * len(model.worlds) + len(rel)
-        for world in model.worlds:
-            if not aware[world] <= model.language_atoms:
-                report.add("awareness-within-language", agent, world=world,
-                           atoms=",".join(sorted(aware[world] - model.language_atoms)))
-
-        for world in model.worlds:
-            if (world, world) not in rel:
-                report.add("relation-reflexive", agent, world=world)
-        for w, t in rel:
-            for t2, u in rel:
-                if t == t2:
-                    checked += 1
-                    if (w, u) not in rel:
-                        report.add("relation-transitive", agent, chain=f"{w}->{t}->{u}")
-            if aware[w] != aware[t]:
-                report.add("awareness-constant-on-cells", agent, source=w, reached=t)
-        for w, t in rel:
-            for w2, u in rel:
-                if w == w2:
-                    checked += 1
-                    if (t, u) not in rel:
-                        report.add("relation-euclidean", agent,
-                                   witness=f"({w},{t}) and ({w},{u})")
+        aware, succ = model._aware[agent], model._succ[agent]
+        degree = [row.bit_count() for row in succ]
+        checked += 2 * len(worlds) + sum(degree)
+        for i, row in enumerate(succ):
+            w = worlds[i]
+            if aware[i] & outside:
+                report.add("awareness-within-language", agent, world=w, atoms=",".join(
+                    sorted(atoms[k] for k in _indices(aware[i] & outside))))
+            if not row >> i & 1:
+                report.add("relation-reflexive", agent, world=w)
+            checked += degree[i] ** 2
+            for j in _indices(row):
+                checked += degree[j]
+                for u in _indices(succ[j] & ~row):
+                    report.add("relation-transitive", agent, chain=f"{w}->{worlds[j]}->{worlds[u]}")
+                if aware[i] != aware[j]:
+                    report.add("awareness-constant-on-cells", agent, source=w, reached=worlds[j])
+                for u in _indices(row & ~succ[j]):
+                    report.add("relation-euclidean", agent,
+                               witness=f"({w},{worlds[j]}) and ({w},{worlds[u]})")
     report.count(checked)
     return report
 
@@ -220,10 +287,9 @@ def check_bounded_morphism(src: AwarenessModel, dst: AwarenessModel,
                            morphism: BoundedMorphism | Mapping[str, str]) -> Report:
     """Exhaustively verify the five clauses of a surjective bounded morphism.
 
-    Awareness consistency is checked on the atom encodings: restricting the
-    source awareness set to the target language must equal the target
-    awareness set, which under propositional determination is the atom-set
-    equation checked here.
+    Awareness consistency is checked on atom sets: the source awareness set
+    restricted to the target language must be the target awareness set,
+    which under propositional determination is the clause itself.
     """
     mapping = morphism.mapping if isinstance(morphism, BoundedMorphism) else morphism
     report = Report()
@@ -233,50 +299,46 @@ def check_bounded_morphism(src: AwarenessModel, dst: AwarenessModel,
             sorted(dst.language_atoms - src.language_atoms)))
         return report
 
-    src_worlds = set(src.worlds)
-    dst_worlds = set(dst.worlds)
     report.count()
-    if set(mapping) != src_worlds:
-        report.add("mapping-total", missing=",".join(sorted(src_worlds - set(mapping))))
+    if mapping.keys() != src._index.keys():
+        report.add("mapping-total", missing=",".join(sorted(src._index.keys() - mapping.keys())))
         return report
-    stray = {w: v for w, v in mapping.items() if v not in dst_worlds}
+    stray = sorted((w, v) for w, v in mapping.items() if v not in dst._index)
     report.count()
     if stray:
-        w, v = sorted(stray.items())[0]
-        report.add("mapping-into-target", world=w, image=v)
+        report.add("mapping-into-target", world=stray[0][0], image=stray[0][1])
         return report
 
-    hit = set(mapping.values())
-    for world in sorted(dst_worlds):
-        report.count()
-        if world not in hit:
-            report.add("surjectivity", world=world)
+    image = [dst._index[mapping[w]] for w in src.worlds]
+    report.count(len(dst.worlds))
+    for j in sorted(set(range(len(dst.worlds))) - set(image)):
+        report.add("surjectivity", world=dst.worlds[j])
 
     for p in sorted(dst.language_atoms):
-        for w in src.worlds:
+        here, there = src._val.get(p, 0), dst._val.get(p, 0)
+        for i, w in enumerate(src.worlds):
             report.count()
-            if (w in src.valuation.get(p, frozenset())) != (
-                    mapping[w] in dst.valuation.get(p, frozenset())):
+            if (here >> i & 1) != (there >> image[i] & 1):
                 report.add("atomic-harmony", world=w, atom=p)
 
     for agent in src.agents:
+        src_aware, dst_aware = src.awareness_atoms[agent], dst.awareness_atoms[agent]
         for w in src.worlds:
             report.count()
-            if src.awareness_atoms[agent][w] & dst.language_atoms != \
-                    dst.awareness_atoms[agent][mapping[w]]:
+            if src_aware[w] & dst.language_atoms != dst_aware[mapping[w]]:
                 report.add("awareness-consistency", agent, world=w)
 
-        for w, t in src.relations[agent]:
-            report.count()
-            if (mapping[w], mapping[t]) not in dst.relations[agent]:
-                report.add("homomorphism", agent, pair=f"({w},{t})")
-
-        for w in src.worlds:
-            for t2 in dst.successors(agent, mapping[w]):
+        succ, dst_succ = src._succ[agent], dst._succ[agent]
+        for i, row in enumerate(succ):
+            reached = 0  # the images of the world's successors
+            for j in _indices(row):
                 report.count()
-                if not any(mapping[t] == t2 and (w, t) in src.relations[agent]
-                           for t in src.worlds):
-                    report.add("back", agent, world=w, target=t2)
+                reached |= 1 << image[j]
+                if not dst_succ[image[i]] >> image[j] & 1:
+                    report.add("homomorphism", agent, pair=f"({src.worlds[i]},{src.worlds[j]})")
+            report.count(dst_succ[image[i]].bit_count())
+            for j in _indices(dst_succ[image[i]] & ~reached):
+                report.add("back", agent, world=src.worlds[i], target=dst.worlds[j])
     return report
 
 
@@ -305,105 +367,94 @@ class AwarenessCategory:
     def agents(self) -> tuple[str, ...]:
         return self.models[self.atoms].agents
 
-    @property
-    def top(self) -> AwarenessModel:
-        return self.models[self.atoms]
 
-
-def _modal_partition(model: AwarenessModel) -> dict[str, frozenset[str]]:
+def _modal_partition(model: AwarenessModel) -> list[int]:
     """Coarsest partition of worlds stable under valuation, awareness, and
-    per-agent reachability; on a partitional model this is modal equivalence
-    for the model's own language."""
-    def signature(world, block_of):
-        facts = tuple(world in model.valuation.get(p, frozenset())
-                      for p in sorted(model.language_atoms))
-        aware = tuple(tuple(sorted(model.awareness_atoms[a][world])) for a in model.agents)
-        reach = tuple(frozenset(block_of[t] for t in model.successors(a, world))
-                      for a in model.agents)
-        return facts, aware, reach
-
-    block_of = {w: 0 for w in model.worlds}
-    while True:
-        sigs = {w: signature(w, block_of) for w in model.worlds}
-        fresh: dict = {}
-        for w in sorted(model.worlds):
-            fresh.setdefault(sigs[w], len(fresh))
-        updated = {w: fresh[sigs[w]] for w in model.worlds}
-        if updated == block_of:
-            break
-        block_of = updated
-
-    cells: dict[int, set[str]] = {}
-    for w, b in block_of.items():
-        cells.setdefault(b, set()).add(w)
-    return {w: frozenset(cells[b]) for w, b in block_of.items()}
+    per-agent reachability (modal equivalence, on a partitional model), as
+    world masks ordered by first world.  Partition refinement (Paige and
+    Tarjan 1987): split every block by the worlds that reach a splitter
+    block, per agent, and queue both halves of each split as splitters."""
+    start: dict[tuple, int] = {}
+    for i in range(len(model.worlds)):
+        key = (tuple(model._val.get(p, 0) >> i & 1 for p in sorted(model.language_atoms)),
+               tuple(model._aware[agent][i] for agent in model.agents))
+        start[key] = start.get(key, 0) | 1 << i
+    blocks, pending = list(start.values()), list(start.values())
+    while pending:
+        splitter = pending.pop()
+        for cells in model._cells[L].values():
+            # The holders of distinct masks are disjoint, so their sum is their union.
+            reach = sum(holders for cell, holders in cells.items() if cell & splitter)
+            refined = []
+            for block in blocks:
+                inside = block & reach
+                if inside and inside != block:
+                    refined += (inside, block ^ inside)
+                    pending += (inside, block ^ inside)
+                else:
+                    refined.append(block)
+            blocks = refined
+    return sorted(blocks, key=lambda block: block & -block)
 
 
 def _quotient(model: AwarenessModel) -> tuple[AwarenessModel, dict[str, str], dict[str, str]]:
     """The quotient of ``model`` by modal equivalence, the name of each
     world's block (its members joined by ``+``), and each block name's
     representative (the block's first world)."""
-    cell_of = _modal_partition(model)
-    name_of = {w: "+".join(sorted(cell_of[w])) for w in model.worlds}
+    worlds = model.worlds
+    blocks = _modal_partition(model)
+    names = ["+".join(worlds[i] for i in _indices(block)) for block in blocks]
+    firsts = [(block & -block).bit_length() - 1 for block in blocks]
     member_of: dict[str, str] = {}
-    for w in model.worlds:
-        first = min(cell_of[w])
-        if member_of.setdefault(name_of[w], first) != first:
+    for name, first in zip(names, firsts):
+        if member_of.setdefault(name, worlds[first]) != worlds[first]:
             raise AwarekitError(
-                f"cannot minimize: blocks {member_of[name_of[w]]!r} and {first!r} "
-                f"would both be named {name_of[w]!r}; rename worlds so that no "
+                f"cannot minimize: blocks {member_of[name]!r} and {worlds[first]!r} "
+                f"would both be named {name!r}; rename worlds so that no "
                 f"world id equals a '+'-join of others")
-    worlds = sorted(member_of)
-    relations = {
-        agent: {(name_of[w], name_of[t]) for w, t in model.relations[agent]}
-        for agent in model.agents
-    }
-    awareness = {
-        agent: {name_of[w]: model.awareness_atoms[agent][w] for w in model.worlds}
-        for agent in model.agents
-    }
-    valuation = {p: frozenset(name_of[w] for w in hits)
-                 for p, hits in model.valuation.items()}
-    out = AwarenessModel(model.language_atoms, model.agents, worlds,
-                         relations, awareness, valuation)
+    # Quotient world q is the q-th block name in sorted order, read at its first world.
+    rank = sorted(range(len(blocks)), key=names.__getitem__)
+    at, name_of = [0] * len(worlds), {}
+    for q, b in enumerate(rank):
+        for i in _indices(blocks[b]):
+            at[i], name_of[worlds[i]] = q, names[b]
+    reps = [firsts[b] for b in rank]
+    succ = {a: [_mask(at, _indices(rows[r])) for r in reps] for a, rows in model._succ.items()}
+    aware = {a: [rows[r] for r in reps] for a, rows in model._aware.items()}
+    val = {p: _mask(at, (r for r in reps if hits >> r & 1)) for p, hits in model._val.items()}
+    out = AwarenessModel(model.language_atoms, model.agents, [names[b] for b in rank],
+                         tables=_Tables(model._atoms, succ, aware, val))
     return out, name_of, member_of
 
 
 def build_category(model: AwarenessModel, minimize: bool = False) -> AwarenessCategory:
-    """Canonical sublanguage category: each member is a copy of the top model
-    with valuation and awareness restricted, and the morphisms re-tag worlds
-    identically.  With ``minimize`` each member is additionally quotiented by
-    modal equivalence for its own sublanguage."""
+    """Canonical sublanguage category: each member is the top model's tables
+    with awareness and valuation restricted to the member's atom mask, and
+    the morphisms re-tag worlds identically.  With ``minimize`` each member
+    is additionally quotiented by modal equivalence for its sublanguage."""
     pre = validate_fh(model)
     if not pre.ok:
         raise PreconditionFailed("category construction needs a valid model", pre)
 
     atoms = model.language_atoms
+    identity = {w: w for w in model.worlds}
     members: dict[frozenset[str], AwarenessModel] = {}
-    onto: dict[frozenset[str], dict[str, str]] = {}    # world -> its member world
-    source: dict[frozenset[str], dict[str, str]] = {}  # member world -> a world
+    onto, source = {}, {}  # per space: world -> its member world, member world -> a world
     for space in subsets(atoms):
-        restricted = AwarenessModel(
-            space,
-            model.agents,
-            model.worlds,
-            model.relations,
-            {agent: {w: model.awareness_atoms[agent][w] & space for w in model.worlds}
-             for agent in model.agents},
-            {p: model.valuation[p] for p in sorted(space) if p in model.valuation},
-        )
+        bits = _mask(model._bit, space)
+        members[space] = AwarenessModel(space, model.agents, model.worlds, tables=_Tables(
+            model._atoms, model._succ,
+            {agent: [m & bits for m in rows] for agent, rows in model._aware.items()},
+            {p: hits for p, hits in model._val.items() if p in space}))
+        onto[space] = source[space] = identity
         if minimize:
-            restricted, onto[space], source[space] = _quotient(restricted)
-        else:
-            onto[space] = source[space] = {w: w for w in model.worlds}
-        members[space] = restricted
-
-    morphisms: dict[tuple[frozenset[str], frozenset[str]], BoundedMorphism] = {}
-    for large in subsets(atoms):
-        for small in subsets(large):
-            mapping = {block: onto[small][source[large][block]]
-                       for block in members[large].worlds}
-            morphisms[(large, small)] = BoundedMorphism(large, small, mapping)
+            members[space], onto[space], source[space] = _quotient(members[space])
+        else:  # a formula of the member's language has the top's extension: share the memo
+            members[space]._ext_cache = model._ext_cache
+    # Unminimized, every morphism is the identity, and they share one map.
+    morphisms = {(large, small): BoundedMorphism(large, small, identity if not minimize else {
+                     block: onto[small][source[large][block]] for block in members[large].worlds})
+                 for large in subsets(atoms) for small in subsets(large)}
     return AwarenessCategory(atoms, members, morphisms)
 
 
@@ -411,27 +462,23 @@ def validate_category(category: AwarenessCategory) -> Report:
     """Identity and composition laws plus the morphism clauses for every
     nested pair of sublanguages."""
     report = Report()
+    morphisms = category.morphisms
     for space in subsets(category.atoms):
-        identity = category.morphisms[(space, space)]
         for world in category.models[space].worlds:
             report.count()
-            if identity(world) != world:
+            if morphisms[(space, space)](world) != world:
                 report.add("identity-morphism", space=space_key(space), world=world)
     for large in subsets(category.atoms):
         for mid in subsets(large):
             for small in subsets(mid):
-                upper = category.morphisms[(large, mid)]
-                lower = category.morphisms[(mid, small)]
-                direct = category.morphisms[(large, small)]
                 for world in category.models[large].worlds:
                     report.count()
-                    if lower(upper(world)) != direct(world):
+                    if morphisms[(mid, small)](morphisms[(large, mid)](world)) != \
+                            morphisms[(large, small)](world):
                         report.add("composition", world=world,
-                                   path=f"{space_key(large)}->{space_key(mid)}"
-                                        f"->{space_key(small)}")
+                                   path="->".join(map(space_key, (large, mid, small))))
     for (large, small), morphism in sorted(
-            category.morphisms.items(),
-            key=lambda kv: (space_key(kv[0][0]), space_key(kv[0][1]))):
+            morphisms.items(), key=lambda kv: (space_key(kv[0][0]), space_key(kv[0][1]))):
         report.merge(check_bounded_morphism(category.models[large],
                                             category.models[small], morphism))
     return report
@@ -447,39 +494,42 @@ def category_equivalence_suite(category: AwarenessCategory, depth: int = 3) -> R
     category surfaces as formula-level counterexamples here.
     """
     report = Report()
-    agents = category.agents
+    verdicts: dict[tuple[frozenset[str], frozenset[str]], bool] = {}
 
-    pair_cache: dict[tuple[frozenset[str], frozenset[str], frozenset[str]], bool] = {}
-
-    def pair_ok(large: frozenset[str], small: frozenset[str],
-                language: frozenset[str], context: str) -> None:
-        key = (large, small, language)
-        if key in pair_cache:
+    def pair_ok(large: frozenset[str], small: frozenset[str], context: str) -> None:
+        """Compare the two members on the formulas of the smaller language."""
+        where = {"source": space_key(large), "target": space_key(small)}
+        if (large, small) in verdicts:
             report.count()
-            if not pair_cache[key]:
-                report.add("modal-equivalence", context=context,
-                           source=space_key(large), target=space_key(small),
-                           language=space_key(language))
+            if not verdicts[(large, small)]:
+                report.add("modal-equivalence", context=context, **where, language=where["target"])
             return
-        src = category.models[large]
-        dst = category.models[small]
+        src, dst = category.models[large], category.models[small]
         morphism = category.morphisms[(large, small)]
+        # Each source world's image as a target world index; an identity
+        # morphism between equal world tuples compares the masks whole.
+        image = [dst._index.get(morphism(world)) for world in src.worlds]
+        same = src.worlds == dst.worlds and image == list(range(len(image)))
         good = True
-        for f in enumerate_formulas(language, agents, depth):
-            ext_src = fh_extension(src, f)
-            ext_dst = fh_extension(dst, f)
-            for world in src.worlds:
+        for f in enumerate_formulas(small, category.agents, depth):
+            ext_src, ext_dst = fh_mask(src, f), fh_mask(dst, f)
+            if not same:
+                ext_dst = sum(1 << i for i, j in enumerate(image)
+                              if j is not None and ext_dst >> j & 1)
+            if ext_src == ext_dst:
+                report.count(len(src.worlds))
+                continue
+            for i, world in enumerate(src.worlds):
                 report.count()
-                if (world in ext_src) != (morphism(world) in ext_dst):
+                if (ext_src ^ ext_dst) >> i & 1:
                     good = False
-                    report.add("modal-equivalence", context=context,
-                               formula=f, world=world,
-                               source=space_key(large), target=space_key(small))
-        pair_cache[key] = good
+                    report.add("modal-equivalence", context=context, formula=f, world=world,
+                               **where)
+        verdicts[(large, small)] = good
 
     for large in subsets(category.atoms):
         for small in subsets(large):
-            pair_ok(large, small, small, "morphism")
+            pair_ok(large, small, "morphism")
 
     # Every nonempty family of sublanguages; each family only exercises
     # already-memoized comparable pairs, so the cost is the iteration itself.
@@ -487,17 +537,13 @@ def category_equivalence_suite(category: AwarenessCategory, depth: int = 3) -> R
     # pairs plus the full family.
     all_spaces = list(subsets(category.atoms))
     max_size = len(all_spaces) if len(all_spaces) <= 8 else 2
-    families = [family
-                for size in range(1, max_size + 1)
+    families = [family for size in range(1, max_size + 1)
                 for family in combinations(all_spaces, size)]
     if max_size != len(all_spaces):
         families.append(tuple(all_spaces))
     for family in families:
-        join = frozenset().union(*family)
-        meet = family[0]
-        for member in family[1:]:
-            meet = meet & member
+        join, meet = frozenset().union(*family), frozenset.intersection(*family)
         for member in family:
-            pair_ok(join, member, member, "family-join")
-            pair_ok(member, meet, meet, "family-meet")
+            pair_ok(join, member, "family-join")
+            pair_ok(member, meet, "family-meet")
     return report

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .awareness import AwarenessModel
+from .awareness import AwarenessModel, _Tables
 from .errors import InvalidCaps
 from .syntax import A, And, Atom, Formula, K, L, Not, TOP
 
@@ -50,23 +50,29 @@ def gen_fh(seed: int, caps: GenCaps = GenCaps()) -> AwarenessModel:
     worlds = [f"w{i}" for i in range(n_worlds)]
     agents = [str(i + 1) for i in range(n_agents)]
 
-    relations = {}
-    awareness = {}
+    # The model is built from its mask tables: world i is the i-th world id
+    # in sorted order, and bit k of an atom mask the k-th atom.
+    at = {w: i for i, w in enumerate(sorted(worlds))}
+    bit = {a: k for k, a in enumerate(sorted(atoms))}
+    succ: dict[str, list[int]] = {}
+    aware: dict[str, list[int]] = {}
     for agent in agents:
         n_cells = rng.randint(1, n_worlds)
         label_of = {w: rng.randrange(n_cells) for w in worlds}
         cells: dict[int, list[str]] = {}
         for w in worlds:
             cells.setdefault(label_of[w], []).append(w)
-        relations[agent] = {(w, t) for cell in cells.values() for w in cell for t in cell}
-        awareness[agent] = {}
+        rows = succ[agent] = [0] * n_worlds
+        levels = aware[agent] = [0] * n_worlds
         for cell in cells.values():
-            cell_atoms = frozenset(a for a in atoms if rng.random() < 0.7)
+            members = sum(1 << at[w] for w in cell)
+            cell_atoms = sum(1 << bit[a] for a in atoms if rng.random() < 0.7)
             for w in cell:
-                awareness[agent][w] = cell_atoms
+                rows[at[w]], levels[at[w]] = members, cell_atoms
 
-    valuation = {a: frozenset(w for w in worlds if rng.random() < 0.5) for a in atoms}
-    return AwarenessModel(atoms, agents, worlds, relations, awareness, valuation)
+    valuation = {a: sum(1 << at[w] for w in worlds if rng.random() < 0.5) for a in atoms}
+    return AwarenessModel(atoms, agents, sorted(worlds),
+                          tables=_Tables(tuple(sorted(atoms)), succ, aware, valuation))
 
 
 def gen_hms(seed: int, caps: GenCaps = GenCaps()):

@@ -297,11 +297,11 @@ def category_valid(category: AwarenessCategory, f: Formula):
         if not need <= space:
             continue
         # The member's language holds the formula's atoms, as checked above.
-        ext = _fh_extension(model, f)
-        for world in model.worlds:
-            if world not in ext:
-                return False, f"{render(f)} fails at world {world} of member " \
-                              f"{','.join(sorted(space))}"
+        fails = ((1 << len(model.worlds)) - 1) & ~_fh_extension(model, f)
+        if fails:
+            world = model.worlds[(fails & -fails).bit_length() - 1]
+            return False, f"{render(f)} fails at world {world} of member " \
+                          f"{','.join(sorted(space))}"
     return True, None
 
 

@@ -9,11 +9,14 @@ states by this tagging, never by search.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .awareness import (
     AwarenessCategory,
     AwarenessModel,
+    _Tables,
     build_category,
-    fh_extension,
+    fh_mask,
     validate_fh,
 )
 from .enumeration import enumerate_formulas
@@ -38,53 +41,43 @@ def category_to_implicit(category: AwarenessCategory) -> LatticeModel:
     lattice model: spaces are the member models' worlds, projections are the
     morphisms, the implicit correspondence copies each member's relations,
     and the awareness level at a world is the space of its awareness atoms.
-    Λ and α are built as mask tables.
+    A space's states are its member's worlds in order, so Λ and α are the
+    members' masks shifted to the space's first state; an awareness mask in
+    the lattice's atom bit order, as :func:`build_category` makes them, is
+    a level as it stands.
     """
-    atoms = category.atoms
-    agents = category.agents
-
-    spaces = {space: [w for w in category.models[space].worlds] for space in subsets(atoms)}
-    projections = {}
-    for space in subsets(atoms):
-        for atom in space:
-            child = space - {atom}
-            morphism = category.morphisms[(space, child)]
-            projections[(space, child)] = dict(morphism.mapping)
-
+    atoms, agents = category.atoms, category.agents
+    members = {space: category.models[space] for space in subsets(atoms)}
+    projections = {(space, space - {atom}): category.morphisms[(space, space - {atom})].mapping
+                   for space in members for atom in space}
     valuation = {}
     for atom in sorted(atoms):
         single = frozenset({atom})
-        valuation[atom] = (single, tuple(
-            StateRef(single, w) for w in category.models[single].valuation.get(atom, ())))
-
-    lattice = SpaceLattice(atoms, spaces, projections, valuation)
-    n = len(lattice.states)
-    # The index of each world of each member, by space.
-    index = {space: {ref.id: i for i, ref in zip(lattice._span[lattice._masks[space]], refs)}
-             for space, refs in lattice.spaces.items()}
-
+        member = members[single]
+        valuation[atom] = (single, [StateRef(single, member.worlds[i])
+                                    for i in _indices(member._val.get(atom, 0))])
+    lattice = SpaceLattice(atoms, {space: member.worlds for space, member in members.items()},
+                           projections, valuation)
+    n, order = len(lattice.states), tuple(sorted(atoms))
+    starts = {space: lattice._span[lattice._masks[space]].start for space in members}
     lambda_star = {agent: ([0] * n, [0] * n) for agent in agents}
     alpha = {agent: (None, [0] * n) for agent in agents}
-    for space, at in index.items():
-        member, mask = category.models[space], lattice._masks[space]
+    for space, member in members.items():
+        mask, start = lattice._masks[space], starts[space]
+        native = member._atoms[:len(order)] == order
         for agent in agents:
-            images, levels = lambda_star[agent]
-            aware = alpha[agent][1]
-            for world in member.worlds:
-                i = at[world]
-                images[i] = sum(1 << at[t] for t in member.successors(agent, world))
-                levels[i] = mask
-                aware[i] = _level_mask(lattice, "alpha", agent, lattice.states[i],
-                                       member.awareness_atoms[agent][world])
+            (images, levels), aware = lambda_star[agent], alpha[agent][1]
+            for i, (succ, bits) in enumerate(zip(member._succ[agent], member._aware[agent]), start):
+                images[i], levels[i] = succ << start, mask
+                aware[i] = bits if native and bits >> len(order) == 0 else _level_mask(
+                    lattice, "alpha", agent, lattice.states[i],
+                    member.awareness_atoms[agent][lattice.states[i].id])
 
     # The valuation of an atom must collect exactly the worlds where the atom
     # holds, across every member model that can express it.
     for atom in sorted(atoms):
-        joined = 0
-        for space, at in index.items():
-            if atom in space:
-                for w in category.models[space].valuation.get(atom, ()):
-                    joined |= 1 << at[w]
+        joined = sum(member._val.get(atom, 0) << starts[space]
+                     for space, member in members.items() if atom in space)
         if lattice.valuation[atom].up != joined:
             raise TransformInvariantBroken(
                 f"valuation of {atom!r} is not the up-closure of its base layer")
@@ -108,27 +101,19 @@ def hms_transform(model: AwarenessModel, truncate: bool = False,
 
 def _top_transform(model: LatticeModel, table) -> AwarenessModel:
     """The awareness model on the top space's states: relations from Λ,
-    awareness from the levels of ``table``, the mask table of Π or α."""
+    awareness from the levels of ``table``, the mask table of Π or α.  The
+    top space's states come first, in id order, so its state ``i`` is world
+    ``i``: Λ's images (confined to the top space on a valid model), the
+    levels and the valuation's up-closures, cut to the top space, are the
+    awareness model's masks."""
     lat = model.lattice
-    top = lat.atoms
-    states, spaces = lat.states, lat._names.spaces
-    span = lat._span[lat._masks[top]]
-    worlds = [states[i].id for i in span]
-
-    relations = {}
-    awareness = {}
-    for agent in model.agents:
-        images = model._lambda_masks[agent][0]
-        relations[agent] = {(states[i].id, states[j].id) for i in span for j in _indices(images[i])}
-        levels = table[agent][1]
-        awareness[agent] = {states[i].id: spaces[levels[i]] for i in span}
-
-    valuation = {}
-    for atom in sorted(lat.atoms):
-        up = lat.valuation[atom].up
-        valuation[atom] = frozenset(states[i].id for i in span if up >> i & 1)
-
-    out = AwarenessModel(top, model.agents, worlds, relations, awareness, valuation)
+    span = lat._span[lat._masks[lat.atoms]]
+    top = (1 << len(span)) - 1
+    succ = {a: [images[i] & top for i in span] for a, (images, _) in model._lambda_masks.items()}
+    aware = {a: [levels[i] for i in span] for a, (_, levels) in table.items()}
+    val = {atom: lat.valuation[atom].up & top for atom in sorted(lat.atoms)}
+    out = AwarenessModel(lat.atoms, model.agents, [lat.states[i].id for i in span],
+                         tables=_Tables(tuple(sorted(lat.atoms)), succ, aware, val))
     report = validate_fh(out)
     if not report.ok:
         raise TransformInvariantBroken("transform output is not a valid awareness model",
@@ -159,30 +144,6 @@ def fh_star_transform(model: LatticeModel) -> AwarenessModel:
 TRANSFORM_DIRECTIONS = ("hms", "implicit-hms", "fh", "fh-star")
 
 
-def _world_mask(worlds: tuple[str, ...], ext: frozenset[str]) -> int:
-    """A set of worlds as a bitmask over ``worlds``."""
-    return sum(1 << k for k, world in enumerate(worlds) if world in ext)
-
-
-def _aligned_start(lat: SpaceLattice, space: frozenset[str],
-                   worlds: tuple[str, ...]) -> int | None:
-    """When the state ids of ``space`` are exactly the sorted ``worlds``,
-    the index of the space's first state, so that world ``k`` is state
-    ``start + k``; otherwise None."""
-    refs = lat.spaces.get(space)
-    if refs is None or tuple(ref.id for ref in refs) != worlds:
-        return None
-    return lat._span[lat._masks[space]].start
-
-
-def _agrees(masks: tuple[int, int], start: int, ext: int, n: int) -> bool:
-    """Whether ``n`` states from ``start`` on are true exactly at ``ext`` and
-    false everywhere else, given a formula's truth masks."""
-    true, false = masks
-    full = (1 << n) - 1
-    return (true >> start) & full == ext and (false >> start) & full == full ^ ext
-
-
 def equivalence_check(source, produced, via: str, depth: int = 2) -> Report:
     """Modal equivalence between a model and its transform, by enumerating
     formulas up to the depth bound.
@@ -195,78 +156,69 @@ def equivalence_check(source, produced, via: str, depth: int = 2) -> Report:
 
     Per formula, a space whose state ids are the worlds is compared whole,
     with one mask operation on the formula's truth masks.  A space that
-    disagrees or does not align is walked world by world, which finds the
+    disagrees or does not align is walked state by state, which finds the
     violations and their witnesses."""
-    report = Report()
     if via in ("hms", "implicit-hms"):
+        expected = "complemented" if via == "hms" else "implicit"
         if source.family != "awareness":
             raise ModelFormatError(f"via {via!r} expects an awareness model as source")
-        expected = "complemented" if via == "hms" else "implicit"
         if produced.family != expected:
             raise ModelFormatError(f"via {via!r} expects the {expected} family as target")
-        lat = produced.lattice
-        worlds = source.worlds
-        spaces = [(space, _aligned_start(lat, space, worlds))
-                  for space in subsets(source.language_atoms)]
-        formulas = enumerate_formulas(source.language_atoms, source.agents, depth)
-        for f in formulas:
-            ext = fh_extension(source, f)
-            ext_mask = _world_mask(worlds, ext)
-            need = formula_atoms(f)
-            for space, start in spaces:
-                if not need <= space:
-                    continue
-                if start is not None and _agrees(truth_masks(produced, f), start,
-                                                 ext_mask, len(worlds)):
-                    report.count(len(worlds))
-                    continue
-                for world in worlds:
-                    ref = StateRef(space, world)
-                    report.count()
-                    if ref not in lat._index:
-                        report.add("state-alignment", state=ref)
-                        continue
-                    value = satisfies(produced, ref, f)
-                    if value is TruthValue.UNDEFINED:
-                        report.add("expected-defined", formula=f, state=ref)
-                    elif (value is TruthValue.TRUE) != (world in ext):
-                        report.add("modal-equivalence", formula=f, state=ref,
-                                   source_value=world in ext, target_value=value)
-        return report
-
-    if via in ("fh", "fh-star"):
+        aware, lattice_model = source, produced
+        atoms = source.language_atoms
+    elif via in ("fh", "fh-star"):
         expected = "complemented" if via == "fh" else "implicit"
         if source.family != expected:
             raise ModelFormatError(f"via {via!r} expects the {expected} family as source")
         if produced.family != "awareness":
             raise ModelFormatError(f"via {via!r} expects an awareness model as target")
-        lat = source.lattice
-        top_states = lat.states_of(lat.atoms)
-        worlds = set(produced.worlds)
-        start = _aligned_start(lat, lat.atoms, produced.worlds)
-        formulas = enumerate_formulas(lat.atoms, source.agents, depth)
-        for f in formulas:
-            ext = fh_extension(produced, f)
-            if start is not None and _agrees(truth_masks(source, f), start,
-                                             _world_mask(produced.worlds, ext),
-                                             len(top_states)):
-                report.count(len(top_states))
+        aware, lattice_model = produced, source
+        atoms = source.lattice.atoms
+    else:
+        raise ModelFormatError(f"unknown transform direction {via!r}; "
+                               f"expected one of {TRANSFORM_DIRECTIONS}")
+    lat, worlds = lattice_model.lattice, aware.worlds
+    forward, full = aware is source, (1 << len(worlds)) - 1
+    # Each space, and the index of its first state when its state ids are
+    # exactly the worlds, so that world k is state start + k.
+    spaces = [(space, lat._span[lat._masks[space]].start
+               if tuple(ref.id for ref in lat.spaces.get(space, ())) == worlds else None)
+              for space in (subsets(atoms) if forward else [atoms])]
+
+    @cache
+    def walk(space: frozenset[str]) -> list[tuple[StateRef, int | None]]:
+        """The states to compare, each with its world's index, or None when
+        the state has no world: forward, the worlds' tagged states in
+        ``space``; backward, the states of ``space``."""
+        if forward:
+            return [(ref, k if ref in lat._index else None)
+                    for k, ref in enumerate(StateRef(space, world) for world in worlds)]
+        return [(ref, aware._index.get(ref.id)) for ref in lat.states_of(space)]
+
+    report = Report()
+    for f in enumerate_formulas(atoms, source.agents, depth):
+        ext, need = fh_mask(aware, f), formula_atoms(f)
+        for space, start in spaces:
+            if not need <= space:
                 continue
-            for ref in top_states:
+            if start is not None:
+                true, false = truth_masks(lattice_model, f)
+                if true >> start & full == ext and false >> start & full == full ^ ext:
+                    report.count(len(worlds))
+                    continue
+            for ref, k in walk(space):
                 report.count()
-                if ref.id not in worlds:
+                if k is None:
                     report.add("state-alignment", state=ref)
                     continue
-                value = satisfies(source, ref, f)
+                value = satisfies(lattice_model, ref, f)
                 if value is TruthValue.UNDEFINED:
                     report.add("expected-defined", formula=f, state=ref)
-                elif (value is TruthValue.TRUE) != (ref.id in ext):
+                elif (value is TruthValue.TRUE) != bool(ext >> k & 1):
+                    values = (bool(ext >> k & 1), value) if forward else (value, bool(ext >> k & 1))
                     report.add("modal-equivalence", formula=f, state=ref,
-                               source_value=value, target_value=ref.id in ext)
-        return report
-
-    raise ModelFormatError(f"unknown transform direction {via!r}; "
-                           f"expected one of {TRANSFORM_DIRECTIONS}")
+                               source_value=values[0], target_value=values[1])
+    return report
 
 
 def round_trip_check(model: AwarenessModel, depth: int = 2) -> Report:
@@ -276,16 +228,18 @@ def round_trip_check(model: AwarenessModel, depth: int = 2) -> Report:
     report = Report()
     back = fh_star_transform(category_to_implicit(build_category(model)))
     report.count()
-    if set(back.worlds) != set(model.worlds):
+    if back.worlds != model.worlds:  # sorted, so the masks align
         report.add("round-trip-worlds", expected=",".join(model.worlds),
                    got=",".join(back.worlds))
         return report
     for f in enumerate_formulas(model.language_atoms, model.agents, depth):
-        before = fh_extension(model, f)
-        after = fh_extension(back, f)
-        for world in model.worlds:
+        before, after = fh_mask(model, f), fh_mask(back, f)
+        if before == after:
+            report.count(len(model.worlds))
+            continue
+        for k, world in enumerate(model.worlds):
             report.count()
-            if (world in before) != (world in after):
+            if (before ^ after) >> k & 1:
                 report.add("round-trip-equivalence", formula=f, world=world,
-                           before=world in before, after=world in after)
+                           before=bool(before >> k & 1), after=bool(after >> k & 1))
     return report

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from awarekit.awareness import (
@@ -55,6 +57,21 @@ def test_non_equivalence_relation_reported():
     missing_reflexive = small_model(relations={"1": [("w0", "w0")]})
     report = validate_fh(missing_reflexive)
     assert any(v.law == "relation-reflexive" for v in report.violations)
+
+
+def test_one_large_cell_validates_in_linear_time():
+    """Each edge costs one and-not per law, so one 200-world cell (40,000
+    edges) validates in well under a second; ``checked`` still counts every
+    two-edge path and every pair of edges out of one world."""
+    worlds = [f"w{i}" for i in range(200)]
+    model = small_model(worlds=worlds, relations={"1": [(w, t) for w in worlds for t in worlds]},
+                        awareness_atoms={"1": {w: ["p"] for w in worlds}},
+                        valuation={"p": worlds[::2], "q": []})
+    start = time.perf_counter()
+    report = validate_fh(model)
+    assert time.perf_counter() - start < 1.0
+    assert report.ok
+    assert report.checked == 2 + 2 * 200 + 200 ** 2 + 2 * 200 ** 3
 
 
 def test_satisfaction_on_transformed_fixture(fig1R):
@@ -192,10 +209,10 @@ def test_broken_awareness_consistency_is_caught():
     violation and as an awareness-formula counterexample in the suite."""
     model = small_model()
     category = build_category(model)
-    member = category.models[P]
-    member.awareness_atoms["1"]["w0"] = frozenset()
-    member.awareness_atoms["1"]["w1"] = frozenset()
-    member._ext_cache.clear()
+    kept = category.models[P]
+    member = category.models[P] = AwarenessModel(
+        kept.language_atoms, kept.agents, kept.worlds, kept.relations,
+        {"1": {"w0": frozenset(), "w1": frozenset()}}, kept.valuation)
     direct = check_bounded_morphism(category.models[PQ], member,
                                     category.morphisms[(PQ, P)])
     assert any(v.law == "awareness-consistency" for v in direct.violations)

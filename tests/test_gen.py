@@ -10,7 +10,7 @@ from awarekit.awareness import validate_fh
 from awarekit.errors import InvalidCaps
 from awarekit.gen import GenCaps, gen_fh, gen_hms, gen_implicit, random_formula
 from awarekit.implicit import validate_implicit, validate_lambda
-from awarekit.modelio import awareness_to_data, model_to_data
+from awarekit.modelio import awareness_to_data, data_to_model, model_to_data
 from awarekit.syntax import modal_depth
 from awarekit.unawareness import validate_hms
 
@@ -73,3 +73,14 @@ def test_random_formula_respects_depth():
     for _ in range(200):
         f = random_formula(rng, ["p", "q"], ["1", "2"], max_depth=2)
         assert modal_depth(f) <= 2
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_generated_tables_match_the_loader(seed):
+    """``gen_fh`` builds its model from mask tables; loading the model's
+    file through the string constructor gives the same tables, world ids
+    such as ``w10`` sorting before ``w2`` included."""
+    model = gen_fh(seed, GenCaps(atoms=6, worlds=14, agents=3))
+    again = data_to_model(model_to_data(model))
+    assert (model.worlds, model._atoms, model._succ, model._aware, model._val) == \
+        (again.worlds, again._atoms, again._succ, again._aware, again._val)

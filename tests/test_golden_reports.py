@@ -6,16 +6,17 @@ outputs, must match the recorded ones.
 ``Report.to_data()``, ``{"error": "<class>: <message>"}`` when the check
 raised, or the ``dumps_model`` text of a transform.  The models are the
 two bundled fixtures, seeded generated models of at most four atoms, and
-one seeded mutation of every lattice model.
+one seeded mutation of every lattice model; then the generated awareness
+models and one seeded mutation of each, with their ``validate_fh`` reports.
 
-Every record comes from a lattice model, whose validators and suites walk
-states, images and events in index or sorted order, so a report's
-violations, and the "first is ..." tail of an error message, come out in
-one order whatever the process's string hash seed.  Records are therefore
-compared exactly, violation order included, in whatever hash seed the test
-process runs under; a fresh process under ``PYTHONHASHSEED=0`` must
-reproduce the file byte for byte, and ``validate --format data`` on a
-mutated lattice file must print the same bytes under two hash seeds.
+Every validator and suite walks states, worlds, images and events in index
+or sorted order, so a report's violations, and the "first is ..." tail of
+an error message, come out in one order whatever the process's string hash
+seed.  Records are therefore compared exactly, violation order included, in
+whatever hash seed the test process runs under; a fresh process under
+``PYTHONHASHSEED=0`` must reproduce the file byte for byte, and ``validate
+--format data`` on a mutated file of each family must print the same bytes
+under two hash seeds.
 
 Regenerate the file (only when a change of output is intended) with:
 
@@ -34,6 +35,7 @@ from pathlib import Path
 import pytest
 
 import awarekit
+from awarekit.awareness import validate_fh
 from awarekit.errors import AwarekitError
 from awarekit.fixtures import fig1L, fig1R
 from awarekit.gen import GenCaps, gen_fh
@@ -171,15 +173,62 @@ def lower_alpha(data, rng):
     return True
 
 
+def drop_self_loop(data, rng):
+    pairs = data["relations"][_pick_agent(data, "relations", rng)]
+    loops = sorted(pair for pair in pairs if pair[0] == pair[1])
+    if not loops:
+        return False
+    pairs.remove(rng.choice(loops))
+    return True
+
+
+def join_two_cells(data, rng):
+    """Relate one world to a world outside its cell, one way only."""
+    pairs = data["relations"][_pick_agent(data, "relations", rng)]
+    unrelated = sorted([w, t] for w in data["worlds"] for t in data["worlds"]
+                       if [w, t] not in pairs)
+    if not unrelated:
+        return False
+    pairs.append(rng.choice(unrelated))
+    return True
+
+
+def split_cell_awareness(data, rng):
+    """Toggle one atom of one world's awareness inside a cell of two or more."""
+    agent = _pick_agent(data, "relations", rng)
+    shared = sorted({w for w, t in data["relations"][agent] if w != t})
+    if not shared:
+        return False
+    table, world = data["awareness"][agent], rng.choice(shared)
+    table[world] = sorted(set(table[world]) ^ {rng.choice(data["atoms"])})
+    return True
+
+
+def aware_of_stranger(data, rng):
+    """Make one world aware of an atom outside the language."""
+    table = data["awareness"][_pick_agent(data, "awareness", rng)]
+    world = rng.choice(sorted(table))
+    table[world] = sorted(table[world] + ["z"])
+    return True
+
+
+def value_stranger(data, rng):
+    """Value an atom outside the language."""
+    data["valuation"]["z"] = [rng.choice(data["worlds"])]
+    return True
+
+
 LATTICE_MUTATORS = (drop_own_state, cross_space_image, copy_other_image, misroute_projection)
 MUTATORS = {
     "hms": LATTICE_MUTATORS + (straddle_pi, raise_pi, shrink_pi, move_valuation_base),
     "implicit-hms": LATTICE_MUTATORS + (alpha_above_space, lower_alpha),
+    "fh": (drop_self_loop, join_two_cells, split_cell_awareness, aware_of_stranger,
+           value_stranger),
 }
 
 
 def _family(model) -> str:
-    return {"complemented": "hms", "implicit": "implicit-hms"}[model.family]
+    return {"complemented": "hms", "implicit": "implicit-hms", "awareness": "fh"}[model.family]
 
 
 def mutated(name: str, model, index: int):
@@ -205,7 +254,9 @@ def _run(check):
         return {"error": f"{type(err).__name__}: {err}"}
 
 
-def lattice_checks(model) -> list[tuple[str, object]]:
+def checks(model) -> list[tuple[str, object]]:
+    if model.family == "awareness":
+        return [("validate_fh", lambda: validate_fh(model))]
     if model.family == "complemented":
         return [
             ("validate_hms", lambda: validate_hms(model.base)),
@@ -222,8 +273,9 @@ def lattice_checks(model) -> list[tuple[str, object]]:
 
 
 def golden_models():
-    """(name, model) for every lattice model, mutations included, and the
-    dumps of every transform, as (name, check, result) records."""
+    """(name, model) for every lattice model, then every awareness model,
+    mutations included, and the dumps of every transform, as (name, check,
+    result) records."""
     lattice = [("fig1L", fig1L()), ("fig1R", fig1R())]
     dumps = []
     for seed in FH_SEEDS:
@@ -239,16 +291,18 @@ def golden_models():
     for name, model in list(lattice):
         lattice.append(mutated(name, model, seen[_family(model)]))
         seen[_family(model)] += 1
-    return lattice, dumps
+    awareness = [(f"gen_fh({seed})", gen_fh(seed, CAPS)) for seed in FH_SEEDS]
+    awareness += [mutated(name, model, i) for i, (name, model) in enumerate(awareness)]
+    return lattice + awareness, dumps
 
 
 def golden_records() -> list[dict]:
-    lattice, dumps = golden_models()
+    models, dumps = golden_models()
     records = [{"model": name, "check": check, "result": text}
                for name, check, text in dumps]
-    for name, model in lattice:
+    for name, model in models:
         records += [{"model": name, "check": check, "result": _run(fn)}
-                    for check, fn in lattice_checks(model)]
+                    for check, fn in checks(model)]
     return records
 
 
@@ -267,7 +321,7 @@ def test_golden_set_is_unchanged(current):
 
 def test_golden_mutations_fail_validation(current):
     for (model, check), result in current.items():
-        if "~" in model and check in ("validate_lambda", "validate_implicit"):
+        if "~" in model and check in ("validate_lambda", "validate_implicit", "validate_fh"):
             hms = current.get((model, "validate_hms"), {"passed": True})
             assert not (result.get("passed", False) and hms["passed"]), model
 
@@ -292,15 +346,20 @@ def test_exact_under_recorded_hash_seed():
     assert run.stdout == GOLDEN.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("seed,truncate", [(0, False), (0, True)],
-                         ids=["hms", "implicit-hms"])
-def test_validate_data_is_the_same_under_two_hash_seeds(seed, truncate, tmp_path):
-    """A mutated lattice file with several stationarity violations: its
-    ``validate --format data`` bytes do not depend on the hash seed."""
-    family = "implicit-hms" if truncate else "hms"
-    name, model = mutated(f"gen_fh({seed})->{family}",
-                          hms_transform(gen_fh(seed, CAPS), truncate=truncate), 0)
-    assert name.endswith("~drop_own_state")
+@pytest.mark.parametrize("family", ["hms", "implicit-hms", "fh"])
+def test_validate_data_is_the_same_under_two_hash_seeds(family, tmp_path):
+    """A mutated file with several violations, of stationarity (lattice
+    files) or of reflexivity, transitivity and euclideanness (an ``fh``
+    file): its ``validate --format data`` bytes do not depend on the hash
+    seed."""
+    source = gen_fh(0, CAPS)
+    if family == "fh":
+        name, model = mutated("gen_fh(0)", source, 0)
+        assert name.endswith("~drop_self_loop")
+    else:
+        name, model = mutated(f"gen_fh(0)->{family}",
+                              hms_transform(source, truncate=family == "implicit-hms"), 0)
+        assert name.endswith("~drop_own_state")
     path = tmp_path / "mutated.model"
     path.write_text(dumps_model(model), encoding="utf-8")
     runs = [_run_under_seed(hash_seed, "-m", "awarekit.cli", "validate", str(path),

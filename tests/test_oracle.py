@@ -11,6 +11,14 @@ their order and the `checked` count included.  The event kernel (events as
 a base-space mask and an up-closure mask) must give what the definitions
 over sets of states give: up-closure, the event algebra, knowledge over Π
 and Λ, awareness, equality and the witness text.
+
+Awareness models are held as world-index masks.  A per-world evaluator
+written from the definitions must agree with `fh_extension`,
+`fh_satisfies` and `_fh_extension`, also on models that `validate_fh`
+rejects; the partition refinement behind `--minimize` must find the
+partition of the signature fixpoint it replaced; and every member of a
+sublanguage category, quotiented or not, must equal the copy restricted
+(and quotiented) from strings.
 """
 
 from __future__ import annotations
@@ -22,16 +30,34 @@ from itertools import combinations
 
 import pytest
 
-from awarekit.awareness import AwarenessModel, fh_extension
+from awarekit.awareness import (
+    AwarenessCategory,
+    AwarenessModel,
+    _fh_extension,
+    _modal_partition,
+    _quotient,
+    build_category,
+    fh_extension,
+    fh_satisfies,
+    validate_fh,
+)
 from awarekit.cli import main
 from awarekit.enumeration import enumerate_formulas
+from awarekit.errors import AwarekitError
 from awarekit.fixtures import fig1L, fig1R
-from awarekit.gen import GenCaps, gen_fh
-from awarekit.modelio import data_to_model, model_to_data, save_model, state_token
+from awarekit.gen import GenCaps, gen_fh, random_formula
+from awarekit.modelio import (
+    data_to_model,
+    dumps_model,
+    model_to_data,
+    save_model,
+    state_token,
+)
 from awarekit.reports import Report
 from awarekit.semantics import TruthValue, extension, valid_in_model
-from awarekit.syntax import A, And, Atom, L, Not, atoms as formula_atoms, parse
+from awarekit.syntax import A, And, Atom, K, L, Not, Top, atoms as formula_atoms, parse
 from awarekit.transforms import (
+    category_to_implicit,
     equivalence_check,
     fh_star_transform,
     fh_transform,
@@ -328,3 +354,209 @@ def test_operators_match_definitions(index):
                     return found
             assert_event(model, a_op(model, agent, event), space,
                          frozenset(ref for ref in lat.states_of(space) if space <= level(ref)))
+
+
+# -- awareness models ------------------------------------------------------------
+
+
+def naive_fh(model, world: str, f) -> bool:
+    """Truth at one world, from the definitions over the decoded views."""
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Atom):
+        return world in model.valuation.get(f.name, ())
+    if isinstance(f, Not):
+        return not naive_fh(model, world, f.child)
+    if isinstance(f, And):
+        return naive_fh(model, world, f.left) and naive_fh(model, world, f.right)
+    known = all(naive_fh(model, t, f.child) for t in model.successors(f.agent, world))
+    aware = formula_atoms(f.child) <= model.awareness_atoms[f.agent][world]
+    return {L: known, A: aware, K: known and aware}[type(f)]
+
+
+def random_fh(seed: int, atoms: int, worlds: int, stray: bool = False) -> AwarenessModel:
+    """An awareness model with random, mostly non-partitional relations;
+    with ``stray``, awareness and valuation also name atoms outside the
+    language, so ``validate_fh`` rejects it on several counts."""
+    rng = random.Random(f"random-fh:{seed}")
+    language = [f"p{i}" for i in range(atoms)]
+    named = language + (["a", "z"] if stray else [])
+    ids = [f"w{i}" for i in range(worlds)]  # w10 sorts before w2
+    agents = ["1", "2"]
+    return AwarenessModel(
+        language, agents, ids,
+        {a: [(w, t) for w in ids for t in ids if rng.random() < 0.3] for a in agents},
+        {a: {w: [p for p in named if rng.random() < 0.6] for w in ids} for a in agents},
+        {p: [w for w in ids if rng.random() < 0.5] for p in named if rng.random() < 0.9})
+
+
+def chain_fh(n: int, partitional: bool) -> AwarenessModel:
+    """Worlds ``w0`` to ``w(n-1)``, ``p`` true at the last only, linked by
+    a successor chain or by two agents' overlapping two-world cells: telling
+    the worlds apart takes one refinement step per link."""
+    ids = [f"w{i}" for i in range(n)]
+    if partitional:
+        cells = {"1": [ids[i:i + 2] for i in range(0, n, 2)],
+                 "2": [ids[:1]] + [ids[i:i + 2] for i in range(1, n, 2)]}
+        relations = {a: [(w, t) for cell in cells[a] for w in cell for t in cell] for a in cells}
+    else:
+        relations = {a: list(zip(ids, ids[1:] + ids[-1:])) for a in ("1", "2")}
+    return AwarenessModel(["p"], ["1", "2"], ids, relations,
+                          {a: {w: ["p"] for w in ids} for a in ("1", "2")}, {"p": ids[-1:]})
+
+
+FH_MODELS = 28
+
+
+@functools.cache
+def fh_models():
+    """The fixtures' awareness models, generated models at 1 to 6 atoms,
+    two chains, and random non-partitional models, some naming stray atoms."""
+    models = [fh_transform(fig1L()), fh_transform(fig1R())]
+    for atoms in range(1, 7):
+        models += [gen_fh(seed, GenCaps(atoms=atoms, worlds=12)) for seed in range(3)]
+    models += [chain_fh(11, partitional=True), chain_fh(11, partitional=False)]
+    models += [random_fh(seed, 3, 5 + seed, stray=seed % 2 == 1) for seed in range(6)]
+    assert len(models) == FH_MODELS
+    return models
+
+
+def formulas_for(model, seed: int, extra=()) -> list:
+    rng = random.Random(seed)
+    atoms = sorted(model.language_atoms) + list(extra)
+    return list(enumerate_formulas(model.language_atoms, model.agents, 2)) + [
+        random_formula(rng, atoms, model.agents, 3) for _ in range(60)]
+
+
+@pytest.mark.parametrize("index", range(FH_MODELS))
+def test_fh_evaluation_matches_definitions(index):
+    model = fh_models()[index]
+    for f in formulas_for(model, index):
+        expected = frozenset(w for w in model.worlds if naive_fh(model, w, f))
+        assert fh_extension(model, f) == expected, f
+        assert [fh_satisfies(model, w, f) for w in model.worlds] == \
+            [w in expected for w in model.worlds]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fh_masks_match_definitions_on_rejected_models(seed):
+    """``_fh_extension`` also evaluates models that fail validation, and
+    atoms outside the language (``z`` here) that awareness or the
+    valuation names."""
+    model = random_fh(seed, 3, 6, stray=True)
+    assert not validate_fh(model).ok
+    for f in formulas_for(model, seed, extra=["z"]):
+        mask = _fh_extension(model, f)
+        assert [bool(mask >> i & 1) for i in range(len(model.worlds))] == \
+            [naive_fh(model, w, f) for w in model.worlds], f
+
+
+def fixpoint_partition(model) -> dict[str, frozenset[str]]:
+    """The signature fixpoint that ``--minimize`` used before partition
+    refinement: refine by facts, awareness and the blocks each agent
+    reaches until nothing changes."""
+    def signature(world, block_of):
+        facts = tuple(world in model.valuation.get(p, frozenset())
+                      for p in sorted(model.language_atoms))
+        aware = tuple(tuple(sorted(model.awareness_atoms[a][world])) for a in model.agents)
+        reach = tuple(frozenset(block_of[t] for t in model.successors(a, world))
+                      for a in model.agents)
+        return facts, aware, reach
+
+    block_of = {w: 0 for w in model.worlds}
+    while True:
+        sigs = {w: signature(w, block_of) for w in model.worlds}
+        fresh: dict = {}
+        for w in sorted(model.worlds):
+            fresh.setdefault(sigs[w], len(fresh))
+        updated = {w: fresh[sigs[w]] for w in model.worlds}
+        if updated == block_of:
+            break
+        block_of = updated
+    cells: dict[int, set[str]] = {}
+    for w, b in block_of.items():
+        cells.setdefault(b, set()).add(w)
+    return {w: frozenset(cells[b]) for w, b in block_of.items()}
+
+
+def string_quotient(model):
+    """The quotient by the fixpoint partition, built from strings as
+    ``--minimize`` built it before."""
+    cell_of = fixpoint_partition(model)
+    name_of = {w: "+".join(sorted(cell_of[w])) for w in model.worlds}
+    member_of: dict[str, str] = {}
+    for w in model.worlds:
+        first = min(cell_of[w])
+        if member_of.setdefault(name_of[w], first) != first:
+            raise AwarekitError(
+                f"cannot minimize: blocks {member_of[name_of[w]]!r} and {first!r} "
+                f"would both be named {name_of[w]!r}; rename worlds so that no "
+                f"world id equals a '+'-join of others")
+    out = AwarenessModel(
+        model.language_atoms, model.agents, sorted(member_of),
+        {a: {(name_of[w], name_of[t]) for w, t in model.relations[a]} for a in model.agents},
+        {a: {name_of[w]: model.awareness_atoms[a][w] for w in model.worlds}
+         for a in model.agents},
+        {p: frozenset(name_of[w] for w in hits) for p, hits in model.valuation.items()})
+    return out, name_of, member_of
+
+
+def views(model) -> tuple:
+    return (model.language_atoms, model.agents, model.worlds, model.relations,
+            model.awareness_atoms, model.valuation, model_to_data(model))
+
+
+@pytest.mark.parametrize("index", range(FH_MODELS))
+def test_modal_partition_matches_the_fixpoint(index):
+    model = fh_models()[index]
+    if index in (20, 21):  # the chains: every world is its own block
+        assert len(_modal_partition(model)) == len(model.worlds)
+    found = {model.worlds[i]: frozenset(model.worlds[j] for j in range(len(model.worlds))
+                                        if block >> j & 1)
+             for block in _modal_partition(model) for i in range(len(model.worlds))
+             if block >> i & 1}
+    assert found == fixpoint_partition(model)
+
+
+def test_quotient_name_collision_matches_the_fixpoint():
+    worlds = ["a", "b", "a+b"]
+    model = AwarenessModel(["p"], ["1"], worlds, {"1": [(w, w) for w in worlds]},
+                           {"1": {w: ["p"] for w in worlds}}, {"p": ["a", "b"]})
+    errors = []
+    for quotient in (_quotient, string_quotient):
+        with pytest.raises(AwarekitError) as caught:
+            quotient(model)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1] and "would both be named 'a+b'" in errors[0]
+
+
+@pytest.mark.parametrize("minimize", [False, True], ids=["restricted", "minimized"])
+@pytest.mark.parametrize("index", [0, 1, 2, 5, 8, 11, 12, 20])
+def test_category_members_match_string_copies(index, minimize):
+    """Each member made from the top's tables equals the member restricted
+    from strings, quotiented by the fixpoint with ``minimize``; so do the
+    morphisms, every formula's extension, and the implicit model of the
+    category, which reads string-built members through their own atom bit
+    order."""
+    model = fh_models()[index]
+    category = build_category(model, minimize=minimize)
+    onto, source, copies = {}, {}, {}
+    for space, member in category.models.items():
+        copy = AwarenessModel(
+            space, model.agents, model.worlds, model.relations,
+            {a: {w: model.awareness_atoms[a][w] & space for w in model.worlds}
+             for a in model.agents},
+            {p: model.valuation[p] for p in sorted(space) if p in model.valuation})
+        onto[space] = source[space] = {w: w for w in model.worlds}
+        if minimize:
+            copy, onto[space], source[space] = string_quotient(copy)
+        assert views(member) == views(copy), space_key(space)
+        for f in enumerate_formulas(space, model.agents, 2):
+            assert fh_extension(member, f) == fh_extension(copy, f)
+        copies[space] = copy
+    for (large, small), morphism in category.morphisms.items():
+        assert dict(morphism.mapping) == {block: onto[small][source[large][block]]
+                                          for block in category.models[large].worlds}
+    strings = AwarenessCategory(category.atoms, copies, category.morphisms)
+    assert dumps_model(category_to_implicit(strings)) == \
+        dumps_model(category_to_implicit(category))
