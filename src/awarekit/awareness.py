@@ -15,7 +15,7 @@ world id are views, decoded on first read.  Models are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property, lru_cache
 from itertools import combinations, compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -52,8 +52,9 @@ def _mask(position: Mapping[str, int], names: Iterable) -> int:
     return mask
 
 
-def _decode(names: Sequence[str], mask: int) -> frozenset[str]:
-    """The names at the set bits of ``mask``."""
+@lru_cache(maxsize=4096)
+def _decode(names: tuple[str, ...], mask: int) -> frozenset[str]:
+    """The names at the set bits of ``mask``, memoized across models."""
     return frozenset(compress(names, map("1".__eq__, bin(mask)[:1:-1])))
 
 
@@ -141,10 +142,6 @@ class AwarenessModel:
         return {L: {agent: _holders(rows) for agent, rows in self._succ.items()},
                 A: {agent: _holders(rows) for agent, rows in self._aware.items()}}
 
-    def _decoded(self, names: Sequence[str], table: dict[str, list[int]]) -> dict:
-        decode = cache(partial(_decode, names))
-        return {agent: dict(zip(self.worlds, map(decode, rows))) for agent, rows in table.items()}
-
     @cached_property
     def relations(self) -> dict[str, frozenset[tuple[str, str]]]:
         return {agent: frozenset((w, t) for w, ts in rows.items() for t in ts)
@@ -152,7 +149,8 @@ class AwarenessModel:
 
     @cached_property
     def awareness_atoms(self) -> dict[str, dict[str, frozenset[str]]]:
-        return self._decoded(self._atoms, self._aware)
+        return {agent: {w: _decode(self._atoms, m) for w, m in zip(self.worlds, rows)}
+                for agent, rows in self._aware.items()}
 
     @cached_property
     def valuation(self) -> dict[str, frozenset[str]]:
@@ -160,7 +158,8 @@ class AwarenessModel:
 
     @cached_property
     def _successor_sets(self) -> dict[str, dict[str, frozenset[str]]]:
-        return self._decoded(self.worlds, self._succ)
+        return {agent: {w: _decode(self.worlds, m) for w, m in zip(self.worlds, rows)}
+                for agent, rows in self._succ.items()}
 
     def successors(self, agent: str, world: str) -> frozenset[str]:
         per_agent = self._successor_sets.get(agent)
