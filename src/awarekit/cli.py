@@ -46,10 +46,9 @@ def _validate_any(model) -> Report:
         return awareness.validate_fh(model)
     if model.family == "implicit":
         return implicit.validate_implicit(model)
-    report = unawareness.validate_hms(model)
     if model.family == "complemented":
-        report.merge(implicit.validate_lambda(model))
-    return report
+        return implicit.validate_lambda(model)
+    return unawareness.validate_hms(model)
 
 
 def _resolve_state(model, token: str) -> StateRef:
@@ -196,7 +195,6 @@ def _cmd_fuzz(args) -> int:
         report.merge(awareness.validate_fh(k))
         im = transforms.hms_transform(k, truncate=True)
         comp = im.derived()
-        report.merge(unawareness.validate_hms(comp))
         report.merge(implicit.validate_lambda(comp))
         report.merge(unawareness.explicit_property_suite(comp))
         report.merge(implicit.implicit_property_suite(comp))

@@ -84,11 +84,14 @@ def _check_implicit_correspondence(model: LatticeModel, agent: str, report: Repo
 
 @memoised
 def validate_lambda(model: LatticeModel) -> Report:
-    """Check the implicit correspondence laws of a complemented model and
-    their compatibility with the explicit correspondence (measurability both
-    ways, plus the derived coherence facts)."""
+    """Full validation of a complemented model: :func:`validate_hms`'s
+    report on the lattice and Π, then the implicit correspondence laws and
+    their compatibility with Π (measurability both ways, plus the derived
+    coherence facts).  Each violation is listed once: at a state where Π
+    breaks confinement, which :func:`validate_hms` lists, the joint laws
+    are skipped."""
     require(model, "pi", "lambda")
-    report = Report()
+    report = validate_hms(model)
     lat = model.lattice
     states, spaces, keys = lat.states, lat._space, lat._keys
     checked = 0
@@ -109,14 +112,7 @@ def validate_lambda(model: LatticeModel) -> Report:
                 report.add("explicit-measurability", agent, state=ref, reached=states[j])
 
             level = pi_levels[i]
-            if level < 0:
-                report.add("confinement-single-space", agent, state=ref)
-                continue
-            if level & ~spaces[i]:
-                report.add("confinement-expressible", agent, state=ref,
-                           image_space=keys[level])
-                continue
-            if levels[i] != spaces[i]:
+            if level < 0 or level & ~spaces[i] or levels[i] != spaces[i]:
                 continue
 
             key = images[i], level

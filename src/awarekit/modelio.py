@@ -24,7 +24,6 @@ from .syntax import Formula, is_agent_id, is_atom_name, parse, render
 from .unawareness import (
     LatticeModel,
     SpaceLattice,
-    StateRef,
     _indices,
     parse_space_key,
     parse_state_token,
@@ -117,10 +116,10 @@ def _corr_from_data(raw, name: str) -> dict:
 def _lattice_to_data(lattice: SpaceLattice) -> dict:
     spaces = {space_key(space): [ref.id for ref in refs]
               for space, refs in lattice.spaces.items()}
-    projections = {}
-    for (parent, child), table in lattice._cover.items():
-        key = f"{space_key(parent)}->{space_key(child)}"
-        projections[key] = {ref.id: image.id for ref, image in table.items()}
+    states, keys, proj, span = lattice.states, lattice._keys, lattice._proj, lattice._span
+    projections = {f"{keys[parent]}->{keys[child]}":
+                   {states[i].id: states[proj[i][child]].id for i in span[parent]}
+                   for parent, child in lattice._edges()}
     valuation = {
         atom: {"base_space": space_key(event.base_space),
                "base": sorted(ref.id for ref in event.base)}
@@ -162,7 +161,7 @@ def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
             raise ModelFormatError(f"valuation of {atom!r} must have base_space and base")
         space = parse_space_key(_string(entry["base_space"], f"valuation[{atom}].base_space"))
         ids = _strings(entry["base"], f"valuation[{atom}].base")
-        valuation[atom] = (space, [StateRef(space, i) for i in ids])
+        valuation[atom] = (space, ids)
 
     lattice = SpaceLattice(atoms, spaces, projections, valuation)
     return lattice, list(_agents(data))

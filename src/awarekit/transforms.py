@@ -32,7 +32,6 @@ from .unawareness import (
     _indices,
     _level_mask,
     subsets,
-    validate_hms,
 )
 
 
@@ -54,8 +53,7 @@ def category_to_implicit(category: AwarenessCategory) -> LatticeModel:
     for atom in sorted(atoms):
         single = frozenset({atom})
         member = members[single]
-        valuation[atom] = (single, [StateRef(single, member.worlds[i])
-                                    for i in _indices(member._val.get(atom, 0))])
+        valuation[atom] = (single, [member.worlds[i] for i in _indices(member._val.get(atom, 0))])
     lattice = SpaceLattice(atoms, {space: member.worlds for space, member in members.items()},
                            projections, valuation)
     n, order = len(lattice.states), tuple(sorted(atoms))
@@ -125,7 +123,7 @@ def fh_transform(model: LatticeModel) -> AwarenessModel:
     """Complemented lattice model to awareness model: keep the top space,
     read the relations off the implicit correspondence, and take awareness
     at a state to be the atoms of the space its possibility set lives in."""
-    pre = validate_hms(model).merge(validate_lambda(model))
+    pre = validate_lambda(model)
     if not pre.ok:
         raise PreconditionFailed("transform needs a valid complemented model", pre)
     # The model validated, so every possibility set lies in one space.
@@ -191,7 +189,7 @@ def equivalence_check(source, produced, via: str, depth: int = 2) -> Report:
         the state has no world: forward, the worlds' tagged states in
         ``space``; backward, the states of ``space``."""
         if forward:
-            return [(ref, k if ref in lat._index else None)
+            return [(ref, k if lat._find(ref) is not None else None)
                     for k, ref in enumerate(StateRef(space, world) for world in worlds)]
         return [(ref, aware._index.get(ref.id)) for ref in lat.states_of(space)]
 

@@ -191,19 +191,23 @@ class Event(NamedTuple):
 class SpaceLattice:
     """The shared skeleton of every lattice-based model: spaces, projections, valuation.
 
-    Projections are stored for covering pairs (drop one atom) and composed on
-    demand; the global composition law is a validator concern, not assumed
-    here.  Construction fails on structural unreadability only: missing
-    spaces or covering maps, dangling state ids, non-total maps.  The
-    valuation maps each atom to a (base space, base states) pair.
+    It is given as a file gives it: each space's state ids, a map of ids per
+    covering pair (drop one atom), and each atom's base space and base ids.
+    Construction fails on structural unreadability only, checking the
+    spaces, then the covering maps (parents in :func:`subsets` order,
+    dropped atoms sorted), then the valuation, so the first failure does
+    not depend on the hash seed.  The composition law is a validator
+    concern, not assumed here.
 
-    Construction also builds a dense index that the validators and operators
-    run on.  State ``i`` is ``states[i]``; a space is a bitmask over the
-    sorted atoms; a set of states is a bitmask over state indices, held in a
-    Python int.  Each state has a projection list indexed by target-space
-    mask and an up-closure mask, and each space the index range of its
-    states (states of one space are contiguous in ``states``), the mask of
-    those states, and the mask of every state at or above it.
+    The lattice is held as dense index tables.  State ``i`` is
+    ``states[i]``, laid out space by space, larger spaces first, ids
+    sorted; a space is a bitmask over the sorted atoms; a set of states is a
+    bitmask over state indices, held in a Python int.  Each state has a
+    projection list indexed by target-space mask, the only store of
+    projections: every composite is tabulated at construction.  Each state
+    also has an up-closure mask, and each space a map from its ids to state
+    indices, the index range of its states, their mask, and the mask of
+    every state at or above it.
     """
 
     def __init__(
@@ -211,7 +215,7 @@ class SpaceLattice:
         atoms: Iterable[str],
         spaces: Mapping[frozenset[str], Sequence[str]],
         projections: Mapping[tuple[frozenset[str], frozenset[str]], Mapping[str, str]],
-        valuation: Mapping[str, tuple[frozenset[str], Iterable[StateRef]]],
+        valuation: Mapping[str, tuple[frozenset[str], Iterable[str]]],
     ):
         self.atoms = frozenset(atoms)
         cap = max_atoms()
@@ -237,40 +241,6 @@ class SpaceLattice:
             key = space_key(sorted(extra, key=space_key)[0])
             raise ModelFormatError(f"space {key!r} is not a subset of the atom universe")
 
-        self._cover: dict[tuple[frozenset[str], frozenset[str]], dict[StateRef, StateRef]] = {}
-        for parent in self.spaces:
-            for atom in parent:
-                child = parent - {atom}
-                raw = projections.get((parent, child))
-                if raw is None:
-                    raise ModelFormatError(
-                        f"missing projection {space_key(parent)!r} -> {space_key(child)!r}")
-                table: dict[StateRef, StateRef] = {}
-                child_refs = {ref.id: ref for ref in self.spaces[child]}
-                for ref in self.spaces[parent]:
-                    image = raw.get(ref.id)
-                    if image is None:
-                        raise ModelFormatError(
-                            f"projection {space_key(parent)!r} -> {space_key(child)!r} "
-                            f"is undefined on state {ref.id!r}")
-                    if image not in child_refs:
-                        raise ModelFormatError(
-                            f"projection {space_key(parent)!r} -> {space_key(child)!r} "
-                            f"maps {ref.id!r} to unknown state {image!r}")
-                    table[ref] = child_refs[image]
-                self._cover[(parent, child)] = table
-
-        self.states: tuple[StateRef, ...] = tuple(
-            sorted((ref for refs in self.spaces.values() for ref in refs), key=state_order))
-        self._index: dict[StateRef, int] = {ref: i for i, ref in enumerate(self.states)}
-
-        if set(valuation) != self.atoms:
-            missing = self.atoms - set(valuation)
-            extra_atoms = set(valuation) - self.atoms
-            bad = sorted(missing | extra_atoms)
-            raise ModelFormatError(f"valuation must be total on the atom universe; "
-                                   f"mismatched atoms: {bad}")
-
         # Space masks: bit k stands for the k-th atom in sorted order, so the
         # highest set bit of a mask is its greatest atom.
         self._atom_bit = {atom: 1 << k for k, atom in enumerate(sorted(self.atoms))}
@@ -281,17 +251,20 @@ class SpaceLattice:
         self._keys: list[str] = [""] * n_masks
         self._below: list[list[int]] = [[] for _ in range(n_masks)]
         self._span: list[range] = [range(0)] * n_masks
+        self._ids: list[dict[str, int]] = [{}] * n_masks
         span_bits = [0] * n_masks
-        start = 0
+        states: list[StateRef] = []
         for space, refs in sorted(self.spaces.items(),
                                   key=lambda kv: (-len(kv[0]), space_key(kv[0]))):
-            mask = self._masks[space]
+            mask, start = self._masks[space], len(states)
             by_mask[mask] = space
             self._keys[mask] = space_key(space)
             self._below[mask] = [self._masks[sub] for sub in subsets(space)]
             self._span[mask] = range(start, start + len(refs))
+            self._ids[mask] = {ref.id: i for i, ref in enumerate(refs, start)}
             span_bits[mask] = ((1 << len(refs)) - 1) << start
-            start += len(refs)
+            states.extend(refs)
+        self.states: tuple[StateRef, ...] = tuple(states)
         self._space: list[int] = [self._masks[ref.space] for ref in self.states]
         self._names = _Names(self.states, by_mask, self._keys, span_bits)
         # The states at or above each space: every state projects into it.
@@ -300,18 +273,36 @@ class SpaceLattice:
             for target in self._below[mask]:
                 self._upspace[target] |= span_bits[mask]
 
-        # Projections composed along the canonical chain (drop atoms in
-        # greatest-first order); path independence is exactly the
-        # composition law checked by the validator.  Entries for targets
-        # that are not below the state's space stay -1.
-        index = self._index
+        # Entries for targets that are not below the state's space stay -1.
         self._proj: list[list[int]] = [[-1] * n_masks for _ in self.states]
-        for (parent, child), table in self._cover.items():
-            target = self._masks[child]
-            for ref, image in table.items():
-                self._proj[index[ref]][target] = index[image]
-        # States of smaller spaces come later in ``states``, so walking it
-        # backwards completes every row a composite projection reads.
+        for parent, child in self._edges():
+            pair = f"{self._keys[parent]!r} -> {self._keys[child]!r}"
+            raw = projections.get((by_mask[parent], by_mask[child]))
+            if raw is None:
+                raise ModelFormatError(f"missing projection {pair}")
+            ids = self._ids[child]
+            for i in self._span[parent]:
+                state_id = self.states[i].id
+                image = raw.get(state_id)
+                if image is None:
+                    raise ModelFormatError(f"projection {pair} is undefined on state {state_id!r}")
+                if image not in ids:
+                    raise ModelFormatError(
+                        f"projection {pair} maps {state_id!r} to unknown state {image!r}")
+                self._proj[i][child] = ids[image]
+
+        if set(valuation) != self.atoms:
+            missing = self.atoms - set(valuation)
+            extra_atoms = set(valuation) - self.atoms
+            bad = sorted(missing | extra_atoms)
+            raise ModelFormatError(f"valuation must be total on the atom universe; "
+                                   f"mismatched atoms: {bad}")
+
+        # Composite projections run along the canonical chain (drop atoms in
+        # greatest-first order); path independence is exactly the
+        # composition law checked by the validator.  States of smaller
+        # spaces come later in ``states``, so walking it backwards completes
+        # every row a composite projection reads.
         for i in reversed(range(len(self.states))):
             mask = self._space[i]
             row = self._proj[i]
@@ -329,14 +320,19 @@ class SpaceLattice:
 
         self._omega = Event(0, self._upspace[0], self._names)
         self.valuation: dict[str, Event] = {}
-        for atom, (space, refs) in valuation.items():
-            if space not in self.spaces:
+        for atom, (space, ids) in valuation.items():
+            mask = self._masks.get(space)
+            if mask is None:
                 raise ModelFormatError(f"valuation of {atom!r} uses unknown space "
                                        f"{space_key(space)!r}")
-            for ref in refs:
-                if ref not in self._index:
-                    raise ModelFormatError(f"valuation of {atom!r} references unknown state {ref}")
-            self.valuation[atom] = self.event(space, refs)
+            up = 0
+            for state_id in ids:
+                i = self._ids[mask].get(state_id)
+                if i is None:
+                    raise ModelFormatError(f"valuation of {atom!r} references unknown state "
+                                           f"{space_key(space)}:{state_id}")
+                up |= self._up[i]
+            self.valuation[atom] = Event(mask, up, self._names)
 
     # -- lookups ---------------------------------------------------------
 
@@ -353,13 +349,20 @@ class SpaceLattice:
         self._state_index(ref)
         return ref
 
-    def cover_map(self, parent: frozenset[str], child: frozenset[str]) -> dict[StateRef, StateRef]:
-        return self._cover[(parent, child)]
-
     # -- the dense index ----------------------------------------------------
 
+    def _edges(self) -> list[tuple[int, int]]:
+        """The covering pairs as (parent, child) space masks: parents in
+        :func:`subsets` order, dropped atoms sorted."""
+        return [(mask, mask ^ 1 << k) for mask in self._masks.values() for k in _indices(mask)]
+
+    def _find(self, ref: StateRef) -> int | None:
+        """The index of a state, None when the lattice has no such state."""
+        mask = self._masks.get(ref.space)
+        return None if mask is None else self._ids[mask].get(ref.id)
+
     def _state_index(self, ref: StateRef) -> int:
-        i = self._index.get(ref)
+        i = self._find(ref)
         if i is None:
             raise UnknownState(f"no state {ref}")
         return i
@@ -374,7 +377,7 @@ class SpaceLattice:
     def _lookup(self) -> dict:
         """Each state's index, keyed both by its ``StateRef`` and by its
         canonical token."""
-        lookup = dict(self._index)
+        lookup = dict(zip(self.states, range(len(self.states))))
         lookup.update(zip(self._tokens, range(len(self.states))))
         return lookup
 
@@ -390,7 +393,7 @@ class SpaceLattice:
         token raises :class:`ModelFormatError`."""
         i = self._lookup.get(state)
         if i is None and type(state) is str:
-            i = self._index.get(parse_state_token(state))
+            i = self._find(parse_state_token(state))
         return i
 
     def _resolve_space(self, space) -> int | None:
@@ -851,16 +854,15 @@ def u_op(model: LatticeModel, agent: str, event: Event) -> Event:
 
 
 def _validate_lattice(lat: SpaceLattice, report: Report) -> None:
-    states, proj, span, masks = lat.states, lat._proj, lat._span, lat._masks
-    report.count(len(lat._cover))
-    for parent, child in sorted(lat._cover, key=lambda pair: (space_key(pair[0]),
-                                                              space_key(pair[1]))):
-        target = masks[child]
-        hit = {proj[i][target] for i in span[masks[parent]]}
+    states, proj, span, masks, keys = lat.states, lat._proj, lat._span, lat._masks, lat._keys
+    covers = sorted(lat._edges(), key=lambda pair: (keys[pair[0]], keys[pair[1]]))
+    report.count(len(covers))
+    for parent, target in covers:
+        hit = {proj[i][target] for i in span[parent]}
         for j in span[target]:
             if j not in hit:
                 report.add("projection-surjective", state=states[j],
-                           source=space_key(parent), target=space_key(child))
+                           source=keys[parent], target=keys[target])
 
     # Commuting covering squares pin down path independence of every
     # composite projection, which is the general composition law.

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import awarekit
 from awarekit.awareness import AwarenessModel
 from awarekit.cli import _validate_any
 from awarekit.errors import ModelFormatError
@@ -405,7 +410,8 @@ def test_dumps_load_dumps_is_a_fixed_point(family, build):
 
 
 def _fault_data():
-    """One file per fault, each with the message the loader gives for it."""
+    """One file per fault, each with the message the loader gives for it:
+    the lattice's structural faults, then the correspondences'."""
     def complemented():
         return model_to_data(load_fig1L())
 
@@ -413,6 +419,42 @@ def _fault_data():
         return model_to_data(implicit_from_complemented(load_fig1L()))
 
     cases = []
+    data = complemented()
+    del data["spaces"]["q"]
+    cases.append(("missing space", data, "missing space 'q'"))
+    data = complemented()
+    data["spaces"]["q"] = []
+    cases.append(("empty space", data, "space 'q' is empty"))
+    data = complemented()
+    data["spaces"]["q"] = ["q", "~q", "q"]
+    cases.append(("duplicate ids", data, "duplicate state ids in space 'q'"))
+    data = complemented()
+    data["spaces"]["r"] = ["r"]
+    cases.append(("space outside the atoms", data,
+                  "space 'r' is not a subset of the atom universe"))
+    data = complemented()
+    del data["projections"]["p->"]
+    cases.append(("missing projection", data, "missing projection 'p' -> ''"))
+    data = complemented()
+    del data["projections"]["p,q->p"]["pq"]
+    cases.append(("partial projection", data,
+                  "projection 'p,q' -> 'p' is undefined on state 'pq'"))
+    data = complemented()
+    data["projections"]["p,q->q"]["~pq"] = "ghost"
+    cases.append(("projection to an unknown state", data,
+                  "projection 'p,q' -> 'q' maps '~pq' to unknown state 'ghost'"))
+    data = complemented()
+    del data["valuation"]["q"]
+    cases.append(("partial valuation", data,
+                  "valuation must be total on the atom universe; mismatched atoms: ['q']"))
+    data = complemented()
+    data["valuation"]["q"]["base_space"] = "r"
+    cases.append(("valuation in an unknown space", data,
+                  "valuation of 'q' uses unknown space 'r'"))
+    data = complemented()
+    data["valuation"]["p"]["base"] = ["p", "ghost"]
+    cases.append(("valuation of an unknown state", data,
+                  "valuation of 'p' references unknown state p:ghost"))
     data = complemented()
     del data["pi"]["1"]
     cases.append(("missing agent", data, "pi must cover exactly the agents ['1']"))
@@ -457,6 +499,24 @@ def test_each_correspondence_fault_has_its_message(fault, data, message):
     with pytest.raises(ModelFormatError) as err:
         data_to_model(data)
     assert str(err.value) == message
+
+
+def test_first_load_error_is_the_same_under_any_hash_seed(tmp_path):
+    """With two covering maps missing, ``validate`` reports the first in
+    load order (dropped atoms sorted), whatever the hash seed."""
+    data = model_to_data(load_fig1L())
+    del data["projections"]["p,q->p"], data["projections"]["p,q->q"]
+    path = tmp_path / "two-faults.model"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    runs = []
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(awarekit.__file__).resolve().parents[1]))
+        runs.append(subprocess.run([sys.executable, "-m", "awarekit.cli", "validate", str(path)],
+                                   env=env, capture_output=True, text=True))
+    assert [run.returncode for run in runs] == [2] * 4
+    assert "missing projection 'p,q' -> 'q'" in runs[0].stderr
+    assert all(run.stderr == runs[0].stderr for run in runs)
 
 
 def _reversed_key(key: str) -> str:
