@@ -28,7 +28,6 @@ from .unawareness import (
     _Suite,
     _validate_lattice,
     a_op,
-    event_basis,
     k_op,
     l_op,
     pi_space,
@@ -318,7 +317,8 @@ def implicit_property_suite(model: LatticeModel) -> Report:
             check("awareness-of-implicit-knowledge", agent,
                   a_op(model, agent, implicit), aware, event=event)
 
-        suite.conjunctions(agent, (("implicit-conjunction", l_op),))
+        suite.conjunctions(agent, (("implicit-conjunction", l_op,
+                                    suite.box_bases(model._lambda_masks[agent][0])),))
         suite.monotonicity("implicit-monotonicity", agent, l_op)
     return suite.report
 
@@ -330,7 +330,7 @@ def a_star_property_suite(model: LatticeModel) -> Report:
     derived = model.derived()
     lat = model.lattice
     report = Report()
-    basis = event_basis(model)
+    basis = lat._basis
     report.count(2 * len(model.agents) * len(basis))
     for agent in model.agents:
         for event in basis:

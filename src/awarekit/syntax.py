@@ -30,26 +30,37 @@ from typing import Iterable, Iterator
 from .errors import FormulaSyntaxError
 
 
+_NO_ATOMS: frozenset[str] = frozenset()
+
+
 class Formula:
     """Base class for formula AST nodes. Nodes are immutable and hashable.
 
-    Each node computes its structural hash and its nesting depth once, at
-    construction, from its fields and its children's cached values, so a
-    dict lookup keyed by a formula costs O(1) rather than a walk of the tree.
-    Nodes are not interned: equal formulas built separately are distinct
-    objects with equal hashes.
+    Each node computes its structural hash, its nesting depth and its atom
+    set once, at construction, from its fields and its children's cached
+    values, so a dict lookup keyed by a formula, or :func:`atoms`, costs O(1)
+    rather than a walk of the tree.  Nodes are not interned: equal formulas
+    built separately are distinct objects with equal hashes.
     """
 
-    __slots__ = ("_hash", "depth")
+    __slots__ = ("_hash", "depth", "_atoms")
 
     def __post_init__(self) -> None:
         parts = [getattr(self, name) for name in self.__match_args__]
         depth = 0
+        found = _NO_ATOMS
         for part in parts:
-            if isinstance(part, Formula) and part.depth >= depth:
-                depth = part.depth + 1
+            if isinstance(part, Formula):
+                if part.depth >= depth:
+                    depth = part.depth + 1
+                # A child's set is shared, not copied, when it holds the other's.
+                if not part._atoms <= found:
+                    found = part._atoms if found <= part._atoms else found | part._atoms
+        if type(self) is Atom:
+            found = frozenset(parts)
         object.__setattr__(self, "_hash", hash((type(self).__name__, *parts)))
         object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "_atoms", found)
 
     def __hash__(self) -> int:
         return self._hash
@@ -147,27 +158,9 @@ def conj(formulas: Iterable[Formula]) -> Formula:
 def atoms(f: Formula) -> frozenset[str]:
     """The set of atom names occurring in ``f``; empty for the constant true.
 
-    Formulas share subtrees (``iff`` holds each operand twice), so the walk
-    visits each node object once: linear in distinct nodes, not in the
-    size of the unfolded tree."""
-    found: set[str] = set()
-    seen: set[int] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            found.add(node.name)
-            continue
-        key = id(node)
-        if key in seen:
-            continue
-        seen.add(key)
-        if isinstance(node, And):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, (Not, L, A, K)):
-            stack.append(node.child)
-    return frozenset(found)
+    Each node holds its set, built at construction from its children's, so
+    this reads a field."""
+    return f._atoms
 
 
 def modal_depth(f: Formula) -> int:

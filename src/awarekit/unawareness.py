@@ -35,7 +35,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -524,24 +524,43 @@ class SpaceLattice:
         state) lies in the event's up-closure, as an event at that space; an
         empty base is that space's vacuous event.  Knowledge is the box of a
         possibility correspondence."""
-        outside = ~self._upc(event)
-        up = self._up
+        base = self._box(images, event.space, ~self._upc(event))
+        return Event(event.space, self._close(base), self._names)
+
+    def _box(self, images: list[int], space: int, outside: int) -> int:
+        """The base of :meth:`box` at ``space``, as a state mask: the states
+        of the space whose image misses the state mask ``outside``."""
         out = 0
-        for i in self._span[event.space]:
+        for i in self._span[space]:
             if not images[i] & outside:
-                out |= up[i]
-        return Event(event.space, out, self._names)
+                out |= 1 << i
+        return out
 
     def aware(self, levels: list[int], event: Event) -> Event:
         """The states of the event's base space whose level (a space mask per
         state) sits at or above that space, as an event at that space."""
-        need = event.space
-        up = self._up
+        return Event(event.space, self._close(self._aware(levels, event.space)), self._names)
+
+    def _aware(self, levels: list[int], space: int) -> int:
+        """The base of :meth:`aware` at ``space``, as a state mask."""
         out = 0
-        for i in self._span[need]:
-            if not need & ~levels[i]:
-                out |= up[i]
-        return Event(need, out, self._names)
+        for i in self._span[space]:
+            if not space & ~levels[i]:
+                out |= 1 << i
+        return out
+
+    # -- the property suites' events, built once per lattice ---------------
+
+    @cached_property
+    def _basis(self) -> tuple[Event, ...]:
+        """The event basis of the property suites (:func:`event_basis`)."""
+        return _build_basis(self)
+
+    @cached_property
+    def _families(self) -> _Families:
+        """The conjunction laws' families of the basis, with their members
+        as basis indices and each family's joined event."""
+        return _build_families(self)
 
 
 def _lattice(model) -> SpaceLattice:
@@ -767,7 +786,7 @@ def project_state(model, ref: StateRef, target: frozenset[str]) -> StateRef:
 def _explicit(model: LatticeModel) -> LatticeModel:
     """The model whose Π a model's explicit knowledge reads: its own, or
     its derived model's when α is primitive."""
-    return model if model.pi is not None else model.derived()
+    return model if model._pi_masks is not None else model.derived()
 
 
 def pi_space(model: LatticeModel, agent: str, ref: StateRef) -> frozenset[str]:
@@ -842,7 +861,7 @@ def a_op(model: LatticeModel, agent: str, event: Event) -> Event:
     """Awareness of an event: the agent's level sits at or above the event's
     base space.  The level is α's when α is primitive, and otherwise the
     space of the possibility set."""
-    return _lookup(model, "a", "pi" if model.alpha is None else "alpha", agent, event)
+    return _lookup(model, "a", "pi" if model._alpha_masks is None else "alpha", agent, event)
 
 
 def u_op(model: LatticeModel, agent: str, event: Event) -> Event:
@@ -952,14 +971,20 @@ def validate_hms(model: LatticeModel) -> Report:
 # The event basis is built from the valuation events, their negations, and
 # pairwise conjunctions, truncated to MAX_BASIS events; the conjunction laws
 # run over subsets of the basis up to MAX_FAMILY_SIZE members, at most
-# MAX_FAMILIES families.
+# MAX_FAMILIES families.  The basis, the families and each family's joined
+# event depend on the lattice alone, so each lattice builds them once
+# (SpaceLattice._basis and _families) and every agent, law and suite shares
+# them; a conjunction check compares two base masks at the join space.
 MAX_BASIS = 12
 MAX_FAMILY_SIZE = 3
 MAX_FAMILIES = 400
 
 
 def event_basis(model) -> list[Event]:
-    lat = _lattice(model)
+    return list(_lattice(model)._basis)
+
+
+def _build_basis(lat: SpaceLattice) -> tuple[Event, ...]:
     seeds = [lat.valuation[atom] for atom in sorted(lat.atoms)]
     basis: list[Event] = []
     seen: set[Event] = set()
@@ -976,7 +1001,7 @@ def event_basis(model) -> list[Event]:
     pool = list(basis)
     for left, right in combinations(pool, 2):
         push(lat.event_and([left, right]))
-    return basis
+    return tuple(basis)
 
 
 class EventFamily(tuple):
@@ -990,14 +1015,27 @@ class EventFamily(tuple):
         return ";".join(str(e) for e in self)
 
 
-def event_families(basis: Sequence[Event]) -> list[EventFamily]:
-    families: list[EventFamily] = []
-    for size in range(1, MAX_FAMILY_SIZE + 1):
-        for combo in combinations(basis, size):
-            families.append(EventFamily(combo))
-            if len(families) >= MAX_FAMILIES:
-                return families
-    return families
+class _Families(NamedTuple):
+    """The families of a lattice's event basis, smallest first, in
+    :func:`combinations` order; per family, its members as basis indices
+    and the index in ``joins`` of its joined event, the conjunction of its
+    members.  ``joins`` holds each distinct joined event once."""
+
+    families: list[EventFamily]
+    members: list[tuple[int, ...]]
+    join_of: list[int]
+    joins: list[Event]
+
+
+def _build_families(lat: SpaceLattice) -> _Families:
+    basis = lat._basis
+    members = list(islice(chain.from_iterable(
+        combinations(range(len(basis)), size) for size in range(1, MAX_FAMILY_SIZE + 1)),
+        MAX_FAMILIES))
+    families = [EventFamily(map(basis.__getitem__, family)) for family in members]
+    joins: dict[Event, int] = {}
+    join_of = [joins.setdefault(lat.event_and(family), len(joins)) for family in families]
+    return _Families(families, members, join_of, list(joins))
 
 
 class _Suite:
@@ -1005,8 +1043,11 @@ class _Suite:
 
     Construction checks the preconditions, each a validator and the message
     of the :class:`PreconditionFailed` raised when the model fails it, and
-    builds the event basis and its families.  Each check counts once and
-    adds a violation, with the agent and the witness, when it fails."""
+    takes the event basis from the lattice, which builds it, its families
+    and their joined events once.  Each check counts once and adds a
+    violation, with the agent and the witness, when it fails; the
+    conjunction laws are decided on base masks at each family's join space
+    (:meth:`conjunctions`)."""
 
     def __init__(self, model: LatticeModel, preconditions):
         for validate, message in preconditions:
@@ -1016,8 +1057,7 @@ class _Suite:
         self.model = model
         self.lat = model.lattice
         self.report = Report()
-        self.basis = event_basis(model)
-        self.families = event_families(self.basis)
+        self.basis = self.lat._basis
 
     def check(self, law: str, agent: str, left: Event, right: Event, **extra) -> None:
         self.report.count()
@@ -1043,15 +1083,50 @@ class _Suite:
         outside = ~self.lat._upc(event)
         return sum(1 << i for i, image in enumerate(images) if not image & outside)
 
+    def box_bases(self, images: list[int]) -> list[int]:
+        """Per distinct joined event of the families, the base of the box
+        over ``images`` on it."""
+        lat = self.lat
+        return [lat._box(images, joined.space, ~joined.up) for joined in lat._families.joins]
+
+    def aware_bases(self, levels: list[int]) -> list[int]:
+        """Per distinct joined event of the families, the base of awareness
+        over ``levels`` on it, computed once per join space, the only thing
+        it reads.  The preconditions rule out straddled images, so no level
+        is -1 and the raise of :func:`pi_space` that ``a_op`` makes on one is
+        not needed."""
+        lat = self.lat
+        return _each(lambda space: lat._aware(levels, space),
+                     [joined.space for joined in lat._families.joins])
+
     def conjunctions(self, agent: str, laws) -> None:
-        """Per family, and per (law, operator) in ``laws``: the operator of
-        the family's conjunction is the conjunction of the operator."""
-        lat, model = self.lat, self.model
-        for family in self.families:
-            joined = lat.event_and(family)
-            for law, op in laws:
-                self.check(law, agent, op(model, agent, joined),
-                           lat.event_and([op(model, agent, e) for e in family]), family=family)
+        """Per family, and per (law, operator, bases) in ``laws``: the
+        operator of the family's conjunction is the conjunction of the
+        operator.
+
+        The operators keep their argument's base space, so both sides are
+        events at the family's join space J, and they are equal exactly when
+        their bases, their up-closures cut to J's states, are.  ``bases``
+        holds, per distinct joined event, the base of the operator on it
+        (:meth:`box_bases`, :meth:`aware_bases`); the other base is J's
+        states ANDed with the operator's result on each member.  Only a
+        failed check builds the two events, with the operator and
+        ``event_and``, as its witnesses."""
+        lat, model, report = self.lat, self.model, self.report
+        families = lat._families
+        span_bits = lat._names.span_bits
+        at_join = [span_bits[joined.space] for joined in families.joins]
+        results = [[op(model, agent, event).up for event in self.basis] for _, op, _ in laws]
+        report.count(len(families.families) * len(laws))
+        for family, members, join in zip(families.families, families.members, families.join_of):
+            for (law, op, bases), ups in zip(laws, results):
+                right = at_join[join]
+                for k in members:
+                    right &= ups[k]
+                if bases[join] != right:
+                    report.add(law, agent, left=op(model, agent, families.joins[join]),
+                               right=lat.event_and([op(model, agent, e) for e in family]),
+                               family=family)
 
     def monotonicity(self, law: str, agent: str, op) -> None:
         lat, model = self.lat, self.model
@@ -1132,8 +1207,8 @@ def explicit_property_suite(model: LatticeModel) -> Report:
             check("a-introspection", agent, aware, k_op(model, agent, aware), event=event)
 
         check("knowledge-necessitation", agent, k_op(model, agent, omega), omega)
-        suite.conjunctions(agent, (("knowledge-conjunction", k_op),
-                                   ("awareness-conjunction", a_op)))
+        suite.conjunctions(agent, (("knowledge-conjunction", k_op, suite.box_bases(images)),
+                                   ("awareness-conjunction", a_op, suite.aware_bases(levels))))
         suite.monotonicity("knowledge-monotonicity", agent, k_op)
 
         # Possibility sets agree across every comparable space between the

@@ -12,6 +12,12 @@ a base-space mask and an up-closure mask) must give what the definitions
 over sets of states give: up-closure, the event algebra, knowledge over Π
 and Λ, awareness, equality and the witness text.
 
+The property suites decide the conjunction laws on base masks at each
+family's join space, with one joined event per family per lattice.  The
+event-level check they replaced, which runs each operator on each family's
+conjunction and compares the two events, must give the same reports, also
+when a planted operator bug makes a law FAIL.
+
 Awareness models are held as world-index masks.  A per-world evaluator
 written from the definitions must agree with `fh_extension`,
 `fh_satisfies` and `_fh_extension`, also on models that `validate_fh`
@@ -45,6 +51,11 @@ from awarekit.cli import main
 from awarekit.enumeration import enumerate_formulas
 from awarekit.errors import AwarekitError
 from awarekit.fixtures import fig1L, fig1R
+from awarekit.implicit import (
+    a_star_property_suite,
+    implicit_from_complemented,
+    implicit_property_suite,
+)
 from awarekit.gen import GenCaps, gen_fh, random_formula
 from awarekit.modelio import (
     data_to_model,
@@ -64,8 +75,15 @@ from awarekit.transforms import (
     hms_transform,
 )
 from awarekit.unawareness import (
+    MAX_FAMILIES,
+    MAX_FAMILY_SIZE,
+    EventFamily,
+    SpaceLattice,
     StateRef,
+    _Suite,
     a_op,
+    event_basis,
+    explicit_property_suite,
     k_op,
     l_op,
     project_state,
@@ -560,3 +578,79 @@ def test_category_members_match_string_copies(index, minimize):
     strings = AwarenessCategory(category.atoms, copies, category.morphisms)
     assert dumps_model(category_to_implicit(strings)) == \
         dumps_model(category_to_implicit(category))
+
+
+# -- the conjunction laws -------------------------------------------------------
+
+
+def reference_conjunctions(suite, agent, laws):
+    """The conjunction laws on events, as the suites first checked them: per
+    family of the basis, and per law, the operator on the family's
+    conjunction, through the operator cache, against the conjunction of the
+    operator on each member.  The families are rebuilt here from the basis."""
+    lat, model = suite.lat, suite.model
+    basis = event_basis(model)
+    families = [EventFamily(combo) for size in range(1, MAX_FAMILY_SIZE + 1)
+                for combo in combinations(basis, size)][:MAX_FAMILIES]
+    for family in families:
+        joined = lat.event_and(family)
+        for law, op, _ in laws:
+            suite.check(law, agent, op(model, agent, joined),
+                        lat.event_and([op(model, agent, e) for e in family]), family=family)
+
+
+def suite_reports(im, comp) -> list[dict]:
+    return [explicit_property_suite(comp).to_data(), implicit_property_suite(comp).to_data(),
+            a_star_property_suite(im).to_data()]
+
+
+def assert_conjunctions_match_reference(im, comp, monkeypatch) -> list[dict]:
+    fast = suite_reports(im, comp)
+    with monkeypatch.context() as patch:
+        patch.setattr(_Suite, "conjunctions", reference_conjunctions)
+        assert suite_reports(im, comp) == fast
+    return fast
+
+
+@pytest.mark.parametrize("name", ["fig1L", "fig1R"])
+def test_conjunctions_match_reference_on_fixtures(name, monkeypatch):
+    comp = {"fig1L": fig1L, "fig1R": fig1R}[name]()
+    reports = assert_conjunctions_match_reference(implicit_from_complemented(comp), comp,
+                                                  monkeypatch)
+    assert all(report["passed"] for report in reports)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_conjunctions_match_reference_on_generated_models(seed, monkeypatch):
+    im = hms_transform(gen_fh(seed, GenCaps(atoms=6, worlds=12)), truncate=True)
+    assert_conjunctions_match_reference(im, im.derived(), monkeypatch)
+
+
+def dropping_one_state_on_joins(method):
+    """A lattice operator's base method that drops the lowest base state at
+    spaces of three or more atoms.  No basis event lies that high, so only
+    the operator on a family's conjunction sees the bug."""
+    def patched(self, row, space, *rest):
+        base = method(self, row, space, *rest)
+        return base & (base - 1) if space.bit_count() >= 3 else base
+    return patched
+
+
+@pytest.mark.parametrize("methods, laws", [
+    (["_box"], ["knowledge-conjunction"]),
+    (["_aware"], ["awareness-conjunction"]),
+    (["_box", "_aware"], ["knowledge-conjunction", "awareness-conjunction"]),
+], ids=["box", "aware", "both"])
+def test_planted_operator_bug_fails_the_conjunction_laws_on_both_paths(methods, laws,
+                                                                       monkeypatch):
+    """Equal reports also mean the same witnesses in the same order: per
+    family, the laws in turn."""
+    im = hms_transform(gen_fh(1, GenCaps(atoms=6, worlds=12)), truncate=True)
+    comp = im.derived()
+    for method in methods:
+        monkeypatch.setattr(SpaceLattice, method,
+                            dropping_one_state_on_joins(getattr(SpaceLattice, method)))
+    explicit = assert_conjunctions_match_reference(im, comp, monkeypatch)[0]
+    failed = [v for v in explicit["violations"] if v["law"].endswith("-conjunction")]
+    assert {v["law"] for v in failed} == set(laws)
+    assert all(set(v["witness"]) == {"left", "right", "family"} for v in failed)

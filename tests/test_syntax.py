@@ -88,6 +88,29 @@ def test_atoms_walks_shared_subtrees_once():
     assert atoms(iff(Atom("q"), f)) == {"p", "q"}
 
 
+def test_atom_sets_are_cached_and_shared_across_shared_subtrees():
+    """A node holds its atom set from construction and shares a child's set
+    when that holds every atom of the node: ``iff`` of two operands over
+    the same atoms keeps one set."""
+    f = iff(parse("p & ~q"), parse("q & p"))
+    assert atoms(f) == {"p", "q"}
+    assert atoms(f) is atoms(f.left) is atoms(f.left.child)
+    assert atoms(f) is atoms(f)
+    assert atoms(Not(f)) is atoms(f)
+
+
+def test_atom_sets_at_the_nesting_cap():
+    chain = parse(" & ".join(f"x{i}" for i in range(MAX_DEPTH + 1)))
+    assert chain.depth == MAX_DEPTH
+    assert atoms(chain) == {f"x{i}" for i in range(MAX_DEPTH + 1)}
+    modal = parse("k_1 " * (MAX_DEPTH - 1) + "(p & q)")
+    assert modal.depth == MAX_DEPTH
+    node = modal
+    while isinstance(node, K):
+        assert atoms(node) is atoms(modal) == {"p", "q"}
+        node = node.child
+
+
 def test_syntax_errors_carry_offsets():
     with pytest.raises(FormulaSyntaxError):
         parse("")

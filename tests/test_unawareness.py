@@ -188,6 +188,22 @@ def test_unknown_agent_is_unknown_agent_error(fig1L, family, op):
         op(model, "9", model.lattice.omega())
 
 
+@pytest.mark.parametrize("family", ["complemented", "implicit"])
+def test_operators_leave_the_decoded_views_unread(fig1L, family):
+    """``k_op`` and ``a_op`` read the mask tables: on a freshly loaded model
+    neither decodes the ``StateRef``-keyed views of Π or α."""
+    source = fig1L if family == "complemented" else implicit_from_complemented(fig1L)
+    model = data_to_model(model_to_data(source))
+    assert model.family == family
+    event = model.lattice.event(Q, {ref(Q, "q")})
+    k_op(model, "1", event)
+    a_op(model, "1", event)
+    for read in (model, model._derived):
+        if read is not None:
+            assert "pi" not in vars(read) and "alpha" not in vars(read)
+
+
+
 # -- the suite ----------------------------------------------------------------
 
 
