@@ -64,7 +64,6 @@ from .unawareness import (
     k_op,
     l_op,
     pi_space,
-    project_state,
     space_key,
     u_op,
     validate_hms,

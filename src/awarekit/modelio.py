@@ -5,15 +5,17 @@ schema.  ``worlds`` means an awareness model and ``spaces`` a
 :class:`~awarekit.unawareness.LatticeModel`, whose primitives are the
 correspondence fields present: ``pi`` alone, ``pi`` and ``lambda``, or
 ``lambda_star`` and ``alpha``.  The model's Λ is written as ``lambda`` when
-Π is primitive and as ``lambda_star`` when α is.  Proof files are JSON Lines
-with ``formula`` and ``by`` fields.
+Π is primitive and as ``lambda_star`` when α is.  This module checks the
+JSON shapes of the other fields; the correspondence and ``alpha`` rows,
+keyed by state token, go to the model as the file gives them, and the model
+checks their shapes in the walk that resolves their tokens.  Proof files are
+JSON Lines with ``formula`` and ``by`` fields.
 """
 
 from __future__ import annotations
 
 import json
 import shlex
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -96,23 +98,6 @@ def _table_of(cell):
     return lambda value, what: _table(value, what, cell)
 
 
-def _rows(raw, name: str, cell, fits) -> dict:
-    """A primitive's per-agent rows, keyed by state token, whose every value
-    passes ``cell(value, what)``.  ``fits(value)`` is a quick test that
-    accepts most values; ``cell`` runs on the others, to raise its message."""
-    for agent, row in _object(raw, name).items():
-        for token, value in _object(row, f"{name}[{agent}]").items():
-            if not fits(value):
-                cell(value, f"{name}[{agent}][{token}]")
-    return raw
-
-
-def _corr_from_data(raw, name: str) -> dict:
-    """A correspondence's rows: state token -> list of state tokens."""
-    return _rows(raw, name, _strings,
-                 lambda image: type(image) is list and all(map(isinstance, image, repeat(str))))
-
-
 def _lattice_to_data(lattice: SpaceLattice) -> dict:
     spaces = {space_key(space): [ref.id for ref in refs]
               for space, refs in lattice.spaces.items()}
@@ -137,6 +122,16 @@ def _require(data: dict, field: str):
     if field not in data:
         raise ModelFormatError(f"model file is missing the {field!r} field")
     return data[field]
+
+
+def _primitive(data: dict, field: str):
+    """A correspondence or ``alpha`` field as the file gives it: the model
+    checks its rows in the walk that resolves their tokens.  Only null is
+    caught here, which the model would read as an absent primitive."""
+    value = _require(data, field)
+    if value is None:
+        raise ModelFormatError(f"{field} must be an object")
+    return value
 
 
 def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
@@ -228,15 +223,11 @@ def data_to_model(data: dict) -> AnyModel:
         raise ModelFormatError("ambiguous model file: mixes implicit-primitive and "
                                "explicit-primitive fields")
     lattice, agents = _lattice_from_data(data)
-    # The rows go to the model keyed by token; it resolves each token once.
     if has_implicit:
-        lambda_star = _corr_from_data(_require(data, "lambda_star"), "lambda_star")
-        alpha = _rows(_require(data, "alpha"), "alpha", _string,
-                      lambda level: type(level) is str)
-        return LatticeModel(lattice, agents, lambda_=lambda_star, alpha=alpha)
-    pi = _corr_from_data(_require(data, "pi"), "pi")
-    lambda_ = _corr_from_data(data["lambda"], "lambda") if "lambda" in data else None
-    return LatticeModel(lattice, agents, pi=pi, lambda_=lambda_)
+        return LatticeModel(lattice, agents, lambda_=_primitive(data, "lambda_star"),
+                            alpha=_primitive(data, "alpha"))
+    lambda_ = _primitive(data, "lambda") if "lambda" in data else None
+    return LatticeModel(lattice, agents, pi=_primitive(data, "pi"), lambda_=lambda_)
 
 
 def dumps_model(model: AnyModel) -> str:

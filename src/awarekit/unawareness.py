@@ -176,10 +176,6 @@ class Event(NamedTuple):
         names = self.names
         return frozenset(_refs(names.states, self.up & names.span_bits[self.space]))
 
-    @property
-    def is_vacuous(self) -> bool:
-        return not self.up
-
     def __str__(self) -> str:
         ids = ",".join(sorted(ref.id for ref in self.base))
         return f"{self.names.keys[self.space]}:[{ids}]"
@@ -374,27 +370,14 @@ class SpaceLattice:
         return [f"{keys[space[i]]}:{ref.id}" for i, ref in enumerate(self.states)]
 
     @cached_property
-    def _lookup(self) -> dict:
-        """Each state's index, keyed both by its ``StateRef`` and by its
-        canonical token."""
-        lookup = dict(zip(self.states, range(len(self.states))))
-        lookup.update(zip(self._tokens, range(len(self.states))))
-        return lookup
+    def _lookup(self) -> dict[str, int]:
+        """Each state's index, keyed by its canonical token."""
+        return dict(zip(self._tokens, range(len(self.states))))
 
     @cached_property
     def _key_masks(self) -> dict[str, int]:
         """Each space's mask, keyed by its canonical space key."""
         return {key: mask for mask, key in enumerate(self._keys)}
-
-    def _resolve(self, state) -> int | None:
-        """The index of a state given as a ``StateRef`` or a state token,
-        None when the lattice has no such state.  A token whose space key is
-        spelled another way (``q,p:x`` for ``p,q:x``) is parsed; a malformed
-        token raises :class:`ModelFormatError`."""
-        i = self._lookup.get(state)
-        if i is None and type(state) is str:
-            i = self._find(parse_state_token(state))
-        return i
 
     def _resolve_space(self, space) -> int | None:
         """The mask of a space given as a set of atoms or a space key (atoms
@@ -580,9 +563,9 @@ class LatticeModel:
     knowledge-based model, whose Π is derived: :meth:`derived`).  Any other
     shape is a :class:`ModelFormatError`.
 
-    Each primitive is given as per-agent rows keyed by state, as
-    ``StateRef``s or as state tokens, and is checked and turned into a mask
-    table once, by :func:`_normalize`: per agent, a correspondence becomes
+    Each primitive is given as a model file gives it, per-agent rows keyed
+    by state token (:func:`state_token`), and is checked and turned into a
+    mask table once, by :func:`_normalize`: per agent, a correspondence becomes
     two lists indexed by state, the image as a state mask and the space mask
     of the image (-1 when it straddles spaces), and α becomes ``(None,
     levels)``.  The tables are the only stored form.  Absent primitives are
@@ -705,68 +688,89 @@ def _each(fn, keys: Iterable) -> list:
     return [memo[key] if key in memo else memo.setdefault(key, fn(key)) for key in keys]
 
 
-def _as_ref(state) -> StateRef:
-    return parse_state_token(state) if type(state) is str else state
-
-
 def _normalize(lattice: SpaceLattice, agents: tuple[str, ...], table, name: str):
     """Check a primitive's per-agent rows and turn them into its mask table.
 
-    A row maps each state, as a ``StateRef`` or a state token, to a value:
-    for a correspondence an image, a collection of states (``StateRef``s or
-    tokens), and for ``alpha`` a level, a space as a set of atoms or a space
-    key.  The checks run in this order, and the first that fails raises
-    :class:`ModelFormatError`: the rows cover exactly the agents; then per
-    agent, per state in index order, the state has a value, and the value
-    passes :func:`_image_mask` or :func:`_level_mask`; then every key of the
+    The rows are JSON values, as a model file gives them: an object per
+    agent, mapping each state token to a value, for a correspondence an
+    image, a list of state tokens, and for ``alpha`` a level, a space key.
+    One walk checks each value's shape and resolves its tokens, and the
+    first check that fails raises :class:`ModelFormatError`, in this order:
+    the table is an object covering exactly the agents; then per agent, its
+    row is an object whose keys are state tokens; then per state in index
+    order, the state has a value, and the value passes :func:`_image_mask`,
+    or is a string that passes :func:`_level_mask`; then every key of the
     row names a state.  Tokens resolve through the lattice's token table;
-    only a token that misses it is parsed."""
+    only a token that misses it is parsed, so a space key may list its atoms
+    in any order (``q,p:x`` for ``p,q:x``), and a malformed token raises."""
+    if not isinstance(table, dict):
+        raise ModelFormatError(f"{name} must be an object")
     if set(table) != set(agents):
         raise ModelFormatError(f"{name} must cover exactly the agents {sorted(agents)}")
     states, lookup = lattice.states, lattice._lookup
-    cell = _level_mask if name == "alpha" else _image_mask
+    alpha = name == "alpha"
     out = {}
     for agent in agents:
+        source = table[agent]
+        if not isinstance(source, dict):
+            raise ModelFormatError(f"{name}[{agent}] must be an object")
         row = [None] * len(states)
         unknown = []
-        for key, value in table[agent].items():
+        for key, value in source.items():
             i = lookup.get(key)
             if i is None:
-                i = lattice._resolve(key)
+                if not isinstance(key, str):
+                    raise ModelFormatError(f"{name}[{agent}] is keyed by {key!r}, "
+                                           f"which is not a state token")
+                i = lattice._find(parse_state_token(key))
                 if i is None:
                     unknown.append(key)
                     continue
-            row[i] = value
-        for i, value in enumerate(row):
-            if value is None:
+            row[i] = key, value
+        for i, entry in enumerate(row):
+            if entry is None:
                 raise ModelFormatError(f"{name}[{agent}] is undefined on state {states[i]}")
-            row[i] = cell(lattice, name, agent, states[i], value)
+            key, value = entry
+            if not alpha:
+                row[i] = _image_mask(lattice, name, agent, states[i], key, value)
+            elif isinstance(value, str):
+                row[i] = _level_mask(lattice, name, agent, states[i], value)
+            else:
+                raise ModelFormatError(f"{name}[{agent}][{key}] must be a string")
         if unknown:
-            ref = min(map(_as_ref, unknown), key=state_order)
+            ref = min(map(parse_state_token, unknown), key=state_order)
             raise ModelFormatError(f"{name}[{agent}] keyed by unknown state {ref}")
-        out[agent] = (None, row) if name == "alpha" else (row, list(map(lattice._level, row)))
+        out[agent] = (None, row) if alpha else (row, list(map(lattice._level, row)))
     return out
 
 
-def _image_mask(lattice: SpaceLattice, name: str, agent: str, ref: StateRef, image) -> int:
-    """An image as a state mask; it must be non-empty and name known states."""
+def _image_mask(lattice: SpaceLattice, name: str, agent: str, ref: StateRef, key: str,
+                image) -> int:
+    """An image, given at the row key ``key``, as a state mask: a non-empty
+    list of the tokens of known states."""
+    if not isinstance(image, list):
+        raise ModelFormatError(f"{name}[{agent}][{key}] must be a list of strings")
     if not image:
         raise ModelFormatError(f"{name}[{agent}] is empty at state {ref}")
     lookup = lattice._lookup
     mask = 0
     for target in image:
+        if not isinstance(target, str):
+            raise ModelFormatError(f"{name}[{agent}][{key}] must be a list of strings")
         j = lookup.get(target)
         if j is None:
-            j = lattice._resolve(target)
+            target = parse_state_token(target)
+            j = lattice._find(target)
             if j is None:
                 raise ModelFormatError(f"{name}[{agent}] at {ref} references "
-                                       f"unknown state {_as_ref(target)}")
+                                       f"unknown state {target}")
         mask |= 1 << j
     return mask
 
 
 def _level_mask(lattice: SpaceLattice, name: str, agent: str, ref: StateRef, level) -> int:
-    """A level as a space mask; it must be a space of the lattice."""
+    """A level, a space key or a set of atoms, as a space mask; it must be
+    a space of the lattice."""
     mask = lattice._resolve_space(level)
     if mask is None:
         if type(level) is str:
@@ -777,10 +781,6 @@ def _level_mask(lattice: SpaceLattice, name: str, agent: str, ref: StateRef, lev
 
 
 # -- spec operations ---------------------------------------------------------
-
-
-def project_state(model, ref: StateRef, target: frozenset[str]) -> StateRef:
-    return _lattice(model).project(ref, target)
 
 
 def _explicit(model: LatticeModel) -> LatticeModel:

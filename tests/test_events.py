@@ -14,7 +14,7 @@ from awarekit.implicit import a_star_property_suite, implicit_from_complemented
 from awarekit.modelio import load_model
 from awarekit.semantics import valid_in_model
 from awarekit.syntax import parse
-from awarekit.unawareness import explicit_property_suite, project_state
+from awarekit.unawareness import explicit_property_suite
 from conftest import MEET, P, PQ, Q, ref
 
 
@@ -63,14 +63,15 @@ def test_event_base_must_lie_in_base_space(fig1L):
 
 
 def test_project_state_examples(fig1L):
-    assert project_state(fig1L, ref(PQ, "pq"), Q) == ref(Q, "q")
-    assert project_state(fig1L, ref(PQ, "pq"), PQ) == ref(PQ, "pq")
-    assert project_state(fig1L, ref(PQ, "~p~q"), MEET) == ref(MEET, "*")
+    lat = fig1L.lattice
+    assert lat.project(ref(PQ, "pq"), Q) == ref(Q, "q")
+    assert lat.project(ref(PQ, "pq"), PQ) == ref(PQ, "pq")
+    assert lat.project(ref(PQ, "~p~q"), MEET) == ref(MEET, "*")
 
 
 def test_project_state_not_comparable(fig1L):
     with pytest.raises(NotComparable):
-        project_state(fig1L, ref(P, "p"), Q)
+        fig1L.lattice.project(ref(P, "p"), Q)
 
 
 def test_event_not(fig1L):

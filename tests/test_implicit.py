@@ -105,8 +105,7 @@ def test_candidate_recovers_left_panel(fig1L):
 
 def test_candidate_on_degenerate_model_equals_pi():
     lattice = SpaceLattice([], {MEET: ["*"]}, {}, {})
-    star = ref(MEET, "*")
-    model = LatticeModel(lattice, ["1"], pi={"1": {star: {star}}})
+    model = LatticeModel(lattice, ["1"], pi={"1": {":*": [":*"]}})
     candidate = candidate_lambda_from_pi(model)
     assert candidate.lambda_ == model.pi
 
@@ -244,7 +243,7 @@ CALLS = {
 ])
 def test_missing_primitive_is_model_format_error(fig1L, call, shape, missing):
     model = {
-        "pi": LatticeModel(fig1L.lattice, fig1L.agents, pi=fig1L.pi),
+        "pi": LatticeModel(fig1L.lattice, fig1L.agents, pi=model_to_data(fig1L)["pi"]),
         "pi+lambda": fig1L,
         "lambda+alpha": implicit_from_complemented(fig1L),
     }[shape]

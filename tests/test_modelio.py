@@ -12,7 +12,7 @@ import pytest
 
 import awarekit
 from awarekit.awareness import AwarenessModel
-from awarekit.cli import _validate_any
+from awarekit.cli import _validate_any, main as cli_main
 from awarekit.errors import ModelFormatError
 from awarekit.fixtures import fig1L as load_fig1L, fig1R as load_fig1R, fixture_path
 from awarekit.gen import GenCaps, gen_fh, gen_hms, gen_implicit
@@ -30,7 +30,7 @@ from awarekit.modelio import (
     lattice_dot,
 )
 from awarekit.transforms import hms_transform
-from awarekit.unawareness import LatticeModel, StateRef
+from awarekit.unawareness import LatticeModel, SpaceLattice, StateRef
 from conftest import PQ, ref
 
 
@@ -380,18 +380,16 @@ LOADED = [("fig1L", load_fig1L), ("fig1R", load_fig1R)] + [
 @pytest.mark.parametrize("name,build", LOADED, ids=[name for name, _ in LOADED])
 def test_loaded_masks_match_stateref_built_masks(name, build):
     """The masks that a file's token rows load to equal the masks of the
-    same model built from ``StateRef`` mappings, and the oracle's."""
+    model that was written, and the oracle's, which it builds from the
+    ``StateRef`` of each token."""
     model = build()
-    given = {field: getattr(model, field) for field, _ in PRIMITIVES
-             if getattr(model, field) is not None}
-    from_refs = LatticeModel(model.lattice, model.agents, **given)
-    data = model_to_data(from_refs)
+    data = model_to_data(model)
     loaded = data_to_model(data)
     fields = {"pi": "pi", "lambda_": "lambda" if "lambda" in data else "lambda_star",
               "alpha": "alpha"}
     for field, masks in PRIMITIVES:
-        assert getattr(loaded, masks) == getattr(from_refs, masks) == getattr(model, masks)
-        if field in given:
+        assert getattr(loaded, masks) == getattr(model, masks)
+        if getattr(model, masks) is not None:
             oracle = _oracle_masks(loaded.lattice, data, fields[field])
             assert getattr(loaded, masks) == oracle, field
 
@@ -490,6 +488,37 @@ def _fault_data():
     data = implicit()
     data["alpha"]["1"]["q:w"] = "q"
     cases.append(("alpha unknown key token", data, "alpha[1] keyed by unknown state q:w"))
+    return cases + _shape_faults(complemented, implicit)
+
+
+def _shape_faults(complemented, implicit):
+    """One file per JSON shape fault of a correspondence or ``alpha`` row,
+    each with the message the loader gives for it."""
+    cases = []
+
+    def case(fault, build, field, path, value, message):
+        data = build()
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cases.append((f"{field} {fault}", data, message))
+
+    for build, field in ((complemented, "pi"), (complemented, "lambda"),
+                         (implicit, "lambda_star"), (implicit, "alpha")):
+        table, row = (field,), (field, "1")
+        case("table as a list", build, field, table, [], f"{field} must be an object")
+        case("null table", build, field, table, None, f"{field} must be an object")
+        case("row as a list", build, field, row, [["q:q", ["q:q"]]],
+             f"{field}[1] must be an object")
+        if field == "alpha":
+            for fault, level in (("level as a list", ["q"]), ("level as a number", 1)):
+                case(fault, build, field, row + ("q:q",), level, "alpha[1][q:q] must be a string")
+            continue
+        for fault, image in (("image as a string", "q:q"), ("image as a number", 7),
+                             ("number token", ["q:q", 7]), ("list token", [["q:q"]])):
+            case(fault, build, field, row + ("q:q",), image,
+                 f"{field}[1][q:q] must be a list of strings")
     return cases
 
 
@@ -499,6 +528,31 @@ def test_each_correspondence_fault_has_its_message(fault, data, message):
     with pytest.raises(ModelFormatError) as err:
         data_to_model(data)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("fault,data,message", _fault_data(),
+                         ids=[fault for fault, _, _ in _fault_data()])
+def test_each_correspondence_fault_is_an_input_error(fault, data, message, tmp_path, capsys):
+    """``validate`` gives each fault's message with exit code 2, never the
+    internal error's 3."""
+    path = tmp_path / "fault.model"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli_main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_stateref_keyed_rows_are_a_format_error(fig1L):
+    """Rows are keyed by state tokens and their images list state tokens; a
+    ``StateRef`` in either place is a format error."""
+    star = StateRef(frozenset(), "*")
+    lattice = SpaceLattice([], {frozenset(): ["*"]}, {}, {})
+    with pytest.raises(ModelFormatError, match=r"^pi\[1\] is keyed by StateRef"):
+        LatticeModel(lattice, ["1"], pi={"1": {star: [":*"]}})
+    data = model_to_data(fig1L)
+    refs = {"1": {token: [parse_state_token(t) for t in image]
+                  for token, image in data["lambda"]["1"].items()}}
+    with pytest.raises(ModelFormatError, match=r"^lambda\[1\]\[p,q:pq\] must be a list"):
+        LatticeModel(fig1L.lattice, fig1L.agents, pi=data["pi"], lambda_=refs)
 
 
 def test_first_load_error_is_the_same_under_any_hash_seed(tmp_path):

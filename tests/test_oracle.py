@@ -86,7 +86,6 @@ from awarekit.unawareness import (
     explicit_property_suite,
     k_op,
     l_op,
-    project_state,
     space_key,
     subsets,
     validate_hms,
@@ -261,7 +260,7 @@ def test_equal_formulas_built_separately_share_a_hash():
 def naive_up(model, space, base):
     """Every state at or above ``space`` whose projection into it is in ``base``."""
     return frozenset(ref for ref in model.states
-                     if space <= ref.space and project_state(model, ref, space) in base)
+                     if space <= ref.space and model.lattice.project(ref, space) in base)
 
 
 def naive_join(model, events, keep):
@@ -270,7 +269,7 @@ def naive_join(model, events, keep):
     join = frozenset().union(*(space for space, _ in events))
     return join, frozenset(
         ref for ref in model.lattice.states_of(join)
-        if keep([project_state(model, ref, space) in base for space, base in events]))
+        if keep([model.lattice.project(ref, space) in base for space, base in events]))
 
 
 def naive_box(model, image, space, base):

@@ -12,6 +12,7 @@ from awarekit import implicit, transforms
 from awarekit.cli import main as cli_main
 from awarekit.gen import GenCaps, gen_fh
 from awarekit.implicit import validate_implicit, validate_lambda
+from awarekit.modelio import model_to_data
 from awarekit.unawareness import validate_hms
 
 STAGES = ((transforms, "build_category"), (transforms, "category_to_implicit"),
@@ -71,7 +72,8 @@ def test_validation_runs_once_per_model(monkeypatch):
     from awarekit import unawareness
 
     comp = transforms.hms_transform(gen_fh(1, GenCaps()))
-    fresh = unawareness.LatticeModel(comp.lattice, comp.agents, pi=comp.pi)
+    fresh = unawareness.LatticeModel(comp.lattice, comp.agents,
+                                     pi=model_to_data(comp)["pi"])
     runs = []
     real = unawareness._validate_lattice
     monkeypatch.setattr(unawareness, "_validate_lattice",

@@ -10,7 +10,7 @@ them, these facts follow and are checked here instead of on every model:
   state, below and above the awareness level.
 
 The checks are written from the definitions, over sets of ``StateRef``s
-and ``project_state``; they do not read the models' mask tables.  The
+and ``SpaceLattice.project``; they do not read the models' mask tables.  The
 models are the implicit views of both fixtures and truncated transforms of
 generated awareness models, each with the complemented model derived from
 it.
@@ -26,7 +26,7 @@ from awarekit.fixtures import fig1L, fig1R
 from awarekit.gen import GenCaps, gen_fh
 from awarekit.implicit import implicit_from_complemented, validate_implicit
 from awarekit.transforms import hms_transform
-from awarekit.unawareness import pi_space, project_state
+from awarekit.unawareness import pi_space
 
 SEEDS = range(24)
 CAPS = GenCaps(atoms=6, worlds=6)  # seeds 0, 10, 15 and 19 reach 6 atoms
@@ -63,7 +63,7 @@ def _level(model, agent, ref):
 
 
 def _project(model, states, space):
-    return frozenset(project_state(model, ref, space) for ref in states)
+    return frozenset(model.lattice.project(ref, space) for ref in states)
 
 
 def _up_closures(model):
@@ -74,7 +74,7 @@ def _up_closures(model):
     def up(states):
         (space,) = {ref.space for ref in states}
         return frozenset(ref for ref in model.states
-                         if space <= ref.space and project_state(model, ref, space) in states)
+                         if space <= ref.space and model.lattice.project(ref, space) in states)
 
     return up
 
@@ -102,7 +102,7 @@ def test_projections_preserve_implicit_ignorance(name):
             mine = up(lam[ref])
             for space in model.lattice.spaces:
                 if space < ref.space:
-                    below = project_state(model, ref, space)
+                    below = model.lattice.project(ref, space)
                     assert mine <= up(lam[below]), (agent, ref, space)
 
 
@@ -115,7 +115,7 @@ def test_derived_pi_meets_the_defining_clause(name):
             for space in model.lattice.spaces:
                 if not space <= ref.space:
                     continue
-                below = project_state(model, ref, space)
+                below = model.lattice.project(ref, space)
                 got = pi[below]
                 assert got == _project(model, image, _level(model, agent, below)), \
                     (agent, ref, space)

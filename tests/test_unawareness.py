@@ -59,7 +59,7 @@ def test_single_space_degenerate_model():
         projections={},
         valuation={},
     )
-    model = LatticeModel(lattice, ["1"], pi={"1": {ref(MEET, "*"): {ref(MEET, "*")}}})
+    model = LatticeModel(lattice, ["1"], pi={"1": {":*": [":*"]}})
     assert validate_hms(model).ok
 
 
@@ -68,9 +68,8 @@ def test_single_space_degenerate_model():
                          ids=lambda given: ",".join(given) or "none")
 def test_lattice_model_takes_three_shapes_only(given):
     lattice = SpaceLattice([], {MEET: ["*"]}, {}, {})
-    star = ref(MEET, "*")
-    values = {"pi": {"1": {star: {star}}}, "lambda_": {"1": {star: {star}}},
-              "alpha": {"1": {star: MEET}}}
+    values = {"pi": {"1": {":*": [":*"]}}, "lambda_": {"1": {":*": [":*"]}},
+              "alpha": {"1": {":*": ""}}}
     with pytest.raises(ModelFormatError):
         LatticeModel(lattice, ["1"], **{name: values[name] for name in given})
 
