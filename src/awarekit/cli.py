@@ -77,6 +77,19 @@ def _caps_from(arg: str | None) -> GenCaps:
     return GenCaps(**values)
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``, so that a
+    nonsense count is a bad flag rather than a vacuous run."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -282,12 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", help="source model file")
     p.add_argument("b", help="transformed model file")
     p.add_argument("--via", required=True, choices=transforms.TRANSFORM_DIRECTIONS)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=_at_least(0), default=2)
     _add_format(p)
     p.set_defaults(func="_cmd_equiv")
 
     p = sub.add_parser("fuzz", help="generate models and run every validator and suite")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_at_least(1), default=20)
     p.add_argument("--caps", help="e.g. atoms=3,worlds=5,agents=2")
     p.add_argument("--seed", type=int, default=0)
     _add_format(p)
@@ -300,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(pc)
     pc.set_defaults(func="_cmd_lpa_check")
     pf = lpa_sub.add_parser("fuzz", help="fuzz axiom validity on random models")
-    pf.add_argument("--trials", type=int, default=50)
-    pf.add_argument("--depth", type=int, default=2)
+    pf.add_argument("--trials", type=_at_least(1), default=50)
+    pf.add_argument("--depth", type=_at_least(0), default=2)
     pf.add_argument("--caps", help="e.g. atoms=3,worlds=5,agents=2")
     pf.add_argument("--seed", type=int, default=0)
     _add_format(pf)

@@ -21,6 +21,7 @@ from .errors import (
 from .reports import Report, memoised
 from .unawareness import (
     LatticeModel,
+    SpaceLattice,
     _explicit,
     _holders,
     _indices,
@@ -42,14 +43,30 @@ from .unawareness import (
 
 
 def _check_implicit_correspondence(model: LatticeModel, agent: str, report: Report) -> None:
+    """Merge into ``report`` the report of Λ's laws on the agent's row.
+
+    The laws read the lattice and the row alone, so their report is kept on
+    the lattice, keyed by the agent and the row's identity, and every model
+    that shares the row shares it: a complemented model derived from an
+    implicit one, and the implicit view of a complemented one.  The entry
+    holds the row, so its identity cannot be reused while the entry lives."""
+    lat, row = model.lattice, model._lambda_masks[agent]
+    key = _lambda_laws, agent, id(row)
+    entry = lat._reports.get(key)
+    if entry is None:
+        entry = lat._reports[key] = row, _lambda_laws(lat, agent, row)
+    report.merge(entry[1])
+
+
+def _lambda_laws(lat: SpaceLattice, agent: str, row: tuple[list[int], list[int]]) -> Report:
     """Reflexivity, Stationarity, and projection compatibility of an
     agent's within-space correspondence Λ; strong confinement is checked
     first since the projection law cannot even be stated without it.  What
     follows from these laws (Λ partitions every space, projections preserve
     implicit ignorance) is checked as a theorem by the test suite."""
-    lat = model.lattice
+    report = Report()
     states, spaces, proj, below, keys = lat.states, lat._space, lat._proj, lat._below, lat._keys
-    images, levels = model._lambda_masks[agent]
+    images, levels = row
     confined = [level == space for level, space in zip(levels, spaces)]
     holders = _holders(images)
     checked = len(states)
@@ -79,6 +96,7 @@ def _check_implicit_correspondence(model: LatticeModel, agent: str, report: Repo
                 report.add("projections-preserve-implicit-knowledge", agent,
                            state=ref, below=keys[below_space])
     report.count(checked)
+    return report
 
 
 @memoised
@@ -175,8 +193,7 @@ def validate_implicit(model: LatticeModel) -> Report:
     """Full validation of an implicit knowledge-based model: lattice laws,
     the implicit correspondence laws, then the awareness-function laws."""
     require(model, "lambda", "alpha")
-    report = Report()
-    _validate_lattice(model.lattice, report)
+    report = _validate_lattice(model.lattice)
     for agent in model.agents:
         _check_implicit_correspondence(model, agent, report)
     if report.ok:
@@ -218,7 +235,11 @@ def derive_pi_star(model: LatticeModel) -> LatticeModel:
     """Derive the explicit possibility correspondence from the implicit one
     and the awareness function, then assert that the result is a valid
     complemented model; a failed assertion raises
-    :class:`DerivationInconsistent`.
+    :class:`DerivationInconsistent` with the result's
+    :func:`validate_lambda` report.  The result shares the implicit model's
+    lattice and Λ table, so that check reuses the lattice's and Λ's reports
+    from the implicit model's validation and walks only Π and the joint
+    laws.
 
     Π at each state is Λ's image projected to the awareness level.  That
     the projected forms of the defining clause agree with it follows from
@@ -241,17 +262,12 @@ def derive_pi_star(model: LatticeModel) -> LatticeModel:
                 projected[key] = lat._project_mask(*key)
         pi_star[agent] = ([projected[key] for key in zip(images, levels)], levels)
 
-    # Λ is the implicit model's, already checked: share its table.
+    # Λ is the implicit model's: share its table, and with it Λ's report.
     complemented = LatticeModel._from_masks(lat, model.agents, pi=pi_star,
                                             lambda_=model._lambda_masks)
-    hms_report = validate_hms(complemented)
-    if not hms_report.ok:
-        raise DerivationInconsistent("derived explicit correspondence is not a valid "
-                                     "unawareness model", hms_report)
-    joint = validate_lambda(complemented)
-    if not joint.ok:
-        raise DerivationInconsistent("derived pair breaks explicit/implicit measurability",
-                                     joint)
+    report = validate_lambda(complemented)
+    if not report.ok:
+        raise DerivationInconsistent("derived complemented model fails validation", report)
     return complemented
 
 

@@ -61,10 +61,15 @@ def _string(value, what: str) -> str:
 
 
 def _names(value, what: str, valid, kind: str) -> list[str]:
-    """A list of atom names or agent ids, each of which must read back."""
+    """A list of distinct atom names or agent ids, each of which must read
+    back."""
+    seen = set()
     for name in _strings(value, what):
         if not valid(name):
             raise ModelFormatError(f"{what}: {name!r} is not a valid {kind}")
+        if name in seen:
+            raise ModelFormatError(f"{what}: {name!r} is repeated")
+        seen.add(name)
     return value
 
 
@@ -149,6 +154,8 @@ def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
             raise ModelFormatError(f"projection key {key!r} is not of the form 'parent->child'")
         parent_key, _, child_key = key.partition("->")
         projections[(parse_space_key(parent_key), parse_space_key(child_key))] = table
+    if len(projections) != len(raw_projections):
+        raise ModelFormatError("duplicate projection keys after normalization")
 
     valuation = {}
     for atom, entry in raw_valuation.items():

@@ -5,10 +5,13 @@ Validators and suites never raise on a law violation; they collect one
 reproduce the failure by hand.  A report with no violations means every
 check that ran passed.
 
-Models are immutable: no model may be changed after construction.  Each
-validator wrapped in :func:`memoised` therefore runs once per model object;
-its report is kept on the model and every call returns a fresh copy of it,
-so a caller may merge into what it gets.
+Models and their lattices are immutable: neither may be changed after
+construction.  So each group of laws is checked once per object it reads,
+and the report is kept on that object: a lattice's own laws once per
+lattice, Λ's laws once per agent row that models share (the row's report
+is kept on the lattice), and the rest of each validator wrapped in
+:func:`memoised` once per model object.  Every call returns a fresh copy of
+a kept report, so a caller may merge into what it gets.
 
 A validator checks each primitive law of its model once, and ``checked``
 counts those checks.  Consequences of the laws are not re-checked on every
@@ -88,16 +91,17 @@ class Report:
 
 
 def memoised(validator):
-    """``validator(model)``, run once per model object.
+    """``validator(obj)``, run once per object: a model, or a lattice for
+    the lattice's own laws.
 
-    The report is kept in the model's ``_reports`` dict, keyed by the
+    The report is kept in the object's ``_reports`` dict, keyed by the
     validator, and each call returns a copy."""
 
     @functools.wraps(validator)
-    def run(model):
-        report = model._reports.get(validator)
+    def run(obj):
+        report = obj._reports.get(validator)
         if report is None:
-            report = model._reports[validator] = validator(model)
+            report = obj._reports[validator] = validator(obj)
         return report.copy()
 
     return run

@@ -144,17 +144,6 @@ def iff(left: Formula, right: Formula) -> Formula:
     return And(imp(left, right), imp(right, left))
 
 
-def conj(formulas: Iterable[Formula]) -> Formula:
-    """Left-associated conjunction of a nonempty sequence."""
-    items = list(formulas)
-    if not items:
-        raise ValueError("conj of an empty sequence")
-    out = items[0]
-    for f in items[1:]:
-        out = And(out, f)
-    return out
-
-
 def atoms(f: Formula) -> frozenset[str]:
     """The set of atom names occurring in ``f``; empty for the constant true.
 

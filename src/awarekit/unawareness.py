@@ -26,8 +26,10 @@ spaces is materialized eagerly and validation is exhaustive.
 
 Lattices and models are immutable: nothing may change them after
 construction.  Their index tables and operator caches are built on that
-promise, and so is validation, which runs once per model object
-(:func:`reports.memoised`); later calls return copies of the first report.
+promise, and so is validation, which runs once per object it reads: the
+lattice laws once per lattice, Λ's laws once per agent row, and the rest
+once per model (:func:`reports.memoised`); later calls return copies of
+the first report.
 """
 
 from __future__ import annotations
@@ -191,9 +193,10 @@ class SpaceLattice:
     covering pair (drop one atom), and each atom's base space and base ids.
     Construction fails on structural unreadability only, checking the
     spaces, then the covering maps (parents in :func:`subsets` order,
-    dropped atoms sorted), then the valuation, so the first failure does
-    not depend on the hash seed.  The composition law is a validator
-    concern, not assumed here.
+    dropped atoms sorted; each total on its parent's ids and defined on
+    nothing else), then that every given map is of a covering pair, then
+    the valuation, so the first failure does not depend on the hash seed.
+    The composition law is a validator concern, not assumed here.
 
     The lattice is held as dense index tables.  State ``i`` is
     ``states[i]``, laid out space by space, larger spaces first, ids
@@ -286,6 +289,16 @@ class SpaceLattice:
                     raise ModelFormatError(
                         f"projection {pair} maps {state_id!r} to unknown state {image!r}")
                 self._proj[i][child] = ids[image]
+            extra_ids = raw.keys() - self._ids[parent].keys()
+            if extra_ids:
+                raise ModelFormatError(f"projection {pair} is defined on unknown state "
+                                       f"{min(extra_ids)!r}")
+        covering = {(by_mask[parent], by_mask[child]) for parent, child in self._edges()}
+        extra_pairs = sorted((space_key(parent), space_key(child))
+                             for parent, child in projections.keys() - covering)
+        if extra_pairs:
+            raise ModelFormatError("projection {!r} -> {!r} is not a covering pair"
+                                   .format(*extra_pairs[0]))
 
         if set(valuation) != self.atoms:
             missing = self.atoms - set(valuation)
@@ -315,6 +328,7 @@ class SpaceLattice:
                 self._up[row[target]] |= bit
 
         self._omega = Event(0, self._upspace[0], self._names)
+        self._reports: dict = {}  # see reports.memoised
         self.valuation: dict[str, Event] = {}
         for atom, (space, ids) in valuation.items():
             mask = self._masks.get(space)
@@ -872,7 +886,11 @@ def u_op(model: LatticeModel, agent: str, event: Event) -> Event:
 # -- validation ---------------------------------------------------------------
 
 
-def _validate_lattice(lat: SpaceLattice, report: Report) -> None:
+@memoised
+def _validate_lattice(lat: SpaceLattice) -> Report:
+    """The projection laws and the valuation convention: a lattice's own
+    laws, checked once per lattice for every model over it."""
+    report = Report()
     states, proj, span, masks, keys = lat.states, lat._proj, lat._span, lat._masks, lat._keys
     covers = sorted(lat._edges(), key=lambda pair: (keys[pair[0]], keys[pair[1]]))
     report.count(len(covers))
@@ -903,6 +921,7 @@ def _validate_lattice(lat: SpaceLattice, report: Report) -> None:
         if space != lat._atom_bit[atom]:
             report.add("valuation-base-space", atom=atom,
                        base_space=lat._keys[space], required=atom)
+    return report
 
 
 @memoised
@@ -911,9 +930,8 @@ def validate_hms(model: LatticeModel) -> Report:
     required of the explicit possibility correspondences of a model with a
     primitive Π, reporting each violation with a witness."""
     require(model, "pi")
-    report = Report()
     lat = model.lattice
-    _validate_lattice(lat, report)
+    report = _validate_lattice(lat)
     states, spaces, proj, below, keys = (
         lat.states, lat._space, lat._proj, lat._below, lat._keys)
 

@@ -188,6 +188,31 @@ def test_usage_error_is_exit_two(capsys):
     assert main(["transform", FIG1L]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["equiv", FIG1R, FIG1L, "--via", "fh", "--depth", "-1"],
+    ["fuzz", "--trials", "0"],
+    ["fuzz", "--trials", "-2"],
+    ["lpa", "fuzz", "--trials", "0"],
+    ["lpa", "fuzz", "--trials", "1", "--depth", "-1"],
+], ids=" ".join)
+def test_nonsense_count_is_a_bad_flag(argv, capsys):
+    """A negative depth or a trial count below one is refused, not run
+    as a vacuous PASS."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "must be at least" in err
+
+
+def test_least_counts_still_run(tmp_path, capsys):
+    fh_path = tmp_path / "fig1R.fh"
+    assert run(capsys, "transform", FIG1R, "--to", "fh", "--out", str(fh_path))[0] == 0
+    code, out, _ = run(capsys, "equiv", FIG1R, str(fh_path), "--via", "fh", "--depth", "0")
+    assert code == 0 and "PASS" in out
+    for argv in (["fuzz", "--trials", "1"], ["lpa", "fuzz", "--trials", "1", "--depth", "0"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "PASS" in out
+
+
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     from awarekit import cli
 

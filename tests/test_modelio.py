@@ -321,6 +321,14 @@ def test_agent_ids_that_cannot_round_trip_rejected(fig1L, agent):
     _rejected(data)
 
 
+@pytest.mark.parametrize("field,names", [("atoms", ["p", "p"]), ("agents", ["1", "1"])])
+def test_repeated_names_rejected(field, names):
+    data = json.loads(json.dumps(FH_DATA))
+    data[field] = names
+    with pytest.raises(ModelFormatError, match=rf"^{field}: '{names[0]}' is repeated$"):
+        data_to_model(data)
+
+
 def test_names_of_the_token_grammar_load():
     data = json.loads(json.dumps(FH_DATA))
     data.update(atoms=["rain_now", "q1", "lx", "Tt"], agents=["alice", "2", "_b"],
@@ -441,6 +449,29 @@ def _fault_data():
     data["projections"]["p,q->q"]["~pq"] = "ghost"
     cases.append(("projection to an unknown state", data,
                   "projection 'p,q' -> 'q' maps '~pq' to unknown state 'ghost'"))
+    data = complemented()
+    data["projections"]["p->"]["ghost"] = "*"
+    cases.append(("projection of an unknown state", data,
+                  "projection 'p' -> '' is defined on unknown state 'ghost'"))
+    data = complemented()
+    data["projections"]["p,q->"] = {state: "*" for state in data["spaces"]["p,q"]}
+    data["projections"]["q->p"] = {}
+    cases.append(("projection of a pair that is not covering", data,
+                  "projection 'p,q' -> '' is not a covering pair"))
+    data = complemented()
+    data["projections"]["x->"] = {"x": "*"}
+    cases.append(("projection of an unknown space", data,
+                  "projection 'x' -> '' is not a covering pair"))
+    data = complemented()
+    data["projections"]["q,p->p"] = data["projections"]["p,q->p"]
+    cases.append(("duplicate projection keys", data,
+                  "duplicate projection keys after normalization"))
+    data = complemented()
+    data["atoms"] = ["p", "q", "p"]
+    cases.append(("repeated atom", data, "atoms: 'p' is repeated"))
+    data = complemented()
+    data["agents"] = ["1", "1"]
+    cases.append(("repeated agent", data, "agents: '1' is repeated"))
     data = complemented()
     del data["valuation"]["q"]
     cases.append(("partial valuation", data,

@@ -1,19 +1,23 @@
 """One fuzz trial builds one category, one implicit model and one derived
-complemented model, and validation runs once per model object."""
+complemented model, and validation checks each group of laws once per part
+it reads: the lattice's laws once per lattice, Λ's laws once per agent row,
+and the rest once per model object."""
 
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io
+import sys
 
 import pytest
 
-from awarekit import implicit, transforms
+from awarekit import implicit, transforms, unawareness
 from awarekit.cli import main as cli_main
 from awarekit.gen import GenCaps, gen_fh
 from awarekit.implicit import validate_implicit, validate_lambda
 from awarekit.modelio import model_to_data
-from awarekit.unawareness import validate_hms
+from awarekit.unawareness import LatticeModel, validate_hms
 
 STAGES = ((transforms, "build_category"), (transforms, "category_to_implicit"),
           (implicit, "derive_pi_star"))
@@ -68,17 +72,69 @@ def test_merging_into_a_report_leaves_the_next_one_unchanged():
         assert again.to_data() == before and again.ok and again.checked > 0
 
 
-def test_validation_runs_once_per_model(monkeypatch):
-    from awarekit import unawareness
+@contextlib.contextmanager
+def walks(*functions):
+    """The arguments of every call of each function's own code, under any
+    memo wrapper: ``seen[f]`` lists one dict of argument values per walk."""
+    codes = {inspect.unwrap(f).__code__: f for f in functions}
+    seen = {f: [] for f in functions}
 
-    comp = transforms.hms_transform(gen_fh(1, GenCaps()))
-    fresh = unawareness.LatticeModel(comp.lattice, comp.agents,
-                                     pi=model_to_data(comp)["pi"])
-    runs = []
-    real = unawareness._validate_lattice
-    monkeypatch.setattr(unawareness, "_validate_lattice",
-                        lambda *a, **k: runs.append(1) or real(*a, **k))
-    for model in (comp.base, comp.base, fresh, fresh, fresh):
-        assert validate_hms(model).ok
-    # The derivation validated comp already; the fresh model runs once.
-    assert len(runs) == 1
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            seen[codes[frame.f_code]].append(dict(frame.f_locals))
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield seen
+    finally:
+        sys.setprofile(outer)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--trials", "1", "--seed", "2", "--format", "data"],
+    ["lpa", "fuzz", "--trials", "1", "--seed", "1", "--format", "data"],
+], ids=" ".join)
+def test_one_trial_checks_each_shared_part_once(argv):
+    """The implicit model and the complemented model derived from it share
+    one lattice and one Λ table: the lattice laws run once for the lattice
+    and Λ's laws once per agent."""
+    with walks(validate_implicit, unawareness._validate_lattice,
+               implicit._lambda_laws) as seen, contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(argv) == 0
+    (im,) = [call["model"] for call in seen[validate_implicit]]
+    assert len(im.agents) == 2
+    assert [call["lat"] for call in seen[unawareness._validate_lattice]] == [im.lattice]
+    assert [(call["lat"], call["agent"]) for call in seen[implicit._lambda_laws]] == [
+        (im.lattice, agent) for agent in im.agents]
+
+
+def test_validation_runs_once_per_model():
+    """``validate_hms``'s Π walk runs once per model object, and the
+    lattice laws once for the lattice every model here shares."""
+    with walks(validate_hms, unawareness._validate_lattice) as seen:
+        comp = transforms.hms_transform(gen_fh(1, GenCaps()))
+        fresh = LatticeModel(comp.lattice, comp.agents, pi=model_to_data(comp)["pi"])
+        for model in (comp, comp.base, comp.base, fresh, fresh, fresh):
+            assert validate_hms(model).ok
+    assert [call["model"] for call in seen[validate_hms]] == [comp, fresh]
+    assert [call["lat"] for call in seen[unawareness._validate_lattice]] == [comp.lattice]
+
+
+def test_a_shared_lattice_keeps_each_rows_report_apart():
+    """A model on a validated model's lattice, with a Λ row of its own that
+    breaks reflexivity, fails with its own witness; the rows it shares keep
+    their reports, and the first model still passes."""
+    im = transforms.hms_transform(gen_fh(2, GenCaps()), truncate=True)
+    assert len(im.agents) == 2 and validate_implicit(im).ok
+    lat, agent = im.lattice, im.agents[0]
+    images, levels = im._lambda_masks[agent]
+    i = next(i for i, image in enumerate(images) if image.bit_count() > 1)
+    planted = dict(im._lambda_masks)
+    planted[agent] = (images[:i] + [images[i] & ~(1 << i)] + images[i + 1:], levels)
+    broken = LatticeModel._from_masks(lat, im.agents, lambda_=planted, alpha=im._alpha_masks)
+    report = validate_implicit(broken)
+    assert not report.ok and {v.agent for v in report.violations} == {agent}
+    assert [v.witness for v in report.violations if v.law == "implicit-reflexivity"] == [
+        {"state": str(lat.states[i])}]
+    assert validate_implicit(im).ok
