@@ -274,7 +274,9 @@ class SpaceLattice:
 
         # Entries for targets that are not below the state's space stay -1.
         self._proj: list[list[int]] = [[-1] * n_masks for _ in self.states]
+        n_covering = 0
         for parent, child in self._edges():
+            n_covering += 1
             pair = f"{self._keys[parent]!r} -> {self._keys[child]!r}"
             raw = projections.get((by_mask[parent], by_mask[child]))
             if raw is None:
@@ -289,16 +291,18 @@ class SpaceLattice:
                     raise ModelFormatError(
                         f"projection {pair} maps {state_id!r} to unknown state {image!r}")
                 self._proj[i][child] = ids[image]
-            extra_ids = raw.keys() - self._ids[parent].keys()
-            if extra_ids:
+            # The map is total on the parent's ids, so a longer map has others.
+            if len(raw) > len(self._span[parent]):
+                extra_id = min(raw.keys() - self._ids[parent].keys())
                 raise ModelFormatError(f"projection {pair} is defined on unknown state "
-                                       f"{min(extra_ids)!r}")
-        covering = {(by_mask[parent], by_mask[child]) for parent, child in self._edges()}
-        extra_pairs = sorted((space_key(parent), space_key(child))
+                                       f"{extra_id!r}")
+        # Every covering pair has its map, so more maps means other keys.
+        if len(projections) > n_covering:
+            covering = {(by_mask[parent], by_mask[child]) for parent, child in self._edges()}
+            extra_pair = min((space_key(parent), space_key(child))
                              for parent, child in projections.keys() - covering)
-        if extra_pairs:
             raise ModelFormatError("projection {!r} -> {!r} is not a covering pair"
-                                   .format(*extra_pairs[0]))
+                                   .format(*extra_pair))
 
         if set(valuation) != self.atoms:
             missing = self.atoms - set(valuation)
