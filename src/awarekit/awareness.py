@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, compress
+from itertools import compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .enumeration import enumerate_formulas
@@ -49,6 +49,18 @@ def _mask(position: Mapping[str, int], names: Iterable) -> int:
     mask = 0
     for name in names:
         mask |= 1 << position[name]
+    return mask
+
+
+def _distinct_mask(position: Mapping[str, int], names: Iterable, repeats: str) -> int:
+    """:func:`_mask` of a list from a model file, which names each member
+    once; a repeated member raises ``<repeats> <member>``."""
+    mask = 0
+    for name in names:
+        bit = 1 << position[name]
+        if mask & bit:
+            raise ModelFormatError(f"{repeats} {name!r}")
+        mask |= bit
     return mask
 
 
@@ -107,6 +119,9 @@ class AwarenessModel:
                 if w not in index or t not in index:
                     raise ModelFormatError(f"relation of agent {agent} references "
                                            f"unknown world in ({w!r}, {t!r})")
+                if rows[index[w]] >> index[t] & 1:
+                    raise ModelFormatError(f"relation of agent {agent} lists "
+                                           f"({w!r}, {t!r}) twice")
                 rows[index[w]] |= 1 << index[t]
 
         if set(awareness_atoms) != set(agents):
@@ -125,7 +140,9 @@ class AwarenessModel:
                                        for w in worlds))
         atoms = tuple(sorted(self.language_atoms)) + tuple(sorted(named - self.language_atoms))
         bit = {atom: k for k, atom in enumerate(atoms)}
-        aware = {agent: [_mask(bit, awareness_atoms[agent][w]) for w in worlds]
+        aware = {agent: [_distinct_mask(bit, awareness_atoms[agent][w],
+                                        f"awareness[{agent}] at world {w!r} repeats atom")
+                         for w in worlds]
                  for agent in self.agents}
 
         for atom, hits in valuation.items():
@@ -133,7 +150,9 @@ class AwarenessModel:
             if stray:
                 raise ModelFormatError(f"valuation of {atom!r} references unknown "
                                        f"world {min(stray)!r}")
-        return _Tables(atoms, succ, aware, {a: _mask(index, hits) for a, hits in valuation.items()})
+        val = {a: _distinct_mask(index, hits, f"valuation of {a!r} repeats world")
+               for a, hits in valuation.items()}
+        return _Tables(atoms, succ, aware, val)
 
     @cached_property
     def _cells(self) -> dict[type, dict[str, dict[int, int]]]:
@@ -485,64 +504,36 @@ def validate_category(category: AwarenessCategory) -> Report:
 
 def category_equivalence_suite(category: AwarenessCategory, depth: int = 3) -> Report:
     """Every morphism preserves and reflects truth of every enumerated
-    formula of the smaller language, and the join/meet models of every
-    family of sublanguages are modally equivalent to its members.
+    formula of the smaller language, so the join/meet models of every
+    family of sublanguages are modally equivalent to its members: a
+    family's join contains each member and each member contains the meet,
+    so each such pair is a comparable pair, checked here once.
 
     Empty reports are only guaranteed for categories passing
     :func:`validate_category`; the scan itself runs regardless, so a broken
     category surfaces as formula-level counterexamples here.
     """
     report = Report()
-    verdicts: dict[tuple[frozenset[str], frozenset[str]], bool] = {}
-
-    def pair_ok(large: frozenset[str], small: frozenset[str], context: str) -> None:
-        """Compare the two members on the formulas of the smaller language."""
-        where = {"source": space_key(large), "target": space_key(small)}
-        if (large, small) in verdicts:
-            report.count()
-            if not verdicts[(large, small)]:
-                report.add("modal-equivalence", context=context, **where, language=where["target"])
-            return
-        src, dst = category.models[large], category.models[small]
-        morphism = category.morphisms[(large, small)]
-        # Each source world's image as a target world index; an identity
-        # morphism between equal world tuples compares the masks whole.
-        image = [dst._index.get(morphism(world)) for world in src.worlds]
-        same = src.worlds == dst.worlds and image == list(range(len(image)))
-        good = True
-        for f in enumerate_formulas(small, category.agents, depth):
-            ext_src, ext_dst = fh_mask(src, f), fh_mask(dst, f)
-            if not same:
-                ext_dst = sum(1 << i for i, j in enumerate(image)
-                              if j is not None and ext_dst >> j & 1)
-            if ext_src == ext_dst:
-                report.count(len(src.worlds))
-                continue
-            for i, world in enumerate(src.worlds):
-                report.count()
-                if (ext_src ^ ext_dst) >> i & 1:
-                    good = False
-                    report.add("modal-equivalence", context=context, formula=f, world=world,
-                               **where)
-        verdicts[(large, small)] = good
-
     for large in subsets(category.atoms):
         for small in subsets(large):
-            pair_ok(large, small, "morphism")
-
-    # Every nonempty family of sublanguages; each family only exercises
-    # already-memoized comparable pairs, so the cost is the iteration itself.
-    # Past three atoms the powerset of the powerset explodes, so fall back to
-    # pairs plus the full family.
-    all_spaces = list(subsets(category.atoms))
-    max_size = len(all_spaces) if len(all_spaces) <= 8 else 2
-    families = [family for size in range(1, max_size + 1)
-                for family in combinations(all_spaces, size)]
-    if max_size != len(all_spaces):
-        families.append(tuple(all_spaces))
-    for family in families:
-        join, meet = frozenset().union(*family), frozenset.intersection(*family)
-        for member in family:
-            pair_ok(join, member, "family-join")
-            pair_ok(member, meet, "family-meet")
+            where = {"source": space_key(large), "target": space_key(small)}
+            src, dst = category.models[large], category.models[small]
+            morphism = category.morphisms[(large, small)]
+            # Each source world's image as a target world index; an identity
+            # morphism between equal world tuples compares the masks whole.
+            image = [dst._index.get(morphism(world)) for world in src.worlds]
+            same = src.worlds == dst.worlds and image == list(range(len(image)))
+            for f in enumerate_formulas(small, category.agents, depth):
+                ext_src, ext_dst = fh_mask(src, f), fh_mask(dst, f)
+                if not same:
+                    ext_dst = sum(1 << i for i, j in enumerate(image)
+                                  if j is not None and ext_dst >> j & 1)
+                if ext_src == ext_dst:
+                    report.count(len(src.worlds))
+                    continue
+                for i, world in enumerate(src.worlds):
+                    report.count()
+                    if (ext_src ^ ext_dst) >> i & 1:
+                        report.add("modal-equivalence", context="morphism", formula=f,
+                                   world=world, **where)
     return report

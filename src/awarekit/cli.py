@@ -20,7 +20,7 @@ import traceback
 from pathlib import Path
 
 from . import awareness, implicit, lpa, modelio, semantics, transforms, unawareness
-from .errors import AwarekitError, ModelFormatError, PreconditionFailed
+from .errors import AwarekitError, ModelFormatError
 from .gen import GenCaps, gen_fh, gen_hms, gen_implicit
 from .reports import Report
 from .syntax import parse as parse_formula
@@ -343,9 +343,6 @@ def main(argv=None) -> int:
         # The reader closed standard output.  Point it at the null device so
         # that the interpreter's final flush cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_INPUT
-    except PreconditionFailed as err:
-        print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except AwarekitError as err:
         print(f"error: {err}", file=sys.stderr)

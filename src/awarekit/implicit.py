@@ -22,6 +22,7 @@ from .reports import Report, memoised
 from .unawareness import (
     LatticeModel,
     SpaceLattice,
+    _each,
     _explicit,
     _holders,
     _indices,
@@ -82,17 +83,18 @@ def _lambda_laws(lat: SpaceLattice, agent: str, row: tuple[list[int], list[int]]
         for j in _indices(mine & ~holders[mine]):
             report.add("implicit-stationarity", agent, state=ref, reached=states[j])
 
-    projections: dict[int, list[int]] = {}  # image mask -> its projections
+    projections: dict[int, list[int]] = {}  # image mask -> its projection per lower space
     for i, ref in enumerate(states):
         if not confined[i]:
             continue
         mine, row, space = images[i], proj[i], spaces[i]
         projected = projections.get(mine)
         if projected is None:
-            projected = projections[mine] = lat._projections(mine, space)
+            projected = projections[mine] = [lat._project_mask(mine, below_space)
+                                              for below_space in below[space]]
         checked += len(below[space])
-        for below_space in below[space]:
-            if projected[below_space] != images[row[below_space]]:
+        for below_space, image in zip(below[space], projected):
+            if image != images[row[below_space]]:
                 report.add("projections-preserve-implicit-knowledge", agent,
                            state=ref, below=keys[below_space])
     report.count(checked)
@@ -241,26 +243,31 @@ def derive_pi_star(model: LatticeModel) -> LatticeModel:
     from the implicit model's validation and walks only Π and the joint
     laws.
 
-    Π at each state is Λ's image projected to the awareness level.  That
-    the projected forms of the defining clause agree with it follows from
-    the awareness-function laws and is checked as a theorem by the test
-    suite."""
+    Π at each state is Λ's image projected to the awareness level.  Its
+    level is read off the projection, as a file row's is, not copied from
+    α, so :func:`a_star_property_suite` compares awareness from α with
+    awareness from Π.  That the projected forms of the defining clause
+    agree with it follows from the awareness-function laws and is checked
+    as a theorem by the test suite."""
     pre = validate_implicit(model)
     if not pre.ok:
         raise PreconditionFailed("derivation needs a valid implicit model", pre)
 
     lat = model.lattice
+
+    def project(key: tuple[int, int]) -> tuple[int, int]:
+        """An (image, level) key's projection, and the projection's level."""
+        image = lat._project_mask(*key)
+        return image, lat._level(image)
+
     pi_star = {}
     for agent in model.agents:
         images = model._lambda_masks[agent][0]
         levels = model._alpha_masks[agent][1]
         # The model validated, so every level lies below its state's space,
         # and every image is non-empty: its projection lies in the level.
-        projected: dict[tuple[int, int], int] = {}  # (image, level) -> projection
-        for key in zip(images, levels):
-            if key not in projected:
-                projected[key] = lat._project_mask(*key)
-        pi_star[agent] = ([projected[key] for key in zip(images, levels)], levels)
+        cells = _each(project, zip(images, levels))
+        pi_star[agent] = [image for image, _ in cells], [level for _, level in cells]
 
     # Λ is the implicit model's: share its table, and with it Λ's report.
     complemented = LatticeModel._from_masks(lat, model.agents, pi=pi_star,

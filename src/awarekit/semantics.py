@@ -78,18 +78,12 @@ def _extension(model: LatticeModel, f: Formula) -> Event:
 
 def truth_masks(model: LatticeModel, f: Formula) -> tuple[int, int]:
     """The states where ``f`` is true and where it is false, as state masks
-    over ``model.states``: the up-closures of its extension and of the
-    extension's negation.  Memoized per model and formula.  The two are
-    disjoint, because each state projects to a single state of the base
-    space."""
-    cache = model._truth_cache
-    masks = cache.get(f)
-    if masks is None:
-        lat = model.lattice
-        event = extension(model, f)
-        masks = (lat._upc(event), lat.event_not(event).up)
-        cache[f] = masks
-    return masks
+    over ``model.states``: the up-closure of its extension, and the rest of
+    the states at or above the extension's base space.  Not memoized: the
+    extension is, and the pair is one and-not of it.  The two are disjoint,
+    because each state projects to a single state of the base space."""
+    event = extension(model, f)
+    return event.up, model.lattice._upspace[event.space] & ~event.up
 
 
 def _value(true: int, false: int, i: int) -> TruthValue:

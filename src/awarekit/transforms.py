@@ -23,7 +23,7 @@ from .enumeration import enumerate_formulas
 from .errors import ModelFormatError, PreconditionFailed, TransformInvariantBroken
 from .implicit import validate_implicit, validate_lambda
 from .reports import Report
-from .semantics import TruthValue, satisfies, truth_masks
+from .semantics import TruthValue, _value, truth_masks
 from .syntax import atoms as formula_atoms
 from .unawareness import (
     LatticeModel,
@@ -152,10 +152,13 @@ def equivalence_check(source, produced, via: str, depth: int = 2) -> Report:
     ``fh``/``fh-star`` check every top-space state of the source lattice
     model against its world.
 
-    Per formula, a space whose state ids are the worlds is compared whole,
-    with one mask operation on the formula's truth masks.  A space that
-    disagrees or does not align is walked state by state, which finds the
-    violations and their witnesses."""
+    Per formula, the lattice model's truth masks are taken once, when a
+    space first needs them, so a space that the lattice lacks gives
+    ``state-alignment``, not an unknown atom.  A space whose state ids are
+    the worlds is compared whole, with one mask operation on them.  A space
+    that disagrees or does not align is walked state by state, reading each
+    state's value from them, which finds the violations and their
+    witnesses."""
     if via in ("hms", "implicit-hms"):
         expected = "complemented" if via == "hms" else "implicit"
         if source.family != "awareness":
@@ -184,32 +187,36 @@ def equivalence_check(source, produced, via: str, depth: int = 2) -> Report:
               for space in (subsets(atoms) if forward else [atoms])]
 
     @cache
-    def walk(space: frozenset[str]) -> list[tuple[StateRef, int | None]]:
-        """The states to compare, each with its world's index, or None when
-        the state has no world: forward, the worlds' tagged states in
-        ``space``; backward, the states of ``space``."""
+    def walk(space: frozenset[str]) -> list[tuple[StateRef, int | None, int | None]]:
+        """The states to compare, each with its state index and its world's
+        index, the latter None when the state has no world: forward, the
+        worlds' tagged states in ``space``; backward, the states of
+        ``space``."""
         if forward:
-            return [(ref, k if lat._find(ref) is not None else None)
-                    for k, ref in enumerate(StateRef(space, world) for world in worlds)]
-        return [(ref, aware._index.get(ref.id)) for ref in lat.states_of(space)]
+            refs = [StateRef(space, world) for world in worlds]
+            return [(ref, i, None if i is None else k)
+                    for k, (ref, i) in enumerate(zip(refs, map(lat._find, refs)))]
+        return [(lat.states[i], i, aware._index.get(lat.states[i].id))
+                for i in lat._span[lat._masks[space]]]
 
     report = Report()
     for f in enumerate_formulas(atoms, source.agents, depth):
-        ext, need = fh_mask(aware, f), formula_atoms(f)
+        ext, need, masks = fh_mask(aware, f), formula_atoms(f), None
         for space, start in spaces:
             if not need <= space:
                 continue
             if start is not None:
-                true, false = truth_masks(lattice_model, f)
+                true, false = masks = masks or truth_masks(lattice_model, f)
                 if true >> start & full == ext and false >> start & full == full ^ ext:
                     report.count(len(worlds))
                     continue
-            for ref, k in walk(space):
+            for ref, i, k in walk(space):
                 report.count()
                 if k is None:
                     report.add("state-alignment", state=ref)
                     continue
-                value = satisfies(lattice_model, ref, f)
+                masks = masks or truth_masks(lattice_model, f)
+                value = _value(*masks, i)
                 if value is TruthValue.UNDEFINED:
                     report.add("expected-defined", formula=f, state=ref)
                 elif (value is TruthValue.TRUE) != bool(ext >> k & 1):

@@ -195,7 +195,8 @@ class SpaceLattice:
     spaces, then the covering maps (parents in :func:`subsets` order,
     dropped atoms sorted; each total on its parent's ids and defined on
     nothing else), then that every given map is of a covering pair, then
-    the valuation, so the first failure does not depend on the hash seed.
+    the valuation (base ids known, each listed once), so the first failure
+    does not depend on the hash seed.
     The composition law is a validator concern, not assumed here.
 
     The lattice is held as dense index tables.  State ``i`` is
@@ -345,6 +346,9 @@ class SpaceLattice:
                 if i is None:
                     raise ModelFormatError(f"valuation of {atom!r} references unknown state "
                                            f"{space_key(space)}:{state_id}")
+                if up >> i & 1:
+                    raise ModelFormatError(f"valuation of {atom!r} repeats state "
+                                           f"{space_key(space)}:{state_id}")
                 up |= self._up[i]
             self.valuation[atom] = Event(mask, up, self._names)
 
@@ -421,21 +425,6 @@ class SpaceLattice:
             low = mask & -mask
             out |= 1 << proj[low.bit_length() - 1][target]
             mask ^= low
-        return out
-
-    def _projections(self, mask: int, space: int) -> list[int]:
-        """The projections of a state mask inside ``space`` into every space
-        below it, as a list indexed by target mask.
-
-        The projection table composes along the chain that drops atoms
-        greatest first, so its last step into a target drops the target's
-        least missing atom: each target is projected from that covering
-        space's projection, a smaller mask, largest spaces first."""
-        out = [0] * len(self._below)
-        out[space] = mask
-        for target in reversed(self._below[space][:-1]):
-            missing = space & ~target
-            out[target] = self._project_mask(out[target | (missing & -missing)], target)
         return out
 
     def _close(self, mask: int) -> int:
@@ -628,9 +617,8 @@ class LatticeModel:
             raise ModelFormatError("model needs at least one agent")
         self._derived: LatticeModel | None = None
         self._op_cache: dict = {}
-        self._ext_cache: dict = {}    # see semantics
-        self._truth_cache: dict = {}  # see semantics
-        self._reports: dict = {}      # see reports.memoised
+        self._ext_cache: dict = {}  # see semantics
+        self._reports: dict = {}    # see reports.memoised
 
     @cached_property
     def pi(self) -> dict[str, dict[StateRef, frozenset[StateRef]]] | None:
@@ -715,7 +703,8 @@ def _normalize(lattice: SpaceLattice, agents: tuple[str, ...], table, name: str)
     One walk checks each value's shape and resolves its tokens, and the
     first check that fails raises :class:`ModelFormatError`, in this order:
     the table is an object covering exactly the agents; then per agent, its
-    row is an object whose keys are state tokens; then per state in index
+    row is an object whose keys are state tokens of distinct states
+    (``p,q:x`` and ``q,p:x`` name one state); then per state in index
     order, the state has a value, and the value passes :func:`_image_mask`,
     or is a string that passes :func:`_level_mask`; then every key of the
     row names a state.  Tokens resolve through the lattice's token table;
@@ -744,6 +733,8 @@ def _normalize(lattice: SpaceLattice, agents: tuple[str, ...], table, name: str)
                 if i is None:
                     unknown.append(key)
                     continue
+            if row[i] is not None:
+                raise ModelFormatError(f"{name}[{agent}] names state {states[i]} twice")
             row[i] = key, value
         for i, entry in enumerate(row):
             if entry is None:
@@ -765,7 +756,7 @@ def _normalize(lattice: SpaceLattice, agents: tuple[str, ...], table, name: str)
 def _image_mask(lattice: SpaceLattice, name: str, agent: str, ref: StateRef, key: str,
                 image) -> int:
     """An image, given at the row key ``key``, as a state mask: a non-empty
-    list of the tokens of known states."""
+    list of the tokens of known states, each state listed once."""
     if not isinstance(image, list):
         raise ModelFormatError(f"{name}[{agent}][{key}] must be a list of strings")
     if not image:
@@ -782,6 +773,9 @@ def _image_mask(lattice: SpaceLattice, name: str, agent: str, ref: StateRef, key
             if j is None:
                 raise ModelFormatError(f"{name}[{agent}] at {ref} references "
                                        f"unknown state {target}")
+        if mask >> j & 1:
+            raise ModelFormatError(f"{name}[{agent}] at {ref} repeats state "
+                                   f"{lattice.states[j]}")
         mask |= 1 << j
     return mask
 
@@ -944,7 +938,7 @@ def validate_hms(model: LatticeModel) -> Report:
         images, levels = model._pi_masks[agent]
         image_ups = _each(lat._close, images)
         holders = _holders(images)
-        projections: dict[int, list[int]] = {}  # image mask -> its projections
+        projections: dict[int, list[int]] = {}  # image mask -> its projection per lower space
         checked += 2 * len(states)  # both confinement laws, the second when the first holds
         for i, ref in enumerate(states):
             if levels[i] < 0:
@@ -978,10 +972,11 @@ def validate_hms(model: LatticeModel) -> Report:
                 continue
             projected = projections.get(mine)
             if projected is None:
-                projected = projections[mine] = lat._projections(mine, level)
+                projected = projections[mine] = [lat._project_mask(mine, target_space)
+                                                  for target_space in below[level]]
             checked += len(below[level])
-            for target_space in below[level]:
-                if projected[target_space] != images[row[target_space]]:
+            for target_space, image in zip(below[level], projected):
+                if image != images[row[target_space]]:
                     report.add("projections-preserve-knowledge", agent,
                                state=ref, below=keys[target_space])
     report.count(checked)

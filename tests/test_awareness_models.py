@@ -221,6 +221,25 @@ def test_broken_awareness_consistency_is_caught():
     assert any(v.witness.get("formula") == "(a_1 p)" for v in hits)
 
 
+def test_a_failing_category_pair_is_listed_once():
+    """Each comparable pair is compared once, as a morphism: the join/meet
+    pairs of every family are among them, so no counterexample is listed
+    again under another context."""
+    category = build_category(small_model())
+    kept = category.models[P]
+    category.models[P] = AwarenessModel(
+        kept.language_atoms, kept.agents, kept.worlds, kept.relations,
+        {"1": {"w0": frozenset(), "w1": frozenset()}}, kept.valuation)
+    report = category_equivalence_suite(category, depth=2)
+    assert report.violations
+    assert {v.witness["context"] for v in report.violations} == {"morphism"}
+    listed = [tuple((key, str(value)) for key, value in v.witness.items())
+              for v in report.violations]
+    assert len(set(listed)) == len(listed)
+    assert {(v.witness["source"], v.witness["target"]) for v in report.violations} == \
+        {("p,q", "p")}
+
+
 def test_minimized_category_still_checks(fig1L):
     model = fh_transform(fig1L)
     category = build_category(model, minimize=True)

@@ -218,6 +218,20 @@ def test_a_star_suite_on_generated_models(seed):
     assert a_star_property_suite(gen_implicit(seed)).ok
 
 
+def test_a_derived_level_below_alpha_fails_the_awareness_law(fig1R):
+    """Π*'s levels are read off its images, not shared with α, so a derived
+    image planted one space below its α level, with its own level, FAILs
+    ``awareness-function-matches-derived``."""
+    im = implicit_from_complemented(fig1R)
+    lat = im.lattice
+    i = lat._find(ref(P, "p"))
+    assert im._alpha_masks["1"][1][i] == lat._masks[P]
+    images, levels = im.derived()._pi_masks["1"]
+    images[i], levels[i] = lat._project_mask(images[i], lat._masks[MEET]), lat._masks[MEET]
+    report = a_star_property_suite(im)
+    assert "awareness-function-matches-derived" in {v.law for v in report.violations}
+
+
 CALLS = {
     "l_op": lambda model: l_op(model, model.agents[0], model.lattice.omega()),
     "derived": lambda model: model.derived(),

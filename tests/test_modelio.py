@@ -417,12 +417,16 @@ def test_dumps_load_dumps_is_a_fixed_point(family, build):
 
 def _fault_data():
     """One file per fault, each with the message the loader gives for it:
-    the lattice's structural faults, then the correspondences'."""
+    the lattice's structural faults, then the correspondences', then an
+    awareness model's repeated list members."""
     def complemented():
         return model_to_data(load_fig1L())
 
     def implicit():
         return model_to_data(implicit_from_complemented(load_fig1L()))
+
+    def fh():
+        return model_to_data(gen_fh(3))
 
     cases = []
     data = complemented()
@@ -485,6 +489,9 @@ def _fault_data():
     cases.append(("valuation of an unknown state", data,
                   "valuation of 'p' references unknown state p:ghost"))
     data = complemented()
+    data["valuation"]["p"]["base"] = ["p", "p"]
+    cases.append(("repeated valuation state", data, "valuation of 'p' repeats state p:p"))
+    data = complemented()
     del data["pi"]["1"]
     cases.append(("missing agent", data, "pi must cover exactly the agents ['1']"))
     data = complemented()
@@ -498,8 +505,14 @@ def _fault_data():
     cases.append(("unknown target token", data,
                   "lambda[1] at q:q references unknown state p,q:ghost"))
     data = complemented()
+    data["lambda"]["1"]["q:q"] = ["q:q", "q:q"]
+    cases.append(("repeated target token", data, "lambda[1] at q:q repeats state q:q"))
+    data = complemented()
     data["pi"]["1"]["q,p:ghost"] = ["p:p"]
     cases.append(("unknown key token", data, "pi[1] keyed by unknown state p,q:ghost"))
+    data = complemented()
+    data["pi"]["1"]["q,p:pq"] = data["pi"]["1"]["p,q:pq"]
+    cases.append(("state keyed twice", data, "pi[1] names state p,q:pq twice"))
     data = complemented()
     data["pi"]["1"]["p:p"] = "p:p"
     cases.append(("non-list image", data, "pi[1][p:p] must be a list of strings"))
@@ -519,6 +532,17 @@ def _fault_data():
     data = implicit()
     data["alpha"]["1"]["q:w"] = "q"
     cases.append(("alpha unknown key token", data, "alpha[1] keyed by unknown state q:w"))
+    data = fh()
+    data["relations"]["1"].append(["w0", "w1"])
+    cases.append(("repeated relation pair", data,
+                  "relation of agent 1 lists ('w0', 'w1') twice"))
+    data = fh()
+    data["awareness"]["1"]["w1"] = ["p", "p"]
+    cases.append(("repeated awareness atom", data,
+                  "awareness[1] at world 'w1' repeats atom 'p'"))
+    data = fh()
+    data["valuation"]["p"] = ["w0", "w1", "w0"]
+    cases.append(("repeated valuation world", data, "valuation of 'p' repeats world 'w0'"))
     return cases + _shape_faults(complemented, implicit)
 
 

@@ -65,7 +65,7 @@ from awarekit.modelio import (
     state_token,
 )
 from awarekit.reports import Report
-from awarekit.semantics import TruthValue, extension, valid_in_model
+from awarekit.semantics import TruthValue, extension, truth_masks, valid_in_model
 from awarekit.syntax import A, And, Atom, K, L, Not, Top, atoms as formula_atoms, parse
 from awarekit.transforms import (
     category_to_implicit,
@@ -194,9 +194,38 @@ def test_aligned_spaces_are_compared_whole(seed, monkeypatch):
     def per_state(*args):
         raise AssertionError("per-state lookup on an aligned space")
 
-    monkeypatch.setattr("awarekit.transforms.satisfies", per_state)
+    monkeypatch.setattr("awarekit.transforms._value", per_state)
     for source, produced, via in transforms_of(seed):
         assert equivalence_check(source, produced, via).ok
+
+
+@pytest.mark.parametrize("seed", [0, 7, 10])
+def test_truth_masks_are_taken_once_per_formula(seed, monkeypatch):
+    """Every space, aligned or walked, reads a formula's truth masks from
+    one call."""
+    calls = []
+    real = truth_masks
+    monkeypatch.setattr("awarekit.transforms.truth_masks",
+                        lambda model, f: calls.append(f) or real(model, f))
+    k = gen_fh(seed)
+    triples = transforms_of(seed) + [(k, hms_transform(k, minimize=True), "hms")]
+    for source, produced, via in triples:
+        calls.clear()
+        equivalence_check(source, produced, via)
+        assert len(calls) == len(set(calls)), (seed, via)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_a_lattice_without_an_atom_gives_state_alignment(seed):
+    """Truth masks are taken only where a space needs them, so formulas
+    over an atom that the lattice lacks find no state there: each is a
+    ``state-alignment``, not an unknown atom."""
+    k = gen_fh(seed, GenCaps(atoms=3, worlds=4))
+    atom = min(k.language_atoms)
+    produced = hms_transform(build_category(k).models[frozenset({atom})])
+    assert len(k.language_atoms) > 1 and produced.atoms == {atom}
+    report = assert_same(k, produced, "hms")
+    assert "state-alignment" in {v.law for v in report.violations}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
