@@ -89,9 +89,9 @@ def _lambda_laws(lat: SpaceLattice, agent: str, row: tuple[list[int], list[int]]
             continue
         mine, row, space = images[i], proj[i], spaces[i]
         projected = projections.get(mine)
-        if projected is None:
+        if projected is None:  # the last space below the state's is its own
             projected = projections[mine] = [lat._project_mask(mine, below_space)
-                                              for below_space in below[space]]
+                                              for below_space in below[space][:-1]] + [mine]
         checked += len(below[space])
         for below_space, image in zip(below[space], projected):
             if image != images[row[below_space]]:

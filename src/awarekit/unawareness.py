@@ -971,9 +971,9 @@ def validate_hms(model: LatticeModel) -> Report:
             if level < 0 or level & ~space:
                 continue
             projected = projections.get(mine)
-            if projected is None:
+            if projected is None:  # the last space below the level is the level itself
                 projected = projections[mine] = [lat._project_mask(mine, target_space)
-                                                  for target_space in below[level]]
+                                                  for target_space in below[level][:-1]] + [mine]
             checked += len(below[level])
             for target_space, image in zip(below[level], projected):
                 if image != images[row[target_space]]:
