@@ -204,9 +204,8 @@ def test_truth_masks_are_taken_once_per_formula(seed, monkeypatch):
     """Every space, aligned or walked, reads a formula's truth masks from
     one call."""
     calls = []
-    real = truth_masks
     monkeypatch.setattr("awarekit.transforms.truth_masks",
-                        lambda model, f: calls.append(f) or real(model, f))
+                        lambda model, f: calls.append(f) or truth_masks(model, f))
     k = gen_fh(seed)
     triples = transforms_of(seed) + [(k, hms_transform(k, minimize=True), "hms")]
     for source, produced, via in triples:
