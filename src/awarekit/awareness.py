@@ -30,7 +30,7 @@ from .errors import (
 )
 from .reports import Report, memoised
 from .syntax import A, And, Atom, Formula, K, L, Not, Top, atoms as formula_atoms
-from .unawareness import _holders, _indices, space_key, subsets
+from .unawareness import _each, _holders, _indices, space_key, subsets
 
 
 class _Tables(NamedTuple):
@@ -305,9 +305,10 @@ def check_bounded_morphism(src: AwarenessModel, dst: AwarenessModel,
                            morphism: BoundedMorphism | Mapping[str, str]) -> Report:
     """Exhaustively verify the five clauses of a surjective bounded morphism.
 
-    Awareness consistency is checked on atom sets: the source awareness set
-    restricted to the target language must be the target awareness set,
-    which under propositional determination is the clause itself.
+    Awareness consistency is checked on the atom masks: the source's
+    awareness mask cut to the target language, in the target's atom order,
+    must be the target's awareness mask, which under propositional
+    determination is the clause itself.
     """
     mapping = morphism.mapping if isinstance(morphism, BoundedMorphism) else morphism
     report = Report()
@@ -339,11 +340,20 @@ def check_bounded_morphism(src: AwarenessModel, dst: AwarenessModel,
             if (here >> i & 1) != (there >> image[i] & 1):
                 report.add("atomic-harmony", world=w, atom=p)
 
+    # Each atom of the target language, as its bit in the source's atom
+    # order and its bit in the target's.
+    shared = [(1 << src._bit[p], 1 << dst._bit[p]) for p in dst.language_atoms]
+
+    def restrict(mask: int) -> int:
+        """A source awareness mask cut to the target language, in the
+        target's atom order."""
+        return sum(there for here, there in shared if mask & here)
+
     for agent in src.agents:
-        src_aware, dst_aware = src.awareness_atoms[agent], dst.awareness_atoms[agent]
-        for w in src.worlds:
+        restricted, dst_aware = _each(restrict, src._aware[agent]), dst._aware[agent]
+        for i, w in enumerate(src.worlds):
             report.count()
-            if src_aware[w] & dst.language_atoms != dst_aware[mapping[w]]:
+            if restricted[i] != dst_aware[image[i]]:
                 report.add("awareness-consistency", agent, world=w)
 
         succ, dst_succ = src._succ[agent], dst._succ[agent]

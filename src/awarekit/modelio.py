@@ -237,6 +237,23 @@ def data_to_model(data: dict) -> AnyModel:
     return LatticeModel(lattice, agents, pi=_primitive(data, "pi"), lambda_=lambda_)
 
 
+class _RepeatedKey(Exception):
+    """A JSON object names the key ``args[0]`` twice."""
+
+
+def _object_pairs(pairs: list[tuple[str, object]]) -> dict:
+    """The ``object_pairs_hook`` of every load: a JSON object names each key
+    once, where ``json.loads`` would keep the last value of a repeated one."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _RepeatedKey(key)
+            seen.add(key)
+    return out
+
+
 def dumps_model(model: AnyModel) -> str:
     return json.dumps(model_to_data(model), indent=2, sort_keys=True) + "\n"
 
@@ -248,9 +265,11 @@ def load_model(path: str | Path) -> AnyModel:
     except OSError as err:
         raise ModelFormatError(f"cannot read {path}: {err}") from None
     try:
-        data = json.loads(raw)
+        data = json.loads(raw, object_pairs_hook=_object_pairs)
     except json.JSONDecodeError as err:
         raise ModelFormatError(f"{path} is not valid JSON: {err}") from None
+    except _RepeatedKey as err:
+        raise ModelFormatError(f"{path} names key {err.args[0]!r} twice in one object") from None
     return data_to_model(data)
 
 
@@ -309,9 +328,12 @@ def parse_proof(text: str, agents: Iterable[str] | None = None) -> list[ProofLin
         if not raw or raw.startswith("#"):
             continue
         try:
-            entry = json.loads(raw)
+            entry = json.loads(raw, object_pairs_hook=_object_pairs)
         except json.JSONDecodeError as err:
             raise ModelFormatError(f"line {number}: not valid JSON: {err}") from None
+        except _RepeatedKey as err:
+            raise ModelFormatError(f"line {number}: names key {err.args[0]!r} twice "
+                                   f"in one object") from None
         if not isinstance(entry, dict) or "formula" not in entry or "by" not in entry:
             raise ModelFormatError(f"line {number}: entries need 'formula' and 'by'")
         formula = parse(entry["formula"], agents)

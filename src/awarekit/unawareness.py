@@ -922,11 +922,96 @@ def _validate_lattice(lat: SpaceLattice) -> Report:
     return report
 
 
+def _dirty(lat: SpaceLattice, images: list[int], levels: list[int], holders: dict[int, int],
+           image_ups: list[int] | None = None) -> int:
+    """The states at which a projection law of one agent's correspondence
+    may fail at some lower space, as a state mask: every state that
+    projects onto a *bad* state.  ``holders`` is :func:`_holders` of the
+    images.
+
+    The laws compare a state ``i`` with its projection ``i_T`` into each
+    space ``T`` below its own.  Knowledge, for ``T`` at or below the level
+    ``L`` of ``i``'s image: the image projected into ``T`` is the image of
+    ``i_T``.  Ignorance, for Π (given ``image_ups``, each image's
+    up-closure): the up-closure of ``i``'s image lies in that of
+    ``i_T``'s.  A state is bad when it is unconfined (for Π, its image
+    straddles spaces or lies above its space; for Λ, the image is not in
+    its own space), or when a law fails at a covering child ``c`` of its
+    space (the space with one atom dropped), or, for Π at a level ``L``
+    below its space, when the image of ``i_L`` is not ``i``'s.  At ``L``
+    the state's space, knowledge at ``c`` implies ignorance at ``c``: the
+    image lies in the up-closure of its projection.  So knowledge is
+    checked once per image and covering child, over the states whose image
+    it is at their own space; when those states are the image itself, as
+    in a partition, they project onto the projected image, and the law
+    holds at each of them exactly when every state of the projected image
+    has it as its image.
+
+    A state outside the result is *clean*: no law fails there at any lower
+    space.  When projections compose (the lattice passes
+    :func:`_validate_lattice`), the projections of ``i_c`` are ``i``'s, so
+    the states below a clean state are clean.  By induction on the size of
+    ``i``'s space, take ``T`` below a covering child ``c`` of the space:
+
+    - ignorance: up(Π(i)) ⊆ up(Π(i_c)) at the covering pair, and
+      up(Π(i_c)) ⊆ up(Π(i_T)) at the clean, smaller ``i_c``; inclusion of
+      up-closures is transitive;
+    - knowledge at ``L`` the state's space: the image of ``i_c`` is the
+      image of ``i`` projected into ``c``, a space it lies in, so the law
+      at ``i`` is the law at the clean, smaller ``i_c``;
+    - knowledge at ``L`` below the state's space (Π only): ``i`` and
+      ``i_L`` share an image, at ``i_L``'s own space, and a projection
+      into every ``T`` below ``L``, so the law at ``i`` is the law at the
+      clean, smaller ``i_L``.
+
+    When the lattice fails its own laws, every state is dirty."""
+    if not _validate_lattice(lat).ok:
+        return (1 << len(lat.states)) - 1
+    spaces, proj, span_bits = lat._space, lat._proj, lat._names.span_bits
+    children = [[mask ^ 1 << k for k in _indices(mask)] for mask in range(len(lat._below))]
+    bad = 0
+    for i, (image, level) in enumerate(zip(images, levels)):
+        space = spaces[i]
+        if level == space:
+            continue
+        if image_ups is None or level < 0 or level & ~space or images[proj[i][level]] != image:
+            bad |= 1 << i
+            continue
+        up, row = image_ups[i], proj[i]
+        for child in children[space]:
+            if up & ~image_ups[row[child]]:
+                bad |= 1 << i
+                break
+    for image, mine in holders.items():
+        level = levels[(mine & -mine).bit_length() - 1]
+        if level < 0:
+            continue
+        mine &= span_bits[level]  # the states whose image it is at their own space
+        if not mine:
+            continue
+        for child in children[level]:
+            projected = lat._project_mask(image, child)
+            if mine == image and not projected & ~holders.get(projected, 0):
+                continue
+            for i in _indices(mine):
+                if images[proj[i][child]] != projected:
+                    bad |= 1 << i
+    return lat._close(bad)
+
+
 @memoised
 def validate_hms(model: LatticeModel) -> Report:
     """Check the lattice laws, the valuation convention, and every property
     required of the explicit possibility correspondences of a model with a
-    primitive Π, reporting each violation with a witness."""
+    primitive Π, reporting each violation with a witness.
+
+    Confinement, reflexivity and stationarity are checked at every state.
+    The projection laws, knowledge and ignorance at every space below a
+    state's own, are walked only at the states :func:`_dirty` finds, in
+    index order: at every other state none of them fails.  So the
+    witnesses and their order are those of a walk over every state, and
+    ``checked`` counts every (state, lower space) check as that walk
+    does."""
     require(model, "pi")
     lat = model.lattice
     report = _validate_lattice(lat)
@@ -938,7 +1023,8 @@ def validate_hms(model: LatticeModel) -> Report:
         images, levels = model._pi_masks[agent]
         image_ups = _each(lat._close, images)
         holders = _holders(images)
-        projections: dict[int, list[int]] = {}  # image mask -> its projection per lower space
+        dirty = _dirty(lat, images, levels, holders, image_ups)
+        projections: dict[int, list[int]] = {}  # image -> its projection per space below its level
         checked += 2 * len(states)  # both confinement laws, the second when the first holds
         for i, ref in enumerate(states):
             if levels[i] < 0:
@@ -961,20 +1047,24 @@ def validate_hms(model: LatticeModel) -> Report:
             for j in _indices(mine & ~holders[mine]):
                 report.add("stationarity", agent, state=ref, reached=states[j])
 
+            level = levels[i]
+            expressible = level >= 0 and not level & ~space
+            if expressible:
+                checked += len(below[level])
+            if not dirty >> i & 1:
+                continue
             row = proj[i]
             for target_space in below[space][:-1]:
                 if mine_up & ~image_ups[row[target_space]]:
                     report.add("projections-preserve-ignorance", agent,
                                state=ref, below=keys[target_space])
 
-            level = levels[i]
-            if level < 0 or level & ~space:
+            if not expressible:
                 continue
             projected = projections.get(mine)
             if projected is None:  # the last space below the level is the level itself
                 projected = projections[mine] = [lat._project_mask(mine, target_space)
                                                   for target_space in below[level][:-1]] + [mine]
-            checked += len(below[level])
             for target_space, image in zip(below[level], projected):
                 if image != images[row[target_space]]:
                     report.add("projections-preserve-knowledge", agent,

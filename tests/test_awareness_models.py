@@ -177,6 +177,40 @@ def test_morphism_back_condition():
     assert any(v.law == "back" for v in report2.violations)
 
 
+def _from_views(model: AwarenessModel) -> AwarenessModel:
+    """The model rebuilt from its decoded views, with the atom order of its
+    own language and named atoms."""
+    return AwarenessModel(model.language_atoms, model.agents, model.worlds, model.relations,
+                          model.awareness_atoms, model.valuation)
+
+
+def test_awareness_consistency_reads_each_models_atom_order():
+    """Members share the top model's atom order; rebuilt from their views,
+    the member over ``{q}`` holds ``q`` at bit 0, not 1.  The clause gives
+    the same report either way.  A world whose awareness of ``q`` is
+    dropped fails it, and so does one whose target awareness names an atom
+    outside the target language."""
+    model = small_model(awareness_atoms={"1": {"w0": ["p", "q"], "w1": ["q"]}})
+    category = build_category(model)
+    for (large, small), morphism in category.morphisms.items():
+        src, dst = category.models[large], category.models[small]
+        shared = check_bounded_morphism(src, dst, morphism)
+        assert shared.ok
+        assert check_bounded_morphism(_from_views(src), _from_views(dst), morphism) == shared
+    member = category.models[Q]
+    assert _from_views(member)._atoms == ("q",) and member._atoms == ("p", "q")
+    stray = AwarenessModel(P, ["1"], ["w0", "w1"], {"1": [("w0", "w0"), ("w1", "w1")]},
+                           {"1": {"w0": ["p", "z"], "w1": []}}, {"p": ["w0"]})
+    report = check_bounded_morphism(model, stray, category.morphisms[(PQ, P)])
+    assert [(v.law, v.witness) for v in report.violations] == \
+        [("awareness-consistency", {"world": "w0"})]
+    broken = AwarenessModel(Q, ["1"], member.worlds, member.relations,
+                            {"1": {"w0": ["q"], "w1": []}}, member.valuation)
+    report = check_bounded_morphism(model, broken, category.morphisms[(PQ, Q)])
+    assert [(v.law, v.witness) for v in report.violations] == \
+        [("awareness-consistency", {"world": "w1"})]
+
+
 # -- the category -------------------------------------------------------------------
 
 

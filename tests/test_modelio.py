@@ -610,6 +610,27 @@ def test_stateref_keyed_rows_are_a_format_error(fig1L):
         LatticeModel(fig1L.lattice, fig1L.agents, pi=data["pi"], lambda_=refs)
 
 
+def test_a_key_repeated_in_one_object_is_an_input_error(tmp_path, capsys):
+    """``json.dumps`` cannot write a repeated key, so the text of
+    ``fig1L.model`` gets a second ``p,q:pq`` entry spliced into ``pi["1"]``
+    before the real one; plain ``json.loads`` would keep the real one and
+    drop it unseen."""
+    text = fixture_path("fig1L.model").read_text()
+    real = '"p,q:pq": ["p:p"],'
+    assert text.index(real) < text.index('"lambda"')
+    spliced = text.replace(real, '"p,q:pq": ["p:~p"], ' + real, 1)
+    assert json.loads(spliced) == json.loads(text)
+    path = tmp_path / "repeated-key.model"
+    path.write_text(spliced, encoding="utf-8")
+    with pytest.raises(ModelFormatError,
+                       match=r"repeated-key\.model names key 'p,q:pq' twice in one object$"):
+        load_model(path)
+    assert cli_main(["validate", str(path)]) == 2
+    assert "names key 'p,q:pq' twice" in capsys.readouterr().err
+    with pytest.raises(ModelFormatError, match="^line 2: names key 'by' twice in one object$"):
+        parse_proof('{"formula": "T", "by": "taut"}\n{"formula": "T", "by": "taut", "by": "zap"}')
+
+
 def test_first_load_error_is_the_same_under_any_hash_seed(tmp_path):
     """With two covering maps missing, ``validate`` reports the first in
     load order (dropped atoms sorted), whatever the hash seed."""

@@ -25,6 +25,12 @@ rejects; the partition refinement behind `--minimize` must find the
 partition of the signature fixpoint it replaced; and every member of a
 sublanguage category, quotiented or not, must equal the copy restricted
 (and quotiented) from strings.
+
+The lattice validators walk the projection laws at every lower space only
+above a state that fails at a covering pair.  The walk over every state
+that they replaced must give the same reports, witnesses, their order and
+`checked` included, on valid models and on models with one entry of a
+primitive or a projection changed.
 """
 
 from __future__ import annotations
@@ -52,9 +58,11 @@ from awarekit.enumeration import enumerate_formulas
 from awarekit.errors import AwarekitError
 from awarekit.fixtures import fig1L, fig1R
 from awarekit.implicit import (
+    _lambda_laws,
     a_star_property_suite,
     implicit_from_complemented,
     implicit_property_suite,
+    validate_implicit,
 )
 from awarekit.gen import GenCaps, gen_fh, random_formula
 from awarekit.modelio import (
@@ -78,9 +86,15 @@ from awarekit.unawareness import (
     MAX_FAMILIES,
     MAX_FAMILY_SIZE,
     EventFamily,
+    LatticeModel,
     SpaceLattice,
     StateRef,
+    _dirty,
+    _holders,
+    _indices,
+    _refs,
     _Suite,
+    _validate_lattice,
     a_op,
     event_basis,
     explicit_property_suite,
@@ -681,3 +695,273 @@ def test_planted_operator_bug_fails_the_conjunction_laws_on_both_paths(methods, 
     failed = [v for v in explicit["violations"] if v["law"].endswith("-conjunction")]
     assert {v["law"] for v in failed} == set(laws)
     assert all(set(v["witness"]) == {"left", "right", "family"} for v in failed)
+
+
+# -- the projection laws --------------------------------------------------------
+
+
+def reference_hms(model) -> Report:
+    """`validate_hms` as a walk over every state: the lattice's laws, then
+    per agent, confinement at every state, and reflexivity, stationarity and
+    the projection laws at every space below each state's own."""
+    lat = model.lattice
+    report = _validate_lattice(lat)
+    states, spaces, proj, below, keys = (
+        lat.states, lat._space, lat._proj, lat._below, lat._keys)
+    checked = 0
+    for agent in model.agents:
+        images, levels = model._pi_masks[agent]
+        image_ups = [lat._close(image) for image in images]
+        holders = _holders(images)
+        checked += 2 * len(states)
+        for i, ref in enumerate(states):
+            if levels[i] < 0:
+                checked -= 1
+                found = {keys[spaces[j]] for j in _indices(images[i])}
+                report.add("confinement-single-space", agent, state=ref,
+                           spaces=";".join(sorted(found)))
+                continue
+            if levels[i] & ~spaces[i]:
+                report.add("confinement-expressible", agent, state=ref,
+                           image_space=keys[levels[i]])
+        for i, ref in enumerate(states):
+            mine, mine_up, space = images[i], image_ups[i], spaces[i]
+            checked += mine.bit_count() + len(below[space])
+            if not mine_up >> i & 1:
+                report.add("generalized-reflexivity", agent, state=ref,
+                           image=";".join(map(str, _refs(states, mine))))
+            for j in _indices(mine & ~holders[mine]):
+                report.add("stationarity", agent, state=ref, reached=states[j])
+            row = proj[i]
+            for target in below[space][:-1]:
+                if mine_up & ~image_ups[row[target]]:
+                    report.add("projections-preserve-ignorance", agent,
+                               state=ref, below=keys[target])
+            level = levels[i]
+            if level < 0 or level & ~space:
+                continue
+            checked += len(below[level])
+            for target in below[level]:
+                if lat._project_mask(mine, target) != images[row[target]]:
+                    report.add("projections-preserve-knowledge", agent,
+                               state=ref, below=keys[target])
+    report.count(checked)
+    return report
+
+
+def reference_lambda_laws(lat, agent, row) -> Report:
+    """`implicit._lambda_laws` as a walk over every state: strong
+    confinement, reflexivity and stationarity, then the projection law at
+    every space below each confined state's own."""
+    states, spaces, proj, below, keys = lat.states, lat._space, lat._proj, lat._below, lat._keys
+    images, levels = row
+    confined = [level == space for level, space in zip(levels, spaces)]
+    holders = _holders(images)
+    report = Report()
+    checked = len(states)
+    for i, ref in enumerate(states):
+        mine = images[i]
+        if not confined[i]:
+            report.add("strong-confinement", agent, state=ref,
+                       image=";".join(map(str, _refs(states, mine))))
+            continue
+        checked += 1 + mine.bit_count()
+        if not mine >> i & 1:
+            report.add("implicit-reflexivity", agent, state=ref)
+        for j in _indices(mine & ~holders[mine]):
+            report.add("implicit-stationarity", agent, state=ref, reached=states[j])
+    for i, ref in enumerate(states):
+        if not confined[i]:
+            continue
+        checked += len(below[spaces[i]])
+        for target in below[spaces[i]]:
+            if lat._project_mask(images[i], target) != images[proj[i][target]]:
+                report.add("projections-preserve-implicit-knowledge", agent,
+                           state=ref, below=keys[target])
+    report.count(checked)
+    return report
+
+
+def assert_projection_laws_match_reference(model) -> list[dict]:
+    """Each walk's report on the model, which must equal the reference's:
+    Π's when Π is primitive, and Λ's per agent."""
+    reports = []
+    if model._pi_masks is not None:
+        reports.append(validate_hms(model).to_data())
+        assert reports[-1] == reference_hms(model).to_data()
+    if model._lambda_masks is not None:
+        lat = model.lattice
+        for agent, row in model._lambda_masks.items():
+            reports.append(_lambda_laws(lat, agent, row).to_data())
+            assert reports[-1] == reference_lambda_laws(lat, agent, row).to_data()
+    return reports
+
+
+@functools.cache
+def generated_lattice_models() -> tuple:
+    """Per atom count from 2 to 5, the first two generated models with
+    exactly that many atoms, as implicit models and complemented ones."""
+    models = []
+    for atoms in range(2, 6):
+        caps = GenCaps(atoms=atoms, worlds=6)
+        seeds = [s for s in range(100) if len(gen_fh(s, caps).language_atoms) == atoms][:2]
+        for seed in seeds:
+            im = hms_transform(gen_fh(seed, caps), truncate=True)
+            models += [model_to_data(im), model_to_data(im.derived())]
+    return tuple(json.dumps(data) for data in models)
+
+
+def lattice_model_data() -> list[dict]:
+    datas = [model_to_data(fig1L()), model_to_data(fig1R()),
+             model_to_data(implicit_from_complemented(fig1L())),
+             model_to_data(implicit_from_complemented(fig1R()))]
+    return datas + [json.loads(text) for text in generated_lattice_models()]
+
+
+@pytest.mark.parametrize("index", range(20))
+def test_projection_laws_match_the_full_walk(index):
+    data = lattice_model_data()[index]
+    reports = assert_projection_laws_match_reference(data_to_model(data))
+    assert all(report["passed"] for report in reports)
+
+
+def corrupt_image(data, field, rng):
+    """Replace one image: by another state's image, by a random set of
+    states of one space at or below the state's own, or by the image with
+    one member moved to another state of its space."""
+    table = data[field][rng.choice(sorted(data[field]))]
+    token = rng.choice(sorted(table))
+    space = token.partition(":")[0]
+    how = rng.randrange(3)
+    if how == 0:
+        table[token] = list(table[rng.choice(sorted(table))])
+    elif how == 1:
+        mine = set(space.split(",")) - {""}
+        lower = sorted(key for key in data["spaces"] if set(key.split(",")) - {""} <= mine)
+        key = rng.choice(lower)
+        ids = data["spaces"][key]
+        table[token] = [f"{key}:{i}" for i in rng.sample(ids, rng.randint(1, len(ids)))]
+    else:
+        image = sorted(table[token])
+        moved = rng.choice(image)
+        key = moved.partition(":")[0]
+        others = sorted(f"{key}:{i}" for i in data["spaces"][key])
+        table[token] = sorted(set(image) - {moved} | {rng.choice(others)})
+
+
+def corrupt_alpha(data, rng):
+    """Set one awareness level to a random space at or below the state's."""
+    table = data["alpha"][rng.choice(sorted(data["alpha"]))]
+    token = rng.choice(sorted(table))
+    mine = set(token.partition(":")[0].split(",")) - {""}
+    table[token] = rng.choice(sorted(key for key in data["spaces"]
+                                     if set(key.split(",")) - {""} <= mine))
+
+
+def derived_pi(model):
+    """The complemented model over Λ and the Π that `derive_pi_star`
+    builds from Λ and α, each image projected to its state's level, without
+    its precondition that the implicit model validates.  Every level must
+    lie below its state's space, and every Λ image in its state's space."""
+    lat = model.lattice
+    pi = {}
+    for agent in model.agents:
+        images, levels = model._lambda_masks[agent][0], model._alpha_masks[agent][1]
+        projected = [lat._project_mask(image, level) for image, level in zip(images, levels)]
+        pi[agent] = projected, [lat._level(image) for image in projected]
+    return LatticeModel._from_masks(lat, model.agents, pi=pi, lambda_=model._lambda_masks)
+
+
+def n_atoms(key: str) -> int:
+    return len([atom for atom in key.split(",") if atom])
+
+
+CORRUPTIONS = ("pi", "lambda", "lambda_star", "alpha", "projections")
+
+
+@pytest.mark.parametrize("field", CORRUPTIONS)
+def test_projection_laws_match_the_full_walk_on_corrupted_models(field):
+    """One entry of one field changed, 12 times per model that has the
+    field.  A corrupted α is read through the Π it derives.  A corrupted
+    image or α must make some projection law FAIL at a space two or more
+    atoms below the state's, with the lattice's own laws passing; a
+    corrupted projection must make some lattice fail its own laws, so that
+    every state is walked."""
+    lower, lattice_failed = set(), 0
+    for index, source in enumerate(lattice_model_data()):
+        if field not in source:
+            continue
+        for trial in range(12):
+            rng = random.Random(f"{field}:{index}:{trial}")
+            data = json.loads(json.dumps(source))
+            if field == "alpha":
+                corrupt_alpha(data, rng)
+            elif field == "projections":
+                if not misroute_projection(data, rng):
+                    continue
+            else:
+                corrupt_image(data, field, rng)
+            model = data_to_model(data)
+            ok = _validate_lattice(model.lattice).ok
+            lattice_failed += not ok
+            if field == "alpha":
+                model = derived_pi(model)
+            for report in assert_projection_laws_match_reference(model):
+                lower.update(v["law"] for v in report["violations"] if ok and "below" in
+                             v["witness"] and n_atoms(v["witness"]["state"].partition(":")[0])
+                             - n_atoms(v["witness"]["below"]) >= 2)
+    if field == "projections":
+        assert lattice_failed
+    else:
+        assert lower & {"projections-preserve-knowledge", "projections-preserve-ignorance",
+                        "projections-preserve-implicit-knowledge"}
+
+
+def misrouted(seed: int):
+    """A generated implicit model with one projection entry changed."""
+    data = lattice_model_data()[-2]
+    assert misroute_projection(data, random.Random(seed))
+    return data_to_model(data)
+
+
+def test_a_lattice_failing_its_own_laws_has_every_state_dirty():
+    model = next(model for model in map(misrouted, range(20))
+                 if not _validate_lattice(model.lattice).ok)
+    lat = model.lattice
+    for agent in model.agents:
+        images, levels = model._lambda_masks[agent]
+        assert _dirty(lat, images, levels, _holders(images)) == (1 << len(lat.states)) - 1
+
+
+def covering_projections(row) -> int:
+    """Per distinct image of a row, one per covering child of its level."""
+    return len({(image, level ^ 1 << k) for image, level in zip(*row) for k in _indices(level)})
+
+
+@pytest.mark.parametrize("family", ["hms", "implicit-hms"])
+def test_a_passing_model_projects_each_image_once_per_covering_child(family, monkeypatch):
+    """Π's laws on a complemented model and Λ's on an implicit one, at 5
+    atoms: projecting at every lower space, as the full walk does, fails."""
+    caps = GenCaps(atoms=5, worlds=8)
+    seed = next(s for s in range(100) if len(gen_fh(s, caps).language_atoms) == 5)
+    im = hms_transform(gen_fh(seed, caps), truncate=True)
+    # Reloaded, the model has a new lattice and rows, with no report kept yet.
+    model = data_to_model(model_to_data(im.derived() if family == "hms" else im))
+    calls = []
+    project = SpaceLattice._project_mask
+
+    def counted(self, mask, target):
+        calls.append((self._level(mask), target))
+        return project(self, mask, target)
+
+    monkeypatch.setattr(SpaceLattice, "_project_mask", counted)
+    if family == "hms":
+        assert validate_hms(model).ok
+        rows = model._pi_masks.values()
+    else:
+        assert validate_implicit(model).ok
+        rows = model._lambda_masks.values()
+    assert calls
+    assert all((level & ~target).bit_count() == 1 and not target & ~level
+               for level, target in calls)
+    assert len(calls) <= sum(map(covering_projections, rows))
