@@ -28,6 +28,7 @@ from .unawareness import (
     _holders,
     _indices,
     _refs,
+    _row_holders,
     _Suite,
     _validate_lattice,
     a_op,
@@ -76,7 +77,7 @@ def _lambda_laws(lat: SpaceLattice, agent: str, row: tuple[list[int], list[int]]
     states, spaces, proj, below, keys = lat.states, lat._space, lat._proj, lat._below, lat._keys
     images, levels = row
     confined = [level == space for level, space in zip(levels, spaces)]
-    holders = _holders(images)
+    holders = _row_holders(lat, images)
     checked = len(states)
     for i, ref in enumerate(states):
         mine = images[i]
@@ -124,12 +125,13 @@ def validate_lambda(model: LatticeModel) -> Report:
     for agent in model.agents:
         images, levels = model._lambda_masks[agent]
         pi_images, pi_levels = model._pi_masks[agent]
-        holders, pi_holders = _holders(images), _holders(pi_images)
+        _check_implicit_correspondence(model, agent, report)
+        # Both validators above built these for the same rows.
+        holders, pi_holders = _row_holders(lat, images), _row_holders(lat, pi_images)
         # The states whose Λ and Π images differ.
         differ = sum(1 << j for j, (image, known) in enumerate(zip(images, pi_images))
                      if image != known)
         projected_of: dict[tuple[int, int], int] = {}  # (image, level) -> projection
-        _check_implicit_correspondence(model, agent, report)
 
         for i, ref in enumerate(states):
             known = pi_images[i]

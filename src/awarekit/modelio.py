@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import shlex
+from functools import cache
 from pathlib import Path
 from typing import Iterable
 
@@ -144,7 +145,8 @@ def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
     raw_spaces = _table(_require(data, "spaces"), "spaces", _strings)
     raw_projections = _table(_require(data, "projections"), "projections", _table_of(_string))
     raw_valuation = _table(_require(data, "valuation"), "valuation", _object)
-    spaces = {parse_space_key(key): list(ids) for key, ids in raw_spaces.items()}
+    space_of = cache(parse_space_key)  # each space key is parsed once per file
+    spaces = {space_of(key): list(ids) for key, ids in raw_spaces.items()}
     if len(spaces) != len(raw_spaces):
         raise ModelFormatError("duplicate space keys after normalization")
 
@@ -153,7 +155,7 @@ def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
         if "->" not in key:
             raise ModelFormatError(f"projection key {key!r} is not of the form 'parent->child'")
         parent_key, _, child_key = key.partition("->")
-        projections[(parse_space_key(parent_key), parse_space_key(child_key))] = table
+        projections[(space_of(parent_key), space_of(child_key))] = table
     if len(projections) != len(raw_projections):
         raise ModelFormatError("duplicate projection keys after normalization")
 
@@ -161,7 +163,7 @@ def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
     for atom, entry in raw_valuation.items():
         if "base_space" not in entry or "base" not in entry:
             raise ModelFormatError(f"valuation of {atom!r} must have base_space and base")
-        space = parse_space_key(_string(entry["base_space"], f"valuation[{atom}].base_space"))
+        space = space_of(_string(entry["base_space"], f"valuation[{atom}].base_space"))
         ids = _strings(entry["base"], f"valuation[{atom}].base")
         valuation[atom] = (space, ids)
 
@@ -322,11 +324,15 @@ def _parse_by(by: str, line_number: int) -> Taut | AxiomInstance | ModusPonens |
 
 
 def parse_proof(text: str, agents: Iterable[str] | None = None) -> list[ProofLine]:
+    """The proof lines of a proof file's text.  Blank and ``#`` lines are
+    skipped, and errors name a line by its number among the proof lines,
+    as ``mp`` and ``nec`` do."""
     lines: list[ProofLine] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for raw in text.splitlines():
         raw = raw.strip()
         if not raw or raw.startswith("#"):
             continue
+        number = len(lines) + 1
         try:
             entry = json.loads(raw, object_pairs_hook=_object_pairs)
         except json.JSONDecodeError as err:

@@ -247,6 +247,9 @@ class SpaceLattice:
         self._masks: dict[frozenset[str], int] = {
             space: sum(self._atom_bit[atom] for atom in space) for space in self.spaces}
         n_masks = 1 << len(self.atoms)
+        # The masks of the spaces in subsets() order; those inside a space
+        # are its subsets, in the same order.
+        order = list(self._masks.values())
         by_mask: list[frozenset[str]] = [frozenset()] * n_masks
         self._keys: list[str] = [""] * n_masks
         self._below: list[list[int]] = [[] for _ in range(n_masks)]
@@ -259,7 +262,7 @@ class SpaceLattice:
             mask, start = self._masks[space], len(states)
             by_mask[mask] = space
             self._keys[mask] = space_key(space)
-            self._below[mask] = [self._masks[sub] for sub in subsets(space)]
+            self._below[mask] = [sub for sub in order if not sub & ~mask]
             self._span[mask] = range(start, start + len(refs))
             self._ids[mask] = {ref.id: i for i, ref in enumerate(refs, start)}
             span_bits[mask] = ((1 << len(refs)) - 1) << start
@@ -587,13 +590,14 @@ class LatticeModel:
                  alpha: Mapping[str, Mapping] | None = None):
         self._start(lattice, agents, pi, lambda_, alpha)
         self._pi_masks = self._lambda_masks = self._alpha_masks = None
+        cells: dict = {}  # see _normalize; shared by Π and Λ, dropped when this ends
         if pi is not None:
-            self._pi_masks = _normalize(lattice, self.agents, pi, "pi")
+            self._pi_masks = _normalize(lattice, self.agents, pi, "pi", cells)
         if lambda_ is not None:
             name = "lambda" if alpha is None else "lambda_star"
-            self._lambda_masks = _normalize(lattice, self.agents, lambda_, name)
+            self._lambda_masks = _normalize(lattice, self.agents, lambda_, name, cells)
         if alpha is not None:
-            self._alpha_masks = _normalize(lattice, self.agents, alpha, "alpha")
+            self._alpha_masks = _normalize(lattice, self.agents, alpha, "alpha", cells)
 
     @classmethod
     def _from_masks(cls, lattice: SpaceLattice, agents: Iterable[str], *,
@@ -688,13 +692,27 @@ def _holders(values: Sequence[int]) -> dict[int, int]:
     return out
 
 
+def _row_holders(lat: SpaceLattice, images: list[int]) -> dict[int, int]:
+    """:func:`_holders` of a row of images, built once per row for every
+    validator that reads it.  It is kept on the lattice, keyed by the row's
+    identity, as rows are shared between models (see
+    :func:`implicit._check_implicit_correspondence`); the entry holds the
+    row, so its identity cannot be reused while the entry lives."""
+    key = _holders, id(images)
+    entry = lat._reports.get(key)
+    if entry is None:
+        entry = lat._reports[key] = images, _holders(images)
+    return entry[1]
+
+
 def _each(fn, keys: Iterable) -> list:
     """``[fn(key) for key in keys]``, calling ``fn`` once per distinct key."""
     memo: dict = {}
     return [memo[key] if key in memo else memo.setdefault(key, fn(key)) for key in keys]
 
 
-def _normalize(lattice: SpaceLattice, agents: tuple[str, ...], table, name: str):
+def _normalize(lattice: SpaceLattice, agents: tuple[str, ...], table, name: str,
+               cells: dict):
     """Check a primitive's per-agent rows and turn them into its mask table.
 
     The rows are JSON values, as a model file gives them: an object per
@@ -709,7 +727,13 @@ def _normalize(lattice: SpaceLattice, agents: tuple[str, ...], table, name: str)
     or is a string that passes :func:`_level_mask`; then every key of the
     row names a state.  Tokens resolve through the lattice's token table;
     only a token that misses it is parsed, so a space key may list its atoms
-    in any order (``q,p:x`` for ``p,q:x``), and a malformed token raises."""
+    in any order (``q,p:x`` for ``p,q:x``), and a malformed token raises.
+
+    Rows repeat images, so each distinct image is resolved once.  ``cells``
+    maps an image that passed, as the tuple of its tokens, to its state mask
+    and level; the caller shares it between the rows of one model.  Only a
+    list whose tuple hashes is looked up, and a failure is never stored, so
+    the walk still raises at the first faulty state in index order."""
     if not isinstance(table, dict):
         raise ModelFormatError(f"{name} must be an object")
     if set(table) != set(agents):
@@ -721,10 +745,9 @@ def _normalize(lattice: SpaceLattice, agents: tuple[str, ...], table, name: str)
         source = table[agent]
         if not isinstance(source, dict):
             raise ModelFormatError(f"{name}[{agent}] must be an object")
-        row = [None] * len(states)
+        row = [None] * len(states)  # the key of each state, then its cell
         unknown = []
-        for key, value in source.items():
-            i = lookup.get(key)
+        for key, i in zip(source, map(lookup.get, source)):
             if i is None:
                 if not isinstance(key, str):
                     raise ModelFormatError(f"{name}[{agent}] is keyed by {key!r}, "
@@ -735,21 +758,32 @@ def _normalize(lattice: SpaceLattice, agents: tuple[str, ...], table, name: str)
                     continue
             if row[i] is not None:
                 raise ModelFormatError(f"{name}[{agent}] names state {states[i]} twice")
-            row[i] = key, value
-        for i, entry in enumerate(row):
-            if entry is None:
+            row[i] = key
+        for i, key in enumerate(row):
+            if key is None:
                 raise ModelFormatError(f"{name}[{agent}] is undefined on state {states[i]}")
-            key, value = entry
-            if not alpha:
-                row[i] = _image_mask(lattice, name, agent, states[i], key, value)
-            elif isinstance(value, str):
+            value = source[key]
+            if alpha:
+                if not isinstance(value, str):
+                    raise ModelFormatError(f"{name}[{agent}][{key}] must be a string")
                 row[i] = _level_mask(lattice, name, agent, states[i], value)
-            else:
-                raise ModelFormatError(f"{name}[{agent}][{key}] must be a string")
+                continue
+            cell = image = None
+            if type(value) is list:
+                try:
+                    cell = cells.get(image := tuple(value))
+                except TypeError:  # a member is a list or an object
+                    image = None
+            if cell is None:
+                mask = _image_mask(lattice, name, agent, states[i], key, value)
+                cell = mask, lattice._level(mask)
+                if image is not None:
+                    cells[image] = cell
+            row[i] = cell
         if unknown:
             ref = min(map(parse_state_token, unknown), key=state_order)
             raise ModelFormatError(f"{name}[{agent}] keyed by unknown state {ref}")
-        out[agent] = (None, row) if alpha else (row, list(map(lattice._level, row)))
+        out[agent] = (None, row) if alpha else tuple(map(list, zip(*row)))
     return out
 
 
@@ -1022,7 +1056,7 @@ def validate_hms(model: LatticeModel) -> Report:
     for agent in model.agents:
         images, levels = model._pi_masks[agent]
         image_ups = _each(lat._close, images)
-        holders = _holders(images)
+        holders = _row_holders(lat, images)
         dirty = _dirty(lat, images, levels, holders, image_ups)
         projections: dict[int, list[int]] = {}  # image -> its projection per space below its level
         checked += 2 * len(states)  # both confinement laws, the second when the first holds

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from awarekit import implicit, unawareness
 from awarekit.errors import CandidateInvalid, ModelFormatError, PreconditionFailed
 from awarekit.gen import gen_hms, gen_implicit
 from awarekit.implicit import (
@@ -263,3 +264,22 @@ def test_missing_primitive_is_model_format_error(fig1L, call, shape, missing):
     }[shape]
     with pytest.raises(ModelFormatError, match=f"^the {model.family} model has no {missing}$"):
         CALLS[call](model)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_each_rows_holders_are_built_once(seed, monkeypatch):
+    """``validate_hms``, Λ's laws and the joint laws of ``validate_lambda``
+    read the holders of the same Π and Λ rows: one build per row."""
+    model = data_to_model(model_to_data(gen_hms(seed)))  # a new lattice, no report kept
+    calls = []
+    holders = unawareness._holders
+
+    def counted(values):
+        calls.append(id(values))
+        return holders(values)
+
+    monkeypatch.setattr(unawareness, "_holders", counted)
+    monkeypatch.setattr(implicit, "_holders", counted)
+    assert validate_lambda(model).ok
+    rows = [images for images, _ in (*model._pi_masks.values(), *model._lambda_masks.values())]
+    assert sorted(calls) == sorted(map(id, rows))

@@ -209,6 +209,12 @@ def test_proof_parse_errors():
         parse_proof('{"formula": "T", "by": "zap"}')
     with pytest.raises(ModelFormatError):
         parse_proof("not json")
+    # Errors number a line as ``mp`` and ``nec`` do: blank and ``#`` lines
+    # do not count.
+    with pytest.raises(ModelFormatError, match="^line 1: unknown justification 'zap'$"):
+        parse_proof('# header\n{"formula": "T", "by": "zap"}')
+    with pytest.raises(ModelFormatError, match="^line 2: not valid JSON"):
+        parse_proof('{"formula": "T", "by": "taut"}\n\n# note\nnot json')
 
 
 def test_proof_line_render_round_trip():
@@ -516,6 +522,16 @@ def _fault_data():
     data = complemented()
     data["pi"]["1"]["p:p"] = "p:p"
     cases.append(("non-list image", data, "pi[1][p:p] must be a list of strings"))
+    # Images are resolved once per distinct image: neither an object whose
+    # keys spell an image resolved at an earlier state, nor a bad image
+    # that the file gives first at a later state, may slip past the walk.
+    data = complemented()
+    data["pi"]["1"]["p:p"] = {"p:p": True}
+    cases.append(("image as an object of tokens", data, "pi[1][p:p] must be a list of strings"))
+    data = complemented()
+    data["pi"]["1"][":*"] = data["pi"]["1"]["q:q"] = ["p:p", "p:p"]
+    assert list(data["pi"]["1"]).index(":*") < list(data["pi"]["1"]).index("q:q")
+    cases.append(("bad image at two states", data, "pi[1] at q:q repeats state p:p"))
     data = complemented()
     data["lambda"]["1"]["q:q"] = ["q:q", "q~q"]
     cases.append(("malformed token", data,

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from awarekit.awareness import build_category, fh_satisfies
+from awarekit.awareness import build_category, fh_mask, fh_satisfies
+from awarekit.enumeration import enumerate_formulas
 from awarekit.errors import ModelFormatError
 from awarekit.gen import gen_fh, gen_hms, gen_implicit
 from awarekit.implicit import implicit_from_complemented
 from awarekit.modelio import awareness_to_data, data_to_model, model_to_data
-from awarekit.syntax import parse
+from awarekit.syntax import atoms, parse
 from awarekit.transforms import (
     category_to_implicit,
     equivalence_check,
@@ -193,3 +194,27 @@ def test_equivalences_on_generated_models(seed):
     im = gen_implicit(seed)
     assert equivalence_check(im, fh_star_transform(im), via="fh-star", depth=2).ok
     assert round_trip_check(k, depth=2).ok
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_an_aligned_undefined_space_is_walked(seed):
+    """Base one atom's valuation a space too high in a transform's output:
+    every formula over that atom alone is then Undefined at every state of
+    the atom's own space, an aligned space, and ``expected-defined`` must
+    name each of them, also where the formula is false (or true) at every
+    world and so agrees with one of the two truth masks."""
+    source = gen_fh(seed)
+    low, high = sorted(source.language_atoms)[:2]
+    data = model_to_data(hms_transform(source))
+    base = set(data["valuation"][low]["base"])
+    down = data["projections"][f"{low},{high}->{low}"]
+    data["valuation"][low] = {"base_space": f"{low},{high}",
+                              "base": sorted(s for s, t in down.items() if t in base)}
+    report = equivalence_check(source, data_to_model(data), via="hms", depth=2)
+    got = {(v.witness["formula"], v.witness["state"]) for v in report.violations
+           if v.law == "expected-defined" and v.witness["state"].startswith(f"{low}:")}
+    formulas = [f for f in enumerate_formulas(source.language_atoms, source.agents, 2)
+                if atoms(f) == {low}]
+    full = (1 << len(source.worlds)) - 1
+    assert any(fh_mask(source, f) in (0, full) for f in formulas)
+    assert got == {(str(f), f"{low}:{w}") for f in formulas for w in source.worlds}
