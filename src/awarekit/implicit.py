@@ -31,6 +31,7 @@ from .unawareness import (
     _row_holders,
     _Suite,
     _validate_lattice,
+    _walk,
     a_op,
     k_op,
     l_op,
@@ -68,33 +69,44 @@ def _lambda_laws(lat: SpaceLattice, agent: str, row: tuple[list[int], list[int]]
     follows from these laws (Λ partitions every space, projections preserve
     implicit ignorance) is checked as a theorem by the test suite.
 
-    The projection law is walked, at every space below a confined state's
-    own, only at the states :func:`unawareness._dirty` finds, in index
-    order: at every other state it holds at every lower space.  So the
-    witnesses are those of a walk over every state, and ``checked`` counts
-    every (state, lower space) check as that walk does."""
+    Strong confinement, reflexivity and stationarity at a state read only
+    its image, the states holding that image, and its space, so each is
+    decided once per distinct image.  The projection law, at every space
+    below a confined state's own, fails only at the states
+    :func:`unawareness._dirty` finds.  The laws are walked state by state,
+    in index order, only where one of them fails or may fail, so the
+    witnesses are those of a walk over every state.  ``checked`` counts
+    every (state, lower space) check as that walk would, and is computed
+    per image rather than counted during the walk."""
     report = Report()
     states, spaces, proj, below, keys = lat.states, lat._space, lat._proj, lat._below, lat._keys
+    span_bits = lat._names.span_bits
     images, levels = row
-    confined = [level == space for level, space in zip(levels, spaces)]
     holders = _row_holders(lat, images)
     checked = len(states)
-    for i, ref in enumerate(states):
-        mine = images[i]
-        if not confined[i]:
+    unconfined = failing = 0
+    for image, mine in holders.items():
+        level = levels[(mine & -mine).bit_length() - 1]
+        confined = mine & span_bits[level] if level >= 0 else 0
+        unconfined |= mine ^ confined
+        checked += confined.bit_count() * (1 + image.bit_count() + len(below[level]))
+        failing |= confined & ~image  # reflexivity
+        if image & ~mine:  # stationarity
+            failing |= confined
+
+    for i in _walk(unconfined | failing):
+        ref, mine = states[i], images[i]
+        if unconfined >> i & 1:
             report.add("strong-confinement", agent, state=ref,
                        image=";".join(map(str, _refs(states, mine))))
             continue
-        checked += 1 + mine.bit_count() + len(below[spaces[i]])
         if not mine >> i & 1:
             report.add("implicit-reflexivity", agent, state=ref)
         for j in _indices(mine & ~holders[mine]):
             report.add("implicit-stationarity", agent, state=ref, reached=states[j])
 
     projections: dict[int, list[int]] = {}  # image -> its projection per space below its own
-    for i in _indices(_dirty(lat, images, levels, holders)):
-        if not confined[i]:
-            continue
+    for i in _walk(_dirty(lat, images, levels, holders) & ~unconfined):
         mine, row, space = images[i], proj[i], spaces[i]
         projected = projections.get(mine)
         if projected is None:  # the last space below the state's is its own
@@ -116,11 +128,20 @@ def validate_lambda(model: LatticeModel) -> Report:
     their compatibility with Π (measurability both ways, plus the derived
     coherence facts).  Each violation is listed once: at a state where Π
     breaks confinement, which :func:`validate_hms` lists, the joint laws
-    are skipped."""
+    are skipped.
+
+    The joint laws at a state read only its Λ and Π images, their holders,
+    and its space, so each is decided once per distinct (Λ, Π) image pair,
+    for all of the pair's holders at once.  They are walked state by state,
+    in index order, only where one of them fails, so the witnesses and
+    their order are those of a walk over every state.  ``checked`` counts
+    every check as that walk would, and is computed per pair rather than
+    counted during the walk."""
     require(model, "pi", "lambda")
     report = validate_hms(model)
     lat = model.lattice
     states, spaces, keys = lat.states, lat._space, lat._keys
+    span_bits, upspace = lat._names.span_bits, lat._upspace
     checked = 0
     for agent in model.agents:
         images, levels = model._lambda_masks[agent]
@@ -128,14 +149,38 @@ def validate_lambda(model: LatticeModel) -> Report:
         _check_implicit_correspondence(model, agent, report)
         # Both validators above built these for the same rows.
         holders, pi_holders = _row_holders(lat, images), _row_holders(lat, pi_images)
+        pairs = [(image, known, holders[image] & pi_holders[known])
+                 for image, known in dict.fromkeys(zip(images, pi_images))]
         # The states whose Λ and Π images differ.
-        differ = sum(1 << j for j, (image, known) in enumerate(zip(images, pi_images))
-                     if image != known)
+        differ = 0
+        for image, known, mine in pairs:
+            if image != known:
+                differ |= mine
         projected_of: dict[tuple[int, int], int] = {}  # (image, level) -> projection
 
-        for i, ref in enumerate(states):
-            known = pi_images[i]
-            checked += images[i].bit_count()
+        failing = 0
+        for image, known, mine in pairs:
+            checked += mine.bit_count() * image.bit_count()
+            if image & ~pi_holders[known]:  # explicit measurability
+                failing |= mine
+            first = (mine & -mine).bit_length() - 1
+            level, own = pi_levels[first], levels[first]
+            if level < 0 or own < 0:
+                continue
+            # The states at or above Π's level, in Λ's space.
+            joint = mine & upspace[level] & span_bits[own]
+            if not joint:
+                continue
+            checked += joint.bit_count() * (2 * known.bit_count() + 1)
+            key = image, level
+            projected = projected_of.get(key)
+            if projected is None:
+                projected = projected_of[key] = lat._project_mask(*key)
+            if known & ~holders.get(projected, 0) or known & differ or projected != known:
+                failing |= joint
+
+        for i in _walk(failing):
+            ref, known = states[i], pi_images[i]
             for j in _indices(images[i] & ~pi_holders[known]):
                 report.add("explicit-measurability", agent, state=ref, reached=states[j])
 
@@ -143,11 +188,7 @@ def validate_lambda(model: LatticeModel) -> Report:
             if level < 0 or level & ~spaces[i] or levels[i] != spaces[i]:
                 continue
 
-            key = images[i], level
-            projected = projected_of.get(key)
-            if projected is None:
-                projected = projected_of[key] = lat._project_mask(*key)
-            checked += 2 * known.bit_count() + 1
+            projected = projected_of[images[i], level]
             unlike = known & ~holders.get(projected, 0)
             for j in _indices(unlike | known & differ):
                 if unlike >> j & 1:
@@ -163,24 +204,73 @@ def validate_lambda(model: LatticeModel) -> Report:
 
 
 def validate_alpha(model: LatticeModel) -> Report:
-    """Check the awareness-function laws at every agent/state/space triple."""
+    """Check the awareness-function laws at every agent/state/space triple.
+
+    Lack of conception (the level lies in the state's space) and awareness
+    measurability (the states of the Λ image in the state's space share
+    its level) are checked at every state.  The three projection laws,
+    for the level ``ℓ`` of a state ``i`` and the level ``g`` of its
+    projection ``i_T`` into a space ``T`` below its space ``S``, are:
+    projects-to-level, ``T ⊆ ℓ`` implies ``g = T``; constant-above-level,
+    ``ℓ ⊆ T`` implies ``g = ℓ``; monotone, ``g ⊆ ℓ``.  At ``T = S`` they
+    hold, as ``g = ℓ ⊆ S``.  A state is *bad* when it lacks conception or
+    a projection law fails at a covering child of its space (the space with
+    one atom dropped).  The laws are walked at every lower space, state by
+    state in index order, only at the states that project onto a bad
+    state and at those where measurability fails; so the witnesses and
+    their order are those of a walk over every state.  When the lattice
+    fails its own laws, every state is walked.
+
+    At every other state, *clean*, no projection law fails at any lower
+    space.  When projections compose, ``i_T`` is the projection of
+    ``i_c`` into ``T`` for ``T`` below a covering child ``c``, and the
+    projections of a clean state are clean.  By induction on the size of
+    ``S``, take ``T`` strictly below ``S``, and ``ℓ_c`` the level of the
+    clean, smaller ``i_c``; the laws hold at ``i_c`` for ``T``, and at
+    ``i`` for ``c``:
+
+    - ``ℓ = S``: take any ``c`` above ``T``.  Projects-to-level at ``c``
+      gives ``ℓ_c = c ⊇ T``, so ``g = T`` by projects-to-level at ``i_c``,
+      and ``g ⊆ S``.  Constant-above-level does not apply, as ``T ≠ S``.
+    - ``ℓ`` below ``S`` and ``ℓ ∪ T`` below ``S``: take ``c`` above both.
+      Constant-above-level at ``c`` gives ``ℓ_c = ℓ``, so the laws at
+      ``i`` for ``T`` are the laws at ``i_c`` for ``T``.
+    - ``ℓ`` below ``S`` and ``ℓ ∪ T = S``: take ``c`` above ``T``; then
+      ``ℓ ⊄ T`` and ``T ⊄ ℓ``, so only monotonicity applies, and ``g ⊆
+      ℓ_c ⊆ ℓ`` by monotonicity at ``i_c`` and at ``c``."""
     require(model, "lambda", "alpha")
     report = Report()
     lat = model.lattice
     states, spaces, proj, below, keys = lat.states, lat._space, lat._proj, lat._below, lat._keys
+    span_bits, children = lat._names.span_bits, lat._children
+    everything = 0 if _validate_lattice(lat).ok else (1 << len(states)) - 1
     checked = 0
-    span_bits = lat._names.span_bits
     for agent in model.agents:
         levels = model._alpha_masks[agent][1]
         images = model._lambda_masks[agent][0]
         holders = _holders(levels)
         checked += len(states)
-        for i, ref in enumerate(states):
-            level, space = levels[i], spaces[i]
+        bad = failing = 0
+        for i, (level, space, image) in enumerate(zip(levels, spaces, images)):
+            if level & ~space:
+                bad |= 1 << i
+                continue
+            checked += image.bit_count() + 3 * len(below[space])
+            if image & span_bits[space] & ~holders[level]:
+                failing |= 1 << i
+            row = proj[i]
+            for child in children[space]:
+                got = levels[row[child]]
+                if (not child & ~level and got != child or not level & ~child and got != level
+                        or got & ~level):
+                    bad |= 1 << i
+                    break
+
+        for i in _walk(everything | lat._close(bad) | failing):
+            ref, level, space = states[i], levels[i], spaces[i]
             if level & ~space:
                 report.add("lack-of-conception", agent, state=ref, level=keys[level])
                 continue
-            checked += images[i].bit_count() + 3 * len(below[space])
             for j in _indices(images[i] & span_bits[space] & ~holders[level]):
                 report.add("awareness-measurability", agent, state=ref, reached=states[j])
             row = proj[i]

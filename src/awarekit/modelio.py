@@ -94,9 +94,17 @@ def _pairs(value, what: str) -> list:
 
 
 def _table(value, what: str, cell) -> dict:
-    """An object whose every value passes ``cell(value, what)``."""
-    return {key: cell(item, f"{what}[{key}]")
-            for key, item in _object(value, what).items()}
+    """An object whose every value passes ``cell(value, f"{what}[{key}]")``.
+    A check reads its label only to raise, so the values are checked under
+    ``what``; when one fails, they are checked again under their own
+    labels, and the first that fails raises its error."""
+    table = _object(value, what)
+    try:
+        return {key: cell(item, what) for key, item in table.items()}
+    except ModelFormatError:
+        for key, item in table.items():
+            cell(item, f"{what}[{key}]")
+        raise
 
 
 def _table_of(cell):

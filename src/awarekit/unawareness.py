@@ -138,6 +138,13 @@ def _indices(mask: int) -> list[int]:
     return out
 
 
+def _walk(mask: int) -> list[int]:
+    """The states of a mask at which a validator runs its laws one state at
+    a time, in index order: :func:`_indices`, under its own name so that
+    the states a validator walks can be counted."""
+    return _indices(mask)
+
+
 def _refs(states: Sequence[StateRef], mask: int) -> list[StateRef]:
     """The states of a state mask, in index order."""
     return [states[i] for i in _indices(mask)]
@@ -208,6 +215,13 @@ class SpaceLattice:
     also has an up-closure mask, and each space a map from its ids to state
     indices, the index range of its states, their mask, and the mask of
     every state at or above it.
+
+    The lattice is *aligned* when every space holds the same ids and every
+    covering map is the identity on them, as in every unminimized transform
+    output.  Then state ``k`` of a space projects to state ``k`` of every
+    space below, so a space's part of a state mask projects with one shift
+    (:meth:`_project_mask`) and up-closes with one multiply
+    (:meth:`_close`); other lattices walk the mask bit by bit.
     """
 
     def __init__(
@@ -225,17 +239,25 @@ class SpaceLattice:
                 f"(override with {MAX_ATOMS_ENV})")
 
         self.spaces: dict[frozenset[str], tuple[StateRef, ...]] = {}
+        key_of: dict[frozenset[str], str] = {}
+        shared: list[str] | None = None  # the ids of every space, while they agree
         for space in subsets(self.atoms):
+            key = key_of[space] = space_key(space)
             ids = spaces.get(space)
             if ids is None:
-                raise ModelFormatError(f"missing space {space_key(space)!r}")
+                raise ModelFormatError(f"missing space {key!r}")
             if not ids:
-                raise ModelFormatError(f"space {space_key(space)!r} is empty")
+                raise ModelFormatError(f"space {key!r} is empty")
             if len(set(ids)) != len(ids):
-                raise ModelFormatError(f"duplicate state ids in space {space_key(space)!r}")
+                raise ModelFormatError(f"duplicate state ids in space {key!r}")
             if "" in ids:
-                raise ModelFormatError(f"empty state id in space {space_key(space)!r}")
-            self.spaces[space] = tuple(StateRef(space, i) for i in sorted(ids))
+                raise ModelFormatError(f"empty state id in space {key!r}")
+            ordered = sorted(ids)
+            if not space:
+                shared = ordered
+            elif shared is not None and ordered != shared:
+                shared = None
+            self.spaces[space] = tuple(StateRef(space, i) for i in ordered)
         extra = set(spaces) - set(self.spaces)
         if extra:
             key = space_key(sorted(extra, key=space_key)[0])
@@ -258,10 +280,10 @@ class SpaceLattice:
         span_bits = [0] * n_masks
         states: list[StateRef] = []
         for space, refs in sorted(self.spaces.items(),
-                                  key=lambda kv: (-len(kv[0]), space_key(kv[0]))):
+                                  key=lambda kv: (-len(kv[0]), key_of[kv[0]])):
             mask, start = self._masks[space], len(states)
             by_mask[mask] = space
-            self._keys[mask] = space_key(space)
+            self._keys[mask] = key_of[space]
             self._below[mask] = [sub for sub in order if not sub & ~mask]
             self._span[mask] = range(start, start + len(refs))
             self._ids[mask] = {ref.id: i for i, ref in enumerate(refs, start)}
@@ -278,6 +300,7 @@ class SpaceLattice:
 
         # Entries for targets that are not below the state's space stay -1.
         self._proj: list[list[int]] = [[-1] * n_masks for _ in self.states]
+        identity = None if shared is None else dict(zip(shared, shared))
         n_covering = 0
         for parent, child in self._edges():
             n_covering += 1
@@ -285,6 +308,12 @@ class SpaceLattice:
             raw = projections.get((by_mask[parent], by_mask[child]))
             if raw is None:
                 raise ModelFormatError(f"missing projection {pair}")
+            if identity is not None and raw == identity:
+                offset = self._span[child].start - self._span[parent].start
+                for i in self._span[parent]:
+                    self._proj[i][child] = i + offset
+                continue
+            identity = None
             ids = self._ids[child]
             for i in self._span[parent]:
                 state_id = self.states[i].id
@@ -300,6 +329,7 @@ class SpaceLattice:
                 extra_id = min(raw.keys() - self._ids[parent].keys())
                 raise ModelFormatError(f"projection {pair} is defined on unknown state "
                                        f"{extra_id!r}")
+        self._aligned = identity is not None
         # Every covering pair has its map, so more maps means other keys.
         if len(projections) > n_covering:
             covering = {(by_mask[parent], by_mask[child]) for parent, child in self._edges()}
@@ -329,11 +359,21 @@ class SpaceLattice:
                     drop = 1 << ((mask & ~target).bit_length() - 1)
                     row[target] = self._proj[row[mask ^ drop]][target]
 
-        self._up: list[int] = [0] * len(self.states)
-        for i, row in enumerate(self._proj):
-            bit = 1 << i
-            for target in self._below[self._space[i]]:
-                self._up[row[target]] |= bit
+        # Aligned, the up-closure of state k of a space is state k of every
+        # space at or above it: ``_comb`` has a bit at the first state of each.
+        self._start = [span.start for span in self._span]
+        self._comb: list[int] = []
+        if self._aligned:
+            firsts = sum(1 << start for start in self._start)
+            self._comb = [up & firsts for up in self._upspace]
+            comb, start = self._comb, self._start
+            self._up = [comb[space] << i - start[space] for i, space in enumerate(self._space)]
+        else:
+            self._up = [0] * len(self.states)
+            for i, row in enumerate(self._proj):
+                bit = 1 << i
+                for target in self._below[self._space[i]]:
+                    self._up[row[target]] |= bit
 
         self._omega = Event(0, self._upspace[0], self._names)
         self._reports: dict = {}  # see reports.memoised
@@ -376,6 +416,17 @@ class SpaceLattice:
         """The covering pairs as (parent, child) space masks: parents in
         :func:`subsets` order, dropped atoms sorted."""
         return [(mask, mask ^ 1 << k) for mask in self._masks.values() for k in _indices(mask)]
+
+    @cached_property
+    def _n_below(self) -> int:
+        """The number of (state, space at or below the state's) pairs."""
+        return sum(len(span) * len(below) for span, below in zip(self._span, self._below))
+
+    @cached_property
+    def _children(self) -> list[list[int]]:
+        """Per space mask, its covering children: the masks with one atom
+        dropped, in increasing order of the dropped atom."""
+        return [[mask ^ 1 << k for k in _indices(mask)] for mask in range(len(self._below))]
 
     def _find(self, ref: StateRef) -> int | None:
         """The index of a state, None when the lattice has no such state."""
@@ -421,9 +472,19 @@ class SpaceLattice:
 
     def _project_mask(self, mask: int, target: int) -> int:
         """The projection of a state mask into the space ``target``, which
-        must lie below the space of every state in the mask."""
-        proj = self._proj
+        must lie below the space of every state in the mask.  Aligned, each
+        space's part of the mask shifts onto ``target``'s states."""
         out = 0
+        if self._aligned:
+            space, span_bits, start = self._space, self._names.span_bits, self._start
+            at = start[target]
+            while mask:
+                source = space[(mask & -mask).bit_length() - 1]
+                part = mask & span_bits[source]
+                out |= part << at - start[source]
+                mask ^= part
+            return out
+        proj = self._proj
         while mask:
             low = mask & -mask
             out |= 1 << proj[low.bit_length() - 1][target]
@@ -431,9 +492,21 @@ class SpaceLattice:
         return out
 
     def _close(self, mask: int) -> int:
-        """The union of the up-closures of the states of a state mask."""
-        up = self._up
+        """The union of the up-closures of the states of a state mask.
+        Aligned, each space's part of the mask, shifted to bit 0, is copied
+        to every space at or above it by one multiply: the copies are one
+        space's width apart, so they do not overlap."""
         out = 0
+        if self._aligned:
+            space, span_bits, start, comb = (
+                self._space, self._names.span_bits, self._start, self._comb)
+            while mask:
+                source = space[(mask & -mask).bit_length() - 1]
+                part = mask & span_bits[source]
+                out |= (part >> start[source]) * comb[source]
+                mask ^= part
+            return out
+        up = self._up
         while mask:
             low = mask & -mask
             out |= up[low.bit_length() - 1]
@@ -918,11 +991,9 @@ def u_op(model: LatticeModel, agent: str, event: Event) -> Event:
 # -- validation ---------------------------------------------------------------
 
 
-@memoised
-def _validate_lattice(lat: SpaceLattice) -> Report:
-    """The projection laws and the valuation convention: a lattice's own
-    laws, checked once per lattice for every model over it."""
-    report = Report()
+def _walk_projection_laws(lat: SpaceLattice, report: Report) -> None:
+    """Add to ``report`` the projection laws of a lattice, walked state by
+    state: each covering map is onto, and covering squares commute."""
     states, proj, span, masks, keys = lat.states, lat._proj, lat._span, lat._masks, lat._keys
     covers = sorted(lat._edges(), key=lambda pair: (keys[pair[0]], keys[pair[1]]))
     report.count(len(covers))
@@ -947,6 +1018,20 @@ def _validate_lattice(lat: SpaceLattice) -> Report:
                     report.add("projection-composition", state=states[i],
                                space=space_key(space), dropped=f"{x},{y}")
 
+
+@memoised
+def _validate_lattice(lat: SpaceLattice) -> Report:
+    """The projection laws and the valuation convention: a lattice's own
+    laws, checked once per lattice for every model over it.  An aligned
+    lattice passes the projection laws as built: each covering map is the
+    identity on the same ids, so it is onto, and every composite of them is
+    the identity too; only ``checked`` counts their checks."""
+    report = Report()
+    if lat._aligned:
+        report.count(len(lat._edges()) + sum(len(space) * (len(space) - 1) // 2 * len(refs)
+                                             for space, refs in lat.spaces.items()))
+    else:
+        _walk_projection_laws(lat, report)
     report.count(len(lat.atoms))
     for atom in sorted(lat.atoms):
         space = lat.valuation[atom].space
@@ -957,7 +1042,7 @@ def _validate_lattice(lat: SpaceLattice) -> Report:
 
 
 def _dirty(lat: SpaceLattice, images: list[int], levels: list[int], holders: dict[int, int],
-           image_ups: list[int] | None = None) -> int:
+           ups: dict[int, int] | None = None) -> int:
     """The states at which a projection law of one agent's correspondence
     may fail at some lower space, as a state mask: every state that
     projects onto a *bad* state.  ``holders`` is :func:`_holders` of the
@@ -966,20 +1051,23 @@ def _dirty(lat: SpaceLattice, images: list[int], levels: list[int], holders: dic
     The laws compare a state ``i`` with its projection ``i_T`` into each
     space ``T`` below its own.  Knowledge, for ``T`` at or below the level
     ``L`` of ``i``'s image: the image projected into ``T`` is the image of
-    ``i_T``.  Ignorance, for Π (given ``image_ups``, each image's
+    ``i_T``.  Ignorance, for Π (given ``ups``, each distinct image's
     up-closure): the up-closure of ``i``'s image lies in that of
     ``i_T``'s.  A state is bad when it is unconfined (for Π, its image
     straddles spaces or lies above its space; for Λ, the image is not in
     its own space), or when a law fails at a covering child ``c`` of its
     space (the space with one atom dropped), or, for Π at a level ``L``
-    below its space, when the image of ``i_L`` is not ``i``'s.  At ``L``
-    the state's space, knowledge at ``c`` implies ignorance at ``c``: the
-    image lies in the up-closure of its projection.  So knowledge is
+    below its space, when the image of ``i_L`` is not ``i``'s: when ``i``
+    is outside the up-closure of the states whose image it is at ``L``.  At
+    ``L`` the state's space, knowledge at ``c`` implies ignorance at ``c``:
+    the image lies in the up-closure of its projection.  So knowledge is
     checked once per image and covering child, over the states whose image
     it is at their own space; when those states are the image itself, as
     in a partition, they project onto the projected image, and the law
     holds at each of them exactly when every state of the projected image
-    has it as its image.
+    has it as its image.  On an aligned lattice state ``k`` of ``L``
+    projects to state ``k`` of ``c``, so the states where the law fails
+    are those of ``c`` that miss the projected image, shifted back.
 
     A state outside the result is *clean*: no law fails there at any lower
     space.  When projections compose (the lattice passes
@@ -1002,34 +1090,40 @@ def _dirty(lat: SpaceLattice, images: list[int], levels: list[int], holders: dic
     if not _validate_lattice(lat).ok:
         return (1 << len(lat.states)) - 1
     spaces, proj, span_bits = lat._space, lat._proj, lat._names.span_bits
-    children = [[mask ^ 1 << k for k in _indices(mask)] for mask in range(len(lat._below))]
+    children, aligned, start = lat._children, lat._aligned, lat._start
     bad = 0
-    for i, (image, level) in enumerate(zip(images, levels)):
-        space = spaces[i]
-        if level == space:
-            continue
-        if image_ups is None or level < 0 or level & ~space or images[proj[i][level]] != image:
-            bad |= 1 << i
-            continue
-        up, row = image_ups[i], proj[i]
-        for child in children[space]:
-            if up & ~image_ups[row[child]]:
-                bad |= 1 << i
-                break
     for image, mine in holders.items():
         level = levels[(mine & -mine).bit_length() - 1]
         if level < 0:
+            bad |= mine
             continue
-        mine &= span_bits[level]  # the states whose image it is at their own space
-        if not mine:
+        own = mine & span_bits[level]  # the states whose image it is at their own space
+        lower = mine ^ own
+        if lower and ups is None:
+            bad |= lower
+        elif lower:
+            below = lat._close(own)
+            bad |= lower & ~below
+            up = ups[image]
+            for i in _indices(lower & below):
+                row = proj[i]
+                for child in children[spaces[i]]:
+                    if up & ~ups[images[row[child]]]:
+                        bad |= 1 << i
+                        break
+        if not own:
             continue
         for child in children[level]:
-            projected = lat._project_mask(image, child)
-            if mine == image and not projected & ~holders.get(projected, 0):
+            if aligned:
+                shift = start[child] - start[level]
+                projected = image << shift
+                bad |= (own << shift & ~holders.get(projected, 0)) >> shift
                 continue
-            for i in _indices(mine):
-                if images[proj[i][child]] != projected:
-                    bad |= 1 << i
+            projected = lat._project_mask(image, child)
+            if own != image or projected & ~holders.get(projected, 0):
+                for i in _indices(own):
+                    if images[proj[i][child]] != projected:
+                        bad |= 1 << i
     return lat._close(bad)
 
 
@@ -1039,30 +1133,49 @@ def validate_hms(model: LatticeModel) -> Report:
     required of the explicit possibility correspondences of a model with a
     primitive Π, reporting each violation with a witness.
 
-    Confinement, reflexivity and stationarity are checked at every state.
-    The projection laws, knowledge and ignorance at every space below a
-    state's own, are walked only at the states :func:`_dirty` finds, in
-    index order: at every other state none of them fails.  So the
-    witnesses and their order are those of a walk over every state, and
-    ``checked`` counts every (state, lower space) check as that walk
-    does."""
+    Confinement, reflexivity and stationarity at a state read only its
+    image, the states holding that image, and its space, so each is decided
+    once per distinct image, for all of the image's holders at once.  The
+    projection laws, knowledge and ignorance at every space below a state's
+    own, fail only at the states :func:`_dirty` finds.  The laws are then
+    walked state by state, in index order, only where one of them fails or
+    may fail: at every other state none of them fails.  So the witnesses and
+    their order are those of a walk over every state.  ``checked`` counts
+    every (state, lower space) check as that walk would, and is computed
+    per image rather than counted during the walk."""
     require(model, "pi")
     lat = model.lattice
     report = _validate_lattice(lat)
-    states, spaces, proj, below, keys = (
-        lat.states, lat._space, lat._proj, lat._below, lat._keys)
+    states, spaces, proj, below, keys, upspace = (
+        lat.states, lat._space, lat._proj, lat._below, lat._keys, lat._upspace)
 
     checked = 0
     for agent in model.agents:
         images, levels = model._pi_masks[agent]
-        image_ups = _each(lat._close, images)
         holders = _row_holders(lat, images)
-        dirty = _dirty(lat, images, levels, holders, image_ups)
-        projections: dict[int, list[int]] = {}  # image -> its projection per space below its level
-        checked += 2 * len(states)  # both confinement laws, the second when the first holds
-        for i, ref in enumerate(states):
+        ups = {image: lat._close(image) for image in holders}
+        dirty = _dirty(lat, images, levels, holders, ups)
+        # Both confinement laws, the second when the first holds; then
+        # reflexivity, stationarity per target and ignorance per lower space.
+        checked += 2 * len(states) + lat._n_below
+        unconfined = failing = 0
+        for image, mine in holders.items():
+            level = levels[(mine & -mine).bit_length() - 1]
+            checked += mine.bit_count() * image.bit_count()
+            if level < 0:
+                checked -= mine.bit_count()
+                unconfined |= mine
+            else:  # knowledge per space below the level, where it is expressible
+                expressible = mine & upspace[level]
+                checked += expressible.bit_count() * len(below[level])
+                unconfined |= mine ^ expressible
+            failing |= mine & ~ups[image]  # reflexivity
+            if image & ~mine:  # stationarity
+                failing |= mine
+
+        for i in _walk(unconfined):
+            ref = states[i]
             if levels[i] < 0:
-                checked -= 1
                 found = {keys[spaces[j]] for j in _indices(images[i])}
                 report.add("confinement-single-space", agent, state=ref,
                            spaces=";".join(sorted(found)))
@@ -1071,29 +1184,26 @@ def validate_hms(model: LatticeModel) -> Report:
                 report.add("confinement-expressible", agent, state=ref,
                            image_space=keys[levels[i]])
 
-        for i, ref in enumerate(states):
-            mine, mine_up, space = images[i], image_ups[i], spaces[i]
-            # reflexivity, stationarity per target, ignorance per lower space
-            checked += mine.bit_count() + len(below[space])
+        projections: dict[int, list[int]] = {}  # image -> its projection per space below its level
+        for i in _walk(failing | dirty):
+            ref, mine, space = states[i], images[i], spaces[i]
+            mine_up = ups[mine]
             if not mine_up >> i & 1:
                 report.add("generalized-reflexivity", agent, state=ref,
                            image=";".join(map(str, _refs(states, mine))))
             for j in _indices(mine & ~holders[mine]):
                 report.add("stationarity", agent, state=ref, reached=states[j])
 
-            level = levels[i]
-            expressible = level >= 0 and not level & ~space
-            if expressible:
-                checked += len(below[level])
             if not dirty >> i & 1:
                 continue
             row = proj[i]
             for target_space in below[space][:-1]:
-                if mine_up & ~image_ups[row[target_space]]:
+                if mine_up & ~ups[images[row[target_space]]]:
                     report.add("projections-preserve-ignorance", agent,
                                state=ref, below=keys[target_space])
 
-            if not expressible:
+            level = levels[i]
+            if level < 0 or level & ~space:
                 continue
             projected = projections.get(mine)
             if projected is None:  # the last space below the level is the level itself

@@ -292,6 +292,53 @@ def test_projection_table_as_pair_list_rejected(fig1L):
     _rejected(data)
 
 
+def _cell_faults():
+    """Files with one or two faulty cells of a table, each with the message
+    that names the first faulty cell in the file's order."""
+    def lattice(edit):
+        data = model_to_data(load_fig1L())
+        edit(data)
+        return data
+
+    def fh(edit):
+        data = json.loads(json.dumps(FH_DATA))
+        edit(data)
+        return data
+
+    def spaces(data):
+        data["spaces"]["q"] = "q"
+        data["spaces"]["p,q"] = 7
+
+    return [
+        ("space", lattice(lambda d: d["spaces"].update(q="q")),
+         "spaces[q] must be a list of strings"),
+        # The file lists its spaces by key: ``p,q`` before ``q``.
+        ("two spaces", lattice(spaces), "spaces[p,q] must be a list of strings"),
+        ("projection table", lattice(lambda d: d["projections"].update({"p->": ["p"]})),
+         "projections[p->] must be an object"),
+        ("projection entry", lattice(lambda d: d["projections"]["p->"].update(p=7)),
+         "projections[p->][p] must be a string"),
+        ("valuation entry", lattice(lambda d: d["valuation"].update(p="p")),
+         "valuation[p] must be an object"),
+        ("relation", fh(lambda d: d["relations"].update({"1": [["w0"]]})),
+         "relations[1] must be a list of [world, world] pairs"),
+        ("awareness cell", fh(lambda d: d["awareness"]["1"].update(w0="p")),
+         "awareness[1][w0] must be a list of strings"),
+        ("awareness row", fh(lambda d: d["awareness"].update({"1": ["p"]})),
+         "awareness[1] must be an object"),
+        ("fh valuation", fh(lambda d: d["valuation"].update(p=[["w0"]])),
+         "valuation[p] must be a list of strings"),
+    ]
+
+
+@pytest.mark.parametrize("fault,data,message", _cell_faults(),
+                         ids=[fault for fault, _, _ in _cell_faults()])
+def test_a_faulty_table_cell_is_named_in_its_message(fault, data, message):
+    with pytest.raises(ModelFormatError) as err:
+        data_to_model(data)
+    assert str(err.value) == message
+
+
 def test_fh_relation_triple_rejected():
     data = json.loads(json.dumps(FH_DATA))
     data["relations"]["1"] = [["w0", "w0", "w0"]]
