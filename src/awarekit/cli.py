@@ -149,6 +149,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    # Only the transforms to the lattice families build a category.
+    for flag, given in (("--minimize", args.minimize), ("--dump-category", args.dump_category)):
+        if given and args.to not in ("hms", "implicit-hms"):
+            raise ModelFormatError(f"{flag} needs --to hms or --to implicit-hms")
     model = modelio.load_model(args.file)
     if args.to in ("hms", "implicit-hms"):
         if model.family != "awareness":
@@ -286,16 +290,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", required=True, choices=transforms.TRANSFORM_DIRECTIONS)
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--dump-category", metavar="DIR",
-                   help="also write the sublanguage category into a directory")
+                   help="also write the sublanguage category into a directory "
+                        "(--to hms or implicit-hms only)")
     p.add_argument("--minimize", action="store_true",
-                   help="quotient category members by modal equivalence")
+                   help="quotient category members by modal equivalence "
+                        "(--to hms or implicit-hms only)")
     p.set_defaults(func="_cmd_transform")
 
     p = sub.add_parser("equiv", help="check modal equivalence of a model and its transform")
     p.add_argument("a", help="source model file")
     p.add_argument("b", help="transformed model file")
     p.add_argument("--via", required=True, choices=transforms.TRANSFORM_DIRECTIONS)
-    p.add_argument("--depth", type=_at_least(0), default=2)
+    p.add_argument("--depth", type=_at_least(0), default=2,
+                   help="bound on the modal depth of the formulas compared; at most 150 "
+                        "formulas of AST size 9 or less are taken, smallest first, so a "
+                        "larger depth may add none (see docs/formats.md)")
     _add_format(p)
     p.set_defaults(func="_cmd_equiv")
 

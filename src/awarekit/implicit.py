@@ -7,7 +7,9 @@ correspondence Π as primitive and adds a compatible within-space Λ.  An
 *implicit knowledge-based* model (CLI kind ``implicit-hms``) instead takes
 Λ and a per-state awareness function α as primitives, and
 :func:`derive_pi_star` derives Π from them.  The operators themselves
-(``k_op``, ``l_op``, ``a_op``) live in :mod:`awarekit.unawareness`.
+(``k_op``, ``l_op``, ``a_op``) live in :mod:`awarekit.unawareness`, on the
+per-agent rows.  A model built here from another shares its Λ rows, and
+with them each row's operator memo and Λ's report (:func:`_lambda_report`).
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ from .unawareness import (
     _holders,
     _indices,
     _refs,
-    _row_holders,
+    _Row,
     _Suite,
     _validate_lattice,
     _walk,
     a_op,
     k_op,
     l_op,
-    pi_space,
     require,
     space_key,
     u_op,
@@ -46,23 +47,15 @@ from .unawareness import (
 # -- validators -----------------------------------------------------------------
 
 
-def _check_implicit_correspondence(model: LatticeModel, agent: str, report: Report) -> None:
-    """Merge into ``report`` the report of Λ's laws on the agent's row.
-
-    The laws read the lattice and the row alone, so their report is kept on
-    the lattice, keyed by the agent and the row's identity, and every model
-    that shares the row shares it: a complemented model derived from an
-    implicit one, and the implicit view of a complemented one.  The entry
-    holds the row, so its identity cannot be reused while the entry lives."""
-    lat, row = model.lattice, model._lambda_masks[agent]
-    key = _lambda_laws, agent, id(row)
-    entry = lat._reports.get(key)
-    if entry is None:
-        entry = lat._reports[key] = row, _lambda_laws(lat, agent, row)
-    report.merge(entry[1])
+@memoised
+def _lambda_report(row: _Row) -> Report:
+    """The report of Λ's laws on one agent's row.  The laws read the
+    lattice and the row alone, so their report is kept on the row, and
+    every model that shares the row shares it."""
+    return _lambda_laws(row.lattice, row.agent, row)
 
 
-def _lambda_laws(lat: SpaceLattice, agent: str, row: tuple[list[int], list[int]]) -> Report:
+def _lambda_laws(lat: SpaceLattice, agent: str, row: _Row) -> Report:
     """Reflexivity, Stationarity, and projection compatibility of an
     agent's within-space correspondence Λ; strong confinement is checked
     first since the projection law cannot even be stated without it.  What
@@ -81,8 +74,7 @@ def _lambda_laws(lat: SpaceLattice, agent: str, row: tuple[list[int], list[int]]
     report = Report()
     states, spaces, proj, below, keys = lat.states, lat._space, lat._proj, lat._below, lat._keys
     span_bits = lat._names.span_bits
-    images, levels = row
-    holders = _row_holders(lat, images)
+    images, levels, holders = row.images, row.levels, row.holders
     checked = len(states)
     unconfined = failing = 0
     for image, mine in holders.items():
@@ -106,7 +98,7 @@ def _lambda_laws(lat: SpaceLattice, agent: str, row: tuple[list[int], list[int]]
             report.add("implicit-stationarity", agent, state=ref, reached=states[j])
 
     projections: dict[int, list[int]] = {}  # image -> its projection per space below its own
-    for i in _walk(_dirty(lat, images, levels, holders) & ~unconfined):
+    for i in _walk(_dirty(row) & ~unconfined):
         mine, row, space = images[i], proj[i], spaces[i]
         projected = projections.get(mine)
         if projected is None:  # the last space below the state's is its own
@@ -144,11 +136,10 @@ def validate_lambda(model: LatticeModel) -> Report:
     span_bits, upspace = lat._names.span_bits, lat._upspace
     checked = 0
     for agent in model.agents:
-        images, levels = model._lambda_masks[agent]
-        pi_images, pi_levels = model._pi_masks[agent]
-        _check_implicit_correspondence(model, agent, report)
-        # Both validators above built these for the same rows.
-        holders, pi_holders = _row_holders(lat, images), _row_holders(lat, pi_images)
+        row, pi_row = model._lambda[agent], model._pi[agent]
+        images, levels, holders = row.images, row.levels, row.holders
+        pi_images, pi_levels, pi_holders = pi_row.images, pi_row.levels, pi_row.holders
+        report.merge(_lambda_report(row))
         pairs = [(image, known, holders[image] & pi_holders[known])
                  for image, known in dict.fromkeys(zip(images, pi_images))]
         # The states whose Λ and Π images differ.
@@ -246,8 +237,7 @@ def validate_alpha(model: LatticeModel) -> Report:
     everything = 0 if _validate_lattice(lat).ok else (1 << len(states)) - 1
     checked = 0
     for agent in model.agents:
-        levels = model._alpha_masks[agent][1]
-        images = model._lambda_masks[agent][0]
+        levels, images = model._alpha[agent].levels, model._lambda[agent].images
         holders = _holders(levels)
         checked += len(states)
         bad = failing = 0
@@ -296,7 +286,7 @@ def validate_implicit(model: LatticeModel) -> Report:
     require(model, "lambda", "alpha")
     report = _validate_lattice(model.lattice)
     for agent in model.agents:
-        _check_implicit_correspondence(model, agent, report)
+        report.merge(_lambda_report(model._lambda[agent]))
     if report.ok:
         report.merge(validate_alpha(model))
     return report
@@ -316,16 +306,15 @@ def candidate_lambda_from_pi(model: LatticeModel) -> LatticeModel:
     base_report = validate_hms(model)
     if not base_report.ok:
         raise PreconditionFailed("candidate construction needs a valid model", base_report)
-    spaces = model.lattice._space
+    lat = model.lattice
     lambda_ = {}
-    for agent in model.agents:
-        keys = list(zip(spaces, model._pi_masks[agent][0]))  # (space, Π image) per state
+    for agent, row in model._pi.items():
+        keys = list(zip(lat._space, row.images))  # (space, Π image) per state
         cells: dict[tuple[int, int], int] = {}  # the states of each key
         for i, key in enumerate(keys):
             cells[key] = cells.get(key, 0) | 1 << i
-        lambda_[agent] = ([cells[key] for key in keys], list(spaces))
-    candidate = LatticeModel._from_masks(model.lattice, model.agents,
-                                         pi=model._pi_masks, lambda_=lambda_)
+        lambda_[agent] = _Row(lat, agent, [cells[key] for key in keys], list(lat._space))
+    candidate = LatticeModel._from_rows(lat, model.agents, pi=model._pi, lambda_=lambda_)
     report = validate_lambda(candidate)
     if not report.ok:
         raise CandidateInvalid("derived candidate violates the implicit laws", report)
@@ -338,9 +327,9 @@ def derive_pi_star(model: LatticeModel) -> LatticeModel:
     complemented model; a failed assertion raises
     :class:`DerivationInconsistent` with the result's
     :func:`validate_lambda` report.  The result shares the implicit model's
-    lattice and Λ table, so that check reuses the lattice's and Λ's reports
+    lattice and Λ rows, so that check reuses the lattice's and Λ's reports
     from the implicit model's validation and walks only Π and the joint
-    laws.
+    laws, and ``l_op`` on either model reads one memo.
 
     Π at each state is Λ's image projected to the awareness level.  Its
     level is read off the projection, as a file row's is, not copied from
@@ -361,16 +350,13 @@ def derive_pi_star(model: LatticeModel) -> LatticeModel:
 
     pi_star = {}
     for agent in model.agents:
-        images = model._lambda_masks[agent][0]
-        levels = model._alpha_masks[agent][1]
         # The model validated, so every level lies below its state's space,
         # and every image is non-empty: its projection lies in the level.
-        cells = _each(project, zip(images, levels))
-        pi_star[agent] = [image for image, _ in cells], [level for _, level in cells]
+        cells = _each(project, zip(model._lambda[agent].images, model._alpha[agent].levels))
+        pi_star[agent] = _Row(lat, agent, *map(list, zip(*cells)))
 
-    # Λ is the implicit model's: share its table, and with it Λ's report.
-    complemented = LatticeModel._from_masks(lat, model.agents, pi=pi_star,
-                                            lambda_=model._lambda_masks)
+    # Λ is the implicit model's: share its rows.
+    complemented = LatticeModel._from_rows(lat, model.agents, pi=pi_star, lambda_=model._lambda)
     report = validate_lambda(complemented)
     if not report.ok:
         raise DerivationInconsistent("derived complemented model fails validation", report)
@@ -382,13 +368,11 @@ def implicit_from_complemented(model: LatticeModel) -> LatticeModel:
     explicit correspondence's space as primitives; valid whenever the input
     is."""
     alpha = {}
-    for agent in model.agents:
-        levels = _explicit(model)._pi_masks[agent][1]
-        if -1 in levels:  # a straddled image has no space
-            pi_space(model, agent, model.states[levels.index(-1)])
-        alpha[agent] = (None, levels)
-    out = LatticeModel._from_masks(model.lattice, model.agents,
-                                   lambda_=model._lambda_masks, alpha=alpha)
+    for agent, row in _explicit(model)._pi.items():
+        if -1 in row.levels:  # a straddled image has no space
+            row.level(row.levels.index(-1))
+        alpha[agent] = _Row(model.lattice, agent, None, row.levels)
+    out = LatticeModel._from_rows(model.lattice, model.agents, lambda_=model._lambda, alpha=alpha)
     report = validate_implicit(out)
     if not report.ok:
         raise TransformInvariantBroken("implicit view of a complemented model "
@@ -418,7 +402,7 @@ def implicit_property_suite(model: LatticeModel) -> Report:
         for event in suite.basis:
             implicit = l_op(model, agent, event)
             suite.check_raw("implicit-knowledge-based-event", agent, event, implicit,
-                            suite.boxed(model._lambda_masks[agent][0], event))
+                            suite.boxed(model._lambda[agent].images, event))
 
             check_subset("implicit-truth", agent, implicit, event, event=event)
             check_subset("implicit-positive-introspection", agent,
@@ -440,7 +424,7 @@ def implicit_property_suite(model: LatticeModel) -> Report:
                   a_op(model, agent, implicit), aware, event=event)
 
         suite.conjunctions(agent, (("implicit-conjunction", l_op,
-                                    suite.box_bases(model._lambda_masks[agent][0])),))
+                                    suite.box_bases(model._lambda[agent])),))
         suite.monotonicity("implicit-monotonicity", agent, l_op)
     return suite.report
 

@@ -182,22 +182,23 @@ def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
 def lattice_model_to_data(model: LatticeModel) -> dict:
     data = _lattice_to_data(model.lattice)
     data["agents"] = list(model.agents)
-    # Rows are written from the mask tables, keyed by sorted state tokens.
+    # Rows are written from the model's rows, keyed by sorted state tokens.
     tokens, keys = model.lattice._tokens, model.lattice._keys
     order = sorted(range(len(tokens)), key=tokens.__getitem__)
 
-    def correspondence(table) -> dict:
-        return {agent: {tokens[i]: sorted(tokens[j] for j in _indices(images[i])) for i in order}
-                for agent, (images, _) in table.items()}
+    def correspondence(rows) -> dict:
+        return {agent: {tokens[i]: sorted(tokens[j] for j in _indices(row.images[i]))
+                        for i in order}
+                for agent, row in rows.items()}
 
-    if model._pi_masks is not None:
-        data["pi"] = correspondence(model._pi_masks)
-    if model._lambda_masks is not None:
-        name = "lambda" if model._alpha_masks is None else "lambda_star"
-        data[name] = correspondence(model._lambda_masks)
-    if model._alpha_masks is not None:
-        data["alpha"] = {agent: {tokens[i]: keys[levels[i]] for i in order}
-                         for agent, (_, levels) in model._alpha_masks.items()}
+    if model._pi is not None:
+        data["pi"] = correspondence(model._pi)
+    if model._lambda is not None:
+        name = "lambda" if model._alpha is None else "lambda_star"
+        data[name] = correspondence(model._lambda)
+    if model._alpha is not None:
+        data["alpha"] = {agent: {tokens[i]: keys[row.levels[i]] for i in order}
+                         for agent, row in model._alpha.items()}
     return data
 
 

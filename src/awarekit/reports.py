@@ -5,13 +5,13 @@ Validators and suites never raise on a law violation; they collect one
 reproduce the failure by hand.  A report with no violations means every
 check that ran passed.
 
-Models and their lattices are immutable: neither may be changed after
-construction.  So each group of laws is checked once per object it reads,
-and the report is kept on that object: a lattice's own laws once per
-lattice, Λ's laws once per agent row that models share (the row's report
-is kept on the lattice), and the rest of each validator wrapped in
-:func:`memoised` once per model object.  Every call returns a fresh copy of
-a kept report, so a caller may merge into what it gets.
+Models, their lattices and their per-agent rows are immutable: none may
+be changed after construction.  So each group of laws is checked once per
+object it reads, and the report is kept on that object by
+:func:`memoised`: a lattice's own laws once per lattice, Λ's laws once per
+agent row, which models may share, and the rest of each validator once per
+model object.  Every call returns a fresh copy of a kept report, so a
+caller may merge into what it gets.
 
 A validator checks each primitive law of its model once, and ``checked``
 counts those checks.  Consequences of the laws are not re-checked on every
@@ -91,8 +91,8 @@ class Report:
 
 
 def memoised(validator):
-    """``validator(obj)``, run once per object: a model, or a lattice for
-    the lattice's own laws.
+    """``validator(obj)``, run once per object: a model, a lattice for the
+    lattice's own laws, or an agent's row for Λ's laws.
 
     The report is kept in the object's ``_reports`` dict, keyed by the
     validator, and each call returns a copy."""

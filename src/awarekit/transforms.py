@@ -31,6 +31,7 @@ from .unawareness import (
     StateRef,
     _indices,
     _level_mask,
+    _Row,
     subsets,
 )
 
@@ -58,15 +59,15 @@ def category_to_implicit(category: AwarenessCategory) -> LatticeModel:
                            projections, valuation)
     n, order = len(lattice.states), tuple(sorted(atoms))
     starts = {space: lattice._span[lattice._masks[space]].start for space in members}
-    lambda_star = {agent: ([0] * n, [0] * n) for agent in agents}
-    alpha = {agent: (None, [0] * n) for agent in agents}
+    lambda_star = {agent: _Row(lattice, agent, [0] * n, [0] * n) for agent in agents}
+    alpha = {agent: _Row(lattice, agent, None, [0] * n) for agent in agents}
     for space, member in members.items():
         mask, start = lattice._masks[space], starts[space]
         native = member._atoms[:len(order)] == order
         for agent in agents:
-            (images, levels), aware = lambda_star[agent], alpha[agent][1]
+            row, aware = lambda_star[agent], alpha[agent].levels
             for i, (succ, bits) in enumerate(zip(member._succ[agent], member._aware[agent]), start):
-                images[i], levels[i] = succ << start, mask
+                row.images[i], row.levels[i] = succ << start, mask
                 aware[i] = bits if native and bits >> len(order) == 0 else _level_mask(
                     lattice, "alpha", agent, lattice.states[i],
                     member.awareness_atoms[agent][lattice.states[i].id])
@@ -80,7 +81,7 @@ def category_to_implicit(category: AwarenessCategory) -> LatticeModel:
             raise TransformInvariantBroken(
                 f"valuation of {atom!r} is not the up-closure of its base layer")
 
-    model = LatticeModel._from_masks(lattice, agents, lambda_=lambda_star, alpha=alpha)
+    model = LatticeModel._from_rows(lattice, agents, lambda_=lambda_star, alpha=alpha)
     report = validate_implicit(model)
     if not report.ok:
         raise TransformInvariantBroken("category transform output fails validation", report)
@@ -97,9 +98,9 @@ def hms_transform(model: AwarenessModel, truncate: bool = False,
     return implicit if truncate else implicit.derived()
 
 
-def _top_transform(model: LatticeModel, table) -> AwarenessModel:
+def _top_transform(model: LatticeModel, rows) -> AwarenessModel:
     """The awareness model on the top space's states: relations from Λ,
-    awareness from the levels of ``table``, the mask table of Π or α.  The
+    awareness from the levels of ``rows``, the rows of Π or α.  The
     top space's states come first, in id order, so its state ``i`` is world
     ``i``: Λ's images (confined to the top space on a valid model), the
     levels and the valuation's up-closures, cut to the top space, are the
@@ -107,8 +108,8 @@ def _top_transform(model: LatticeModel, table) -> AwarenessModel:
     lat = model.lattice
     span = lat._span[lat._masks[lat.atoms]]
     top = (1 << len(span)) - 1
-    succ = {a: [images[i] & top for i in span] for a, (images, _) in model._lambda_masks.items()}
-    aware = {a: [levels[i] for i in span] for a, (_, levels) in table.items()}
+    succ = {a: [row.images[i] & top for i in span] for a, row in model._lambda.items()}
+    aware = {a: [row.levels[i] for i in span] for a, row in rows.items()}
     val = {atom: lat.valuation[atom].up & top for atom in sorted(lat.atoms)}
     out = AwarenessModel(lat.atoms, model.agents, [lat.states[i].id for i in span],
                          tables=_Tables(tuple(sorted(lat.atoms)), succ, aware, val))
@@ -127,7 +128,7 @@ def fh_transform(model: LatticeModel) -> AwarenessModel:
     if not pre.ok:
         raise PreconditionFailed("transform needs a valid complemented model", pre)
     # The model validated, so every possibility set lies in one space.
-    return _top_transform(model, model._pi_masks)
+    return _top_transform(model, model._pi)
 
 
 def fh_star_transform(model: LatticeModel) -> AwarenessModel:
@@ -136,7 +137,7 @@ def fh_star_transform(model: LatticeModel) -> AwarenessModel:
     pre = validate_implicit(model)
     if not pre.ok:
         raise PreconditionFailed("transform needs a valid implicit model", pre)
-    return _top_transform(model, model._alpha_masks)
+    return _top_transform(model, model._alpha)
 
 
 TRANSFORM_DIRECTIONS = ("hms", "implicit-hms", "fh", "fh-star")

@@ -10,22 +10,22 @@ the base and the witness text ``<space key>:[<state ids>]`` are derived on
 demand.  A :class:`LatticeModel` gives the lattice knowledge through
 per-agent primitives: the explicit possibility correspondence Π, the
 implicit one Λ, and the awareness function α, in one of three shapes (Π; Π
-and Λ; Λ and α).  Each primitive is held as a mask table, lists indexed by
-state: a correspondence as its image masks and their levels, α as its
-levels.  Two operators read them, whatever the shape: knowledge, the box of
-a correspondence (:meth:`SpaceLattice.box`: ``k_op`` over Π, ``l_op`` over
-Λ), and awareness, a test of levels (:meth:`SpaceLattice.aware`:
-``a_op``).  The validators walk the same tables in state-index order, so
-their witnesses come out in one order whatever the hash seed.  The
-``StateRef``-keyed dicts ``pi``, ``lambda_`` and ``alpha`` are views,
-decoded from the tables on first read.
+and Λ; Λ and α), each as one :class:`_Row` per agent: lists indexed by
+state, a correspondence's image masks and their levels, α's levels.  The
+row carries the two operators, whatever the shape: knowledge, the box of a
+correspondence (:meth:`_Row.know`: ``k_op`` over Π, ``l_op`` over Λ), and
+awareness, a test of levels (:meth:`_Row.aware`: ``a_op``); it memoizes
+them per event, so models that share a row share the results.  The
+validators walk the rows in state-index order, so their witnesses come out
+in one order whatever the hash seed.  The ``StateRef``-keyed dicts ``pi``,
+``lambda_`` and ``alpha`` are views, decoded from the rows on first read.
 
 The atom universe is finite and capped (default 6, override with the
 ``AWAREKIT_MAX_ATOMS`` environment variable) because the full powerset of
 spaces is materialized eagerly and validation is exhaustive.
 
-Lattices and models are immutable: nothing may change them after
-construction.  Their index tables and operator caches are built on that
+Lattices, models and rows are immutable: nothing may change them after
+construction.  Their index tables and operator memos are built on that
 promise, and so is validation, which runs once per object it reads: the
 lattice laws once per lattice, Λ's laws once per agent row, and the rest
 once per model (:func:`reports.memoised`); later calls return copies of
@@ -446,7 +446,7 @@ class SpaceLattice:
         return [f"{keys[space[i]]}:{ref.id}" for i, ref in enumerate(self.states)]
 
     @cached_property
-    def _lookup(self) -> dict[str, int]:
+    def _token_index(self) -> dict[str, int]:
         """Each state's index, keyed by its canonical token."""
         return dict(zip(self._tokens, range(len(self.states))))
 
@@ -583,32 +583,21 @@ class SpaceLattice:
     def event_subset(self, left: Event, right: Event) -> bool:
         return not self._upc(left) & ~self._upc(right)
 
-    # -- operators ---------------------------------------------------------
-
-    def box(self, images: list[int], event: Event) -> Event:
-        """The states of the event's base space whose image (a state mask per
-        state) lies in the event's up-closure, as an event at that space; an
-        empty base is that space's vacuous event.  Knowledge is the box of a
-        possibility correspondence."""
-        base = self._box(images, event.space, ~self._upc(event))
-        return Event(event.space, self._close(base), self._names)
+    # -- the operators' kernels (see _Row) ------------------------------------
 
     def _box(self, images: list[int], space: int, outside: int) -> int:
-        """The base of :meth:`box` at ``space``, as a state mask: the states
-        of the space whose image misses the state mask ``outside``."""
+        """The base of knowledge at ``space`` (:meth:`_Row.know`), as a state
+        mask: the states of the space whose image misses the state mask
+        ``outside``."""
         out = 0
         for i in self._span[space]:
             if not images[i] & outside:
                 out |= 1 << i
         return out
 
-    def aware(self, levels: list[int], event: Event) -> Event:
-        """The states of the event's base space whose level (a space mask per
-        state) sits at or above that space, as an event at that space."""
-        return Event(event.space, self._close(self._aware(levels, event.space)), self._names)
-
     def _aware(self, levels: list[int], space: int) -> int:
-        """The base of :meth:`aware` at ``space``, as a state mask."""
+        """The base of awareness at ``space`` (:meth:`_Row.aware`), as a state
+        mask: the states of the space whose level sits at or above it."""
         out = 0
         for i in self._span[space]:
             if not space & ~levels[i]:
@@ -647,14 +636,13 @@ class LatticeModel:
     shape is a :class:`ModelFormatError`.
 
     Each primitive is given as a model file gives it, per-agent rows keyed
-    by state token (:func:`state_token`), and is checked and turned into a
-    mask table once, by :func:`_normalize`: per agent, a correspondence becomes
-    two lists indexed by state, the image as a state mask and the space mask
-    of the image (-1 when it straddles spaces), and α becomes ``(None,
-    levels)``.  The tables are the only stored form.  Absent primitives are
-    None, and :attr:`family` is read off the ones present.  The attributes
-    ``pi``, ``lambda_`` and ``alpha`` are ``StateRef``-keyed views of the
-    tables, decoded on first read.
+    by state token (:func:`state_token`), and is checked and turned into one
+    :class:`_Row` per agent once, by :func:`_normalize`.  The rows are the
+    only stored form, held in ``_pi``, ``_lambda`` and ``_alpha``, each a
+    dict by agent, or None when the primitive is absent; :attr:`family` is
+    read off the ones present.  The attributes ``pi``, ``lambda_`` and
+    ``alpha`` are ``StateRef``-keyed views of the rows, decoded on first
+    read.
     """
 
     def __init__(self, lattice: SpaceLattice, agents: Iterable[str], *,
@@ -662,26 +650,25 @@ class LatticeModel:
                  lambda_: Mapping[str, Mapping] | None = None,
                  alpha: Mapping[str, Mapping] | None = None):
         self._start(lattice, agents, pi, lambda_, alpha)
-        self._pi_masks = self._lambda_masks = self._alpha_masks = None
+        self._pi = self._lambda = self._alpha = None
         cells: dict = {}  # see _normalize; shared by Π and Λ, dropped when this ends
         if pi is not None:
-            self._pi_masks = _normalize(lattice, self.agents, pi, "pi", cells)
+            self._pi = _normalize(lattice, self.agents, pi, "pi", cells)
         if lambda_ is not None:
             name = "lambda" if alpha is None else "lambda_star"
-            self._lambda_masks = _normalize(lattice, self.agents, lambda_, name, cells)
+            self._lambda = _normalize(lattice, self.agents, lambda_, name, cells)
         if alpha is not None:
-            self._alpha_masks = _normalize(lattice, self.agents, alpha, "alpha", cells)
+            self._alpha = _normalize(lattice, self.agents, alpha, "alpha", cells)
 
     @classmethod
-    def _from_masks(cls, lattice: SpaceLattice, agents: Iterable[str], *,
-                    pi=None, lambda_=None, alpha=None) -> LatticeModel:
-        """A model over mask tables that the caller built as
-        :func:`_normalize` builds them: non-empty images of known states,
-        with their levels, and levels that are spaces.  The tables are
-        shared, not copied."""
+    def _from_rows(cls, lattice: SpaceLattice, agents: Iterable[str], *,
+                   pi=None, lambda_=None, alpha=None) -> LatticeModel:
+        """A model over rows built as :func:`_normalize` builds them:
+        non-empty images of known states, with their levels, and levels that
+        are spaces.  The rows are shared, and with them what they cache."""
         model = cls.__new__(cls)
         model._start(lattice, agents, pi, lambda_, alpha)
-        model._pi_masks, model._lambda_masks, model._alpha_masks = pi, lambda_, alpha
+        model._pi, model._lambda, model._alpha = pi, lambda_, alpha
         return model
 
     def _start(self, lattice, agents, pi, lambda_, alpha) -> None:
@@ -693,33 +680,32 @@ class LatticeModel:
         if not self.agents:
             raise ModelFormatError("model needs at least one agent")
         self._derived: LatticeModel | None = None
-        self._op_cache: dict = {}
         self._ext_cache: dict = {}  # see semantics
         self._reports: dict = {}    # see reports.memoised
 
     @cached_property
     def pi(self) -> dict[str, dict[StateRef, frozenset[StateRef]]] | None:
-        return _decode_correspondence(self.lattice, self._pi_masks)
+        return _decode_correspondence(self.lattice, self._pi)
 
     @cached_property
     def lambda_(self) -> dict[str, dict[StateRef, frozenset[StateRef]]] | None:
-        return _decode_correspondence(self.lattice, self._lambda_masks)
+        return _decode_correspondence(self.lattice, self._lambda)
 
     @cached_property
     def alpha(self) -> dict[str, dict[StateRef, frozenset[str]]] | None:
-        if self._alpha_masks is None:
+        if self._alpha is None:
             return None
         states, spaces = self.lattice.states, self.lattice._names.spaces
-        return {agent: {ref: spaces[level] for ref, level in zip(states, levels)}
-                for agent, (_, levels) in self._alpha_masks.items()}
+        return {agent: {ref: spaces[level] for ref, level in zip(states, row.levels)}
+                for agent, row in self._alpha.items()}
 
     @property
     def family(self) -> str:
         """``unawareness``, ``complemented`` or ``implicit``, after the
         primitives present."""
-        if self._alpha_masks is not None:
+        if self._alpha is not None:
             return "implicit"
-        return "unawareness" if self._lambda_masks is None else "complemented"
+        return "unawareness" if self._lambda is None else "complemented"
 
     @property
     def base(self) -> LatticeModel:
@@ -748,12 +734,12 @@ class LatticeModel:
         return self._derived
 
 
-def _decode_correspondence(lattice: SpaceLattice, table):
-    if table is None:
+def _decode_correspondence(lattice: SpaceLattice, rows):
+    if rows is None:
         return None
     states = lattice.states
-    return {agent: {ref: frozenset(_refs(states, image)) for ref, image in zip(states, images)}
-            for agent, (images, _) in table.items()}
+    return {agent: {ref: frozenset(_refs(states, image)) for ref, image in zip(states, row.images)}
+            for agent, row in rows.items()}
 
 
 def _holders(values: Sequence[int]) -> dict[int, int]:
@@ -765,17 +751,66 @@ def _holders(values: Sequence[int]) -> dict[int, int]:
     return out
 
 
-def _row_holders(lat: SpaceLattice, images: list[int]) -> dict[int, int]:
-    """:func:`_holders` of a row of images, built once per row for every
-    validator that reads it.  It is kept on the lattice, keyed by the row's
-    identity, as rows are shared between models (see
-    :func:`implicit._check_implicit_correspondence`); the entry holds the
-    row, so its identity cannot be reused while the entry lives."""
-    key = _holders, id(images)
-    entry = lat._reports.get(key)
-    if entry is None:
-        entry = lat._reports[key] = images, _holders(images)
-    return entry[1]
+class _Row:
+    """One agent's row of one primitive of a lattice model, lists indexed by
+    state: for a correspondence (Π or Λ), ``images``, each state's image as
+    a state mask, and ``levels``, the space mask of the image (-1 when it
+    straddles spaces); for α, no images (None) and the levels.
+
+    A row is immutable, and the only thing that caches facts about itself:
+    :attr:`holders`, each operator's result per event, and Λ's report
+    (:func:`implicit._lambda_report`), which models that share the row
+    share."""
+
+    def __init__(self, lattice: SpaceLattice, agent: str, images: list[int] | None,
+                 levels: list[int]):
+        self.lattice, self.agent, self.images, self.levels = lattice, agent, images, levels
+        self._know_memo: dict[Event, Event] = {}
+        self._aware_memo: dict[Event, Event] = {}
+        self._reports: dict = {}  # see reports.memoised
+
+    @cached_property
+    def holders(self) -> dict[int, int]:
+        """:func:`_holders` of the images, built once for every validator
+        that reads them."""
+        return _holders(self.images)
+
+    def level(self, i: int) -> int:
+        """The level at state ``i``.  Raises :class:`StraddledPossibilitySet`
+        when the image there straddles spaces, rather than guessing one."""
+        level = self.levels[i]
+        if level < 0:
+            lat = self.lattice
+            found = {lat._space[j] for j in _indices(self.images[i])}
+            raise StraddledPossibilitySet(f"possibility set of agent {self.agent} at "
+                                          f"{lat.states[i]} spans {len(found)} spaces")
+        return level
+
+    def know(self, event: Event) -> Event:
+        """The box of the images: the states of the event's base space whose
+        image lies in the event's up-closure, as an event at that space; an
+        empty base is that space's vacuous event."""
+        out = self._know_memo.get(event)
+        if out is None:
+            lat = self.lattice
+            base = lat._box(self.images, event.space, ~lat._upc(event))
+            out = self._know_memo[event] = Event(event.space, lat._close(base), lat._names)
+        return out
+
+    def aware(self, event: Event) -> Event:
+        """The states of the event's base space whose level sits at or above
+        that space, as an event at that space.  A straddled image in that
+        space raises, as :meth:`level` does."""
+        out = self._aware_memo.get(event)
+        if out is None:
+            lat, levels = self.lattice, self.levels
+            lat._upc(event)
+            for i in lat._span[event.space]:
+                if levels[i] < 0:
+                    self.level(i)
+            base = lat._aware(levels, event.space)
+            out = self._aware_memo[event] = Event(event.space, lat._close(base), lat._names)
+        return out
 
 
 def _each(fn, keys: Iterable) -> list:
@@ -786,7 +821,7 @@ def _each(fn, keys: Iterable) -> list:
 
 def _normalize(lattice: SpaceLattice, agents: tuple[str, ...], table, name: str,
                cells: dict):
-    """Check a primitive's per-agent rows and turn them into its mask table.
+    """Check a primitive's per-agent rows and turn each into a :class:`_Row`.
 
     The rows are JSON values, as a model file gives them: an object per
     agent, mapping each state token to a value, for a correspondence an
@@ -811,7 +846,7 @@ def _normalize(lattice: SpaceLattice, agents: tuple[str, ...], table, name: str,
         raise ModelFormatError(f"{name} must be an object")
     if set(table) != set(agents):
         raise ModelFormatError(f"{name} must cover exactly the agents {sorted(agents)}")
-    states, lookup = lattice.states, lattice._lookup
+    states, index = lattice.states, lattice._token_index
     alpha = name == "alpha"
     out = {}
     for agent in agents:
@@ -820,7 +855,7 @@ def _normalize(lattice: SpaceLattice, agents: tuple[str, ...], table, name: str,
             raise ModelFormatError(f"{name}[{agent}] must be an object")
         row = [None] * len(states)  # the key of each state, then its cell
         unknown = []
-        for key, i in zip(source, map(lookup.get, source)):
+        for key, i in zip(source, map(index.get, source)):
             if i is None:
                 if not isinstance(key, str):
                     raise ModelFormatError(f"{name}[{agent}] is keyed by {key!r}, "
@@ -856,7 +891,8 @@ def _normalize(lattice: SpaceLattice, agents: tuple[str, ...], table, name: str,
         if unknown:
             ref = min(map(parse_state_token, unknown), key=state_order)
             raise ModelFormatError(f"{name}[{agent}] keyed by unknown state {ref}")
-        out[agent] = (None, row) if alpha else tuple(map(list, zip(*row)))
+        out[agent] = (_Row(lattice, agent, None, row) if alpha
+                      else _Row(lattice, agent, *map(list, zip(*row))))
     return out
 
 
@@ -868,12 +904,12 @@ def _image_mask(lattice: SpaceLattice, name: str, agent: str, ref: StateRef, key
         raise ModelFormatError(f"{name}[{agent}][{key}] must be a list of strings")
     if not image:
         raise ModelFormatError(f"{name}[{agent}] is empty at state {ref}")
-    lookup = lattice._lookup
+    index = lattice._token_index
     mask = 0
     for target in image:
         if not isinstance(target, str):
             raise ModelFormatError(f"{name}[{agent}][{key}] must be a list of strings")
-        j = lookup.get(target)
+        j = index.get(target)
         if j is None:
             target = parse_state_token(target)
             j = lattice._find(target)
@@ -905,7 +941,23 @@ def _level_mask(lattice: SpaceLattice, name: str, agent: str, ref: StateRef, lev
 def _explicit(model: LatticeModel) -> LatticeModel:
     """The model whose Π a model's explicit knowledge reads: its own, or
     its derived model's when α is primitive."""
-    return model if model._pi_masks is not None else model.derived()
+    return model if model._pi is not None else model.derived()
+
+
+def require(model: LatticeModel, *primitives: str) -> None:
+    """Raise :class:`ModelFormatError`, naming the model's family and the
+    primitive, unless the model has each of ``primitives``."""
+    for name in primitives:
+        if getattr(model, "_" + name) is None:
+            raise ModelFormatError(f"the {model.family} model has no {name}")
+
+
+def _row(rows: dict[str, _Row], agent: str) -> _Row:
+    """The agent's row among a primitive's rows."""
+    try:
+        return rows[agent]
+    except KeyError:
+        raise UnknownAgent(f"no agent {agent!r}") from None
 
 
 def pi_space(model: LatticeModel, agent: str, ref: StateRef) -> frozenset[str]:
@@ -915,72 +967,28 @@ def pi_space(model: LatticeModel, agent: str, ref: StateRef) -> frozenset[str]:
     rather than guessing one; Confinement makes this unambiguous on valid
     models.
     """
-    try:
-        images, levels = _explicit(model)._pi_masks[agent]
-    except KeyError:
-        raise UnknownAgent(f"no agent {agent!r}") from None
+    row = _row(_explicit(model)._pi, agent)
     lat = model.lattice
-    i = lat._state_index(ref)
-    if levels[i] < 0:
-        found = {lat._space[j] for j in _indices(images[i])}
-        raise StraddledPossibilitySet(
-            f"possibility set of agent {agent} at {ref} spans {len(found)} spaces")
-    return lat._names.spaces[levels[i]]
-
-
-# The mask table of each primitive, by the primitive's name in model files.
-_MASKS = {"pi": "_pi_masks", "lambda": "_lambda_masks", "alpha": "_alpha_masks"}
-
-
-def require(model: LatticeModel, *primitives: str) -> None:
-    """Raise :class:`ModelFormatError`, naming the model's family and the
-    primitive, unless the model has each of ``primitives``."""
-    for name in primitives:
-        if getattr(model, _MASKS[name]) is None:
-            raise ModelFormatError(f"the {model.family} model has no {name}")
-
-
-def _lookup(model: LatticeModel, kind: str, primitive: str, agent: str, event: Event) -> Event:
-    """The operator ``kind`` for one agent over a primitive's mask table,
-    cached per model: ``"a"`` tests the row's levels
-    (:meth:`SpaceLattice.aware`), ``"k"`` and ``"l"`` box over its images
-    (:meth:`SpaceLattice.box`)."""
-    key = (kind, agent, event)
-    out = model._op_cache.get(key)
-    if out is None:
-        require(model, primitive)
-        try:
-            images, levels = getattr(model, _MASKS[primitive])[agent]
-        except KeyError:
-            raise UnknownAgent(f"no agent {agent!r}") from None
-        lat = model.lattice
-        lat._upc(event)
-        if kind == "a":
-            for i in lat._span[event.space]:
-                if levels[i] < 0:
-                    pi_space(model, agent, lat.states[i])
-            out = lat.aware(levels, event)
-        else:
-            out = lat.box(images, event)
-        model._op_cache[key] = out
-    return out
+    return lat._names.spaces[row.level(lat._state_index(ref))]
 
 
 def k_op(model: LatticeModel, agent: str, event: Event) -> Event:
     """Explicit knowledge of an event (requires a validated model)."""
-    return _lookup(_explicit(model), "k", "pi", agent, event)
+    return _row(_explicit(model)._pi, agent).know(event)
 
 
 def l_op(model: LatticeModel, agent: str, event: Event) -> Event:
     """Implicit knowledge of an event."""
-    return _lookup(model, "l", "lambda", agent, event)
+    if model._lambda is None:
+        require(model, "lambda")
+    return _row(model._lambda, agent).know(event)
 
 
 def a_op(model: LatticeModel, agent: str, event: Event) -> Event:
     """Awareness of an event: the agent's level sits at or above the event's
     base space.  The level is α's when α is primitive, and otherwise the
-    space of the possibility set."""
-    return _lookup(model, "a", "pi" if model._alpha_masks is None else "alpha", agent, event)
+    space of the possibility set (every model without α has Π)."""
+    return _row(model._pi if model._alpha is None else model._alpha, agent).aware(event)
 
 
 def u_op(model: LatticeModel, agent: str, event: Event) -> Event:
@@ -1041,12 +1049,10 @@ def _validate_lattice(lat: SpaceLattice) -> Report:
     return report
 
 
-def _dirty(lat: SpaceLattice, images: list[int], levels: list[int], holders: dict[int, int],
-           ups: dict[int, int] | None = None) -> int:
+def _dirty(row: _Row, ups: dict[int, int] | None = None) -> int:
     """The states at which a projection law of one agent's correspondence
     may fail at some lower space, as a state mask: every state that
-    projects onto a *bad* state.  ``holders`` is :func:`_holders` of the
-    images.
+    projects onto a *bad* state.
 
     The laws compare a state ``i`` with its projection ``i_T`` into each
     space ``T`` below its own.  Knowledge, for ``T`` at or below the level
@@ -1087,6 +1093,7 @@ def _dirty(lat: SpaceLattice, images: list[int], levels: list[int], holders: dic
       clean, smaller ``i_L``.
 
     When the lattice fails its own laws, every state is dirty."""
+    lat, images, levels, holders = row.lattice, row.images, row.levels, row.holders
     if not _validate_lattice(lat).ok:
         return (1 << len(lat.states)) - 1
     spaces, proj, span_bits = lat._space, lat._proj, lat._names.span_bits
@@ -1151,10 +1158,10 @@ def validate_hms(model: LatticeModel) -> Report:
 
     checked = 0
     for agent in model.agents:
-        images, levels = model._pi_masks[agent]
-        holders = _row_holders(lat, images)
+        row = model._pi[agent]
+        images, levels, holders = row.images, row.levels, row.holders
         ups = {image: lat._close(image) for image in holders}
-        dirty = _dirty(lat, images, levels, holders, ups)
+        dirty = _dirty(row, ups)
         # Both confinement laws, the second when the first holds; then
         # reflexivity, stationarity per target and ignorance per lower space.
         checked += 2 * len(states) + lat._n_below
@@ -1334,19 +1341,19 @@ class _Suite:
         outside = ~self.lat._upc(event)
         return sum(1 << i for i, image in enumerate(images) if not image & outside)
 
-    def box_bases(self, images: list[int]) -> list[int]:
+    def box_bases(self, row: _Row) -> list[int]:
         """Per distinct joined event of the families, the base of the box
-        over ``images`` on it."""
-        lat = self.lat
+        over the row's images on it."""
+        lat, images = self.lat, row.images
         return [lat._box(images, joined.space, ~joined.up) for joined in lat._families.joins]
 
-    def aware_bases(self, levels: list[int]) -> list[int]:
+    def aware_bases(self, row: _Row) -> list[int]:
         """Per distinct joined event of the families, the base of awareness
-        over ``levels`` on it, computed once per join space, the only thing
-        it reads.  The preconditions rule out straddled images, so no level
-        is -1 and the raise of :func:`pi_space` that ``a_op`` makes on one is
-        not needed."""
-        lat = self.lat
+        over the row's levels on it, computed once per join space, the only
+        thing it reads.  The preconditions rule out straddled images, so no
+        level is -1 and the raise of :meth:`_Row.level` that ``a_op`` makes
+        on one is not needed."""
+        lat, levels = self.lat, row.levels
         return _each(lambda space: lat._aware(levels, space),
                      [joined.space for joined in lat._families.joins])
 
@@ -1411,7 +1418,8 @@ def explicit_property_suite(model: LatticeModel) -> Report:
     omega = lat.omega()
 
     for agent in model.agents:
-        images, levels = model._pi_masks[agent]
+        pi_row = model._pi[agent]
+        images, levels = pi_row.images, pi_row.levels
         for event in suite.basis:
             known = k_op(model, agent, event)
             aware = a_op(model, agent, event)
@@ -1458,8 +1466,8 @@ def explicit_property_suite(model: LatticeModel) -> Report:
             check("a-introspection", agent, aware, k_op(model, agent, aware), event=event)
 
         check("knowledge-necessitation", agent, k_op(model, agent, omega), omega)
-        suite.conjunctions(agent, (("knowledge-conjunction", k_op, suite.box_bases(images)),
-                                   ("awareness-conjunction", a_op, suite.aware_bases(levels))))
+        suite.conjunctions(agent, (("knowledge-conjunction", k_op, suite.box_bases(pi_row)),
+                                   ("awareness-conjunction", a_op, suite.aware_bases(pi_row))))
         suite.monotonicity("knowledge-monotonicity", agent, k_op)
 
         # Possibility sets agree across every comparable space between the

@@ -138,6 +138,22 @@ def test_dump_category(tmp_path, capsys):
     assert member.language_atoms == frozenset({"p"})
 
 
+@pytest.mark.parametrize("direction, family", [("fh", "hms"), ("fh-star", "implicit-hms")])
+@pytest.mark.parametrize("flag", ["--minimize", "--dump-category"])
+def test_category_flags_need_a_transform_to_a_lattice_family(tmp_path, capsys, direction,
+                                                             family, flag):
+    """Only the transforms to ``hms`` and ``implicit-hms`` build a
+    category, so the other directions reject its flags and write nothing."""
+    source = str(tmp_path / "source.model")
+    assert run(capsys, "gen", "--seed", "1", "--family", family, "--out", source)[0] == 0
+    out, dump = tmp_path / "out.fh", tmp_path / "dump"
+    argv = ["transform", source, "--to", direction, "--out", str(out), flag]
+    code, _, err = run(capsys, *argv, *([str(dump)] if flag == "--dump-category" else []))
+    assert code == 2
+    assert err == f"error: {flag} needs --to hms or --to implicit-hms\n"
+    assert not out.exists() and not dump.exists()
+
+
 def test_gen_writes_valid_model(tmp_path, capsys):
     out_path = tmp_path / "gen.model"
     code, _, _ = run(capsys, "gen", "--seed", "9", "--family", "hms",

@@ -226,9 +226,10 @@ def test_a_derived_level_below_alpha_fails_the_awareness_law(fig1R):
     im = implicit_from_complemented(fig1R)
     lat = im.lattice
     i = lat._find(ref(P, "p"))
-    assert im._alpha_masks["1"][1][i] == lat._masks[P]
-    images, levels = im.derived()._pi_masks["1"]
-    images[i], levels[i] = lat._project_mask(images[i], lat._masks[MEET]), lat._masks[MEET]
+    assert im._alpha["1"].levels[i] == lat._masks[P]
+    row = im.derived()._pi["1"]
+    row.images[i] = lat._project_mask(row.images[i], lat._masks[MEET])
+    row.levels[i] = lat._masks[MEET]
     report = a_star_property_suite(im)
     assert "awareness-function-matches-derived" in {v.law for v in report.violations}
 
@@ -281,5 +282,5 @@ def test_each_rows_holders_are_built_once(seed, monkeypatch):
     monkeypatch.setattr(unawareness, "_holders", counted)
     monkeypatch.setattr(implicit, "_holders", counted)
     assert validate_lambda(model).ok
-    rows = [images for images, _ in (*model._pi_masks.values(), *model._lambda_masks.values())]
+    rows = [row.images for row in (*model._pi.values(), *model._lambda.values())]
     assert sorted(calls) == sorted(map(id, rows))

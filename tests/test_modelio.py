@@ -392,7 +392,7 @@ def test_names_of_the_token_grammar_load():
 
 # -- the loader against an oracle ----------------------------------------------------
 
-PRIMITIVES = (("pi", "_pi_masks"), ("lambda_", "_lambda_masks"), ("alpha", "_alpha_masks"))
+PRIMITIVES = (("pi", "_pi"), ("lambda_", "_lambda"), ("alpha", "_alpha"))
 
 
 def _gen_at(atoms: int, build):
@@ -402,10 +402,19 @@ def _gen_at(atoms: int, build):
     return build(seed, caps)
 
 
+def _masks(rows):
+    """A primitive's rows as the ``(images, levels)`` lists of each agent,
+    None when the primitive is absent."""
+    if rows is None:
+        return None
+    return {agent: (row.images, row.levels) for agent, row in rows.items()}
+
+
 def _oracle_masks(lattice, data: dict, field: str):
-    """A primitive's mask table straight from its token rows: a state is
-    its position in ``lattice.states``, a space the bits of its atoms'
-    positions in the sorted atoms."""
+    """A primitive's ``(images, levels)`` lists per agent straight from its
+    token rows, as :func:`_masks` gives them: a state is its position in
+    ``lattice.states``, a space the bits of its atoms' positions in the
+    sorted atoms."""
     states = list(lattice.states)
     atoms = sorted(lattice.atoms)
 
@@ -448,11 +457,11 @@ def test_loaded_masks_match_stateref_built_masks(name, build):
     loaded = data_to_model(data)
     fields = {"pi": "pi", "lambda_": "lambda" if "lambda" in data else "lambda_star",
               "alpha": "alpha"}
-    for field, masks in PRIMITIVES:
-        assert getattr(loaded, masks) == getattr(model, masks)
-        if getattr(model, masks) is not None:
-            oracle = _oracle_masks(loaded.lattice, data, fields[field])
-            assert getattr(loaded, masks) == oracle, field
+    for field, rows in PRIMITIVES:
+        masks = _masks(getattr(loaded, rows))
+        assert masks == _masks(getattr(model, rows))
+        if masks is not None:
+            assert masks == _oracle_masks(loaded.lattice, data, fields[field]), field
 
 
 @pytest.mark.parametrize("family,build", [
@@ -741,8 +750,8 @@ def test_space_key_order_does_not_matter(name, build):
                          for agent, row in data["alpha"].items()}
     assert data != model_to_data(model)
     loaded = data_to_model(data)
-    for _, masks in PRIMITIVES:
-        assert getattr(loaded, masks) == getattr(model, masks)
+    for _, rows in PRIMITIVES:
+        assert _masks(getattr(loaded, rows)) == _masks(getattr(model, rows))
 
 
 # -- the fast path stays fast: nothing decodes the StateRef views ------------------

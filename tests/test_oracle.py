@@ -103,6 +103,7 @@ from awarekit.unawareness import (
     _holders,
     _indices,
     _refs,
+    _Row,
     _Suite,
     _validate_lattice,
     a_op,
@@ -637,7 +638,7 @@ def test_category_members_match_string_copies(index, minimize):
 def reference_conjunctions(suite, agent, laws):
     """The conjunction laws on events, as the suites first checked them: per
     family of the basis, and per law, the operator on the family's
-    conjunction, through the operator cache, against the conjunction of the
+    conjunction, through the row's operator memo, against the conjunction of the
     operator on each member.  The families are rebuilt here from the basis."""
     lat, model = suite.lat, suite.model
     basis = event_basis(model)
@@ -771,7 +772,7 @@ def reference_hms(model) -> Report:
         lat.states, lat._space, lat._proj, lat._below, lat._keys)
     checked = 0
     for agent in model.agents:
-        images, levels = model._pi_masks[agent]
+        images, levels = model._pi[agent].images, model._pi[agent].levels
         ups = functools.cache(functools.partial(up_states, lat))
         image_ups = [ups(image) for image in images]
         holders = _holders(images)
@@ -816,7 +817,7 @@ def reference_lambda_laws(lat, agent, row) -> Report:
     confinement, reflexivity and stationarity, then the projection law at
     every space below each confined state's own."""
     states, spaces, proj, below, keys = lat.states, lat._space, lat._proj, lat._below, lat._keys
-    images, levels = row
+    images, levels = row.images, row.levels
     confined = [level == space for level, space in zip(levels, spaces)]
     holders = _holders(images)
     report = Report()
@@ -852,9 +853,9 @@ def reference_lambda(model) -> Report:
     report = reference_hms(model)
     checked = 0
     for agent in model.agents:
-        images, levels = model._lambda_masks[agent]
-        pi_images, pi_levels = model._pi_masks[agent]
-        report.merge(reference_lambda_laws(lat, agent, model._lambda_masks[agent]))
+        row, pi_row = model._lambda[agent], model._pi[agent]
+        images, levels, pi_images, pi_levels = row.images, row.levels, pi_row.images, pi_row.levels
+        report.merge(reference_lambda_laws(lat, agent, row))
         for i, ref in enumerate(states):
             known = pi_images[i]
             checked += images[i].bit_count()
@@ -886,8 +887,8 @@ def reference_alpha(model) -> Report:
     states, spaces, proj, below, keys = lat.states, lat._space, lat._proj, lat._below, lat._keys
     report = Report()
     for agent in model.agents:
-        levels = model._alpha_masks[agent][1]
-        images = model._lambda_masks[agent][0]
+        levels = model._alpha[agent].levels
+        images = model._lambda[agent].images
         for i, ref in enumerate(states):
             level, space = levels[i], spaces[i]
             report.count()
@@ -919,7 +920,7 @@ def reference_implicit(model) -> Report:
     Λ's laws per agent, then, when all of them pass, α's."""
     lat = model.lattice
     report = reference_lattice(lat)
-    for agent, row in model._lambda_masks.items():
+    for agent, row in model._lambda.items():
         report.merge(reference_lambda_laws(lat, agent, row))
     if report.ok:
         report.merge(reference_alpha(model))
@@ -930,12 +931,12 @@ def assert_projection_laws_match_reference(model) -> list[dict]:
     """Each walk's report on the model, which must equal the reference's:
     Π's when Π is primitive, and Λ's per agent."""
     reports = []
-    if model._pi_masks is not None:
+    if model._pi is not None:
         reports.append(validate_hms(model).to_data())
         assert reports[-1] == reference_hms(model).to_data()
-    if model._lambda_masks is not None:
+    if model._lambda is not None:
         lat = model.lattice
-        for agent, row in model._lambda_masks.items():
+        for agent, row in model._lambda.items():
             reports.append(_lambda_laws(lat, agent, row).to_data())
             assert reports[-1] == reference_lambda_laws(lat, agent, row).to_data()
     return reports
@@ -1010,10 +1011,10 @@ def derived_pi(model):
     lat = model.lattice
     pi = {}
     for agent in model.agents:
-        images, levels = model._lambda_masks[agent][0], model._alpha_masks[agent][1]
+        images, levels = model._lambda[agent].images, model._alpha[agent].levels
         projected = [project_states(lat, image, level) for image, level in zip(images, levels)]
-        pi[agent] = projected, [lat._level(image) for image in projected]
-    return LatticeModel._from_masks(lat, model.agents, pi=pi, lambda_=model._lambda_masks)
+        pi[agent] = _Row(lat, agent, projected, [lat._level(image) for image in projected])
+    return LatticeModel._from_rows(lat, model.agents, pi=pi, lambda_=model._lambda)
 
 
 def n_atoms(key: str) -> int:
@@ -1072,9 +1073,8 @@ def test_a_lattice_failing_its_own_laws_has_every_state_dirty():
     model = next(model for model in map(misrouted, range(20))
                  if not _validate_lattice(model.lattice).ok)
     lat = model.lattice
-    for agent in model.agents:
-        images, levels = model._lambda_masks[agent]
-        assert _dirty(lat, images, levels, _holders(images)) == (1 << len(lat.states)) - 1
+    for row in model._lambda.values():
+        assert _dirty(row) == (1 << len(lat.states)) - 1
 
 
 def test_a_lattice_failing_its_own_laws_has_every_state_walked(monkeypatch):
@@ -1091,7 +1091,8 @@ def test_a_lattice_failing_its_own_laws_has_every_state_walked(monkeypatch):
 
 def covering_projections(row) -> int:
     """Per distinct image of a row, one per covering child of its level."""
-    return len({(image, level ^ 1 << k) for image, level in zip(*row) for k in _indices(level)})
+    return len({(image, level ^ 1 << k) for image, level in zip(row.images, row.levels)
+                for k in _indices(level)})
 
 
 def rename_state(data: dict, key: str, old: str, new: str) -> dict:
@@ -1158,10 +1159,10 @@ def test_a_passing_model_projects_each_image_once_per_covering_child(family, mon
         calls.clear()
         if family == "hms":
             assert validate_hms(model).ok
-            rows = model._pi_masks.values()
+            rows = model._pi.values()
         else:
             assert validate_implicit(model).ok
-            rows = model._lambda_masks.values()
+            rows = model._lambda.values()
         if aligned:
             assert not calls
             continue
@@ -1296,7 +1297,7 @@ def lower_below(data: dict, rng) -> None:
     model = data_to_model(data)
     lat = model.lattice
     agent = rng.choice(sorted(data["alpha"]))
-    levels = model._alpha_masks[agent][1]
+    levels = model._alpha[agent].levels
     chosen = [i for i, level in enumerate(levels) if level and level != lat._space[i]]
     if not chosen:
         return
@@ -1359,7 +1360,7 @@ ORACLE_LAWS = {
 def assert_validators_match_the_full_walk(model) -> set[str]:
     """Every validator of the model's family against its full walk; the
     laws that failed."""
-    if model._pi_masks is not None:
+    if model._pi is not None:
         pairs = [(validate_hms, reference_hms), (validate_lambda, reference_lambda)]
     else:
         pairs = [(validate_implicit, reference_implicit), (validate_alpha, reference_alpha)]

@@ -15,9 +15,14 @@ import pytest
 from awarekit import implicit, transforms, unawareness
 from awarekit.cli import main as cli_main
 from awarekit.gen import GenCaps, gen_fh
-from awarekit.implicit import validate_implicit, validate_lambda
+from awarekit.implicit import (
+    implicit_from_complemented,
+    implicit_property_suite,
+    validate_implicit,
+    validate_lambda,
+)
 from awarekit.modelio import model_to_data
-from awarekit.unawareness import LatticeModel, validate_hms
+from awarekit.unawareness import LatticeModel, SpaceLattice, _Row, event_basis, l_op, validate_hms
 
 STAGES = ((transforms, "build_category"), (transforms, "category_to_implicit"),
           (implicit, "derive_pi_star"))
@@ -96,17 +101,36 @@ def walks(*functions):
     ["lpa", "fuzz", "--trials", "1", "--seed", "1", "--format", "data"],
 ], ids=" ".join)
 def test_one_trial_checks_each_shared_part_once(argv):
-    """The implicit model and the complemented model derived from it share
-    one lattice and one Λ table: the lattice laws run once for the lattice
-    and Λ's laws once per agent."""
+    """The implicit model, the complemented model derived from it and the
+    implicit view of that share one lattice and one Λ row per agent: the
+    lattice laws run once for the lattice and Λ's laws once per agent."""
     with walks(validate_implicit, unawareness._validate_lattice,
                implicit._lambda_laws) as seen, contextlib.redirect_stdout(io.StringIO()):
         assert cli_main(argv) == 0
-    (im,) = [call["model"] for call in seen[validate_implicit]]
+        (im,) = [call["model"] for call in seen[validate_implicit]]
+        view = implicit_from_complemented(im.derived())
+    assert [call["model"] for call in seen[validate_implicit]] == [im, view]
     assert len(im.agents) == 2
     assert [call["lat"] for call in seen[unawareness._validate_lattice]] == [im.lattice]
     assert [(call["lat"], call["agent"]) for call in seen[implicit._lambda_laws]] == [
         (im.lattice, agent) for agent in im.agents]
+
+
+def test_models_that_share_a_row_share_its_operator_memo(monkeypatch):
+    """After the implicit suite on the complemented model derived from an
+    implicit one, implicit knowledge of every basis event is read from the
+    Λ row both models share, on either model: no new box is computed."""
+    im = transforms.hms_transform(gen_fh(2, GenCaps()), truncate=True)
+    comp = im.derived()
+    assert implicit_property_suite(comp).ok
+    boxes = []
+    box = SpaceLattice._box
+    monkeypatch.setattr(SpaceLattice, "_box",
+                        lambda self, *args: boxes.append(args) or box(self, *args))
+    for agent in im.agents:
+        for event in event_basis(im):
+            assert l_op(im, agent, event) is l_op(comp, agent, event)
+    assert boxes == []
 
 
 def test_validation_runs_once_per_model():
@@ -128,11 +152,12 @@ def test_a_shared_lattice_keeps_each_rows_report_apart():
     im = transforms.hms_transform(gen_fh(2, GenCaps()), truncate=True)
     assert len(im.agents) == 2 and validate_implicit(im).ok
     lat, agent = im.lattice, im.agents[0]
-    images, levels = im._lambda_masks[agent]
+    images = im._lambda[agent].images
     i = next(i for i, image in enumerate(images) if image.bit_count() > 1)
-    planted = dict(im._lambda_masks)
-    planted[agent] = (images[:i] + [images[i] & ~(1 << i)] + images[i + 1:], levels)
-    broken = LatticeModel._from_masks(lat, im.agents, lambda_=planted, alpha=im._alpha_masks)
+    planted = dict(im._lambda)
+    planted[agent] = _Row(lat, agent, images[:i] + [images[i] & ~(1 << i)] + images[i + 1:],
+                          im._lambda[agent].levels)
+    broken = LatticeModel._from_rows(lat, im.agents, lambda_=planted, alpha=im._alpha)
     report = validate_implicit(broken)
     assert not report.ok and {v.agent for v in report.violations} == {agent}
     assert [v.witness for v in report.violations if v.law == "implicit-reflexivity"] == [

@@ -10,7 +10,7 @@ them, these facts follow and are checked here instead of on every model:
   state, below and above the awareness level.
 
 The checks are written from the definitions, over sets of ``StateRef``s
-and ``SpaceLattice.project``; they do not read the models' mask tables.  The
+and ``SpaceLattice.project``; they do not read the models' rows.  The
 models are the implicit views of both fixtures and truncated transforms of
 generated awareness models, each with the complemented model derived from
 it.

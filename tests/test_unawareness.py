@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from awarekit.errors import ModelFormatError, PreconditionFailed, UnknownAgent
+from awarekit.errors import (
+    ModelFormatError,
+    PreconditionFailed,
+    StraddledPossibilitySet,
+    UnknownAgent,
+    UnknownState,
+)
 from awarekit.gen import gen_hms
 from awarekit.implicit import implicit_from_complemented
 from awarekit.modelio import data_to_model, model_to_data
@@ -15,6 +23,7 @@ from awarekit.unawareness import (
     explicit_property_suite,
     k_op,
     l_op,
+    pi_space,
     u_op,
     validate_hms,
 )
@@ -187,9 +196,36 @@ def test_unknown_agent_is_unknown_agent_error(fig1L, family, op):
         op(model, "9", model.lattice.omega())
 
 
+def test_a_straddled_image_raises_wherever_its_level_is_read(fig1L):
+    """A Π image that straddles two spaces has no level: ``pi_space`` at
+    its state, awareness of an event based in the state's space and the
+    implicit view of the model each raise, while awareness elsewhere is
+    still defined."""
+    model = mutate(fig1L, **{"pi.1.p,q:pq": ["p:p", "q:q"]})
+    lat = model.lattice
+    message = "^possibility set of agent 1 at p,q:pq spans 2 spaces$"
+    with pytest.raises(StraddledPossibilitySet, match=message):
+        pi_space(model, "1", ref(PQ, "pq"))
+    for _ in range(2):  # a failed call leaves nothing behind for the next one
+        with pytest.raises(StraddledPossibilitySet, match=message):
+            a_op(model, "1", lat.event(PQ, {ref(PQ, "pq")}))
+    with pytest.raises(StraddledPossibilitySet, match=message):
+        implicit_from_complemented(model)
+    assert a_op(model, "1", lat.event(P, {ref(P, "p")})) == lat.space_up(P)
+
+
+@pytest.mark.parametrize("op", [k_op, l_op, a_op, u_op], ids=lambda op: op.__name__)
+@pytest.mark.parametrize("family", ["complemented", "implicit"])
+def test_an_event_of_another_lattice_is_unknown_state(fig1L, fig1R, family, op):
+    model = fig1L if family == "complemented" else implicit_from_complemented(fig1L)
+    event = fig1R.lattice.omega()
+    with pytest.raises(UnknownState, match=re.escape(f"event {event} belongs to another lattice")):
+        op(model, "1", event)
+
+
 @pytest.mark.parametrize("family", ["complemented", "implicit"])
 def test_operators_leave_the_decoded_views_unread(fig1L, family):
-    """``k_op`` and ``a_op`` read the mask tables: on a freshly loaded model
+    """``k_op`` and ``a_op`` read the rows: on a freshly loaded model
     neither decodes the ``StateRef``-keyed views of Π or α."""
     source = fig1L if family == "complemented" else implicit_from_complemented(fig1L)
     model = data_to_model(model_to_data(source))
