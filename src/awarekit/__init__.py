@@ -6,7 +6,6 @@ them, and a proof checker for the logic of propositional awareness."""
 from .awareness import (
     AwarenessCategory,
     AwarenessModel,
-    BoundedMorphism,
     build_category,
     category_equivalence_suite,
     check_bounded_morphism,

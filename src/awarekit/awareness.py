@@ -14,7 +14,6 @@ world id are views, decoded on first read.  Models are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -288,21 +287,8 @@ def validate_fh(model: AwarenessModel) -> Report:
     return report
 
 
-@dataclass(frozen=True)
-class BoundedMorphism:
-    """A structure-preserving surjection from a model onto one over a
-    sublanguage."""
-
-    source: frozenset[str]
-    target: frozenset[str]
-    mapping: Mapping[str, str]
-
-    def __call__(self, world: str) -> str:
-        return self.mapping[world]
-
-
 def check_bounded_morphism(src: AwarenessModel, dst: AwarenessModel,
-                           morphism: BoundedMorphism | Mapping[str, str]) -> Report:
+                           mapping: Mapping[str, str]) -> Report:
     """Exhaustively verify the five clauses of a surjective bounded morphism.
 
     Awareness consistency is checked on the atom masks: the source's
@@ -310,7 +296,6 @@ def check_bounded_morphism(src: AwarenessModel, dst: AwarenessModel,
     must be the target's awareness mask, which under propositional
     determination is the clause itself.
     """
-    mapping = morphism.mapping if isinstance(morphism, BoundedMorphism) else morphism
     report = Report()
     report.count()
     if not dst.language_atoms <= src.language_atoms:
@@ -372,11 +357,12 @@ def check_bounded_morphism(src: AwarenessModel, dst: AwarenessModel,
 
 class AwarenessCategory:
     """One awareness model per sublanguage, linked by bounded morphisms that
-    compose along nested languages."""
+    compose along nested languages.  A morphism is its map of worlds, keyed
+    by its (larger, smaller) pair of languages."""
 
     def __init__(self, atoms: frozenset[str],
                  models: Mapping[frozenset[str], AwarenessModel],
-                 morphisms: Mapping[tuple[frozenset[str], frozenset[str]], BoundedMorphism]):
+                 morphisms: Mapping[tuple[frozenset[str], frozenset[str]], Mapping[str, str]]):
         self.atoms = frozenset(atoms)
         self.models = dict(models)
         self.morphisms = dict(morphisms)
@@ -480,8 +466,8 @@ def build_category(model: AwarenessModel, minimize: bool = False) -> AwarenessCa
         else:  # a formula of the member's language has the top's extension: share the memo
             members[space]._ext_cache = model._ext_cache
     # Unminimized, every morphism is the identity, and they share one map.
-    morphisms = {(large, small): BoundedMorphism(large, small, identity if not minimize else {
-                     block: onto[small][source[large][block]] for block in members[large].worlds})
+    morphisms = {(large, small): identity if not minimize else {
+                     block: onto[small][source[large][block]] for block in members[large].worlds}
                  for large in subsets(atoms) for small in subsets(large)}
     return AwarenessCategory(atoms, members, morphisms)
 
@@ -494,15 +480,15 @@ def validate_category(category: AwarenessCategory) -> Report:
     for space in subsets(category.atoms):
         for world in category.models[space].worlds:
             report.count()
-            if morphisms[(space, space)](world) != world:
+            if morphisms[(space, space)][world] != world:
                 report.add("identity-morphism", space=space_key(space), world=world)
     for large in subsets(category.atoms):
         for mid in subsets(large):
             for small in subsets(mid):
                 for world in category.models[large].worlds:
                     report.count()
-                    if morphisms[(mid, small)](morphisms[(large, mid)](world)) != \
-                            morphisms[(large, small)](world):
+                    if morphisms[(mid, small)][morphisms[(large, mid)][world]] != \
+                            morphisms[(large, small)][world]:
                         report.add("composition", world=world,
                                    path="->".join(map(space_key, (large, mid, small))))
     for (large, small), morphism in sorted(
@@ -531,7 +517,7 @@ def category_equivalence_suite(category: AwarenessCategory, depth: int = 3) -> R
             morphism = category.morphisms[(large, small)]
             # Each source world's image as a target world index; an identity
             # morphism between equal world tuples compares the masks whole.
-            image = [dst._index.get(morphism(world)) for world in src.worlds]
+            image = [dst._index.get(morphism[world]) for world in src.worlds]
             same = src.worlds == dst.worlds and image == list(range(len(image)))
             for f in enumerate_formulas(small, category.agents, depth):
                 ext_src, ext_dst = fh_mask(src, f), fh_mask(dst, f)

@@ -60,16 +60,17 @@ def _resolve_state(model, token: str) -> StateRef:
 
 
 def _caps_from(arg: str | None) -> GenCaps:
-    caps = GenCaps()
-    if not arg:
-        return caps
-    values = {"atoms": caps.atoms, "worlds": caps.worlds, "agents": caps.agents}
-    for piece in arg.split(","):
+    """The caps a ``--caps`` flag names, each at most once; the others keep
+    their defaults."""
+    values: dict[str, int] = {}
+    for piece in arg.split(",") if arg else ():
         if "=" not in piece:
             raise ModelFormatError(f"bad caps entry {piece!r}; expected name=value")
         name, _, value = piece.partition("=")
-        if name not in values:
+        if name not in ("atoms", "worlds", "agents"):
             raise ModelFormatError(f"unknown cap {name!r}; expected atoms/worlds/agents")
+        if name in values:
+            raise ModelFormatError(f"cap {name!r} is given twice")
         try:
             values[name] = int(value)
         except ValueError:
@@ -114,29 +115,26 @@ def _cmd_check(args) -> int:
             f"model fails validation ({len(report.violations)} violation(s)); "
             f"run 'validate' for details")
     formula = parse_formula(args.formula, model.agents)
+    if model.family == "unawareness":
+        raise ModelFormatError("check needs a complemented or implicit model "
+                               "(a bare 'pi' model has no implicit layer)")
+    if not (args.all or args.state):
+        raise ModelFormatError("check needs --state or --all")
 
     if model.family == "awareness":
         if args.all:
             rows = [(w, str(awareness.fh_satisfies(model, w, formula)))
                     for w in model.worlds]
         else:
-            if not args.state:
-                raise ModelFormatError("check needs --state or --all")
             if args.state not in set(model.worlds):
                 raise ModelFormatError(f"no world {args.state!r}")
             rows = [(args.state, str(awareness.fh_satisfies(model, args.state, formula)))]
+    elif args.all:
+        rows = [(str(ref), str(value))
+                for ref, value in zip(model.states, semantics.truth_table(model, formula))]
     else:
-        if model.family == "unawareness":
-            raise ModelFormatError("check needs a complemented or implicit model "
-                                   "(a bare 'pi' model has no implicit layer)")
-        if args.all:
-            rows = [(modelio.state_token(ref), str(value))
-                    for ref, value in zip(model.states, semantics.truth_table(model, formula))]
-        else:
-            if not args.state:
-                raise ModelFormatError("check needs --state or --all")
-            ref = _resolve_state(model, args.state)
-            rows = [(modelio.state_token(ref), str(semantics.satisfies(model, ref, formula)))]
+        ref = _resolve_state(model, args.state)
+        rows = [(str(ref), str(semantics.satisfies(model, ref, formula)))]
 
     if args.format == "data":
         print(json.dumps({"formula": args.formula, "values": dict(rows)}, sort_keys=True))
@@ -169,7 +167,7 @@ def _cmd_transform(args) -> int:
                 manifest["members"][key] = name
             for (large, small), morphism in category.morphisms.items():
                 pair = f"{unawareness.space_key(large)}->{unawareness.space_key(small)}"
-                manifest["morphisms"][pair] = dict(morphism.mapping)
+                manifest["morphisms"][pair] = dict(morphism)
             (directory / "category.json").write_text(
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         # The category built once serves both the dump and the transform.
@@ -181,13 +179,11 @@ def _cmd_transform(args) -> int:
             raise ModelFormatError("--to fh needs a complemented model file "
                                    "(with both 'pi' and 'lambda')")
         out = transforms.fh_transform(model)
-    elif args.to == "fh-star":
+    else:  # fh-star, the last of argparse's choices
         if model.family != "implicit":
             raise ModelFormatError("--to fh-star needs an implicit model file "
                                    "(with 'lambda_star' and 'alpha')")
         out = transforms.fh_star_transform(model)
-    else:
-        raise ModelFormatError(f"unknown transform target {args.to!r}")
     _write_or_print(modelio.dumps_model(out), args.out)
     return EXIT_PASS
 
@@ -247,10 +243,8 @@ def _cmd_gen(args) -> int:
         model = gen_fh(args.seed, caps)
     elif args.family == "hms":
         model = gen_hms(args.seed, caps)
-    elif args.family == "implicit-hms":
+    else:  # implicit-hms, the last of argparse's choices
         model = gen_implicit(args.seed, caps)
-    else:
-        raise ModelFormatError(f"unknown family {args.family!r}")
     _write_or_print(modelio.dumps_model(model), args.out)
     return EXIT_PASS
 

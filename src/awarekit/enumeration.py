@@ -4,8 +4,11 @@ Formulas are generated in increasing AST size, filtered by modal depth, and
 canonicalized to curb redundancy: no double negation, conjunctions take
 render-ordered distinct operands, and the constant true never appears as an
 operand.  The caps (at most MAX_FORMULAS formulas of AST size at most
-MAX_SIZE) bound test cost only; they do not change any semantic claim being
-checked.
+MAX_SIZE) bound what a check compares, not only its cost: formulas come
+smallest first, so the cap is often reached before any formula of the
+requested depth, and a larger depth may add none.  With agents ``1,2`` and
+2, 3 or 6 atoms, depth 3 gives the same formulas as depth 2, none deeper
+than 2 and none with more than one atom (see docs/formats.md).
 """
 
 from __future__ import annotations

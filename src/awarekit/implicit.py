@@ -29,6 +29,7 @@ from .unawareness import (
     _explicit,
     _holders,
     _indices,
+    _knowledge_laws,
     _refs,
     _Row,
     _Suite,
@@ -72,8 +73,7 @@ def _lambda_laws(lat: SpaceLattice, agent: str, row: _Row) -> Report:
     every (state, lower space) check as that walk would, and is computed
     per image rather than counted during the walk."""
     report = Report()
-    states, spaces, proj, below, keys = lat.states, lat._space, lat._proj, lat._below, lat._keys
-    span_bits = lat._names.span_bits
+    states, below, span_bits = lat.states, lat._below, lat._names.span_bits
     images, levels, holders = row.images, row.levels, row.holders
     checked = len(states)
     unconfined = failing = 0
@@ -99,16 +99,7 @@ def _lambda_laws(lat: SpaceLattice, agent: str, row: _Row) -> Report:
 
     projections: dict[int, list[int]] = {}  # image -> its projection per space below its own
     for i in _walk(_dirty(row) & ~unconfined):
-        mine, row, space = images[i], proj[i], spaces[i]
-        projected = projections.get(mine)
-        if projected is None:  # the last space below the state's is its own
-            projected = projections[mine] = [lat._project_mask(mine, below_space)
-                                              for below_space in below[space][:-1]] + [mine]
-        ref = states[i]
-        for below_space, image in zip(below[space], projected):
-            if image != images[row[below_space]]:
-                report.add("projections-preserve-implicit-knowledge", agent,
-                           state=ref, below=keys[below_space])
+        _knowledge_laws(row, i, projections, "projections-preserve-implicit-knowledge", report)
     report.count(checked)
     return report
 

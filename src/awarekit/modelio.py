@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .awareness import AwarenessModel
-from .errors import ModelFormatError
+from .errors import FormulaSyntaxError, ModelFormatError
 from .lpa import AxiomInstance, ModusPonens, Necessitation, ProofLine, Taut
 from .syntax import Formula, is_agent_id, is_atom_name, parse, render
 from .unawareness import (
@@ -31,13 +31,11 @@ from .unawareness import (
     parse_space_key,
     parse_state_token,
     space_key,
-    state_token,
 )
 
 AnyModel = LatticeModel | AwarenessModel
 
-# ``parse_state_token`` and ``state_token`` live in unawareness and are
-# imported here for the callers that read them from this module.
+# ``parse_state_token`` is re-exported for the callers that read it from here.
 
 
 # -- shape checks: JSON values are only trusted after these ---------------------
@@ -334,8 +332,8 @@ def _parse_by(by: str, line_number: int) -> Taut | AxiomInstance | ModusPonens |
 
 def parse_proof(text: str, agents: Iterable[str] | None = None) -> list[ProofLine]:
     """The proof lines of a proof file's text.  Blank and ``#`` lines are
-    skipped, and errors name a line by its number among the proof lines,
-    as ``mp`` and ``nec`` do."""
+    skipped, and every error names its line by its number among the proof
+    lines, as ``mp`` and ``nec`` do."""
     lines: list[ProofLine] = []
     for raw in text.splitlines():
         raw = raw.strip()
@@ -351,8 +349,13 @@ def parse_proof(text: str, agents: Iterable[str] | None = None) -> list[ProofLin
                                    f"in one object") from None
         if not isinstance(entry, dict) or "formula" not in entry or "by" not in entry:
             raise ModelFormatError(f"line {number}: entries need 'formula' and 'by'")
-        formula = parse(entry["formula"], agents)
-        lines.append(ProofLine(formula, _parse_by(entry["by"], number)))
+        where = f"line {number}: "
+        try:
+            formula = parse(_string(entry["formula"], where + "'formula'"), agents)
+            lines.append(ProofLine(formula, _parse_by(_string(entry["by"], where + "'by'"),
+                                                      number)))
+        except FormulaSyntaxError as err:
+            raise ModelFormatError(where + str(err)) from None
     return lines
 
 

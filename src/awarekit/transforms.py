@@ -48,7 +48,7 @@ def category_to_implicit(category: AwarenessCategory) -> LatticeModel:
     """
     atoms, agents = category.atoms, category.agents
     members = {space: category.models[space] for space in subsets(atoms)}
-    projections = {(space, space - {atom}): category.morphisms[(space, space - {atom})].mapping
+    projections = {(space, space - {atom}): category.morphisms[(space, space - {atom})]
                    for space in members for atom in space}
     valuation = {}
     for atom in sorted(atoms):

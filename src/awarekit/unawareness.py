@@ -105,13 +105,8 @@ class StateRef:
     def __reduce__(self):
         return StateRef, (self.space, self.id)
 
-    def __str__(self) -> str:
+    def __str__(self) -> str:  # the state's token in model files
         return f"{space_key(self.space)}:{self.id}"
-
-
-def state_token(ref: StateRef) -> str:
-    """The text of a state in model files: ``<space key>:<state id>``."""
-    return f"{space_key(ref.space)}:{ref.id}"
 
 
 def parse_state_token(token: str) -> StateRef:
@@ -618,12 +613,6 @@ class SpaceLattice:
         return _build_families(self)
 
 
-def _lattice(model) -> SpaceLattice:
-    if isinstance(model, SpaceLattice):
-        return model
-    return model.lattice
-
-
 # The primitives a lattice model may be given: Π alone, Π and Λ, or Λ and α.
 _SHAPES = ((True, False, False), (True, True, False), (False, True, True))
 
@@ -636,7 +625,7 @@ class LatticeModel:
     shape is a :class:`ModelFormatError`.
 
     Each primitive is given as a model file gives it, per-agent rows keyed
-    by state token (:func:`state_token`), and is checked and turned into one
+    by state token (``str(ref)``), and is checked and turned into one
     :class:`_Row` per agent once, by :func:`_normalize`.  The rows are the
     only stored form, held in ``_pi``, ``_lambda`` and ``_alpha``, each a
     dict by agent, or None when the primitive is absent; :attr:`family` is
@@ -1203,25 +1192,32 @@ def validate_hms(model: LatticeModel) -> Report:
 
             if not dirty >> i & 1:
                 continue
-            row = proj[i]
             for target_space in below[space][:-1]:
-                if mine_up & ~ups[images[row[target_space]]]:
+                if mine_up & ~ups[images[proj[i][target_space]]]:
                     report.add("projections-preserve-ignorance", agent,
                                state=ref, below=keys[target_space])
-
-            level = levels[i]
-            if level < 0 or level & ~space:
-                continue
-            projected = projections.get(mine)
-            if projected is None:  # the last space below the level is the level itself
-                projected = projections[mine] = [lat._project_mask(mine, target_space)
-                                                  for target_space in below[level][:-1]] + [mine]
-            for target_space, image in zip(below[level], projected):
-                if image != images[row[target_space]]:
-                    report.add("projections-preserve-knowledge", agent,
-                               state=ref, below=keys[target_space])
+            if not levels[i] & ~space:  # the level is in the state's space; -1 is not
+                _knowledge_laws(row, i, projections, "projections-preserve-knowledge", report)
     report.count(checked)
     return report
+
+
+def _knowledge_laws(row: _Row, i: int, projections: dict[int, list[int]], law: str,
+                    report: Report) -> None:
+    """Add a ``law`` violation at state ``i``, whose level must lie in its
+    space, for each space ``T`` at or below the level, in ``_below`` order,
+    where the image of ``i_T`` is not ``i``'s image projected into ``T``;
+    ``projections`` keeps each image's projections for the caller's walk."""
+    lat, images = row.lattice, row.images
+    mine, below = images[i], lat._below[row.levels[i]]
+    projected = projections.get(mine)
+    if projected is None:  # the last space below the level is the level itself
+        projected = projections[mine] = [lat._project_mask(mine, target)
+                                          for target in below[:-1]] + [mine]
+    proj, keys = lat._proj[i], lat._keys
+    for target, image in zip(below, projected):
+        if image != images[proj[target]]:
+            report.add(law, row.agent, state=lat.states[i], below=keys[target])
 
 
 # -- property suites -------------------------------------------------------------
@@ -1239,7 +1235,7 @@ MAX_FAMILIES = 400
 
 
 def event_basis(model) -> list[Event]:
-    return list(_lattice(model)._basis)
+    return list(model.lattice._basis)
 
 
 def _build_basis(lat: SpaceLattice) -> tuple[Event, ...]:
@@ -1262,24 +1258,12 @@ def _build_basis(lat: SpaceLattice) -> tuple[Event, ...]:
     return tuple(basis)
 
 
-class EventFamily(tuple):
-    """A family of events for the conjunction laws.  Its text, the events
-    joined by ``;``, is the ``family`` witness of a failed check; it is only
-    built when a report adds the violation."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return ";".join(str(e) for e in self)
-
-
 class _Families(NamedTuple):
     """The families of a lattice's event basis, smallest first, in
     :func:`combinations` order; per family, its members as basis indices
     and the index in ``joins`` of its joined event, the conjunction of its
     members.  ``joins`` holds each distinct joined event once."""
 
-    families: list[EventFamily]
     members: list[tuple[int, ...]]
     join_of: list[int]
     joins: list[Event]
@@ -1290,10 +1274,10 @@ def _build_families(lat: SpaceLattice) -> _Families:
     members = list(islice(chain.from_iterable(
         combinations(range(len(basis)), size) for size in range(1, MAX_FAMILY_SIZE + 1)),
         MAX_FAMILIES))
-    families = [EventFamily(map(basis.__getitem__, family)) for family in members]
     joins: dict[Event, int] = {}
-    join_of = [joins.setdefault(lat.event_and(family), len(joins)) for family in families]
-    return _Families(families, members, join_of, list(joins))
+    join_of = [joins.setdefault(lat.event_and([basis[k] for k in family]), len(joins))
+               for family in members]
+    return _Families(members, join_of, list(joins))
 
 
 class _Suite:
@@ -1368,23 +1352,24 @@ class _Suite:
         holds, per distinct joined event, the base of the operator on it
         (:meth:`box_bases`, :meth:`aware_bases`); the other base is J's
         states ANDed with the operator's result on each member.  Only a
-        failed check builds the two events, with the operator and
-        ``event_and``, as its witnesses."""
-        lat, model, report = self.lat, self.model, self.report
+        failed check builds its witnesses: the two sides, with the operator
+        and ``event_and``, and the family, its members' texts joined by ``;``."""
+        lat, model, report, basis = self.lat, self.model, self.report, self.basis
         families = lat._families
         span_bits = lat._names.span_bits
         at_join = [span_bits[joined.space] for joined in families.joins]
-        results = [[op(model, agent, event).up for event in self.basis] for _, op, _ in laws]
-        report.count(len(families.families) * len(laws))
-        for family, members, join in zip(families.families, families.members, families.join_of):
+        results = [[op(model, agent, event).up for event in basis] for _, op, _ in laws]
+        report.count(len(families.members) * len(laws))
+        for members, join in zip(families.members, families.join_of):
             for (law, op, bases), ups in zip(laws, results):
                 right = at_join[join]
                 for k in members:
                     right &= ups[k]
                 if bases[join] != right:
+                    family = [basis[k] for k in members]
                     report.add(law, agent, left=op(model, agent, families.joins[join]),
                                right=lat.event_and([op(model, agent, e) for e in family]),
-                               family=family)
+                               family=";".join(map(str, family)))
 
     def monotonicity(self, law: str, agent: str, op) -> None:
         lat, model = self.lat, self.model

@@ -138,6 +138,15 @@ def test_category_morphisms_all_check(fig1R):
         assert report.ok, (space_key(large), space_key(small), report.violations[:2])
 
 
+def test_unminimized_morphisms_share_one_identity_map(fig1R):
+    """A morphism is its world map; unminimized, every pair holds the same
+    identity map rather than one copy per pair."""
+    model = fh_transform(fig1R)
+    maps = list(build_category(model).morphisms.values())
+    assert len(maps) == 3 ** len(model.language_atoms)
+    assert all(m is maps[0] for m in maps) and maps[0] == {w: w for w in model.worlds}
+
+
 def test_morphism_atomic_harmony_witness():
     model = small_model()
     category = build_category(model)

@@ -13,8 +13,11 @@ import pytest
 import awarekit
 from awarekit.cli import main
 from awarekit.fixtures import fixture_path, proof_path
-from awarekit.modelio import load_model, model_to_data
+from awarekit.awareness import fh_satisfies
+from awarekit.lpa import check_proof
+from awarekit.modelio import load_model, load_proof, model_to_data
 from awarekit.reports import Report
+from awarekit.syntax import parse
 
 FIG1L = str(fixture_path("fig1L.model"))
 FIG1R = str(fixture_path("fig1R.model"))
@@ -96,6 +99,63 @@ def test_check_bad_formula_is_input_error(capsys):
     assert code == 2
 
 
+@pytest.fixture
+def fig1R_fh(tmp_path, capsys):
+    """The awareness model of fig1R's top space, written to a file."""
+    path = tmp_path / "fig1R.fh"
+    assert run(capsys, "transform", FIG1R, "--to", "fh", "--out", str(path))[0] == 0
+    return str(path)
+
+
+def test_check_on_an_awareness_model(fig1R_fh, capsys):
+    model, formula = load_model(fig1R_fh), "l_1 q"
+    values = {w: str(fh_satisfies(model, w, parse(formula))) for w in model.worlds}
+    code, out, err = run(capsys, "check", fig1R_fh, "--formula", formula, "--all")
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{w}\t{values[w]}\n" for w in model.worlds)
+    for world in model.worlds:
+        assert run(capsys, "check", fig1R_fh, "--formula", formula, "--state", world) == \
+            (0, values[world] + "\n", "")
+    code, out, _ = run(capsys, "check", fig1R_fh, "--formula", formula, "--all",
+                       "--format", "data")
+    assert code == 0 and json.loads(out) == {"formula": formula, "values": values}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--state", "ghost"], "no world 'ghost'"),
+    ([], "check needs --state or --all"),
+    (["--state", ""], "check needs --state or --all"),
+], ids=["unknown-world", "neither-flag", "empty-state"])
+def test_check_on_an_awareness_model_input_errors(fig1R_fh, capsys, flags, message):
+    assert run(capsys, "check", fig1R_fh, "--formula", "l_1 q", *flags) == \
+        (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("bare, message", [
+    (False, "check needs --state or --all"),
+    (True, "check needs a complemented or implicit model "
+           "(a bare 'pi' model has no implicit layer)"),
+], ids=["complemented", "bare-pi"])
+def test_check_without_a_state_on_a_lattice_model(bare, message, tmp_path, capsys):
+    """A bare-Π model is rejected for its family before the missing flag."""
+    data = model_to_data(load_model(FIG1L))
+    if bare:
+        del data["lambda"]
+    path = tmp_path / "source.model"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "check", str(path), "--formula", "p") == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("source", ["fig1L", "fig1R", "fh"])
+def test_transform_to_fh_star_needs_an_implicit_model(source, fig1R_fh, tmp_path, capsys):
+    path = {"fig1L": FIG1L, "fig1R": FIG1R, "fh": fig1R_fh}[source]
+    out = tmp_path / "out.fh"
+    assert run(capsys, "transform", path, "--to", "fh-star", "--out", str(out)) == \
+        (2, "", "error: --to fh-star needs an implicit model file "
+                "(with 'lambda_star' and 'alpha')\n")
+    assert not out.exists()
+
+
 def test_transform_and_equiv_pipeline(tmp_path, capsys):
     out_path = tmp_path / "fig1R.fh"
     code, _, _ = run(capsys, "transform", FIG1R, "--to", "fh",
@@ -168,6 +228,22 @@ def test_gen_bad_caps(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("caps, message", [
+    ("atoms", "bad caps entry 'atoms'; expected name=value"),
+    ("atoms=3,colors=2", "unknown cap 'colors'; expected atoms/worlds/agents"),
+    ("atoms=three", "cap 'atoms' needs an integer"),
+    ("atoms=3,atoms=4", "cap 'atoms' is given twice"),
+    ("worlds=5,atoms=3,worlds=5", "cap 'worlds' is given twice"),
+], ids=["no-equals", "unknown", "not-integer", "repeated", "repeated-same-value"])
+@pytest.mark.parametrize("command", [["gen", "--seed", "1"], ["fuzz", "--trials", "1"],
+                                     ["lpa", "fuzz", "--trials", "1"]],
+                         ids=["gen", "fuzz", "lpa-fuzz"])
+def test_bad_caps_are_input_errors(command, caps, message, capsys):
+    """A repeated cap is an error, as a key repeated in a model file is,
+    rather than the last value silently winning."""
+    assert run(capsys, *command, "--caps", caps) == (2, "", f"error: {message}\n")
+
+
 def test_fuzz_subcommand(capsys):
     code, out, _ = run(capsys, "fuzz", "--trials", "2", "--seed", "5")
     assert code == 0
@@ -181,6 +257,47 @@ def test_lpa_check_accepts_and_rejects(capsys):
     code, out, _ = run(capsys, "lpa", "check",
                        str(proof_path("bad_07_not_a_tautology.proof")))
     assert code == 1 and "line 1" in out
+
+
+@pytest.mark.parametrize("name", ["good_necessitation_top.proof",
+                                  "bad_07_not_a_tautology.proof"])
+def test_lpa_check_data_format(name, capsys):
+    code, out, err = run(capsys, "lpa", "check", str(proof_path(name)), "--format", "data")
+    verdict = check_proof(load_proof(proof_path(name)))
+    assert code == (0 if verdict.accepted else 1) and err == ""
+    assert json.loads(out) == {"accepted": verdict.accepted,
+                               "failed_line": verdict.failed_line, "reason": verdict.reason}
+    assert verdict.accepted == name.startswith("good")
+
+
+@pytest.mark.parametrize("by, message", [
+    ('5', "'by' must be a string"),
+    ('["taut"]', "'by' must be a string"),
+    ('"ax:a-neg phi=\\"p"', "bad 'by' field: No closing quotation"),
+    ('""', "empty 'by' field"),
+    ('" "', "empty 'by' field"),
+    ('"ax:a-neg phi"', "bad substitution 'phi'"),
+    ('"ax:a-neg chi=p"', "unknown metavariable 'chi'"),
+    ('"ax:a-neg phi=~"', "unexpected end of input (at offset 1)"),
+    ('"mp 1"', "'mp' needs two line numbers"),
+    ('"mp 1 x"', "'mp' needs integers"),
+    ('"nec"', "'nec' needs one line number"),
+    ('"nec x"', "'nec' needs an integer"),
+], ids=["number", "list", "unbalanced-quote", "empty", "blank", "hint-without-equals",
+        "unknown-metavariable", "bad-hint-formula", "mp-one-line", "mp-not-integers",
+        "nec-no-line", "nec-not-integer"])
+def test_lpa_check_bad_justification_is_input_error(tmp_path, capsys, by, message):
+    proof = tmp_path / "bad.proof"
+    proof.write_text('{"formula": "T", "by": "taut"}\n{"formula": "T", "by": %s}\n' % by)
+    code, out, err = run(capsys, "lpa", "check", str(proof))
+    assert (code, out, err) == (2, "", f"error: line 2: {message}\n")
+
+
+def test_lpa_check_bad_formula_names_its_line(tmp_path, capsys):
+    proof = tmp_path / "bad.proof"
+    proof.write_text('{"formula": "T", "by": "taut"}\n{"formula": "((p", "by": "taut"}\n')
+    assert run(capsys, "lpa", "check", str(proof)) == \
+        (2, "", "error: line 2: expected ')' (at offset 3)\n")
 
 
 def test_lpa_fuzz(capsys):

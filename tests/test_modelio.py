@@ -26,7 +26,6 @@ from awarekit.modelio import (
     parse_state_token,
     proof_line_to_json,
     save_model,
-    state_token,
     lattice_dot,
 )
 from awarekit.transforms import hms_transform
@@ -168,7 +167,7 @@ def test_atom_cap_enforced(monkeypatch, fig1L):
 
 def test_state_tokens():
     state = ref(PQ, "pq")
-    assert state_token(state) == "p,q:pq"
+    assert str(state) == "p,q:pq"
     assert parse_state_token("p,q:pq") == state
     assert parse_state_token(":*") == StateRef(frozenset(), "*")
     with pytest.raises(ModelFormatError):
@@ -215,6 +214,30 @@ def test_proof_parse_errors():
         parse_proof('# header\n{"formula": "T", "by": "zap"}')
     with pytest.raises(ModelFormatError, match="^line 2: not valid JSON"):
         parse_proof('{"formula": "T", "by": "taut"}\n\n# note\nnot json')
+
+
+@pytest.mark.parametrize("entry, message", [
+    ('{"formula": "T", "by": 5}', "line 2: 'by' must be a string"),
+    ('{"formula": 5, "by": "taut"}', "line 2: 'formula' must be a string"),
+    ('{"formula": "T", "by": ["taut"]}', "line 2: 'by' must be a string"),
+    ('{"formula": null, "by": 5}', "line 2: 'formula' must be a string"),
+], ids=["by-number", "formula-number", "by-list", "both"])
+def test_proof_fields_must_be_strings(entry, message):
+    with pytest.raises(ModelFormatError) as err:
+        parse_proof('{"formula": "T", "by": "taut"}\n' + entry)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("entry, message", [
+    ('{"formula": "((p", "by": "taut"}', "line 2: expected ')' (at offset 3)"),
+    ('{"formula": "T", "by": "ax:a-neg phi=~"}',
+     "line 2: unexpected end of input (at offset 1)"),
+    ('{"formula": "((p", "by": "ax:a-neg phi=~"}', "line 2: expected ')' (at offset 3)"),
+], ids=["formula", "hint", "formula-first"])
+def test_proof_formula_errors_name_their_line(entry, message):
+    with pytest.raises(ModelFormatError) as err:
+        parse_proof('# header\n{"formula": "T", "by": "taut"}\n\n' + entry)
+    assert str(err.value) == message
 
 
 def test_proof_line_render_round_trip():

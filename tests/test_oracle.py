@@ -80,7 +80,6 @@ from awarekit.modelio import (
     dumps_model,
     model_to_data,
     save_model,
-    state_token,
 )
 from awarekit.reports import Report
 from awarekit.semantics import TruthValue, extension, truth_masks, valid_in_model
@@ -95,7 +94,6 @@ from awarekit.transforms import (
 from awarekit.unawareness import (
     MAX_FAMILIES,
     MAX_FAMILY_SIZE,
-    EventFamily,
     LatticeModel,
     SpaceLattice,
     StateRef,
@@ -292,7 +290,7 @@ def test_check_all_matches_oracle(seed, tmp_path, capsys):
             assert main(["check", str(path), "--formula", text, "--all",
                          "--format", "data"]) == 0
             values = json.loads(capsys.readouterr().out)["values"]
-            expected = {state_token(ref): str(naive_truth(model, ref, f))
+            expected = {str(ref): str(naive_truth(model, ref, f))
                         for ref in model.states}
             assert list(values.items()) == sorted(expected.items())
 
@@ -625,7 +623,7 @@ def test_category_members_match_string_copies(index, minimize):
             assert fh_extension(member, f) == fh_extension(copy, f)
         copies[space] = copy
     for (large, small), morphism in category.morphisms.items():
-        assert dict(morphism.mapping) == {block: onto[small][source[large][block]]
+        assert dict(morphism) == {block: onto[small][source[large][block]]
                                           for block in category.models[large].worlds}
     strings = AwarenessCategory(category.atoms, copies, category.morphisms)
     assert dumps_model(category_to_implicit(strings)) == \
@@ -639,16 +637,19 @@ def reference_conjunctions(suite, agent, laws):
     """The conjunction laws on events, as the suites first checked them: per
     family of the basis, and per law, the operator on the family's
     conjunction, through the row's operator memo, against the conjunction of the
-    operator on each member.  The families are rebuilt here from the basis."""
+    operator on each member.  The families are rebuilt here from the basis,
+    as tuples of events; a family's witness is its events' texts joined by
+    ``;``."""
     lat, model = suite.lat, suite.model
     basis = event_basis(model)
-    families = [EventFamily(combo) for size in range(1, MAX_FAMILY_SIZE + 1)
+    families = [combo for size in range(1, MAX_FAMILY_SIZE + 1)
                 for combo in combinations(basis, size)][:MAX_FAMILIES]
     for family in families:
         joined = lat.event_and(family)
         for law, op, _ in laws:
             suite.check(law, agent, op(model, agent, joined),
-                        lat.event_and([op(model, agent, e) for e in family]), family=family)
+                        lat.event_and([op(model, agent, e) for e in family]),
+                        family=";".join(map(str, family)))
 
 
 def suite_reports(im, comp) -> list[dict]:
