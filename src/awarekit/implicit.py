@@ -223,8 +223,10 @@ def validate_alpha(model: LatticeModel) -> Report:
     require(model, "lambda", "alpha")
     report = Report()
     lat = model.lattice
-    states, spaces, proj, below, keys = lat.states, lat._space, lat._proj, lat._below, lat._keys
-    span_bits, children = lat._names.span_bits, lat._children
+    states, spaces, below, keys = lat.states, lat._space, lat._below, lat._keys
+    span_bits, children, start = lat._names.span_bits, lat._children, lat._start
+    # Aligned, state i of space S projects into T at start[T] + i - start[S].
+    proj = None if lat._aligned else lat._proj
     everything = 0 if _validate_lattice(lat).ok else (1 << len(states)) - 1
     checked = 0
     for agent in model.agents:
@@ -239,9 +241,9 @@ def validate_alpha(model: LatticeModel) -> Report:
             checked += image.bit_count() + 3 * len(below[space])
             if image & span_bits[space] & ~holders[level]:
                 failing |= 1 << i
-            row = proj[i]
+            at = i - start[space]  # aligned, i_c is start[c] + at
             for child in children[space]:
-                got = levels[row[child]]
+                got = levels[start[child] + at if proj is None else proj[i][child]]
                 if (not child & ~level and got != child or not level & ~child and got != level
                         or got & ~level):
                     bad |= 1 << i
@@ -254,7 +256,7 @@ def validate_alpha(model: LatticeModel) -> Report:
                 continue
             for j in _indices(images[i] & span_bits[space] & ~holders[level]):
                 report.add("awareness-measurability", agent, state=ref, reached=states[j])
-            row = proj[i]
+            row = lat._proj[i]
             for below_space in below[space]:
                 got = levels[row[below_space]]
                 if not below_space & ~level and got != below_space:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import shlex
-from functools import cache
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -28,6 +28,7 @@ from .unawareness import (
     LatticeModel,
     SpaceLattice,
     _indices,
+    _skeleton_keys,
     parse_space_key,
     parse_state_token,
     space_key,
@@ -146,13 +147,35 @@ def _primitive(data: dict, field: str):
     return value
 
 
+class _SpaceKeys(dict):
+    """Space keys resolved to spaces: a canonical key from the lattice
+    skeleton's table, any other spelling parsed on first use."""
+
+    def __missing__(self, key: str) -> frozenset[str]:
+        space = self[key] = parse_space_key(key)
+        return space
+
+
+def _projection_maps(value) -> dict:
+    """The ``projections`` field: an object of objects of strings.  One
+    pass tests the exact JSON types; only when it fails does the labelled
+    :func:`_table` walk run, which raises the first failure's error (or
+    passes subclasses of the JSON types, as it always has)."""
+    if type(value) is dict:
+        maps = value.values()
+        if {*map(type, maps)} <= {dict} and {
+                *map(type, chain.from_iterable(table.values() for table in maps))} <= {str}:
+            return value
+    return _table(value, "projections", _table_of(_string))
+
+
 def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
     atoms = _atoms(data)
     raw_spaces = _table(_require(data, "spaces"), "spaces", _strings)
-    raw_projections = _table(_require(data, "projections"), "projections", _table_of(_string))
+    raw_projections = _projection_maps(_require(data, "projections"))
     raw_valuation = _table(_require(data, "valuation"), "valuation", _object)
-    space_of = cache(parse_space_key)  # each space key is parsed once per file
-    spaces = {space_of(key): list(ids) for key, ids in raw_spaces.items()}
+    space_of = _SpaceKeys(_skeleton_keys(atoms))
+    spaces = {space_of[key]: list(ids) for key, ids in raw_spaces.items()}
     if len(spaces) != len(raw_spaces):
         raise ModelFormatError("duplicate space keys after normalization")
 
@@ -161,7 +184,7 @@ def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
         if "->" not in key:
             raise ModelFormatError(f"projection key {key!r} is not of the form 'parent->child'")
         parent_key, _, child_key = key.partition("->")
-        projections[(space_of(parent_key), space_of(child_key))] = table
+        projections[(space_of[parent_key], space_of[child_key])] = table
     if len(projections) != len(raw_projections):
         raise ModelFormatError("duplicate projection keys after normalization")
 
@@ -169,7 +192,7 @@ def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
     for atom, entry in raw_valuation.items():
         if "base_space" not in entry or "base" not in entry:
             raise ModelFormatError(f"valuation of {atom!r} must have base_space and base")
-        space = space_of(_string(entry["base_space"], f"valuation[{atom}].base_space"))
+        space = space_of[_string(entry["base_space"], f"valuation[{atom}].base_space")]
         ids = _strings(entry["base"], f"valuation[{atom}].base")
         valuation[atom] = (space, ids)
 
@@ -306,12 +329,16 @@ def _parse_by(by: str, line_number: int) -> Taut | AxiomInstance | ModusPonens |
             if "=" not in piece:
                 raise ModelFormatError(f"line {line_number}: bad substitution {piece!r}")
             key, _, value = piece.partition("=")
+            if key not in ("phi", "psi", "i", "j"):
+                raise ModelFormatError(f"line {line_number}: unknown metavariable {key!r}")
+            if any(key == given for given, _ in hint):
+                raise ModelFormatError(f"line {line_number}: metavariable {key!r} is given twice")
             if key in ("phi", "psi"):
                 hint.append((key, parse(value)))
-            elif key in ("i", "j"):
+            elif is_agent_id(value):
                 hint.append((key, value))
             else:
-                raise ModelFormatError(f"line {line_number}: unknown metavariable {key!r}")
+                raise ModelFormatError(f"line {line_number}: {key}={value!r} is not an agent id")
         return AxiomInstance(name, tuple(hint))
     if head == "mp":
         if len(parts) != 3:

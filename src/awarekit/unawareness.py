@@ -22,7 +22,14 @@ in one order whatever the hash seed.  The ``StateRef``-keyed dicts ``pi``,
 
 The atom universe is finite and capped (default 6, override with the
 ``AWAREKIT_MAX_ATOMS`` environment variable) because the full powerset of
-spaces is materialized eagerly and validation is exhaustive.
+spaces is materialized eagerly and validation is exhaustive.  What a
+lattice's tables hold that depends on its atoms alone (the spaces, their
+masks and keys, the spaces below each, the covering pairs, the layout
+order) is built once per atom set and shared (:class:`_Skeleton`).  The
+projection table is built at construction only where the covering maps are
+not all the identity on ids shared by every space; an *aligned* lattice
+projects by index arithmetic and tabulates it when something first reads
+it.
 
 Lattices, models and rows are immutable: nothing may change them after
 construction.  Their index tables and operator memos are built on that
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -188,8 +195,72 @@ class Event(NamedTuple):
         return f"Event({str(self)!r})"
 
 
+class _Skeleton(NamedTuple):
+    """The tables of a lattice that depend on its sorted atoms alone, built
+    once per atom set by :func:`_skeleton` and shared by every lattice over
+    it.  A space is a bitmask over the sorted atoms (bit k for the k-th), so
+    the highest set bit of a mask is its greatest atom.  Per space mask:
+    ``spaces``, its set of atoms; ``keys``, its key; ``below``, the masks
+    of the spaces inside it, in :func:`subsets` order; ``children``, its
+    covering children, the masks with one atom dropped, in increasing order
+    of the dropped atom.  ``masks`` maps each space to its mask in
+    :func:`subsets` order; ``key_masks`` and ``key_spaces`` resolve a
+    canonical key; ``edges`` are the covering pairs as (parent, child)
+    masks, parents in :func:`subsets` order, dropped atoms sorted;
+    ``layout`` is the order of the spaces' states, larger spaces first,
+    then by key."""
+
+    atom_bit: dict[str, int]
+    masks: dict[frozenset[str], int]
+    spaces: list[frozenset[str]]
+    keys: list[str]
+    key_masks: dict[str, int]
+    key_spaces: dict[str, frozenset[str]]
+    below: list[list[int]]
+    children: list[list[int]]
+    edges: list[tuple[int, int]]
+    layout: list[int]
+
+
+@lru_cache(maxsize=64)
+def _skeleton(atoms: tuple[str, ...]) -> _Skeleton:
+    """The skeleton of the lattices over ``atoms``, which must be sorted
+    and within :func:`max_atoms`; a lattice checks the cap first."""
+    atom_bit = {atom: 1 << k for k, atom in enumerate(atoms)}
+    masks = {space: sum(atom_bit[atom] for atom in space)
+             for space in subsets(frozenset(atoms))}
+    n_masks = 1 << len(atoms)
+    spaces: list[frozenset[str]] = [frozenset()] * n_masks
+    keys = [""] * n_masks
+    for space, mask in masks.items():
+        spaces[mask], keys[mask] = space, space_key(space)
+    order = list(masks.values())
+    children = [[mask ^ 1 << k for k in _indices(mask)] for mask in range(n_masks)]
+    return _Skeleton(
+        atom_bit, masks, spaces, keys,
+        key_masks={key: mask for mask, key in enumerate(keys)},
+        key_spaces=dict(zip(keys, spaces)),
+        below=[[sub for sub in order if not sub & ~mask] for mask in range(n_masks)],
+        children=children,
+        edges=[(mask, child) for mask in order for child in children[mask]],
+        layout=sorted(order, key=lambda mask: (-len(spaces[mask]), keys[mask])))
+
+
+def _skeleton_keys(atoms: Iterable[str]) -> dict[str, frozenset[str]]:
+    """Each canonical space key of the lattices over ``atoms``, mapped to
+    its space; empty when the atoms exceed the cap, so that the lattice
+    raises that, or when the cap cannot be read.  A file's keys resolve
+    through it, and only the keys it lacks are parsed."""
+    try:
+        cap = max_atoms()
+    except ModelFormatError:
+        return {}
+    atoms = tuple(sorted(atoms))
+    return _skeleton(atoms).key_spaces if len(atoms) <= cap else {}
+
+
 class SpaceLattice:
-    """The shared skeleton of every lattice-based model: spaces, projections, valuation.
+    """The lattice every lattice-based model is built on: spaces, projections, valuation.
 
     It is given as a file gives it: each space's state ids, a map of ids per
     covering pair (drop one atom), and each atom's base space and base ids.
@@ -204,19 +275,27 @@ class SpaceLattice:
     The lattice is held as dense index tables.  State ``i`` is
     ``states[i]``, laid out space by space, larger spaces first, ids
     sorted; a space is a bitmask over the sorted atoms; a set of states is a
-    bitmask over state indices, held in a Python int.  Each state has a
-    projection list indexed by target-space mask, the only store of
-    projections: every composite is tabulated at construction.  Each state
-    also has an up-closure mask, and each space a map from its ids to state
-    indices, the index range of its states, their mask, and the mask of
-    every state at or above it.
+    bitmask over state indices, held in a Python int.  What depends on the
+    atoms alone (the spaces' masks, keys, the spaces below each, the
+    covering pairs and the layout order) is a :class:`_Skeleton`, built once
+    per atom set and shared.  Each state has a projection list indexed by
+    target-space mask, ``_proj``, the only store of projections: it
+    follows the covering maps along the canonical chain (drop atoms in
+    greatest-first order).  Each state also has an up-closure mask, and
+    each space a map from its ids to state indices, the index range of its
+    states, their mask, and the mask of every state at or above it.
 
     The lattice is *aligned* when every space holds the same ids and every
     covering map is the identity on them, as in every unminimized transform
     output.  Then state ``k`` of a space projects to state ``k`` of every
-    space below, so a space's part of a state mask projects with one shift
+    space below: state ``i`` of space ``S`` projects into ``T`` at
+    ``_start[T] + i - _start[S]``, which the validators and the suites
+    read; a space's part of a state mask projects with one shift
     (:meth:`_project_mask`) and up-closes with one multiply
-    (:meth:`_close`); other lattices walk the mask bit by bit.
+    (:meth:`_close`).  So an aligned lattice tabulates ``_proj`` on its
+    first read only, and a lattice that is not aligned tabulates it at
+    construction, where its covering maps are checked, and walks masks bit
+    by bit.
     """
 
     def __init__(
@@ -232,60 +311,50 @@ class SpaceLattice:
             raise ModelFormatError(
                 f"{len(self.atoms)} atoms exceed the cap of {cap} "
                 f"(override with {MAX_ATOMS_ENV})")
+        sk = self._skeleton = _skeleton(tuple(sorted(self.atoms)))
+        self._atom_bit, self._masks, self._keys = sk.atom_bit, sk.masks, sk.keys
+        self._below, self._children, self._key_masks = sk.below, sk.children, sk.key_masks
+        by_mask = sk.spaces
 
         self.spaces: dict[frozenset[str], tuple[StateRef, ...]] = {}
-        key_of: dict[frozenset[str], str] = {}
         shared: list[str] | None = None  # the ids of every space, while they agree
-        for space in subsets(self.atoms):
-            key = key_of[space] = space_key(space)
+        for space, mask in sk.masks.items():
             ids = spaces.get(space)
             if ids is None:
-                raise ModelFormatError(f"missing space {key!r}")
+                raise ModelFormatError(f"missing space {sk.keys[mask]!r}")
             if not ids:
-                raise ModelFormatError(f"space {key!r} is empty")
+                raise ModelFormatError(f"space {sk.keys[mask]!r} is empty")
             if len(set(ids)) != len(ids):
-                raise ModelFormatError(f"duplicate state ids in space {key!r}")
+                raise ModelFormatError(f"duplicate state ids in space {sk.keys[mask]!r}")
             if "" in ids:
-                raise ModelFormatError(f"empty state id in space {key!r}")
+                raise ModelFormatError(f"empty state id in space {sk.keys[mask]!r}")
             ordered = sorted(ids)
             if not space:
                 shared = ordered
             elif shared is not None and ordered != shared:
                 shared = None
             self.spaces[space] = tuple(StateRef(space, i) for i in ordered)
-        extra = set(spaces) - set(self.spaces)
-        if extra:
+        # Every space of the universe was found, so more spaces means others.
+        if len(spaces) > len(self.spaces):
+            extra = set(spaces) - set(self.spaces)
             key = space_key(sorted(extra, key=space_key)[0])
             raise ModelFormatError(f"space {key!r} is not a subset of the atom universe")
 
-        # Space masks: bit k stands for the k-th atom in sorted order, so the
-        # highest set bit of a mask is its greatest atom.
-        self._atom_bit = {atom: 1 << k for k, atom in enumerate(sorted(self.atoms))}
-        self._masks: dict[frozenset[str], int] = {
-            space: sum(self._atom_bit[atom] for atom in space) for space in self.spaces}
-        n_masks = 1 << len(self.atoms)
-        # The masks of the spaces in subsets() order; those inside a space
-        # are its subsets, in the same order.
-        order = list(self._masks.values())
-        by_mask: list[frozenset[str]] = [frozenset()] * n_masks
-        self._keys: list[str] = [""] * n_masks
-        self._below: list[list[int]] = [[] for _ in range(n_masks)]
+        n_masks = len(by_mask)
         self._span: list[range] = [range(0)] * n_masks
         self._ids: list[dict[str, int]] = [{}] * n_masks
+        self._space: list[int] = []  # the space mask of each state
         span_bits = [0] * n_masks
         states: list[StateRef] = []
-        for space, refs in sorted(self.spaces.items(),
-                                  key=lambda kv: (-len(kv[0]), key_of[kv[0]])):
-            mask, start = self._masks[space], len(states)
-            by_mask[mask] = space
-            self._keys[mask] = key_of[space]
-            self._below[mask] = [sub for sub in order if not sub & ~mask]
+        for mask in sk.layout:
+            refs, start = self.spaces[by_mask[mask]], len(states)
             self._span[mask] = range(start, start + len(refs))
             self._ids[mask] = {ref.id: i for i, ref in enumerate(refs, start)}
             span_bits[mask] = ((1 << len(refs)) - 1) << start
+            self._space += [mask] * len(refs)
             states.extend(refs)
         self.states: tuple[StateRef, ...] = tuple(states)
-        self._space: list[int] = [self._masks[ref.space] for ref in self.states]
+        self._start = [span.start for span in self._span]
         self._names = _Names(self.states, by_mask, self._keys, span_bits)
         # The states at or above each space: every state projects into it.
         self._upspace: list[int] = [0] * n_masks
@@ -293,41 +362,21 @@ class SpaceLattice:
             for target in self._below[mask]:
                 self._upspace[target] |= span_bits[mask]
 
-        # Entries for targets that are not below the state's space stay -1.
-        self._proj: list[list[int]] = [[-1] * n_masks for _ in self.states]
+        # Aligned while every covering map so far is the identity on the
+        # shared ids; the first map that is not starts the table over.
         identity = None if shared is None else dict(zip(shared, shared))
-        n_covering = 0
-        for parent, child in self._edges():
-            n_covering += 1
-            pair = f"{self._keys[parent]!r} -> {self._keys[child]!r}"
+        self._aligned = identity is not None
+        for parent, child in sk.edges:
             raw = projections.get((by_mask[parent], by_mask[child]))
             if raw is None:
-                raise ModelFormatError(f"missing projection {pair}")
-            if identity is not None and raw == identity:
-                offset = self._span[child].start - self._span[parent].start
-                for i in self._span[parent]:
-                    self._proj[i][child] = i + offset
-                continue
-            identity = None
-            ids = self._ids[child]
-            for i in self._span[parent]:
-                state_id = self.states[i].id
-                image = raw.get(state_id)
-                if image is None:
-                    raise ModelFormatError(f"projection {pair} is undefined on state {state_id!r}")
-                if image not in ids:
-                    raise ModelFormatError(
-                        f"projection {pair} maps {state_id!r} to unknown state {image!r}")
-                self._proj[i][child] = ids[image]
-            # The map is total on the parent's ids, so a longer map has others.
-            if len(raw) > len(self._span[parent]):
-                extra_id = min(raw.keys() - self._ids[parent].keys())
-                raise ModelFormatError(f"projection {pair} is defined on unknown state "
-                                       f"{extra_id!r}")
-        self._aligned = identity is not None
+                raise ModelFormatError(f"missing projection {self._pair(parent, child)}")
+            if raw != identity:
+                self._aligned = False
+                self._proj = self._tabulate(projections)
+                break
         # Every covering pair has its map, so more maps means other keys.
-        if len(projections) > n_covering:
-            covering = {(by_mask[parent], by_mask[child]) for parent, child in self._edges()}
+        if len(projections) > len(sk.edges):
+            covering = {(by_mask[parent], by_mask[child]) for parent, child in sk.edges}
             extra_pair = min((space_key(parent), space_key(child))
                              for parent, child in projections.keys() - covering)
             raise ModelFormatError("projection {!r} -> {!r} is not a covering pair"
@@ -340,23 +389,8 @@ class SpaceLattice:
             raise ModelFormatError(f"valuation must be total on the atom universe; "
                                    f"mismatched atoms: {bad}")
 
-        # Composite projections run along the canonical chain (drop atoms in
-        # greatest-first order); path independence is exactly the
-        # composition law checked by the validator.  States of smaller
-        # spaces come later in ``states``, so walking it backwards completes
-        # every row a composite projection reads.
-        for i in reversed(range(len(self.states))):
-            mask = self._space[i]
-            row = self._proj[i]
-            row[mask] = i
-            for target in self._below[mask]:
-                if row[target] < 0:
-                    drop = 1 << ((mask & ~target).bit_length() - 1)
-                    row[target] = self._proj[row[mask ^ drop]][target]
-
         # Aligned, the up-closure of state k of a space is state k of every
         # space at or above it: ``_comb`` has a bit at the first state of each.
-        self._start = [span.start for span in self._span]
         self._comb: list[int] = []
         if self._aligned:
             firsts = sum(1 << start for start in self._start)
@@ -390,6 +424,66 @@ class SpaceLattice:
                 up |= self._up[i]
             self.valuation[atom] = Event(mask, up, self._names)
 
+    def _pair(self, parent: int, child: int) -> str:
+        """A covering pair as error messages name it."""
+        return f"{self._keys[parent]!r} -> {self._keys[child]!r}"
+
+    def _tabulate(self, projections) -> list[list[int]]:
+        """The projection table from the given covering maps, each checked
+        in :attr:`_Skeleton.edges` order.  Composite projections run along
+        the canonical chain; path independence is exactly the composition
+        law checked by the validator.  Entries for targets that are not
+        below the state's space stay -1."""
+        states, span, by_mask = self.states, self._span, self._skeleton.spaces
+        table = [[-1] * len(by_mask) for _ in states]
+        for parent, child in self._skeleton.edges:
+            raw = projections.get((by_mask[parent], by_mask[child]))
+            if raw is None:
+                raise ModelFormatError(f"missing projection {self._pair(parent, child)}")
+            ids = self._ids[child]
+            for i in span[parent]:
+                state_id = states[i].id
+                image = raw.get(state_id)
+                if image is None:
+                    raise ModelFormatError(f"projection {self._pair(parent, child)} is "
+                                           f"undefined on state {state_id!r}")
+                if image not in ids:
+                    raise ModelFormatError(f"projection {self._pair(parent, child)} maps "
+                                           f"{state_id!r} to unknown state {image!r}")
+                table[i][child] = ids[image]
+            # The map is total on the parent's ids, so a longer map has others.
+            if len(raw) > len(span[parent]):
+                extra_id = min(raw.keys() - self._ids[parent].keys())
+                raise ModelFormatError(f"projection {self._pair(parent, child)} is defined "
+                                       f"on unknown state {extra_id!r}")
+        # States of smaller spaces come later in ``states``, so walking it
+        # backwards completes every row a composite projection reads.
+        for i in reversed(range(len(states))):
+            mask = self._space[i]
+            row = table[i]
+            row[mask] = i
+            for target in self._below[mask]:
+                if row[target] < 0:
+                    drop = 1 << ((mask & ~target).bit_length() - 1)
+                    row[target] = table[row[mask ^ drop]][target]
+        return table
+
+    @cached_property
+    def _proj(self) -> list[list[int]]:
+        """The projection table of an aligned lattice, tabulated on first
+        read: state ``i`` of space ``S`` projects into each ``T`` below at
+        ``_start[T] + i - _start[S]``.  A lattice that is not aligned sets
+        its table at construction."""
+        start, below, n_masks = self._start, self._below, len(self._keys)
+        table = []
+        for i, space in enumerate(self._space):
+            row = [-1] * n_masks
+            at = i - start[space]
+            for target in below[space]:
+                row[target] = start[target] + at
+            table.append(row)
+        return table
+
     # -- lookups ---------------------------------------------------------
 
     def has_space(self, space: frozenset[str]) -> bool:
@@ -410,18 +504,12 @@ class SpaceLattice:
     def _edges(self) -> list[tuple[int, int]]:
         """The covering pairs as (parent, child) space masks: parents in
         :func:`subsets` order, dropped atoms sorted."""
-        return [(mask, mask ^ 1 << k) for mask in self._masks.values() for k in _indices(mask)]
+        return self._skeleton.edges
 
     @cached_property
     def _n_below(self) -> int:
         """The number of (state, space at or below the state's) pairs."""
         return sum(len(span) * len(below) for span, below in zip(self._span, self._below))
-
-    @cached_property
-    def _children(self) -> list[list[int]]:
-        """Per space mask, its covering children: the masks with one atom
-        dropped, in increasing order of the dropped atom."""
-        return [[mask ^ 1 << k for k in _indices(mask)] for mask in range(len(self._below))]
 
     def _find(self, ref: StateRef) -> int | None:
         """The index of a state, None when the lattice has no such state."""
@@ -444,11 +532,6 @@ class SpaceLattice:
     def _token_index(self) -> dict[str, int]:
         """Each state's index, keyed by its canonical token."""
         return dict(zip(self._tokens, range(len(self.states))))
-
-    @cached_property
-    def _key_masks(self) -> dict[str, int]:
-        """Each space's mask, keyed by its canonical space key."""
-        return {key: mask for mask, key in enumerate(self._keys)}
 
     def _resolve_space(self, space) -> int | None:
         """The mask of a space given as a set of atoms or a space key (atoms
@@ -1085,8 +1168,9 @@ def _dirty(row: _Row, ups: dict[int, int] | None = None) -> int:
     lat, images, levels, holders = row.lattice, row.images, row.levels, row.holders
     if not _validate_lattice(lat).ok:
         return (1 << len(lat.states)) - 1
-    spaces, proj, span_bits = lat._space, lat._proj, lat._names.span_bits
+    spaces, span_bits = lat._space, lat._names.span_bits
     children, aligned, start = lat._children, lat._aligned, lat._start
+    proj = None if aligned else lat._proj
     bad = 0
     for image, mine in holders.items():
         level = levels[(mine & -mine).bit_length() - 1]
@@ -1102,9 +1186,10 @@ def _dirty(row: _Row, ups: dict[int, int] | None = None) -> int:
             bad |= lower & ~below
             up = ups[image]
             for i in _indices(lower & below):
-                row = proj[i]
-                for child in children[spaces[i]]:
-                    if up & ~ups[images[row[child]]]:
+                space = spaces[i]
+                at = i - start[space]  # aligned, i_c is start[c] + at
+                for child in children[space]:
+                    if up & ~ups[images[start[child] + at if aligned else proj[i][child]]]:
                         bad |= 1 << i
                         break
         if not own:
@@ -1142,8 +1227,8 @@ def validate_hms(model: LatticeModel) -> Report:
     require(model, "pi")
     lat = model.lattice
     report = _validate_lattice(lat)
-    states, spaces, proj, below, keys, upspace = (
-        lat.states, lat._space, lat._proj, lat._below, lat._keys, lat._upspace)
+    states, spaces, below, keys, upspace = (
+        lat.states, lat._space, lat._below, lat._keys, lat._upspace)
 
     checked = 0
     for agent in model.agents:
@@ -1192,8 +1277,9 @@ def validate_hms(model: LatticeModel) -> Report:
 
             if not dirty >> i & 1:
                 continue
+            proj = lat._proj[i]
             for target_space in below[space][:-1]:
-                if mine_up & ~ups[images[proj[i][target_space]]]:
+                if mine_up & ~ups[images[proj[target_space]]]:
                     report.add("projections-preserve-ignorance", agent,
                                state=ref, below=keys[target_space])
             if not levels[i] & ~space:  # the level is in the state's space; -1 is not
@@ -1458,13 +1544,17 @@ def explicit_property_suite(model: LatticeModel) -> Report:
         # Possibility sets agree across every comparable space between the
         # image's space and the state's own space.
         # The model validated, so every image lies in one space below the state's.
+        # Aligned, state i of space S projects into T at start[T] + i - start[S].
+        proj = None if lat._aligned else lat._proj
+        spaces, below, start = lat._space, lat._below, lat._start
         for i, ref in enumerate(lat.states):
-            level, row = levels[i], lat._proj[i]
-            extras = lat._below[lat._space[i] & ~level]
+            level, space = levels[i], spaces[i]
+            extras = below[space & ~level]
             report.count(len(extras))
             for extra_atoms in extras:
                 middle = level | extra_atoms
-                if images[row[middle]] != images[i]:
+                j = start[middle] + i - start[space] if proj is None else proj[i][middle]
+                if images[j] != images[i]:
                     report.add("possibility-agrees-across-spaces", agent,
                                state=ref, middle=lat._keys[middle])
     return report

@@ -283,9 +283,13 @@ def test_lpa_check_data_format(name, capsys):
     ('"mp 1 x"', "'mp' needs integers"),
     ('"nec"', "'nec' needs one line number"),
     ('"nec x"', "'nec' needs an integer"),
+    ('"ax:a-neg phi=p i=!!"', "i='!!' is not an agent id"),
+    ('"ax:a-neg phi=p i="', "i='' is not an agent id"),
+    ('"ax:a-neg phi=p phi=q"', "metavariable 'phi' is given twice"),
 ], ids=["number", "list", "unbalanced-quote", "empty", "blank", "hint-without-equals",
         "unknown-metavariable", "bad-hint-formula", "mp-one-line", "mp-not-integers",
-        "nec-no-line", "nec-not-integer"])
+        "nec-no-line", "nec-not-integer", "hint-not-an-agent", "hint-empty-agent",
+        "hint-twice"])
 def test_lpa_check_bad_justification_is_input_error(tmp_path, capsys, by, message):
     proof = tmp_path / "bad.proof"
     proof.write_text('{"formula": "T", "by": "taut"}\n{"formula": "T", "by": %s}\n' % by)

@@ -240,6 +240,23 @@ def test_proof_formula_errors_name_their_line(entry, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("by, message", [
+    ("ax:a-neg phi=p i=!!", "line 2: i='!!' is not an agent id"),
+    ("ax:a-neg phi=p i=", "line 2: i='' is not an agent id"),
+    ("ax:a-neg phi=p j=1 j=2", "line 2: metavariable 'j' is given twice"),
+    ("ax:a-neg phi=p phi=q", "line 2: metavariable 'phi' is given twice"),
+    ("ax:a-neg phi=p phi=((", "line 2: metavariable 'phi' is given twice"),
+], ids=["agent-not-an-id", "agent-empty", "agent-twice", "formula-twice",
+        "twice-before-parse"])
+def test_proof_hints_are_agent_ids_given_once(by, message):
+    """A malformed hint is an input error, not a proof that the checker
+    rejects."""
+    entry = json.dumps({"formula": "a_1 p <-> a_1 ~p", "by": by})
+    with pytest.raises(ModelFormatError) as err:
+        parse_proof('{"formula": "T", "by": "taut"}\n' + entry)
+    assert str(err.value) == message
+
+
 def test_proof_line_render_round_trip():
     text = '{"formula": "a_1 ~p <-> a_1 p", "by": "ax:a-neg phi=\\"(~ p)\\" i=1"}'
     (line,) = parse_proof(text)

@@ -109,6 +109,8 @@ from awarekit.unawareness import (
     explicit_property_suite,
     k_op,
     l_op,
+    parse_space_key,
+    parse_state_token,
     space_key,
     subsets,
     validate_hms,
@@ -1385,3 +1387,183 @@ def test_validators_match_the_full_walk_on_edited_models(family):
         edit_model(data, random.Random(f"{family}:{seed}"))
         laws |= assert_validators_match_the_full_walk(data_to_model(data))
     assert laws == ORACLE_LAWS["implicit" if "implicit" in family else "complemented"]
+
+
+# -- the shared skeleton and the lazy projection table ------------------------
+
+
+def chain_projection(data: dict, key: str, state_id: str, target_key: str) -> str:
+    """The id of a state's projection into a space below its own, read off
+    the file's covering maps along the canonical chain: the greatest atom
+    not in the target is dropped first."""
+    space, target = key.split(",") if key else [], set(target_key.split(",") if target_key else [])
+    while set(space) != target:
+        drop = max(atom for atom in space if atom not in target)
+        child = [atom for atom in space if atom != drop]
+        state_id = data["projections"][f"{','.join(space)}->{','.join(child)}"][state_id]
+        space = child
+    return state_id
+
+
+def assert_table_matches_the_chain(data: dict) -> SpaceLattice:
+    """The loaded lattice's projection table, entry by entry, against
+    :func:`chain_projection`; -1 where the target is not below."""
+    lat = data_to_model(data).lattice
+    table = lat._proj
+    for i, ref in enumerate(lat.states):
+        space = lat._space[i]
+        for target, key in enumerate(lat._keys):
+            if target & ~space:
+                assert table[i][target] == -1
+                continue
+            image = chain_projection(data, space_key(ref.space), ref.id, key)
+            assert lat.states[table[i][target]] == StateRef(lat._names.spaces[target], image)
+    return lat
+
+
+@functools.cache
+def table_sources() -> tuple:
+    """Model data of unminimized transforms, of minimized transforms with
+    merged blocks, and of transforms with one state renamed or two
+    covering-map targets swapped."""
+    aligned, unaligned = [], []
+    for seed in range(8):
+        k = gen_fh(seed, GenCaps(atoms=4, worlds=6))
+        if len(k.worlds) < 2:
+            continue
+        data = model_to_data(hms_transform(k))
+        aligned.append(data)
+        unaligned.append(renamed(data))
+        swapped = json.loads(json.dumps(data))
+        swap_covering_targets(swapped, random.Random(seed))
+        unaligned.append(swapped)
+        for family in ("hms", "implicit-hms"):
+            model = minimized(family, seed)
+            if has_merged_blocks(model):
+                unaligned.append(model_to_data(model))
+    return tuple(map(json.dumps, aligned)), tuple(map(json.dumps, unaligned))
+
+
+@pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "unaligned"])
+def test_the_projection_table_follows_the_canonical_chain(aligned):
+    """An aligned lattice tabulates its projections on first read, by
+    index arithmetic; another tabulates them at construction from its
+    covering maps.  Either table is the composite of the file's covering
+    maps along the canonical chain."""
+    sources = table_sources()[not aligned]
+    assert len(sources) >= 4
+    for text in sources:
+        data = json.loads(text)
+        if aligned:
+            lat = data_to_model(data).lattice
+            assert lat._aligned and "_proj" not in lat.__dict__
+        lat = assert_table_matches_the_chain(data)
+        assert lat._aligned is aligned
+
+
+def aligned_family_models(seed: int) -> tuple:
+    """A generated awareness model and its unminimized transforms over one
+    lattice, implicit and complemented; then the implicit, the
+    complemented and the complemented model's Π alone loaded from the
+    files of another transform (writing a file reads the table), each
+    with a lattice of its own."""
+    k = gen_fh(seed, GenCaps(atoms=4, worlds=6))
+    written = hms_transform(k, truncate=True)
+    datas = [model_to_data(written), model_to_data(written.derived())]
+    bare = model_to_data(written.derived())
+    del bare["lambda"]
+    im = hms_transform(k, truncate=True)
+    return k, [im, im.derived()] + [data_to_model(data) for data in datas + [bare]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_passing_aligned_models_never_tabulate_projections(seed):
+    """Validation of every lattice family, the property suites and the
+    equivalence checks in all four directions read an aligned lattice's
+    projections by index arithmetic, so none builds the table."""
+    k, models = aligned_family_models(seed)
+    for model in models:
+        lat = model.lattice
+        assert lat._aligned
+        if model.family == "implicit":
+            assert validate_implicit(model).ok and validate_alpha(model).ok
+            assert implicit_property_suite(model.derived()).ok
+            assert a_star_property_suite(model).ok
+            assert equivalence_check(k, model, "implicit-hms").ok
+            assert equivalence_check(model, fh_star_transform(model), "fh-star").ok
+        elif model.family == "complemented":
+            assert validate_lambda(model).ok
+            assert implicit_property_suite(model).ok
+            assert equivalence_check(k, model, "hms").ok
+            assert equivalence_check(model, fh_transform(model), "fh").ok
+        else:
+            assert validate_hms(model).ok
+        if model._pi is not None:
+            assert explicit_property_suite(model).ok
+        assert "_proj" not in lat.__dict__, model.family
+
+
+def test_lattices_over_one_atom_set_share_the_skeleton():
+    """What depends on the atoms alone is built once per atom set: two
+    lattices over one set, loaded from different files, hold the same
+    objects, and a lattice over another set holds others."""
+    _, models = aligned_family_models(0)
+    first, second = models[0].lattice, models[-1].lattice
+    assert first is not second
+    assert first._skeleton is second._skeleton
+    for name in ("_masks", "_keys", "_key_masks", "_below", "_children", "_atom_bit"):
+        assert getattr(first, name) is getattr(second, name), name
+    assert first._edges() is second._edges()
+    assert first._names.spaces is second._names.spaces
+    other = fig1L().lattice
+    assert other.atoms != first.atoms and other._skeleton is not first._skeleton
+
+
+def planted_middle(model) -> tuple[str, int, int, int]:
+    """An agent, a state ``i`` whose Π image lies at a level ``L`` two or
+    more atoms below its space ``S``, a space ``M`` strictly between them,
+    and the projection ``j`` of ``i`` into ``M``."""
+    lat = model.lattice
+    for agent, row in model._pi.items():
+        for i, level in enumerate(row.levels):
+            space = lat._space[i]
+            extra = space & ~level
+            if extra.bit_count() >= 2:
+                middle = level | (extra & -extra)
+                return agent, i, middle, lat._proj[i][middle]
+    raise AssertionError("no state with a middle space")
+
+
+@pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "renamed"])
+def test_a_broken_middle_image_fails_possibility_agreement(aligned):
+    """Validate a complemented transform, then change, in place, the Π
+    image of a state at a space between another state's level and its
+    space: the explicit suite, whose precondition report is kept, must
+    report that possibility sets disagree across spaces, at that state and
+    middle space.  The renamed copy's lattice is not aligned, so the suite
+    reads its projection table there and shifts by index on the other."""
+    data = json.loads(five_atom_data("hms"))
+    model = data_to_model(data if aligned else renamed(data))
+    lat = model.lattice
+    assert lat._aligned is aligned
+    assert validate_hms(model).ok
+    agent, i, middle, j = planted_middle(model)
+    assert "_proj" in lat.__dict__  # read by planted_middle
+    if aligned:
+        del lat.__dict__["_proj"]  # the suite must not need the table
+    row = model._pi[agent]
+    # Another image at the same level, so that j's level stays true.
+    others = [image for image, level in zip(row.images, row.levels)
+              if level == row.levels[j] and image != row.images[j]]
+    row.images[j] = others[0]
+    report = explicit_property_suite(model).to_data()
+    failed = [v for v in report["violations"] if v["law"] == "possibility-agrees-across-spaces"]
+    assert {"state": str(lat.states[i]), "middle": lat._keys[middle]} in \
+        [v["witness"] for v in failed if v["agent"] == agent]
+    assert ("_proj" in lat.__dict__) is not aligned
+    # Every state named is j, whose image now differs from those below it,
+    # or projects onto j at the middle space named.
+    for v in failed:
+        ref = parse_state_token(v["witness"]["state"])
+        assert ref == lat.states[j] or \
+            lat.project(ref, parse_space_key(v["witness"]["middle"])) == lat.states[j]
