@@ -28,6 +28,7 @@ from .unawareness import (
     _each,
     _explicit,
     _holders,
+    _incoherent,
     _indices,
     _knowledge_laws,
     _refs,
@@ -199,12 +200,13 @@ def validate_alpha(model: LatticeModel) -> Report:
     a projection law fails at a covering child of its space (the space with
     one atom dropped).  The laws are walked at every lower space, state by
     state in index order, only at the states that project onto a bad
-    state and at those where measurability fails; so the witnesses and
-    their order are those of a walk over every state.  When the lattice
-    fails its own laws, every state is walked.
+    state, at the incoherent states of the lattice
+    (:func:`unawareness._incoherent`) and at those where measurability
+    fails; so the witnesses and their order are those of a walk over every
+    state.
 
     At every other state, *clean*, no projection law fails at any lower
-    space.  When projections compose, ``i_T`` is the projection of
+    space.  A clean state is coherent, so ``i_T`` is the projection of
     ``i_c`` into ``T`` for ``T`` below a covering child ``c``, and the
     projections of a clean state are clean.  By induction on the size of
     ``S``, take ``T`` strictly below ``S``, and ``ℓ_c`` the level of the
@@ -227,7 +229,7 @@ def validate_alpha(model: LatticeModel) -> Report:
     span_bits, children, start = lat._names.span_bits, lat._children, lat._start
     # Aligned, state i of space S projects into T at start[T] + i - start[S].
     proj = None if lat._aligned else lat._proj
-    everything = 0 if _validate_lattice(lat).ok else (1 << len(states)) - 1
+    incoherent = _incoherent(lat)
     checked = 0
     for agent in model.agents:
         levels, images = model._alpha[agent].levels, model._lambda[agent].images
@@ -249,7 +251,7 @@ def validate_alpha(model: LatticeModel) -> Report:
                     bad |= 1 << i
                     break
 
-        for i in _walk(everything | lat._close(bad) | failing):
+        for i in _walk(incoherent | lat._close(bad) | failing):
             ref, level, space = states[i], levels[i], spaces[i]
             if level & ~space:
                 report.add("lack-of-conception", agent, state=ref, level=keys[level])

@@ -406,6 +406,7 @@ class SpaceLattice:
 
         self._omega = Event(0, self._upspace[0], self._names)
         self._reports: dict = {}  # see reports.memoised
+        self._incoherent: int | None = None  # see _incoherent
         self.valuation: dict[str, Event] = {}
         for atom, (space, ids) in valuation.items():
             mask = self._masks.get(space)
@@ -1071,9 +1072,11 @@ def u_op(model: LatticeModel, agent: str, event: Event) -> Event:
 # -- validation ---------------------------------------------------------------
 
 
-def _walk_projection_laws(lat: SpaceLattice, report: Report) -> None:
+def _walk_projection_laws(lat: SpaceLattice, report: Report) -> int:
     """Add to ``report`` the projection laws of a lattice, walked state by
-    state: each covering map is onto, and covering squares commute."""
+    state: each covering map is onto, and covering squares commute.  Return
+    the lattice's incoherent states (:func:`_incoherent`): those whose
+    square fails, closed upward along the covering maps."""
     states, proj, span, masks, keys = lat.states, lat._proj, lat._span, lat._masks, lat._keys
     covers = sorted(lat._edges(), key=lambda pair: (keys[pair[0]], keys[pair[1]]))
     report.count(len(covers))
@@ -1086,6 +1089,7 @@ def _walk_projection_laws(lat: SpaceLattice, report: Report) -> None:
 
     # Commuting covering squares pin down path independence of every
     # composite projection, which is the general composition law.
+    broken = [False] * len(states)
     for space in lat.spaces:
         mask = masks[space]
         for x, y in combinations(sorted(space), 2):
@@ -1095,8 +1099,42 @@ def _walk_projection_laws(lat: SpaceLattice, report: Report) -> None:
             report.count(len(span[mask]))
             for i in span[mask]:
                 if proj[proj[i][via_x]][meet] != proj[proj[i][via_y]][meet]:
+                    broken[i] = True
                     report.add("projection-composition", state=states[i],
                                space=space_key(space), dropped=f"{x},{y}")
+    if not any(broken):
+        return 0
+    # A state is incoherent when its square fails or a covering child is
+    # incoherent.  States of smaller spaces come later, so walking
+    # backwards settles every covering child of a state before the state.
+    children, space_of = lat._children, lat._space
+    for i in reversed(range(len(states))):
+        if not broken[i]:
+            row = proj[i]
+            broken[i] = any(broken[row[child]] for child in children[space_of[i]])
+    return sum(1 << i for i, hit in enumerate(broken) if hit)
+
+
+def _incoherent(lat: SpaceLattice) -> int:
+    """The states of a lattice from which some chain of covering maps
+    reaches a state whose covering square does not commute, as a state
+    mask; 0 when the projections compose, as on every aligned lattice.
+    Every state that a chain reaches from a *coherent* state (one outside
+    the mask) is coherent.
+
+    From a coherent state ``i`` every chain of covering maps into a space
+    ``T`` ends at one state, its projection ``_proj[i][T]``: this is the
+    diamond lemma, by induction on the number of atoms dropped.  Two
+    chains that first drop the same atom agree from the coherent state
+    they reach.  Two that first drop ``x`` and ``y`` each agree with the
+    chain through the state reached by dropping both, from the coherent
+    states they reach, and those two chains meet there, as the square at
+    ``i`` commutes.  So ``_proj[j][T] = _proj[i][T]`` for every ``j`` on a
+    chain from ``i`` down to ``T``.  :func:`_validate_lattice` collects the
+    mask in its walk of the squares and keeps it on the lattice."""
+    if lat._incoherent is None:
+        _validate_lattice(lat)
+    return lat._incoherent
 
 
 @memoised
@@ -1105,13 +1143,16 @@ def _validate_lattice(lat: SpaceLattice) -> Report:
     laws, checked once per lattice for every model over it.  An aligned
     lattice passes the projection laws as built: each covering map is the
     identity on the same ids, so it is onto, and every composite of them is
-    the identity too; only ``checked`` counts their checks."""
+    the identity too; only ``checked`` counts their checks.  The walk of
+    the covering squares also keeps :func:`_incoherent`'s mask on the
+    lattice."""
     report = Report()
     if lat._aligned:
+        lat._incoherent = 0
         report.count(len(lat._edges()) + sum(len(space) * (len(space) - 1) // 2 * len(refs)
                                              for space, refs in lat.spaces.items()))
     else:
-        _walk_projection_laws(lat, report)
+        lat._incoherent = _walk_projection_laws(lat, report)
     report.count(len(lat.atoms))
     for atom in sorted(lat.atoms):
         space = lat.valuation[atom].space
@@ -1131,50 +1172,65 @@ def _dirty(row: _Row, ups: dict[int, int] | None = None) -> int:
     ``L`` of ``i``'s image: the image projected into ``T`` is the image of
     ``i_T``.  Ignorance, for Π (given ``ups``, each distinct image's
     up-closure): the up-closure of ``i``'s image lies in that of
-    ``i_T``'s.  A state is bad when it is unconfined (for Π, its image
-    straddles spaces or lies above its space; for Λ, the image is not in
-    its own space), or when a law fails at a covering child ``c`` of its
-    space (the space with one atom dropped), or, for Π at a level ``L``
-    below its space, when the image of ``i_L`` is not ``i``'s: when ``i``
-    is outside the up-closure of the states whose image it is at ``L``.  At
-    ``L`` the state's space, knowledge at ``c`` implies ignorance at ``c``:
-    the image lies in the up-closure of its projection.  So knowledge is
-    checked once per image and covering child, over the states whose image
-    it is at their own space; when those states are the image itself, as
-    in a partition, they project onto the projected image, and the law
-    holds at each of them exactly when every state of the projected image
-    has it as its image.  On an aligned lattice state ``k`` of ``L``
-    projects to state ``k`` of ``c``, so the states where the law fails
-    are those of ``c`` that miss the projected image, shifted back.
+    ``i_T``'s.  A state is bad when:
+
+    - it is incoherent (:func:`_incoherent`), or its image holds an
+      incoherent state;
+    - it is unconfined: for Π, its image straddles spaces or lies above
+      its space; for Λ, the image is not in its own space;
+    - a law fails at a covering child ``c`` of its space (the space with
+      one atom dropped);
+    - for Π at a level ``L`` below its space, the image of ``i_L`` is not
+      ``i``'s: ``i`` is outside the up-closure of the states whose image
+      it is at ``L``;
+    - for Π at ``L`` the state's space, the up-closure of the image is not
+      inside the up-closure of its projection into some ``c``.
+
+    At ``L`` the state's space, knowledge at ``c`` and the last condition
+    give ignorance at ``c``.  The condition holds wherever the image's
+    up-closure is coherent, as each of its states ``j`` projects into
+    ``c`` through its projection into ``L``, so it is only decided there.
+    So knowledge is checked once per image and covering child, over the
+    states whose image it is at their own space; when those states are the
+    image itself, as in a partition, they project onto the projected
+    image, and the law holds at each of them exactly when every state of
+    the projected image has it as its image.  On an aligned lattice state
+    ``k`` of ``L`` projects to state ``k`` of ``c``, so the states where
+    the law fails are those of ``c`` that miss the projected image, shifted
+    back.
 
     A state outside the result is *clean*: no law fails there at any lower
-    space.  When projections compose (the lattice passes
-    :func:`_validate_lattice`), the projections of ``i_c`` are ``i``'s, so
-    the states below a clean state are clean.  By induction on the size of
-    ``i``'s space, take ``T`` below a covering child ``c`` of the space:
+    space.  A clean state is coherent, so for ``T`` below a covering child
+    ``c`` of its space, ``i_T`` is the projection of ``i_c``, and the
+    states below a clean state are clean.  By induction on the size of
+    ``i``'s space, take ``T`` below ``c``:
 
     - ignorance: up(Π(i)) ⊆ up(Π(i_c)) at the covering pair, and
       up(Π(i_c)) ⊆ up(Π(i_T)) at the clean, smaller ``i_c``; inclusion of
       up-closures is transitive;
     - knowledge at ``L`` the state's space: the image of ``i_c`` is the
-      image of ``i`` projected into ``c``, a space it lies in, so the law
-      at ``i`` is the law at the clean, smaller ``i_c``;
+      image of ``i`` projected into ``c``, a space it lies in, and each
+      state of the image is coherent, so projecting it into ``c`` and then
+      into ``T`` projects it into ``T``; the law at ``i`` is the law at
+      the clean, smaller ``i_c``;
     - knowledge at ``L`` below the state's space (Π only): ``i`` and
       ``i_L`` share an image, at ``i_L``'s own space, and a projection
       into every ``T`` below ``L``, so the law at ``i`` is the law at the
       clean, smaller ``i_L``.
 
-    When the lattice fails its own laws, every state is dirty."""
+    Neither the valuation nor onto covering maps enter: the laws here never
+    read the valuation, and the proof never uses that a map is onto.  So a
+    lattice whose only faults are those (``valuation-base-space``,
+    ``projection-surjective``) dirties no state."""
     lat, images, levels, holders = row.lattice, row.images, row.levels, row.holders
-    if not _validate_lattice(lat).ok:
-        return (1 << len(lat.states)) - 1
+    incoherent = _incoherent(lat)
     spaces, span_bits = lat._space, lat._names.span_bits
     children, aligned, start = lat._children, lat._aligned, lat._start
     proj = None if aligned else lat._proj
-    bad = 0
+    bad = incoherent
     for image, mine in holders.items():
         level = levels[(mine & -mine).bit_length() - 1]
-        if level < 0:
+        if level < 0 or image & incoherent:
             bad |= mine
             continue
         own = mine & span_bits[level]  # the states whose image it is at their own space
@@ -1201,6 +1257,9 @@ def _dirty(row: _Row, ups: dict[int, int] | None = None) -> int:
                 bad |= (own << shift & ~holders.get(projected, 0)) >> shift
                 continue
             projected = lat._project_mask(image, child)
+            if ups is not None and ups[image] & incoherent and ups[image] & ~lat._close(projected):
+                bad |= own
+                break
             if own != image or projected & ~holders.get(projected, 0):
                 for i in _indices(own):
                     if images[proj[i][child]] != projected:
@@ -1218,7 +1277,9 @@ def validate_hms(model: LatticeModel) -> Report:
     image, the states holding that image, and its space, so each is decided
     once per distinct image, for all of the image's holders at once.  The
     projection laws, knowledge and ignorance at every space below a state's
-    own, fail only at the states :func:`_dirty` finds.  The laws are then
+    own, fail only at the states :func:`_dirty` finds, also on a lattice
+    whose projections do not compose, where it adds the states from which
+    a broken covering square can be reached.  The laws are then
     walked state by state, in index order, only where one of them fails or
     may fail: at every other state none of them fails.  So the witnesses and
     their order are those of a walk over every state.  ``checked`` counts

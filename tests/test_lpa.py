@@ -24,7 +24,7 @@ from awarekit.lpa import (
 )
 from awarekit.modelio import load_proof, parse_proof
 from awarekit.semantics import valid_in_model
-from awarekit.syntax import Atom, Not, parse
+from awarekit.syntax import And, Atom, L, Not, parse
 
 
 def test_fourteen_schemata():
@@ -142,3 +142,31 @@ def test_soundness_fuzz_catches_broken_awareness(monkeypatch):
     report = fuzz_soundness(trials=6, depth=1, seed=3)
     assert not report.ok
     assert any(v.law == "axiom-validity" for v in report.violations)
+
+
+@pytest.mark.parametrize("law, top", [
+    ("modus-ponens-preserves-validity", And),
+    ("necessitation-preserves-validity", L),
+], ids=["modus-ponens", "necessitation"])
+def test_soundness_fuzz_catches_a_check_that_breaks_a_rule(monkeypatch, law, top):
+    """A planted defect in the validity check the fuzz trusts on lattice
+    models: it checks the negation of every formula whose outermost
+    connective is ``top``.  A valid premise of another shape still passes,
+    and the rule's conclusion, a conjunction (an axiom instance of an
+    ``iff`` schema) or ``l_i`` of the premise, fails with a state where
+    its negation is false, so the rule is reported broken with that
+    witness."""
+    import awarekit.lpa as lpa_module
+
+    real = lpa_module.model_valid
+
+    def planted(model, f):
+        return real(model, Not(f) if isinstance(f, top) else f)
+
+    monkeypatch.setattr(lpa_module, "model_valid", planted)
+    report = fuzz_soundness(trials=8, depth=1, seed=3)
+    found = [v for v in report.violations if v.law == law]
+    assert found
+    for violation in found:
+        assert violation.witness["model_class"] in {"complemented", "implicit"}
+        assert " fails at state " in violation.witness["witness"]

@@ -34,7 +34,9 @@ projecting state by state through the projection table, must give the
 same reports, witnesses, their order and `checked` included, on valid
 models and on edited ones: one entry of a primitive or a projection
 changed, or one to three random edits of generated and minimized
-transforms.  On a passing model no validator walks a state.  An aligned
+transforms.  On a passing model no validator walks a state; on a lattice
+whose projections do not compose, the states walked and the dirty states
+are those their definitions give, fewer than all.  An aligned
 lattice (every unminimized transform's) projects and up-closes by shifts
 and multiplies, which must agree with the state-by-state definitions on
 aligned lattices and on lattices that are not.
@@ -99,6 +101,7 @@ from awarekit.unawareness import (
     StateRef,
     _dirty,
     _holders,
+    _incoherent,
     _indices,
     _refs,
     _Row,
@@ -1034,7 +1037,7 @@ def test_projection_laws_match_the_full_walk_on_corrupted_models(field):
     image or α must make some projection law FAIL at a space two or more
     atoms below the state's, with the lattice's own laws passing; a
     corrupted projection must make some lattice fail its own laws, so that
-    every state is walked."""
+    the states a broken covering square can reach are walked."""
     lower, lattice_failed = set(), 0
     for index, source in enumerate(lattice_model_data()):
         if field not in source:
@@ -1065,31 +1068,312 @@ def test_projection_laws_match_the_full_walk_on_corrupted_models(field):
                         "projections-preserve-implicit-knowledge"}
 
 
-def misrouted(seed: int):
-    """A generated implicit model with one projection entry changed."""
-    data = lattice_model_data()[-2]
+def misrouted(seed: int, index: int = -2):
+    """A generated model with one projection entry changed: by default the
+    implicit model at 5 atoms; at ``index=-1`` its complemented model."""
+    data = lattice_model_data()[index]
     assert misroute_projection(data, random.Random(seed))
     return data_to_model(data)
 
 
-def test_a_lattice_failing_its_own_laws_has_every_state_dirty():
-    model = next(model for model in map(misrouted, range(20))
-                 if not _validate_lattice(model.lattice).ok)
+def reference_incoherent(lat) -> int:
+    """`unawareness._incoherent` from its definition: every covering
+    square compared at every state, and every chain of covering maps
+    followed from every state until it reaches a state whose square fails."""
+    proj, spaces = lat._proj, lat._space
+
+    def cover(i: int, atom: int) -> int:  # the covering map that drops one atom
+        return proj[i][spaces[i] & ~atom]
+
+    broken = {i for i, space in enumerate(spaces)
+              for x, y in combinations([1 << k for k in _indices(space)], 2)
+              if cover(cover(i, x), y) != cover(cover(i, y), x)}
+
+    def reaches(i: int) -> bool:
+        seen, todo = {i}, [i]
+        while todo:
+            j = todo.pop()
+            if j in broken:
+                return True
+            for k in _indices(spaces[j]):
+                child = cover(j, 1 << k)
+                if child not in seen:
+                    seen.add(child)
+                    todo.append(child)
+        return False
+
+    return sum(1 << i for i in range(len(spaces)) if reaches(i))
+
+
+def reference_dirty(row, explicit: bool) -> int:
+    """`unawareness._dirty` from its definition, one state at a time: the
+    states that project onto a bad state, each condition of badness
+    decided at the state itself through the projection table.  Π's
+    (``explicit``) ignorance law adds the conditions on up-closures."""
+    lat, images, levels = row.lattice, row.images, row.levels
+    proj, spaces = lat._proj, lat._space
+    incoherent = reference_incoherent(lat)
+    ups = functools.cache(functools.partial(up_states, lat))
+    bad = 0
+    for i, (image, level, space) in enumerate(zip(images, levels, spaces)):
+        children = [space & ~(1 << k) for k in _indices(space)]
+        if incoherent >> i & 1 or image & incoherent or level < 0 or level & ~space:
+            bad |= 1 << i
+        elif level != space:
+            if not explicit or images[proj[i][level]] != image or any(
+                    ups(image) & ~ups(images[proj[i][child]]) for child in children):
+                bad |= 1 << i
+        elif any(images[proj[i][child]] != project_states(lat, image, child)
+                 or explicit and ups(image) & ~ups(project_states(lat, image, child))
+                 for child in children):
+            bad |= 1 << i
+    return up_states(lat, bad)
+
+
+def reference_alpha_walk(model, agent) -> int:
+    """The states `validate_alpha` walks for one agent, from the
+    definitions: the incoherent states, the states where awareness
+    measurability fails, and every state that projects onto a state that
+    lacks conception or fails a level law at a covering child."""
     lat = model.lattice
-    for row in model._lambda.values():
-        assert _dirty(row) == (1 << len(lat.states)) - 1
+    levels, images = model._alpha[agent].levels, model._lambda[agent].images
+    bad = failing = 0
+    for i, (level, space) in enumerate(zip(levels, lat._space)):
+        if level & ~space:
+            bad |= 1 << i
+            continue
+        if any(levels[j] != level for j in _indices(images[i] & lat._names.span_bits[space])):
+            failing |= 1 << i
+        for child in (space & ~(1 << k) for k in _indices(space)):
+            got = levels[lat._proj[i][child]]
+            if (not child & ~level and got != child or not level & ~child and got != level
+                    or got & ~level):
+                bad |= 1 << i
+    return reference_incoherent(lat) | up_states(lat, bad) | failing
 
 
-def test_a_lattice_failing_its_own_laws_has_every_state_walked(monkeypatch):
-    """Without composing projections the covering pairs decide nothing, so
-    the awareness-function laws are walked at every state."""
+def incoherent_lower_pi_data() -> dict:
+    """Π at a state ``i`` of ``p,q`` whose covering square does not commute:
+    through ``p`` it projects to ``:u``, through ``q`` to ``:v``.  Its image
+    is its projection ``q:b1``'s, at ``q``, and every law that compares a
+    state with its covering children holds; but ``:u`` and ``:v`` have
+    different images (stationarity fails at ``:u``), so knowledge fails at
+    ``i`` below the empty space, where the projection table reads the route
+    through ``p``."""
+    u, v, w, b1, b2 = ":u", ":v", ":w", "q:b1", "q:b2"
+    pi = {"p,q:i": [b1, b2], b1: [b1, b2], b2: [b1, b2],
+          "p:a1": [u, v, w], u: [u, v, w], v: [u, v], w: [u, v, w]}
+    return {"atoms": ["p", "q"], "agents": ["1"],
+            "spaces": {"": ["u", "v", "w"], "p": ["a1"], "q": ["b1", "b2"], "p,q": ["i"]},
+            "projections": {"p,q->p": {"i": "a1"}, "p,q->q": {"i": "b1"},
+                            "p->": {"a1": "u"}, "q->": {"b1": "v", "b2": "u"}},
+            "valuation": {"p": {"base_space": "p", "base": ["a1"]},
+                          "q": {"base_space": "q", "base": ["b1"]}},
+            "pi": {"1": pi}}
+
+
+def incoherent_alpha_data() -> dict:
+    """α at ``p,q,r:x``, whose covering square does not commute: through
+    ``q,r`` it projects to ``q:x``, through ``p,q`` to ``q:y``.  Its level
+    is ``q,r``, every law that compares a state with its covering children
+    holds, and ``q:x`` has level ``q`` as the law below ``q,r:x`` needs; but
+    ``q:y`` has the empty level, as ``p,q:x`` needs, so projects-to-level
+    fails at ``p,q,r:x`` below ``q``, where the projection table reads the
+    route through ``p,q``.  Λ is the identity."""
+    keys = ["", "p", "q", "r", "p,q", "p,r", "q,r", "p,q,r"]
+    spaces = {key: ["x"] for key in keys} | {"q": ["x", "y"]}
+    projections = {}
+    for key in keys:
+        atoms = key.split(",") if key else []
+        for atom in atoms:
+            child = ",".join(a for a in atoms if a != atom)
+            projections[f"{key}->{child}"] = {i: "x" for i in spaces[key]}
+    projections["p,q->q"] = {"x": "y"}
+    alpha = {"p,q,r:x": "q,r", "p,q:x": "", "p,r:x": "r", "q,r:x": "q,r", "p:x": "",
+             "q:x": "q", "q:y": "", "r:x": "r", ":x": ""}
+    return {"atoms": ["p", "q", "r"], "agents": ["1"], "spaces": spaces,
+            "projections": projections,
+            "valuation": {atom: {"base_space": atom, "base": ["x"]} for atom in "pqr"},
+            "lambda_star": {"1": {token: [token] for token in alpha}}, "alpha": {"1": alpha}}
+
+
+def incoherent_image_lambda_data() -> dict:
+    """Λ with one cell per space, over a lattice where only ``p,q:x`` has a
+    square that does not commute: through ``p`` it projects to ``:v``,
+    through ``q`` to ``:u``.  Every law holds at every covering pair, so
+    only their cell's holding ``p,q:x`` makes ``p,q:i`` and ``p,q:y``
+    dirty.
+    α puts every state at its own space."""
+    spaces = {"": ["u", "v"], "p": ["p1", "p2"], "q": ["q1", "q2", "q3"],
+              "p,q": ["i", "x", "y"]}
+    cells = {key: [f"{key}:{i}" for i in ids] for key, ids in spaces.items()}
+    return {"atoms": ["p", "q"], "agents": ["1"], "spaces": spaces,
+            "projections": {"p,q->p": {"i": "p1", "x": "p2", "y": "p2"},
+                            "p,q->q": {"i": "q1", "x": "q3", "y": "q2"},
+                            "p->": {"p1": "u", "p2": "v"},
+                            "q->": {"q1": "u", "q2": "v", "q3": "u"}},
+            "valuation": {"p": {"base_space": "p", "base": ["p1"]},
+                          "q": {"base_space": "q", "base": ["q1"]}},
+            "lambda_star": {"1": {token: cell for cell in cells.values() for token in cell}},
+            "alpha": {"1": {token: key for key, cell in cells.items() for token in cell}}}
+
+
+def failing_lattice_models() -> list:
+    """Misrouted implicit and complemented models whose lattices fail
+    their own laws, six of each."""
+    return [model for index in (-2, -1)
+            for model in [model for model in (misrouted(seed, index) for seed in range(12))
+                          if not _validate_lattice(model.lattice).ok][:6]]
+
+
+def test_a_lattice_failing_its_own_laws_has_the_reference_dirty_set():
+    """Only the states from which a broken covering square can be reached
+    are incoherent, and the dirty states of Λ and Π are those of the
+    definition, a strict subset of the states: on misrouted transforms, and
+    on hand-built models where each condition of badness that the lattice's
+    incoherence adds is the only one that marks some state."""
+    models = failing_lattice_models()
+    assert len(models) == 12
+    built = [incoherent_lower_pi_data(), incoherent_alpha_data(), incoherent_image_lambda_data()]
+    for model in models + [data_to_model(data) for data in built]:
+        lat = model.lattice
+        everything = (1 << len(lat.states)) - 1
+        assert _incoherent(lat) == reference_incoherent(lat) != 0
+        rows = [(row, False) for row in (model._lambda or {}).values()]
+        rows += [(row, True) for row in (model._pi or {}).values()]
+        for row, explicit in rows:
+            ups = {image: lat._close(image) for image in row.holders} if explicit else None
+            dirty = _dirty(row, ups)
+            assert dirty == reference_dirty(row, explicit)
+            assert dirty != everything
+
+
+def test_a_lattice_failing_its_own_laws_walks_the_reference_states(monkeypatch):
+    """On a lattice whose projections do not compose, the awareness-function
+    laws are walked at the states of the definition, a strict subset of the
+    states."""
     walked = []
     monkeypatch.setattr(implicit, "_walk", lambda mask: walked.append(mask) or _indices(mask))
-    model = next(model for model in map(misrouted, range(20))
-                 if not _validate_lattice(model.lattice).ok)
-    walked.clear()
-    validate_alpha(model)
-    assert walked == [(1 << len(model.states)) - 1] * len(model.agents)
+    for model in failing_lattice_models():
+        if model._alpha is None:
+            continue
+        walked.clear()
+        validate_alpha(model)
+        assert walked == [reference_alpha_walk(model, agent) for agent in model.agents]
+        assert all(mask != (1 << len(model.states)) - 1 for mask in walked)
+
+
+@pytest.mark.parametrize("build, validate, reference, law, state, below", [
+    (incoherent_lower_pi_data, validate_hms, reference_hms,
+     "projections-preserve-knowledge", "p,q:i", ""),
+    (incoherent_alpha_data, validate_alpha, reference_alpha,
+     "awareness-projects-to-level", "p,q,r:x", "q"),
+], ids=["pi", "alpha"])
+def test_an_incoherent_state_is_walked_where_no_other_condition_marks_it(
+        build, validate, reference, law, state, below):
+    """A law fails at an incoherent state whose laws hold at every
+    covering child, and whose projections pass theirs: only the mask of
+    incoherent states makes the walk reach it."""
+    model = data_to_model(build())
+    lat = model.lattice
+    assert _incoherent(lat) == 1 << lat._token_index[state]
+    report = validate(model).to_data()
+    assert report == reference(model).to_data()
+    assert {"law": law, "agent": "1", "state": state, "below": below} in [
+        {"law": v["law"], "agent": v["agent"], "state": v["witness"]["state"],
+         "below": v["witness"].get("below")} for v in report["violations"]]
+
+
+@pytest.mark.parametrize("index", range(20))
+def test_validators_match_the_full_walk_on_misrouted_lattices(index):
+    """One to three covering-map entries misrouted, at any level, and in
+    half the trials one image or α level corrupted too: Π's laws, Λ's and
+    α's equal their walks over every state.  An implicit model's Π is the
+    one its α derives, when Λ is left as it was.  Some trial breaks a
+    covering square, unless every square meets in a space of one state."""
+    source = lattice_model_data()[index]
+    fields = [field for field in ("pi", "lambda", "lambda_star", "alpha") if field in source]
+    failed = 0
+    for trial in range(6):
+        rng = random.Random(f"misrouted:{index}:{trial}")
+        data = json.loads(json.dumps(source))
+        for _ in range(rng.randint(1, 3)):
+            misroute_projection(data, rng)
+        field = rng.choice(fields) if rng.random() < 0.5 else None
+        if field == "alpha":
+            corrupt_alpha(data, rng)
+        elif field is not None:
+            corrupt_image(data, field, rng)
+        model = data_to_model(data)
+        lat = model.lattice
+        failed += _incoherent(lat) != 0
+        for agent, row in model._lambda.items():
+            assert (_lambda_laws(lat, agent, row).to_data()
+                    == reference_lambda_laws(lat, agent, row).to_data())
+        if model._alpha is not None:
+            assert validate_alpha(model).to_data() == reference_alpha(model).to_data()
+            if field != "lambda_star":
+                model = derived_pi(model)
+        if model._pi is not None:
+            assert validate_hms(model).to_data() == reference_hms(model).to_data()
+    meets = [ids for key, ids in source["spaces"].items()
+             if n_atoms(key) <= len(source["atoms"]) - 2]
+    assert failed or all(len(ids) == 1 for ids in meets)
+
+
+def misplace_valuation(data: dict) -> None:
+    """Put the first atom's valuation at the empty space."""
+    data["valuation"][sorted(data["valuation"])[0]]["base_space"] = ""
+
+
+def add_unreached_state(data: dict) -> None:
+    """Add a state to the empty space that no covering map reaches, its own
+    image and at its own level in every row."""
+    data["spaces"][""].append("unreached")
+    for field in ("pi", "lambda", "lambda_star", "alpha"):
+        for row in data.get(field, {}).values():
+            row[":unreached"] = "" if field == "alpha" else [":unreached"]
+
+
+@pytest.mark.parametrize("fault, law", [
+    (misplace_valuation, "valuation-base-space"),
+    (add_unreached_state, "projection-surjective"),
+], ids=["valuation", "onto"])
+@pytest.mark.parametrize("family", ["hms", "implicit-hms"])
+def test_a_lattice_whose_projections_compose_walks_what_the_passing_model_walks(
+        family, fault, law, monkeypatch):
+    """A copy whose only fault is one atom's valuation at the empty space,
+    or a state of the empty space that no covering map reaches, fails that
+    law alone.  No law the validators walk reads the valuation or needs a
+    map to be onto, so Π's, Λ's and α's laws walk the states they walk on
+    the passing original, aligned or renamed: none."""
+    walked = []
+
+    def counted(mask):
+        walked.append(mask)
+        return _indices(mask)
+
+    monkeypatch.setattr(unawareness, "_walk", counted)
+    monkeypatch.setattr(implicit, "_walk", counted)
+    data = json.loads(five_atom_data(family))
+    for source in (data, renamed(data)):
+        copy = json.loads(json.dumps(source))
+        fault(copy)
+        runs = []
+        for edited in (source, copy):
+            model = data_to_model(edited)
+            lat = model.lattice
+            walked.clear()
+            if model._pi is not None:
+                validate_hms(model)
+            for agent, row in model._lambda.items():
+                _lambda_laws(lat, agent, row)
+            if model._alpha is not None:
+                validate_alpha(model)
+            validate = validate_lambda if family == "hms" else validate_implicit
+            runs.append((list(walked), {v.law for v in validate(model).violations}))
+        assert runs[0][0] == runs[1][0] and not any(runs[0][0])
+        assert runs[0][1] == set() and runs[1][1] == {law}
 
 
 def covering_projections(row) -> int:

@@ -161,6 +161,55 @@ def test_round_trip_preserves_satisfaction(fig1R):
             assert fh_satisfies(k, world, f) == fh_satisfies(back, world, f)
 
 
+def plant_in_transform_back(monkeypatch, edit) -> None:
+    """A planted defect in the transform that `round_trip_check` reads
+    back through: ``edit`` changes the data of each model it returns."""
+    import awarekit.transforms as transforms_module
+
+    real = transforms_module.fh_star_transform
+
+    def planted(model):
+        data = awareness_to_data(real(model))
+        edit(data)
+        return data_to_model(data)
+
+    monkeypatch.setattr(transforms_module, "fh_star_transform", planted)
+
+
+def test_round_trip_check_catches_a_lost_world(fig1R, monkeypatch):
+    k = fh_transform(fig1R)
+    lost = k.worlds[-1]
+
+    def drop(data):
+        data["worlds"].remove(lost)
+        for agent, pairs in data["relations"].items():
+            data["relations"][agent] = [pair for pair in pairs if lost not in pair]
+            del data["awareness"][agent][lost]
+        for atom, hits in data["valuation"].items():
+            data["valuation"][atom] = [world for world in hits if world != lost]
+
+    plant_in_transform_back(monkeypatch, drop)
+    report = round_trip_check(k, depth=2)
+    assert [(v.law, v.witness) for v in report.violations] == [(
+        "round-trip-worlds", {"expected": ",".join(k.worlds), "got": ",".join(k.worlds[:-1])})]
+
+
+def test_round_trip_check_catches_a_flipped_atom(fig1R, monkeypatch):
+    k = fh_transform(fig1R)
+    world = k.worlds[0]
+    assert fh_satisfies(k, world, parse("p"))
+
+    def flip(data):
+        data["valuation"]["p"] = sorted(set(data["valuation"]["p"]) ^ {world})
+
+    plant_in_transform_back(monkeypatch, flip)
+    report = round_trip_check(k, depth=2)
+    assert {v.law for v in report.violations} == {"round-trip-equivalence"}
+    assert {v.witness["world"] for v in report.violations} == {world}
+    assert {"formula": "p", "world": world, "before": "True", "after": "False"} in [
+        v.witness for v in report.violations]
+
+
 def test_equivalence_direction_mismatch_rejected(fig1R):
     with pytest.raises(ModelFormatError):
         equivalence_check(fig1R, fh_transform(fig1R), via="hms", depth=1)
