@@ -9,7 +9,8 @@ Worlds are indices in sorted id order, and a model stores only mask tables
 language atom in sorted order, as in the space masks of a
 :class:`~awarekit.unawareness.SpaceLattice`.  Evaluation, validation, the
 category and the modal partition run on these ints; the mappings keyed by
-world id are views, decoded on first read.  Models are immutable.
+world id are views, decoded on first read.  Models are immutable, and a
+model file's fields are checked and encoded by :mod:`~awarekit.modelio`.
 """
 
 from __future__ import annotations
@@ -51,18 +52,6 @@ def _mask(position: Mapping[str, int], names: Iterable) -> int:
     return mask
 
 
-def _distinct_mask(position: Mapping[str, int], names: Iterable, repeats: str) -> int:
-    """:func:`_mask` of a list from a model file, which names each member
-    once; a repeated member raises ``<repeats> <member>``."""
-    mask = 0
-    for name in names:
-        bit = 1 << position[name]
-        if mask & bit:
-            raise ModelFormatError(f"{repeats} {name!r}")
-        mask |= bit
-    return mask
-
-
 @lru_cache(maxsize=4096)
 def _decode(names: tuple[str, ...], mask: int) -> frozenset[str]:
     """The names at the set bits of ``mask``, memoized across models."""
@@ -73,85 +62,25 @@ class AwarenessModel:
     """Worlds, accessibility relations, awareness atom sets and a valuation
     over one fixed language.
 
-    World ``i`` is ``worlds[i]``, the ``i``-th world id in sorted order.
-    The mappings keyed by world id are checked and encoded once into
-    :class:`_Tables`: per agent, each world's successors as a world mask and
-    its awareness set as an atom mask, and per valued atom the worlds where
-    it holds.  ``tables`` hands over tables built so (category members and
-    quotients are).  ``relations``, ``awareness_atoms``, ``valuation`` and
+    World ``i`` is ``worlds[i]``, the worlds in sorted id order.  The model
+    is its :class:`_Tables` (per agent, each world's successor mask and
+    awareness atom mask; per valued atom, its world mask), encoded from a
+    file by :mod:`~awarekit.modelio` or built by the generator, the category
+    or a transform.  ``relations``, ``awareness_atoms``, ``valuation`` and
     :meth:`successors` are views of the tables, decoded on first read."""
 
     family = "awareness"
 
     def __init__(self, language_atoms: Iterable[str], agents: Iterable[str],
-                 worlds: Sequence[str], relations: Mapping | None = None,
-                 awareness_atoms: Mapping | None = None, valuation: Mapping | None = None,
-                 *, tables: _Tables | None = None):
+                 worlds: Sequence[str], tables: _Tables):
         self.language_atoms = frozenset(language_atoms)
-        self.agents = tuple(dict.fromkeys(agents))
-        if not self.agents:
-            raise ModelFormatError("model needs at least one agent")
-        if not worlds:
-            raise ModelFormatError("model needs at least one world")
-        self.worlds = tuple(sorted(worlds))
+        self.agents = tuple(agents)
+        self.worlds = tuple(worlds)
         self._index = {w: i for i, w in enumerate(self.worlds)}
-        if tables is None:
-            if len(self._index) != len(worlds):
-                raise ModelFormatError("duplicate world ids")
-            if "" in self._index:
-                # A world becomes the state id of a lattice state token, which
-                # cannot be empty.
-                raise ModelFormatError("world ids must be non-empty")
-            tables = self._encode(relations, awareness_atoms, valuation)
         self._atoms, self._succ, self._aware, self._val = tables
         self._bit = {atom: k for k, atom in enumerate(self._atoms)}
         self._ext_cache: dict[Formula, int] = {}
         self._reports: dict = {}  # see reports.memoised
-
-    def _encode(self, relations, awareness_atoms, valuation) -> _Tables:
-        worlds, index, agents = self.worlds, self._index, sorted(self.agents)
-        if set(relations) != set(agents):
-            raise ModelFormatError(f"relations must cover exactly the agents {agents}")
-        succ = {agent: [0] * len(worlds) for agent in self.agents}
-        for agent, rows in succ.items():
-            for w, t in relations[agent]:
-                if w not in index or t not in index:
-                    raise ModelFormatError(f"relation of agent {agent} references "
-                                           f"unknown world in ({w!r}, {t!r})")
-                if rows[index[w]] >> index[t] & 1:
-                    raise ModelFormatError(f"relation of agent {agent} lists "
-                                           f"({w!r}, {t!r}) twice")
-                rows[index[w]] |= 1 << index[t]
-
-        if set(awareness_atoms) != set(agents):
-            raise ModelFormatError(f"awareness must cover exactly the agents {agents}")
-        for agent in self.agents:
-            per_agent = awareness_atoms[agent]
-            for world in worlds:
-                if world not in per_agent:
-                    raise ModelFormatError(f"awareness[{agent}] is undefined on "
-                                           f"world {world!r}")
-            extra = per_agent.keys() - index.keys()
-            if extra:
-                raise ModelFormatError(f"awareness[{agent}] keyed by unknown world "
-                                       f"{sorted(extra)[0]!r}")
-        named = set(valuation).union(*(per_agent[w] for per_agent in awareness_atoms.values()
-                                       for w in worlds))
-        atoms = tuple(sorted(self.language_atoms)) + tuple(sorted(named - self.language_atoms))
-        bit = {atom: k for k, atom in enumerate(atoms)}
-        aware = {agent: [_distinct_mask(bit, awareness_atoms[agent][w],
-                                        f"awareness[{agent}] at world {w!r} repeats atom")
-                         for w in worlds]
-                 for agent in self.agents}
-
-        for atom, hits in valuation.items():
-            stray = [w for w in hits if w not in index]
-            if stray:
-                raise ModelFormatError(f"valuation of {atom!r} references unknown "
-                                       f"world {min(stray)!r}")
-        val = {a: _distinct_mask(index, hits, f"valuation of {a!r} repeats world")
-               for a, hits in valuation.items()}
-        return _Tables(atoms, succ, aware, val)
 
     @cached_property
     def _cells(self) -> dict[type, dict[str, dict[int, int]]]:
@@ -437,7 +366,7 @@ def _quotient(model: AwarenessModel) -> tuple[AwarenessModel, dict[str, str], di
     aware = {a: [rows[r] for r in reps] for a, rows in model._aware.items()}
     val = {p: _mask(at, (r for r in reps if hits >> r & 1)) for p, hits in model._val.items()}
     out = AwarenessModel(model.language_atoms, model.agents, [names[b] for b in rank],
-                         tables=_Tables(model._atoms, succ, aware, val))
+                         _Tables(model._atoms, succ, aware, val))
     return out, name_of, member_of
 
 
@@ -456,7 +385,7 @@ def build_category(model: AwarenessModel, minimize: bool = False) -> AwarenessCa
     onto, source = {}, {}  # per space: world -> its member world, member world -> a world
     for space in subsets(atoms):
         bits = _mask(model._bit, space)
-        members[space] = AwarenessModel(space, model.agents, model.worlds, tables=_Tables(
+        members[space] = AwarenessModel(space, model.agents, model.worlds, _Tables(
             model._atoms, model._succ,
             {agent: [m & bits for m in rows] for agent, rows in model._aware.items()},
             {p: hits for p, hits in model._val.items() if p in space}))

@@ -157,19 +157,7 @@ def _cmd_transform(args) -> int:
             raise ModelFormatError(f"--to {args.to} needs an awareness model file")
         category = awareness.build_category(model, minimize=args.minimize)
         if args.dump_category:
-            directory = Path(args.dump_category)
-            directory.mkdir(parents=True, exist_ok=True)
-            manifest = {"atoms": sorted(model.language_atoms), "members": {}, "morphisms": {}}
-            for space, member in category.models.items():
-                key = unawareness.space_key(space)
-                name = f"member_{key.replace(',', '_') or 'meet'}.model"
-                (directory / name).write_text(modelio.dumps_model(member), encoding="utf-8")
-                manifest["members"][key] = name
-            for (large, small), morphism in category.morphisms.items():
-                pair = f"{unawareness.space_key(large)}->{unawareness.space_key(small)}"
-                manifest["morphisms"][pair] = dict(morphism)
-            (directory / "category.json").write_text(
-                json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            modelio.dump_category(category, args.dump_category)
         # The category built once serves both the dump and the transform.
         out = transforms.category_to_implicit(category)
         if args.to == "hms":

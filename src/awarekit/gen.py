@@ -72,7 +72,7 @@ def gen_fh(seed: int, caps: GenCaps = GenCaps()) -> AwarenessModel:
 
     valuation = {a: sum(1 << at[w] for w in worlds if rng.random() < 0.5) for a in atoms}
     return AwarenessModel(atoms, agents, sorted(worlds),
-                          tables=_Tables(tuple(sorted(atoms)), succ, aware, valuation))
+                          _Tables(tuple(sorted(atoms)), succ, aware, valuation))
 
 
 def gen_hms(seed: int, caps: GenCaps = GenCaps()):

@@ -309,7 +309,7 @@ def candidate_lambda_from_pi(model: LatticeModel) -> LatticeModel:
         for i, key in enumerate(keys):
             cells[key] = cells.get(key, 0) | 1 << i
         lambda_[agent] = _Row(lat, agent, [cells[key] for key in keys], list(lat._space))
-    candidate = LatticeModel._from_rows(lat, model.agents, pi=model._pi, lambda_=lambda_)
+    candidate = LatticeModel(lat, model.agents, pi=model._pi, lambda_=lambda_)
     report = validate_lambda(candidate)
     if not report.ok:
         raise CandidateInvalid("derived candidate violates the implicit laws", report)
@@ -351,7 +351,7 @@ def derive_pi_star(model: LatticeModel) -> LatticeModel:
         pi_star[agent] = _Row(lat, agent, *map(list, zip(*cells)))
 
     # Λ is the implicit model's: share its rows.
-    complemented = LatticeModel._from_rows(lat, model.agents, pi=pi_star, lambda_=model._lambda)
+    complemented = LatticeModel(lat, model.agents, pi=pi_star, lambda_=model._lambda)
     report = validate_lambda(complemented)
     if not report.ok:
         raise DerivationInconsistent("derived complemented model fails validation", report)
@@ -367,7 +367,7 @@ def implicit_from_complemented(model: LatticeModel) -> LatticeModel:
         if -1 in row.levels:  # a straddled image has no space
             row.level(row.levels.index(-1))
         alpha[agent] = _Row(model.lattice, agent, None, row.levels)
-    out = LatticeModel._from_rows(model.lattice, model.agents, lambda_=model._lambda, alpha=alpha)
+    out = LatticeModel(model.lattice, model.agents, lambda_=model._lambda, alpha=alpha)
     report = validate_implicit(out)
     if not report.ok:
         raise TransformInvariantBroken("implicit view of a complemented model "

@@ -5,10 +5,9 @@ schema.  ``worlds`` means an awareness model and ``spaces`` a
 :class:`~awarekit.unawareness.LatticeModel`, whose primitives are the
 correspondence fields present: ``pi`` alone, ``pi`` and ``lambda``, or
 ``lambda_star`` and ``alpha``.  The model's Λ is written as ``lambda`` when
-Π is primitive and as ``lambda_star`` when α is.  This module checks the
-JSON shapes of the other fields; the correspondence and ``alpha`` rows,
-keyed by state token, go to the model as the file gives them, and the model
-checks their shapes in the walk that resolves their tokens.  Proof files are
+Π is primitive and as ``lambda_star`` when α is.  This module is the only
+reader of model files: it checks each field's JSON shape and content, in
+the documented order, and hands each model its tables.  Proof files are
 JSON Lines with ``formula`` and ``by`` fields.
 """
 
@@ -18,25 +17,26 @@ import json
 import shlex
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
-from .awareness import AwarenessModel
+from .awareness import AwarenessCategory, AwarenessModel, _Tables
 from .errors import FormulaSyntaxError, ModelFormatError
 from .lpa import AxiomInstance, ModusPonens, Necessitation, ProofLine, Taut
 from .syntax import Formula, is_agent_id, is_atom_name, parse, render
 from .unawareness import (
     LatticeModel,
     SpaceLattice,
+    StateRef,
     _indices,
-    _skeleton_keys,
+    _Row,
+    _skeleton,
+    max_atoms,
     parse_space_key,
     parse_state_token,
     space_key,
 )
 
 AnyModel = LatticeModel | AwarenessModel
-
-# ``parse_state_token`` is re-exported for the callers that read it from here.
 
 
 # -- shape checks: JSON values are only trusted after these ---------------------
@@ -111,26 +111,6 @@ def _table_of(cell):
     return lambda value, what: _table(value, what, cell)
 
 
-def _lattice_to_data(lattice: SpaceLattice) -> dict:
-    spaces = {space_key(space): [ref.id for ref in refs]
-              for space, refs in lattice.spaces.items()}
-    states, keys, proj, span = lattice.states, lattice._keys, lattice._proj, lattice._span
-    projections = {f"{keys[parent]}->{keys[child]}":
-                   {states[i].id: states[proj[i][child]].id for i in span[parent]}
-                   for parent, child in lattice._edges()}
-    valuation = {
-        atom: {"base_space": space_key(event.base_space),
-               "base": sorted(ref.id for ref in event.base)}
-        for atom, event in sorted(lattice.valuation.items())
-    }
-    return {
-        "atoms": sorted(lattice.atoms),
-        "spaces": dict(sorted(spaces.items())),
-        "projections": dict(sorted(projections.items())),
-        "valuation": valuation,
-    }
-
-
 def _require(data: dict, field: str):
     if field not in data:
         raise ModelFormatError(f"model file is missing the {field!r} field")
@@ -154,6 +134,19 @@ class _SpaceKeys(dict):
     def __missing__(self, key: str) -> frozenset[str]:
         space = self[key] = parse_space_key(key)
         return space
+
+
+def _skeleton_keys(atoms: Iterable[str]) -> dict[str, frozenset[str]]:
+    """Each canonical space key of the lattices over ``atoms``, mapped to
+    its space; empty when the atoms exceed the cap, so that the lattice
+    raises that, or when the cap cannot be read.  A file's keys resolve
+    through it, and only the keys it lacks are parsed."""
+    try:
+        cap = max_atoms()
+    except ModelFormatError:
+        return {}
+    atoms = tuple(sorted(atoms))
+    return _skeleton(atoms).key_spaces if len(atoms) <= cap else {}
 
 
 def _projection_maps(value) -> dict:
@@ -200,11 +193,253 @@ def _lattice_from_data(data: dict) -> tuple[SpaceLattice, list]:
     return lattice, list(_agents(data))
 
 
+# -- lattice model rows ---------------------------------------------------------
+
+
+def state_order(ref: StateRef) -> tuple:
+    """Sort key putting more expressive spaces first."""
+    return (-len(ref.space), space_key(ref.space), ref.id)
+
+
+def _normalize(lattice: SpaceLattice, agents: tuple[str, ...], table, name: str,
+               cells: dict):
+    """Check a primitive's per-agent rows and turn each into a :class:`_Row`.
+
+    The rows are JSON values, as a model file gives them: an object per
+    agent, mapping each state token to a value, for a correspondence an
+    image, a list of state tokens, and for ``alpha`` a level, a space key.
+    One walk checks each value's shape and resolves its tokens, and the
+    first check that fails raises :class:`ModelFormatError`, in this order:
+    the table is an object covering exactly the agents; then per agent, its
+    row is an object whose keys are state tokens of distinct states
+    (``p,q:x`` and ``q,p:x`` name one state); then per state in index
+    order, the state has a value, and the value passes :func:`_image_mask`,
+    or is a string that passes :func:`_level_mask`; then every key of the
+    row names a state.  Tokens resolve through the lattice's token table;
+    only a token that misses it is parsed, so a space key may list its atoms
+    in any order (``q,p:x`` for ``p,q:x``), and a malformed token raises.
+
+    Rows repeat images, so each distinct image is resolved once.  ``cells``
+    maps an image that passed, as the tuple of its tokens, to its state mask
+    and level; the caller shares it between the rows of one model.  Only a
+    list whose tuple hashes is looked up, and a failure is never stored, so
+    the walk still raises at the first faulty state in index order."""
+    if not isinstance(table, dict):
+        raise ModelFormatError(f"{name} must be an object")
+    if set(table) != set(agents):
+        raise ModelFormatError(f"{name} must cover exactly the agents {sorted(agents)}")
+    states, index = lattice.states, lattice._token_index
+    alpha = name == "alpha"
+    out = {}
+    for agent in agents:
+        source = table[agent]
+        if not isinstance(source, dict):
+            raise ModelFormatError(f"{name}[{agent}] must be an object")
+        row = [None] * len(states)  # the key of each state, then its cell
+        unknown = []
+        for key, i in zip(source, map(index.get, source)):
+            if i is None:
+                if not isinstance(key, str):
+                    raise ModelFormatError(f"{name}[{agent}] is keyed by {key!r}, "
+                                           f"which is not a state token")
+                i = lattice._find(parse_state_token(key))
+                if i is None:
+                    unknown.append(key)
+                    continue
+            if row[i] is not None:
+                raise ModelFormatError(f"{name}[{agent}] names state {states[i]} twice")
+            row[i] = key
+        for i, key in enumerate(row):
+            if key is None:
+                raise ModelFormatError(f"{name}[{agent}] is undefined on state {states[i]}")
+            value = source[key]
+            if alpha:
+                if not isinstance(value, str):
+                    raise ModelFormatError(f"{name}[{agent}][{key}] must be a string")
+                row[i] = _level_mask(lattice, name, agent, states[i], value)
+                continue
+            cell = image = None
+            if type(value) is list:
+                try:
+                    cell = cells.get(image := tuple(value))
+                except TypeError:  # a member is a list or an object
+                    image = None
+            if cell is None:
+                mask = _image_mask(lattice, name, agent, states[i], key, value)
+                cell = mask, lattice._level(mask)
+                if image is not None:
+                    cells[image] = cell
+            row[i] = cell
+        if unknown:
+            ref = min(map(parse_state_token, unknown), key=state_order)
+            raise ModelFormatError(f"{name}[{agent}] keyed by unknown state {ref}")
+        out[agent] = (_Row(lattice, agent, None, row) if alpha
+                      else _Row(lattice, agent, *map(list, zip(*row))))
+    return out
+
+
+def _image_mask(lattice: SpaceLattice, name: str, agent: str, ref: StateRef, key: str,
+                image) -> int:
+    """An image, given at the row key ``key``, as a state mask: a non-empty
+    list of the tokens of known states, each state listed once."""
+    if not isinstance(image, list):
+        raise ModelFormatError(f"{name}[{agent}][{key}] must be a list of strings")
+    if not image:
+        raise ModelFormatError(f"{name}[{agent}] is empty at state {ref}")
+    index = lattice._token_index
+    mask = 0
+    for target in image:
+        if not isinstance(target, str):
+            raise ModelFormatError(f"{name}[{agent}][{key}] must be a list of strings")
+        j = index.get(target)
+        if j is None:
+            target = parse_state_token(target)
+            j = lattice._find(target)
+            if j is None:
+                raise ModelFormatError(f"{name}[{agent}] at {ref} references "
+                                       f"unknown state {target}")
+        if mask >> j & 1:
+            raise ModelFormatError(f"{name}[{agent}] at {ref} repeats state "
+                                   f"{lattice.states[j]}")
+        mask |= 1 << j
+    return mask
+
+
+def _level_mask(lattice: SpaceLattice, name: str, agent: str, ref: StateRef, level) -> int:
+    """A level, a space key (atoms in any order) or a set of atoms, as a
+    space mask; it must be a space of the lattice."""
+    if type(level) is str:
+        mask = lattice._key_masks.get(level)
+        if mask is not None:
+            return mask
+        level = parse_space_key(level)
+    mask = lattice._masks.get(frozenset(level))
+    if mask is None:
+        raise ModelFormatError(f"{name}[{agent}] at {ref} names unknown space "
+                               f"{space_key(level)!r}")
+    return mask
+
+
+def lattice_model_from_rows(lattice: SpaceLattice, agents: Sequence[str], *, pi=None,
+                            lambda_=None, alpha=None) -> LatticeModel:
+    """The lattice model over ``lattice`` whose primitives are a model
+    file's rows: the agents are checked, then Π, Λ and α in turn by
+    :func:`_normalize`, which share one ``cells`` memo."""
+    agents = tuple(agents)
+    if not agents:
+        raise ModelFormatError("model needs at least one agent")
+    cells: dict = {}  # see _normalize; dropped when this returns
+    if pi is not None:
+        pi = _normalize(lattice, agents, pi, "pi", cells)
+    if lambda_ is not None:
+        name = "lambda" if alpha is None else "lambda_star"
+        lambda_ = _normalize(lattice, agents, lambda_, name, cells)
+    if alpha is not None:
+        alpha = _normalize(lattice, agents, alpha, "alpha", cells)
+    return LatticeModel(lattice, agents, pi=pi, lambda_=lambda_, alpha=alpha)
+
+
+# -- awareness model fields -----------------------------------------------------
+
+
+def _distinct_mask(position: Mapping[str, int], names: Iterable, repeats: str) -> int:
+    """The mask with bit ``position[name]`` set for each of ``names``, a
+    list from a model file, which names each member once; a repeated member
+    raises ``<repeats> <member>``."""
+    mask = 0
+    for name in names:
+        bit = 1 << position[name]
+        if mask & bit:
+            raise ModelFormatError(f"{repeats} {name!r}")
+        mask |= bit
+    return mask
+
+
+def awareness_model_from_fields(language_atoms: Iterable[str], agents: Sequence[str],
+                                worlds: Sequence[str], relations: Mapping,
+                                awareness: Mapping, valuation: Mapping) -> AwarenessModel:
+    """The awareness model of a model file's fields, checked in this order
+    and encoded into its tables: the agents and the worlds, then the
+    relations, the awareness sets and the valuation."""
+    language_atoms, agents = frozenset(language_atoms), tuple(agents)
+    if not agents:
+        raise ModelFormatError("model needs at least one agent")
+    if not worlds:
+        raise ModelFormatError("model needs at least one world")
+    ordered = tuple(sorted(worlds))
+    index = {w: i for i, w in enumerate(ordered)}
+    if len(index) != len(worlds):
+        raise ModelFormatError("duplicate world ids")
+    if "" in index:
+        # A world becomes the state id of a lattice state token, which
+        # cannot be empty.
+        raise ModelFormatError("world ids must be non-empty")
+
+    if set(relations) != set(agents):
+        raise ModelFormatError(f"relations must cover exactly the agents {sorted(agents)}")
+    succ = {agent: [0] * len(ordered) for agent in agents}
+    for agent, rows in succ.items():
+        for w, t in relations[agent]:
+            if w not in index or t not in index:
+                raise ModelFormatError(f"relation of agent {agent} references "
+                                       f"unknown world in ({w!r}, {t!r})")
+            if rows[index[w]] >> index[t] & 1:
+                raise ModelFormatError(f"relation of agent {agent} lists "
+                                       f"({w!r}, {t!r}) twice")
+            rows[index[w]] |= 1 << index[t]
+
+    if set(awareness) != set(agents):
+        raise ModelFormatError(f"awareness must cover exactly the agents {sorted(agents)}")
+    for agent in agents:
+        per_agent = awareness[agent]
+        for world in ordered:
+            if world not in per_agent:
+                raise ModelFormatError(f"awareness[{agent}] is undefined on "
+                                       f"world {world!r}")
+        extra = per_agent.keys() - index.keys()
+        if extra:
+            raise ModelFormatError(f"awareness[{agent}] keyed by unknown world "
+                                   f"{sorted(extra)[0]!r}")
+    named = set(valuation).union(*(per_agent[w] for per_agent in awareness.values()
+                                   for w in ordered))
+    atoms = tuple(sorted(language_atoms)) + tuple(sorted(named - language_atoms))
+    bit = {atom: k for k, atom in enumerate(atoms)}
+    aware = {agent: [_distinct_mask(bit, awareness[agent][w],
+                                    f"awareness[{agent}] at world {w!r} repeats atom")
+                     for w in ordered]
+             for agent in agents}
+
+    for atom, hits in valuation.items():
+        stray = [w for w in hits if w not in index]
+        if stray:
+            raise ModelFormatError(f"valuation of {atom!r} references unknown "
+                                   f"world {min(stray)!r}")
+    val = {a: _distinct_mask(index, hits, f"valuation of {a!r} repeats world")
+           for a, hits in valuation.items()}
+    return AwarenessModel(language_atoms, agents, ordered, _Tables(atoms, succ, aware, val))
+
+
+# -- writing --------------------------------------------------------------------
+
+
 def lattice_model_to_data(model: LatticeModel) -> dict:
-    data = _lattice_to_data(model.lattice)
-    data["agents"] = list(model.agents)
+    lat = model.lattice
+    states, keys, proj, span = lat.states, lat._keys, lat._proj, lat._span
+    data = {
+        "atoms": sorted(lat.atoms),
+        "agents": list(model.agents),
+        "spaces": dict(sorted((space_key(space), [ref.id for ref in refs])
+                              for space, refs in lat.spaces.items())),
+        "projections": dict(sorted(
+            (f"{keys[parent]}->{keys[child]}",
+             {states[i].id: states[proj[i][child]].id for i in span[parent]})
+            for parent, child in lat._edges())),
+        "valuation": {atom: {"base_space": space_key(event.base_space),
+                             "base": sorted(ref.id for ref in event.base)}
+                      for atom, event in sorted(lat.valuation.items())},
+    }
     # Rows are written from the model's rows, keyed by sorted state tokens.
-    tokens, keys = model.lattice._tokens, model.lattice._keys
+    tokens = lat._tokens
     order = sorted(range(len(tokens)), key=tokens.__getitem__)
 
     def correspondence(rows) -> dict:
@@ -242,16 +477,33 @@ def model_to_data(model: AnyModel) -> dict:
     return lattice_model_to_data(model)
 
 
+def dump_category(category: AwarenessCategory, directory: str | Path) -> None:
+    """Write a category into ``directory``: each member as a model file,
+    and ``category.json``, naming each member's file and each morphism's map."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    manifest = {"atoms": sorted(category.atoms), "members": {}, "morphisms": {}}
+    for space, member in category.models.items():
+        key = space_key(space)
+        name = f"member_{key.replace(',', '_') or 'meet'}.model"
+        (directory / name).write_text(dumps_model(member), encoding="utf-8")
+        manifest["members"][key] = name
+    for (large, small), morphism in category.morphisms.items():
+        manifest["morphisms"][f"{space_key(large)}->{space_key(small)}"] = dict(morphism)
+    (directory / "category.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def data_to_model(data: dict) -> AnyModel:
     if not isinstance(data, dict):
         raise ModelFormatError("model file must contain a JSON object")
     if "worlds" in data:
         relations = _table(_require(data, "relations"), "relations", _pairs)
-        return AwarenessModel(
+        return awareness_model_from_fields(
             _atoms(data),
             _agents(data),
-            list(_strings(_require(data, "worlds"), "worlds")),
-            {agent: [tuple(pair) for pair in pairs] for agent, pairs in relations.items()},
+            _strings(_require(data, "worlds"), "worlds"),
+            relations,
             _table(_require(data, "awareness"), "awareness", _table_of(_strings)),
             _table(_require(data, "valuation"), "valuation", _strings),
         )
@@ -263,10 +515,10 @@ def data_to_model(data: dict) -> AnyModel:
                                "explicit-primitive fields")
     lattice, agents = _lattice_from_data(data)
     if has_implicit:
-        return LatticeModel(lattice, agents, lambda_=_primitive(data, "lambda_star"),
-                            alpha=_primitive(data, "alpha"))
+        return lattice_model_from_rows(lattice, agents, lambda_=_primitive(data, "lambda_star"),
+                                       alpha=_primitive(data, "alpha"))
     lambda_ = _primitive(data, "lambda") if "lambda" in data else None
-    return LatticeModel(lattice, agents, pi=_primitive(data, "pi"), lambda_=lambda_)
+    return lattice_model_from_rows(lattice, agents, pi=_primitive(data, "pi"), lambda_=lambda_)
 
 
 class _RepeatedKey(Exception):
@@ -357,7 +609,7 @@ def _parse_by(by: str, line_number: int) -> Taut | AxiomInstance | ModusPonens |
     raise ModelFormatError(f"line {line_number}: unknown justification {head!r}")
 
 
-def parse_proof(text: str, agents: Iterable[str] | None = None) -> list[ProofLine]:
+def parse_proof(text: str) -> list[ProofLine]:
     """The proof lines of a proof file's text.  Blank and ``#`` lines are
     skipped, and every error names its line by its number among the proof
     lines, as ``mp`` and ``nec`` do."""
@@ -378,7 +630,7 @@ def parse_proof(text: str, agents: Iterable[str] | None = None) -> list[ProofLin
             raise ModelFormatError(f"line {number}: entries need 'formula' and 'by'")
         where = f"line {number}: "
         try:
-            formula = parse(_string(entry["formula"], where + "'formula'"), agents)
+            formula = parse(_string(entry["formula"], where + "'formula'"))
             lines.append(ProofLine(formula, _parse_by(_string(entry["by"], where + "'by'"),
                                                       number)))
         except FormulaSyntaxError as err:
@@ -386,13 +638,13 @@ def parse_proof(text: str, agents: Iterable[str] | None = None) -> list[ProofLin
     return lines
 
 
-def load_proof(path: str | Path, agents: Iterable[str] | None = None) -> list[ProofLine]:
+def load_proof(path: str | Path) -> list[ProofLine]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise ModelFormatError(f"cannot read {path}: {err}") from None
-    return parse_proof(text, agents)
+    return parse_proof(text)
 
 
 def proof_line_to_json(line: ProofLine) -> str:

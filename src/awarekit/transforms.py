@@ -22,6 +22,7 @@ from .awareness import (
 from .enumeration import enumerate_formulas
 from .errors import ModelFormatError, PreconditionFailed, TransformInvariantBroken
 from .implicit import validate_implicit, validate_lambda
+from .modelio import _level_mask
 from .reports import Report
 from .semantics import TruthValue, _value, truth_masks
 from .syntax import atoms as formula_atoms
@@ -30,7 +31,6 @@ from .unawareness import (
     SpaceLattice,
     StateRef,
     _indices,
-    _level_mask,
     _Row,
     subsets,
 )
@@ -81,20 +81,19 @@ def category_to_implicit(category: AwarenessCategory) -> LatticeModel:
             raise TransformInvariantBroken(
                 f"valuation of {atom!r} is not the up-closure of its base layer")
 
-    model = LatticeModel._from_rows(lattice, agents, lambda_=lambda_star, alpha=alpha)
+    model = LatticeModel(lattice, agents, lambda_=lambda_star, alpha=alpha)
     report = validate_implicit(model)
     if not report.ok:
         raise TransformInvariantBroken("category transform output fails validation", report)
     return model
 
 
-def hms_transform(model: AwarenessModel, truncate: bool = False,
-                  minimize: bool = False) -> LatticeModel:
+def hms_transform(model: AwarenessModel, truncate: bool = False) -> LatticeModel:
     """Awareness model to lattice model: build the sublanguage category,
     repackage it, and (unless ``truncate``) take the complemented model over
     the derived explicit correspondence, dropping the awareness function.
     The complemented model is the implicit one's cached ``derived()``."""
-    implicit = category_to_implicit(build_category(model, minimize=minimize))
+    implicit = category_to_implicit(build_category(model))
     return implicit if truncate else implicit.derived()
 
 
@@ -112,7 +111,7 @@ def _top_transform(model: LatticeModel, rows) -> AwarenessModel:
     aware = {a: [row.levels[i] for i in span] for a, row in rows.items()}
     val = {atom: lat.valuation[atom].up & top for atom in sorted(lat.atoms)}
     out = AwarenessModel(lat.atoms, model.agents, [lat.states[i].id for i in span],
-                         tables=_Tables(tuple(sorted(lat.atoms)), succ, aware, val))
+                         _Tables(tuple(sorted(lat.atoms)), succ, aware, val))
     report = validate_fh(out)
     if not report.ok:
         raise TransformInvariantBroken("transform output is not a valid awareness model",

@@ -19,6 +19,7 @@ them per event, so models that share a row share the results.  The
 validators walk the rows in state-index order, so their witnesses come out
 in one order whatever the hash seed.  The ``StateRef``-keyed dicts ``pi``,
 ``lambda_`` and ``alpha`` are views, decoded from the rows on first read.
+:mod:`~awarekit.modelio` checks a model file's rows and builds them.
 
 The atom universe is finite and capped (default 6, override with the
 ``AWAREKIT_MAX_ATOMS`` environment variable) because the full powerset of
@@ -123,11 +124,6 @@ def parse_state_token(token: str) -> StateRef:
     if not state_id:
         raise ModelFormatError(f"state token {token!r} has an empty state id")
     return StateRef(parse_space_key(key), state_id)
-
-
-def state_order(ref: StateRef) -> tuple:
-    """Sort key putting more expressive spaces first."""
-    return (-len(ref.space), space_key(ref.space), ref.id)
 
 
 def _indices(mask: int) -> list[int]:
@@ -244,19 +240,6 @@ def _skeleton(atoms: tuple[str, ...]) -> _Skeleton:
         children=children,
         edges=[(mask, child) for mask in order for child in children[mask]],
         layout=sorted(order, key=lambda mask: (-len(spaces[mask]), keys[mask])))
-
-
-def _skeleton_keys(atoms: Iterable[str]) -> dict[str, frozenset[str]]:
-    """Each canonical space key of the lattices over ``atoms``, mapped to
-    its space; empty when the atoms exceed the cap, so that the lattice
-    raises that, or when the cap cannot be read.  A file's keys resolve
-    through it, and only the keys it lacks are parsed."""
-    try:
-        cap = max_atoms()
-    except ModelFormatError:
-        return {}
-    atoms = tuple(sorted(atoms))
-    return _skeleton(atoms).key_spaces if len(atoms) <= cap else {}
 
 
 class SpaceLattice:
@@ -534,16 +517,6 @@ class SpaceLattice:
         """Each state's index, keyed by its canonical token."""
         return dict(zip(self._tokens, range(len(self.states))))
 
-    def _resolve_space(self, space) -> int | None:
-        """The mask of a space given as a set of atoms or a space key (atoms
-        in any order), None when the lattice has no such space."""
-        if type(space) is str:
-            mask = self._key_masks.get(space)
-            if mask is not None:
-                return mask
-            space = parse_space_key(space)
-        return self._masks.get(frozenset(space))
-
     def _level(self, image: int) -> int:
         """The space mask of a non-empty state mask, -1 when it straddles spaces."""
         space = self._space[(image & -image).bit_length() - 1]
@@ -708,50 +681,23 @@ class LatticeModel:
     knowledge-based model, whose Π is derived: :meth:`derived`).  Any other
     shape is a :class:`ModelFormatError`.
 
-    Each primitive is given as a model file gives it, per-agent rows keyed
-    by state token (``str(ref)``), and is checked and turned into one
-    :class:`_Row` per agent once, by :func:`_normalize`.  The rows are the
-    only stored form, held in ``_pi``, ``_lambda`` and ``_alpha``, each a
-    dict by agent, or None when the primitive is absent; :attr:`family` is
-    read off the ones present.  The attributes ``pi``, ``lambda_`` and
-    ``alpha`` are ``StateRef``-keyed views of the rows, decoded on first
-    read.
+    Each primitive is given as its rows, a :class:`_Row` per agent, built
+    by :mod:`~awarekit.modelio` from a file or by a derivation or transform
+    from other rows.  The rows are the only stored form, held in ``_pi``,
+    ``_lambda`` and ``_alpha`` (None when absent), and are shared with what
+    they cache; :attr:`family` is read off the ones present.  ``pi``,
+    ``lambda_`` and ``alpha`` are ``StateRef``-keyed views of the rows.
     """
 
     def __init__(self, lattice: SpaceLattice, agents: Iterable[str], *,
-                 pi: Mapping[str, Mapping] | None = None,
-                 lambda_: Mapping[str, Mapping] | None = None,
-                 alpha: Mapping[str, Mapping] | None = None):
-        self._start(lattice, agents, pi, lambda_, alpha)
-        self._pi = self._lambda = self._alpha = None
-        cells: dict = {}  # see _normalize; shared by Π and Λ, dropped when this ends
-        if pi is not None:
-            self._pi = _normalize(lattice, self.agents, pi, "pi", cells)
-        if lambda_ is not None:
-            name = "lambda" if alpha is None else "lambda_star"
-            self._lambda = _normalize(lattice, self.agents, lambda_, name, cells)
-        if alpha is not None:
-            self._alpha = _normalize(lattice, self.agents, alpha, "alpha", cells)
-
-    @classmethod
-    def _from_rows(cls, lattice: SpaceLattice, agents: Iterable[str], *,
-                   pi=None, lambda_=None, alpha=None) -> LatticeModel:
-        """A model over rows built as :func:`_normalize` builds them:
-        non-empty images of known states, with their levels, and levels that
-        are spaces.  The rows are shared, and with them what they cache."""
-        model = cls.__new__(cls)
-        model._start(lattice, agents, pi, lambda_, alpha)
-        model._pi, model._lambda, model._alpha = pi, lambda_, alpha
-        return model
-
-    def _start(self, lattice, agents, pi, lambda_, alpha) -> None:
+                 pi: dict[str, _Row] | None = None, lambda_: dict[str, _Row] | None = None,
+                 alpha: dict[str, _Row] | None = None):
         if (pi is not None, lambda_ is not None, alpha is not None) not in _SHAPES:
             raise ModelFormatError("a lattice model takes pi, pi and lambda, "
                                    "or lambda_star and alpha")
         self.lattice = lattice
-        self.agents = tuple(dict.fromkeys(agents))
-        if not self.agents:
-            raise ModelFormatError("model needs at least one agent")
+        self.agents = tuple(agents)
+        self._pi, self._lambda, self._alpha = pi, lambda_, alpha
         self._derived: LatticeModel | None = None
         self._ext_cache: dict = {}  # see semantics
         self._reports: dict = {}    # see reports.memoised
@@ -890,122 +836,6 @@ def _each(fn, keys: Iterable) -> list:
     """``[fn(key) for key in keys]``, calling ``fn`` once per distinct key."""
     memo: dict = {}
     return [memo[key] if key in memo else memo.setdefault(key, fn(key)) for key in keys]
-
-
-def _normalize(lattice: SpaceLattice, agents: tuple[str, ...], table, name: str,
-               cells: dict):
-    """Check a primitive's per-agent rows and turn each into a :class:`_Row`.
-
-    The rows are JSON values, as a model file gives them: an object per
-    agent, mapping each state token to a value, for a correspondence an
-    image, a list of state tokens, and for ``alpha`` a level, a space key.
-    One walk checks each value's shape and resolves its tokens, and the
-    first check that fails raises :class:`ModelFormatError`, in this order:
-    the table is an object covering exactly the agents; then per agent, its
-    row is an object whose keys are state tokens of distinct states
-    (``p,q:x`` and ``q,p:x`` name one state); then per state in index
-    order, the state has a value, and the value passes :func:`_image_mask`,
-    or is a string that passes :func:`_level_mask`; then every key of the
-    row names a state.  Tokens resolve through the lattice's token table;
-    only a token that misses it is parsed, so a space key may list its atoms
-    in any order (``q,p:x`` for ``p,q:x``), and a malformed token raises.
-
-    Rows repeat images, so each distinct image is resolved once.  ``cells``
-    maps an image that passed, as the tuple of its tokens, to its state mask
-    and level; the caller shares it between the rows of one model.  Only a
-    list whose tuple hashes is looked up, and a failure is never stored, so
-    the walk still raises at the first faulty state in index order."""
-    if not isinstance(table, dict):
-        raise ModelFormatError(f"{name} must be an object")
-    if set(table) != set(agents):
-        raise ModelFormatError(f"{name} must cover exactly the agents {sorted(agents)}")
-    states, index = lattice.states, lattice._token_index
-    alpha = name == "alpha"
-    out = {}
-    for agent in agents:
-        source = table[agent]
-        if not isinstance(source, dict):
-            raise ModelFormatError(f"{name}[{agent}] must be an object")
-        row = [None] * len(states)  # the key of each state, then its cell
-        unknown = []
-        for key, i in zip(source, map(index.get, source)):
-            if i is None:
-                if not isinstance(key, str):
-                    raise ModelFormatError(f"{name}[{agent}] is keyed by {key!r}, "
-                                           f"which is not a state token")
-                i = lattice._find(parse_state_token(key))
-                if i is None:
-                    unknown.append(key)
-                    continue
-            if row[i] is not None:
-                raise ModelFormatError(f"{name}[{agent}] names state {states[i]} twice")
-            row[i] = key
-        for i, key in enumerate(row):
-            if key is None:
-                raise ModelFormatError(f"{name}[{agent}] is undefined on state {states[i]}")
-            value = source[key]
-            if alpha:
-                if not isinstance(value, str):
-                    raise ModelFormatError(f"{name}[{agent}][{key}] must be a string")
-                row[i] = _level_mask(lattice, name, agent, states[i], value)
-                continue
-            cell = image = None
-            if type(value) is list:
-                try:
-                    cell = cells.get(image := tuple(value))
-                except TypeError:  # a member is a list or an object
-                    image = None
-            if cell is None:
-                mask = _image_mask(lattice, name, agent, states[i], key, value)
-                cell = mask, lattice._level(mask)
-                if image is not None:
-                    cells[image] = cell
-            row[i] = cell
-        if unknown:
-            ref = min(map(parse_state_token, unknown), key=state_order)
-            raise ModelFormatError(f"{name}[{agent}] keyed by unknown state {ref}")
-        out[agent] = (_Row(lattice, agent, None, row) if alpha
-                      else _Row(lattice, agent, *map(list, zip(*row))))
-    return out
-
-
-def _image_mask(lattice: SpaceLattice, name: str, agent: str, ref: StateRef, key: str,
-                image) -> int:
-    """An image, given at the row key ``key``, as a state mask: a non-empty
-    list of the tokens of known states, each state listed once."""
-    if not isinstance(image, list):
-        raise ModelFormatError(f"{name}[{agent}][{key}] must be a list of strings")
-    if not image:
-        raise ModelFormatError(f"{name}[{agent}] is empty at state {ref}")
-    index = lattice._token_index
-    mask = 0
-    for target in image:
-        if not isinstance(target, str):
-            raise ModelFormatError(f"{name}[{agent}][{key}] must be a list of strings")
-        j = index.get(target)
-        if j is None:
-            target = parse_state_token(target)
-            j = lattice._find(target)
-            if j is None:
-                raise ModelFormatError(f"{name}[{agent}] at {ref} references "
-                                       f"unknown state {target}")
-        if mask >> j & 1:
-            raise ModelFormatError(f"{name}[{agent}] at {ref} repeats state "
-                                   f"{lattice.states[j]}")
-        mask |= 1 << j
-    return mask
-
-
-def _level_mask(lattice: SpaceLattice, name: str, agent: str, ref: StateRef, level) -> int:
-    """A level, a space key or a set of atoms, as a space mask; it must be
-    a space of the lattice."""
-    mask = lattice._resolve_space(level)
-    if mask is None:
-        if type(level) is str:
-            level = parse_space_key(level)
-        raise ModelFormatError(f"{name}[{agent}] at {ref} names unknown space "
-                               f"{space_key(level)!r}")
-    return mask
 
 
 # -- spec operations ---------------------------------------------------------

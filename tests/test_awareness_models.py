@@ -18,6 +18,7 @@ from awarekit.awareness import (
 )
 from awarekit.errors import UndefinedFormula, UnknownState
 from awarekit.gen import gen_fh
+from awarekit.modelio import awareness_model_from_fields
 from awarekit.syntax import parse, render
 from awarekit.transforms import fh_transform
 from awarekit.unawareness import space_key
@@ -34,7 +35,8 @@ def small_model(**overrides):
         valuation={"p": ["w0"], "q": ["w0", "w1"]},
     )
     spec.update(overrides)
-    return AwarenessModel(**spec)
+    return awareness_model_from_fields(*(spec[field] for field in (
+        "language_atoms", "agents", "worlds", "relations", "awareness_atoms", "valuation")))
 
 
 def test_fh_transform_of_fixture_validates(fig1R):
@@ -189,8 +191,8 @@ def test_morphism_back_condition():
 def _from_views(model: AwarenessModel) -> AwarenessModel:
     """The model rebuilt from its decoded views, with the atom order of its
     own language and named atoms."""
-    return AwarenessModel(model.language_atoms, model.agents, model.worlds, model.relations,
-                          model.awareness_atoms, model.valuation)
+    return awareness_model_from_fields(model.language_atoms, model.agents, model.worlds,
+                                       model.relations, model.awareness_atoms, model.valuation)
 
 
 def test_awareness_consistency_reads_each_models_atom_order():
@@ -208,13 +210,14 @@ def test_awareness_consistency_reads_each_models_atom_order():
         assert check_bounded_morphism(_from_views(src), _from_views(dst), morphism) == shared
     member = category.models[Q]
     assert _from_views(member)._atoms == ("q",) and member._atoms == ("p", "q")
-    stray = AwarenessModel(P, ["1"], ["w0", "w1"], {"1": [("w0", "w0"), ("w1", "w1")]},
-                           {"1": {"w0": ["p", "z"], "w1": []}}, {"p": ["w0"]})
+    stray = awareness_model_from_fields(P, ["1"], ["w0", "w1"],
+                                        {"1": [("w0", "w0"), ("w1", "w1")]},
+                                        {"1": {"w0": ["p", "z"], "w1": []}}, {"p": ["w0"]})
     report = check_bounded_morphism(model, stray, category.morphisms[(PQ, P)])
     assert [(v.law, v.witness) for v in report.violations] == \
         [("awareness-consistency", {"world": "w0"})]
-    broken = AwarenessModel(Q, ["1"], member.worlds, member.relations,
-                            {"1": {"w0": ["q"], "w1": []}}, member.valuation)
+    broken = awareness_model_from_fields(Q, ["1"], member.worlds, member.relations,
+                                         {"1": {"w0": ["q"], "w1": []}}, member.valuation)
     report = check_bounded_morphism(model, broken, category.morphisms[(PQ, Q)])
     assert [(v.law, v.witness) for v in report.violations] == \
         [("awareness-consistency", {"world": "w1"})]
@@ -253,7 +256,7 @@ def test_broken_awareness_consistency_is_caught():
     model = small_model()
     category = build_category(model)
     kept = category.models[P]
-    member = category.models[P] = AwarenessModel(
+    member = category.models[P] = awareness_model_from_fields(
         kept.language_atoms, kept.agents, kept.worlds, kept.relations,
         {"1": {"w0": frozenset(), "w1": frozenset()}}, kept.valuation)
     direct = check_bounded_morphism(category.models[PQ], member,
@@ -270,7 +273,7 @@ def test_a_failing_category_pair_is_listed_once():
     again under another context."""
     category = build_category(small_model())
     kept = category.models[P]
-    category.models[P] = AwarenessModel(
+    category.models[P] = awareness_model_from_fields(
         kept.language_atoms, kept.agents, kept.worlds, kept.relations,
         {"1": {"w0": frozenset(), "w1": frozenset()}}, kept.valuation)
     report = category_equivalence_suite(category, depth=2)

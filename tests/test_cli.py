@@ -486,3 +486,66 @@ def test_one_parser_serves_every_call(capsys):
     in_process = [run(capsys, *argv) for argv in calls]
     assert [code for code, _, _ in in_process] == [2, 0, 0, 0]
     assert in_process == [_fresh_process(argv) for argv in calls]
+
+
+def test_transform_to_fh_star_reloads_and_is_equivalent(tmp_path, capsys):
+    source, out = str(tmp_path / "implicit.model"), tmp_path / "implicit.fh"
+    assert run(capsys, "gen", "--seed", "1", "--family", "implicit-hms", "--out", source)[0] == 0
+    assert run(capsys, "transform", source, "--to", "fh-star", "--out", str(out)) == (0, "", "")
+    assert load_model(out).family == "awareness"
+    code, text, _ = run(capsys, "validate", str(out))
+    assert code == 0 and "PASS" in text
+    code, text, _ = run(capsys, "equiv", source, str(out), "--via", "fh-star")
+    assert code == 0 and "PASS" in text
+
+
+@pytest.fixture
+def failing_model(tmp_path):
+    """fig1L with one Π image moved, which ``validate`` rejects with 6
+    violations."""
+    data = model_to_data(load_model(FIG1L))
+    data["pi"]["1"]["q:q"] = ["q:q"]
+    path = tmp_path / "failing.model"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "{fh}", "--dot", "{dot}"], "--dot needs a lattice model file"),
+    (["transform", "{fh}", "--to", "fh"],
+     "--to fh needs a complemented model file (with both 'pi' and 'lambda')"),
+    (["transform", "{failing}", "--to", "fh"],
+     "transform needs a valid complemented model: 6 violation(s), first is "
+     "[projections-preserve-ignorance] agent=1 state=p,q:pq, below=q"),
+    (["check", "{failing}", "--formula", "p", "--all"],
+     "model fails validation (6 violation(s)); run 'validate' for details"),
+    (["equiv", FIG1L, "{fh}", "--via", "hms"], "via 'hms' expects an awareness model as source"),
+    (["equiv", "{fh}", "{fh}", "--via", "hms"],
+     "via 'hms' expects the complemented family as target"),
+    (["equiv", "{fh}", "{fh}", "--via", "fh"], "via 'fh' expects the complemented family as source"),
+    (["equiv", FIG1L, FIG1L, "--via", "fh"], "via 'fh' expects an awareness model as target"),
+    (["equiv", FIG1L, FIG1L, "--via", "fh-star"],
+     "via 'fh-star' expects the implicit family as source"),
+    (["check", FIG1L, "--formula", "p q", "--all"], "unexpected token 'q' (at offset 2)"),
+    (["check", FIG1L, "--formula", "& p", "--all"], "unexpected token '&' (at offset 0)"),
+], ids=["dot-on-fh", "to-fh-on-fh", "to-fh-on-failing", "check-on-failing", "equiv-hms-source",
+        "equiv-hms-target", "equiv-fh-source", "equiv-fh-target", "equiv-fh-star-source",
+        "formula-two-atoms", "formula-leading-and"])
+def test_each_refused_command_names_its_reason(argv, message, fig1R_fh, failing_model,
+                                               tmp_path, capsys):
+    dot = tmp_path / "lattice.dot"
+    argv = [arg.format(fh=fig1R_fh, failing=failing_model, dot=dot) for arg in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert not dot.exists()
+
+
+def test_lpa_check_on_a_missing_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "absent.proof"
+    assert run(capsys, "lpa", "check", str(path)) == \
+        (2, "", f"error: cannot read {path}: [Errno 2] No such file or directory: '{path}'\n")
+
+
+def test_an_atom_cap_below_one_is_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("AWAREKIT_MAX_ATOMS", "0")
+    assert run(capsys, "validate", FIG1L) == \
+        (2, "", "error: AWAREKIT_MAX_ATOMS must be at least 1, got 0\n")

@@ -18,7 +18,7 @@ from awarekit.implicit import (
     validate_implicit,
     validate_lambda,
 )
-from awarekit.modelio import data_to_model, model_to_data
+from awarekit.modelio import data_to_model, lattice_model_from_rows, model_to_data
 from awarekit.semantics import TruthValue, satisfies
 from awarekit.syntax import parse
 from awarekit.unawareness import (
@@ -106,7 +106,7 @@ def test_candidate_recovers_left_panel(fig1L):
 
 def test_candidate_on_degenerate_model_equals_pi():
     lattice = SpaceLattice([], {MEET: ["*"]}, {}, {})
-    model = LatticeModel(lattice, ["1"], pi={"1": {":*": [":*"]}})
+    model = lattice_model_from_rows(lattice, ["1"], pi={"1": {":*": [":*"]}})
     candidate = candidate_lambda_from_pi(model)
     assert candidate.lambda_ == model.pi
 
@@ -259,7 +259,8 @@ CALLS = {
 ])
 def test_missing_primitive_is_model_format_error(fig1L, call, shape, missing):
     model = {
-        "pi": LatticeModel(fig1L.lattice, fig1L.agents, pi=model_to_data(fig1L)["pi"]),
+        "pi": lattice_model_from_rows(fig1L.lattice, fig1L.agents,
+                                      pi=model_to_data(fig1L)["pi"]),
         "pi+lambda": fig1L,
         "lambda+alpha": implicit_from_complemented(fig1L),
     }[shape]

@@ -170,3 +170,53 @@ def test_soundness_fuzz_catches_a_check_that_breaks_a_rule(monkeypatch, law, top
     for violation in found:
         assert violation.witness["model_class"] in {"complemented", "implicit"}
         assert " fails at state " in violation.witness["witness"]
+
+
+def _verdict(*lines: tuple[str, str]) -> str:
+    """The verdict on a proof of the given (formula, by) lines."""
+    text = "\n".join(json.dumps({"formula": f, "by": by}) for f, by in lines)
+    return str(check_proof(parse_proof(text)))
+
+
+@pytest.mark.parametrize("formula, by, verdict", [
+    ("T", "ax:top", "accepted"),
+    ("p", "ax:top", "rejected at line 1: not an instance of schema 'top'"),
+    ("a_1 p -> p", "ax:l-t", "rejected at line 1: not an instance of schema 'l-t'"),
+    ("l_1 p -> l_1 p", "ax:taut", "accepted"),
+    ("l_1 p -> p", "ax:taut", "rejected at line 1: not an instance of schema 'taut'"),
+    ("l_1 p -> p", "ax:l-t phi=q",
+     "rejected at line 1: stated substitution phi=q does not match"),
+    ("l_1 p -> p", "ax:l-t phi=p i=2",
+     "rejected at line 1: stated substitution i=2 does not match"),
+], ids=["top", "top-on-p", "l-t-on-a", "taut-as-axiom", "non-taut-as-axiom",
+        "phi-mismatch", "i-mismatch"])
+def test_axiom_verdicts(formula, by, verdict):
+    assert _verdict((formula, by)) == verdict
+
+
+def test_tautologies_are_truth_tabled_up_to_sixteen_letters():
+    """``p1 & ... & pn -> p1`` is a tautology of n letters: taken at 16,
+    rejected past the cap."""
+    def conjunction_implies_first(n: int) -> str:
+        return "(" + " & ".join(f"p{k}" for k in range(1, n + 1)) + ") -> p1"
+
+    assert _verdict((conjunction_implies_first(16), "taut")) == "accepted"
+    assert _verdict((conjunction_implies_first(17), "taut")) == \
+        "rejected at line 1: not a propositional tautology"
+
+
+def test_category_validity_names_its_failing_world():
+    from awarekit.awareness import build_category
+    from awarekit.lpa import category_valid
+    from awarekit.modelio import data_to_model
+
+    model = data_to_model({
+        "atoms": ["p"], "agents": ["1"], "worlds": ["w0", "w1"],
+        "relations": {"1": [["w0", "w0"], ["w1", "w1"]]},
+        "awareness": {"1": {"w0": ["p"], "w1": ["p"]}},
+        "valuation": {"p": ["w1"]},
+    })
+    category = build_category(model)
+    assert category_valid(category, parse("p | ~p")) == (True, None)
+    assert category_valid(category, parse("p")) == (False, "p fails at world w0 of member p")
+    assert category_valid(category, parse("~p")) == (False, "(~ p) fails at world w1 of member p")

@@ -18,8 +18,10 @@ from awarekit.fixtures import fig1L as load_fig1L, fig1R as load_fig1R, fixture_
 from awarekit.gen import GenCaps, gen_fh, gen_hms, gen_implicit
 from awarekit.implicit import implicit_from_complemented
 from awarekit.modelio import (
+    awareness_model_from_fields,
     data_to_model,
     dumps_model,
+    lattice_model_from_rows,
     load_model,
     model_to_data,
     parse_proof,
@@ -379,6 +381,45 @@ def test_a_faulty_table_cell_is_named_in_its_message(fault, data, message):
     assert str(err.value) == message
 
 
+def _file_errors():
+    """Files with one fault each that the other tests do not build, and
+    the loader's message for each."""
+    def fh(**fields):
+        data = json.loads(json.dumps(FH_DATA))
+        data.update(fields)
+        return data
+
+    no_agents = model_to_data(load_fig1L())
+    no_agents["agents"] = []
+    no_arrow = model_to_data(load_fig1L())
+    no_arrow["projections"]["p"] = no_arrow["projections"].pop("p->")
+    return [
+        ("fh without agents", fh(agents=[]), "model needs at least one agent"),
+        ("fh without worlds", fh(worlds=[]), "model needs at least one world"),
+        ("repeated world id", fh(worlds=["w0", "w0"]), "duplicate world ids"),
+        ("awareness missing an agent", fh(awareness={}),
+         "awareness must cover exactly the agents ['1']"),
+        ("awareness keyed by an unknown world", fh(awareness={"1": {"w0": ["p"], "w9": []}}),
+         "awareness[1] keyed by unknown world 'w9'"),
+        # The rows still name agent 1: the empty agent list is found first.
+        ("lattice without agents", no_agents, "model needs at least one agent"),
+        ("projection key without an arrow", no_arrow,
+         "projection key 'p' is not of the form 'parent->child'"),
+    ]
+
+
+@pytest.mark.parametrize("fault,data,message", _file_errors(),
+                         ids=[fault for fault, _, _ in _file_errors()])
+def test_each_file_error_has_its_message_and_exit_code(fault, data, message, tmp_path, capsys):
+    with pytest.raises(ModelFormatError) as err:
+        data_to_model(data)
+    assert str(err.value) == message
+    path = tmp_path / "fault.model"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli_main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_fh_relation_triple_rejected():
     data = json.loads(json.dumps(FH_DATA))
     data["relations"]["1"] = [["w0", "w0", "w0"]]
@@ -395,7 +436,7 @@ def test_fh_valuation_nested_list_rejected():
 def test_atom_names_that_cannot_round_trip_rejected(atom):
     data = json.loads(json.dumps(FH_DATA).replace('"p"', json.dumps(atom)))
     _rejected(data)
-    built = AwarenessModel(*(data[field] for field in (
+    built = awareness_model_from_fields(*(data[field] for field in (
         "atoms", "agents", "worlds", "relations", "awareness", "valuation")))
     _rejected(model_to_data(hms_transform(built)))
 
@@ -714,12 +755,12 @@ def test_stateref_keyed_rows_are_a_format_error(fig1L):
     star = StateRef(frozenset(), "*")
     lattice = SpaceLattice([], {frozenset(): ["*"]}, {}, {})
     with pytest.raises(ModelFormatError, match=r"^pi\[1\] is keyed by StateRef"):
-        LatticeModel(lattice, ["1"], pi={"1": {star: [":*"]}})
+        lattice_model_from_rows(lattice, ["1"], pi={"1": {star: [":*"]}})
     data = model_to_data(fig1L)
     refs = {"1": {token: [parse_state_token(t) for t in image]
                   for token, image in data["lambda"]["1"].items()}}
     with pytest.raises(ModelFormatError, match=r"^lambda\[1\]\[p,q:pq\] must be a list"):
-        LatticeModel(fig1L.lattice, fig1L.agents, pi=data["pi"], lambda_=refs)
+        lattice_model_from_rows(fig1L.lattice, fig1L.agents, pi=data["pi"], lambda_=refs)
 
 
 def test_a_key_repeated_in_one_object_is_an_input_error(tmp_path, capsys):

@@ -78,6 +78,7 @@ from awarekit.implicit import (
 )
 from awarekit.gen import GenCaps, gen_fh, gen_hms, gen_implicit, random_formula
 from awarekit.modelio import (
+    awareness_model_from_fields,
     data_to_model,
     dumps_model,
     model_to_data,
@@ -235,7 +236,8 @@ def test_truth_masks_are_taken_once_per_formula(seed, monkeypatch):
     monkeypatch.setattr("awarekit.transforms.truth_masks",
                         lambda model, f: calls.append(f) or truth_masks(model, f))
     k = gen_fh(seed)
-    triples = transforms_of(seed) + [(k, hms_transform(k, minimize=True), "hms")]
+    minimized = category_to_implicit(build_category(k, minimize=True)).derived()
+    triples = transforms_of(seed) + [(k, minimized, "hms")]
     for source, produced, via in triples:
         calls.clear()
         equivalence_check(source, produced, via)
@@ -266,7 +268,9 @@ def test_equivalence_check_matches_oracle_on_a_flipped_valuation(seed):
 def test_equivalence_check_matches_oracle_on_minimized_spaces(seed):
     k = gen_fh(seed)
     for truncate, via in ((False, "hms"), (True, "implicit-hms")):
-        produced = hms_transform(k, truncate=truncate, minimize=True)
+        produced = category_to_implicit(build_category(k, minimize=True))
+        if not truncate:
+            produced = produced.derived()
         unaligned = [space for space, refs in produced.lattice.spaces.items()
                      if tuple(ref.id for ref in refs) != k.worlds]
         assert unaligned
@@ -456,7 +460,7 @@ def random_fh(seed: int, atoms: int, worlds: int, stray: bool = False) -> Awaren
     named = language + (["a", "z"] if stray else [])
     ids = [f"w{i}" for i in range(worlds)]  # w10 sorts before w2
     agents = ["1", "2"]
-    return AwarenessModel(
+    return awareness_model_from_fields(
         language, agents, ids,
         {a: [(w, t) for w in ids for t in ids if rng.random() < 0.3] for a in agents},
         {a: {w: [p for p in named if rng.random() < 0.6] for w in ids} for a in agents},
@@ -474,8 +478,9 @@ def chain_fh(n: int, partitional: bool) -> AwarenessModel:
         relations = {a: [(w, t) for cell in cells[a] for w in cell for t in cell] for a in cells}
     else:
         relations = {a: list(zip(ids, ids[1:] + ids[-1:])) for a in ("1", "2")}
-    return AwarenessModel(["p"], ["1", "2"], ids, relations,
-                          {a: {w: ["p"] for w in ids} for a in ("1", "2")}, {"p": ids[-1:]})
+    return awareness_model_from_fields(["p"], ["1", "2"], ids, relations,
+                                       {a: {w: ["p"] for w in ids} for a in ("1", "2")},
+                                       {"p": ids[-1:]})
 
 
 FH_MODELS = 28
@@ -565,7 +570,7 @@ def string_quotient(model):
                 f"cannot minimize: blocks {member_of[name_of[w]]!r} and {first!r} "
                 f"would both be named {name_of[w]!r}; rename worlds so that no "
                 f"world id equals a '+'-join of others")
-    out = AwarenessModel(
+    out = awareness_model_from_fields(
         model.language_atoms, model.agents, sorted(member_of),
         {a: {(name_of[w], name_of[t]) for w, t in model.relations[a]} for a in model.agents},
         {a: {name_of[w]: model.awareness_atoms[a][w] for w in model.worlds}
@@ -593,8 +598,8 @@ def test_modal_partition_matches_the_fixpoint(index):
 
 def test_quotient_name_collision_matches_the_fixpoint():
     worlds = ["a", "b", "a+b"]
-    model = AwarenessModel(["p"], ["1"], worlds, {"1": [(w, w) for w in worlds]},
-                           {"1": {w: ["p"] for w in worlds}}, {"p": ["a", "b"]})
+    model = awareness_model_from_fields(["p"], ["1"], worlds, {"1": [(w, w) for w in worlds]},
+                                        {"1": {w: ["p"] for w in worlds}}, {"p": ["a", "b"]})
     errors = []
     for quotient in (_quotient, string_quotient):
         with pytest.raises(AwarekitError) as caught:
@@ -615,7 +620,7 @@ def test_category_members_match_string_copies(index, minimize):
     category = build_category(model, minimize=minimize)
     onto, source, copies = {}, {}, {}
     for space, member in category.models.items():
-        copy = AwarenessModel(
+        copy = awareness_model_from_fields(
             space, model.agents, model.worlds, model.relations,
             {a: {w: model.awareness_atoms[a][w] & space for w in model.worlds}
              for a in model.agents},
@@ -712,6 +717,56 @@ def test_planted_operator_bug_fails_the_conjunction_laws_on_both_paths(methods, 
     failed = [v for v in explicit["violations"] if v["law"].endswith("-conjunction")]
     assert {v["law"] for v in failed} == set(laws)
     assert all(set(v["witness"]) == {"left", "right", "family"} for v in failed)
+
+
+SUBSET_LAWS = {
+    "knowledge-truth": {"left", "right", "event"},
+    "knowledge-positive-introspection": {"left", "right", "event"},
+    "weak-negative-introspection-1": {"left", "right", "event"},
+    "knowledge-monotonicity": {"left", "right", "smaller", "larger"},
+    "implicit-truth": {"left", "right", "event"},
+    "implicit-positive-introspection": {"left", "right", "event"},
+    "implicit-negative-introspection": {"left", "right", "event"},
+    "implicit-monotonicity": {"left", "right", "smaller", "larger"},
+}
+
+
+def knowing_the_whole_space(know):
+    """``_Row.know`` that knows every state of the event's base space."""
+    def patched(row, event):
+        lat = row.lattice
+        return type(event)(event.space, lat._upspace[event.space], lat._names)
+    return patched
+
+
+def forgetting_the_last_state(know):
+    """``_Row.know`` that drops the highest state of the true base, so that
+    knowing twice knows less than knowing once."""
+    def patched(row, event):
+        out, lat = know(row, event), row.lattice
+        base = out.up & lat._names.span_bits[out.space]
+        top = 1 << base.bit_length() - 1 if base else 0
+        return type(event)(out.space, lat._close(base ^ top), lat._names)
+    return patched
+
+
+@pytest.mark.parametrize("plant, laws", [
+    (knowing_the_whole_space, ["knowledge-truth", "knowledge-monotonicity",
+                               "implicit-truth", "implicit-monotonicity"]),
+    (forgetting_the_last_state, ["knowledge-positive-introspection",
+                                 "weak-negative-introspection-1",
+                                 "implicit-positive-introspection",
+                                 "implicit-negative-introspection"]),
+], ids=["whole-space", "last-state"])
+def test_planted_knowledge_bug_fails_the_subset_laws(plant, laws, monkeypatch):
+    """The subset laws are theorems of the validated laws, so only a wrong
+    operator makes one fail: each planted one is seen, with its witness."""
+    comp = hms_transform(gen_fh(1, GenCaps(atoms=3, worlds=6)))
+    monkeypatch.setattr(_Row, "know", plant(_Row.know))
+    failed = [v for suite in (explicit_property_suite, implicit_property_suite)
+              for v in suite(comp).violations if v.law in SUBSET_LAWS]
+    assert sorted({v.law for v in failed}) == sorted(laws)
+    assert all(set(v.witness) == SUBSET_LAWS[v.law] for v in failed)
 
 
 # -- the projection laws --------------------------------------------------------
@@ -1020,7 +1075,7 @@ def derived_pi(model):
         images, levels = model._lambda[agent].images, model._alpha[agent].levels
         projected = [project_states(lat, image, level) for image, level in zip(images, levels)]
         pi[agent] = _Row(lat, agent, projected, [lat._level(image) for image in projected])
-    return LatticeModel._from_rows(lat, model.agents, pi=pi, lambda_=model._lambda)
+    return LatticeModel(lat, model.agents, pi=pi, lambda_=model._lambda)
 
 
 def n_atoms(key: str) -> int:
@@ -1465,7 +1520,8 @@ def test_a_passing_model_projects_each_image_once_per_covering_child(family, mon
 def minimized(family: str, seed: int, caps: GenCaps = GenCaps(atoms=4, worlds=6)):
     """The minimized transform of a generated model, complemented (``hms``)
     or implicit."""
-    return hms_transform(gen_fh(seed, caps), truncate=family != "hms", minimize=True)
+    implicit = category_to_implicit(build_category(gen_fh(seed, caps), minimize=True))
+    return implicit.derived() if family == "hms" else implicit
 
 
 def has_merged_blocks(model) -> bool:

@@ -21,7 +21,7 @@ from awarekit.implicit import (
     validate_implicit,
     validate_lambda,
 )
-from awarekit.modelio import model_to_data
+from awarekit.modelio import lattice_model_from_rows, model_to_data
 from awarekit.unawareness import LatticeModel, SpaceLattice, _Row, event_basis, l_op, validate_hms
 
 STAGES = ((transforms, "build_category"), (transforms, "category_to_implicit"),
@@ -138,7 +138,7 @@ def test_validation_runs_once_per_model():
     lattice laws once for the lattice every model here shares."""
     with walks(validate_hms, unawareness._validate_lattice) as seen:
         comp = transforms.hms_transform(gen_fh(1, GenCaps()))
-        fresh = LatticeModel(comp.lattice, comp.agents, pi=model_to_data(comp)["pi"])
+        fresh = lattice_model_from_rows(comp.lattice, comp.agents, pi=model_to_data(comp)["pi"])
         for model in (comp, comp.base, comp.base, fresh, fresh, fresh):
             assert validate_hms(model).ok
     assert [call["model"] for call in seen[validate_hms]] == [comp, fresh]
@@ -157,7 +157,7 @@ def test_a_shared_lattice_keeps_each_rows_report_apart():
     planted = dict(im._lambda)
     planted[agent] = _Row(lat, agent, images[:i] + [images[i] & ~(1 << i)] + images[i + 1:],
                           im._lambda[agent].levels)
-    broken = LatticeModel._from_rows(lat, im.agents, lambda_=planted, alpha=im._alpha)
+    broken = LatticeModel(lat, im.agents, lambda_=planted, alpha=im._alpha)
     report = validate_implicit(broken)
     assert not report.ok and {v.agent for v in report.violations} == {agent}
     assert [v.witness for v in report.violations if v.law == "implicit-reflexivity"] == [

@@ -15,10 +15,11 @@ from awarekit.errors import (
 )
 from awarekit.gen import gen_hms
 from awarekit.implicit import implicit_from_complemented
-from awarekit.modelio import data_to_model, model_to_data
+from awarekit.modelio import data_to_model, lattice_model_from_rows, model_to_data
 from awarekit.unawareness import (
     LatticeModel,
     SpaceLattice,
+    _Row,
     a_op,
     explicit_property_suite,
     k_op,
@@ -68,7 +69,7 @@ def test_single_space_degenerate_model():
         projections={},
         valuation={},
     )
-    model = LatticeModel(lattice, ["1"], pi={"1": {":*": [":*"]}})
+    model = lattice_model_from_rows(lattice, ["1"], pi={"1": {":*": [":*"]}})
     assert validate_hms(model).ok
 
 
@@ -77,8 +78,9 @@ def test_single_space_degenerate_model():
                          ids=lambda given: ",".join(given) or "none")
 def test_lattice_model_takes_three_shapes_only(given):
     lattice = SpaceLattice([], {MEET: ["*"]}, {}, {})
-    values = {"pi": {"1": {":*": [":*"]}}, "lambda_": {"1": {":*": [":*"]}},
-              "alpha": {"1": {":*": ""}}}
+    values = {"pi": {"1": _Row(lattice, "1", [1], [0])},
+              "lambda_": {"1": _Row(lattice, "1", [1], [0])},
+              "alpha": {"1": _Row(lattice, "1", None, [0])}}
     with pytest.raises(ModelFormatError):
         LatticeModel(lattice, ["1"], **{name: values[name] for name in given})
 
