@@ -327,6 +327,9 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return EXIT_INPUT if err.code else EXIT_PASS
     try:
+        # A malformed atom cap is an input error for every command, also for
+        # one that builds no lattice.
+        unawareness.max_atoms()
         code = globals()[args.func](args)
         sys.stdout.flush()
         return code

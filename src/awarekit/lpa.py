@@ -41,7 +41,13 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class MetaFormula:
+    """A formula metavariable of a schema pattern.  As a child of a formula
+    node it adds no depth and no atoms, so a pattern's nodes carry only what
+    their own nodes give."""
+
     name: str
+    depth = -1
+    _atoms = frozenset()
 
 
 @dataclass(frozen=True)
@@ -161,6 +167,12 @@ def skeleton_tautology(f: Formula) -> bool:
     """Truth-table the propositional skeleton of ``f``: maximal modal
     subformulas and atoms become opaque letters.  Sound, and complete up to
     a cap of 16 distinct letters (beyond that, reject)."""
+    letters = _skeleton_letters(f)
+    return len(letters) <= _SKELETON_VAR_CAP and _truth_tabled(f, letters)
+
+
+def _skeleton_letters(f: Formula) -> dict[Formula, int]:
+    """The letters of ``f``'s propositional skeleton, each with its column."""
     letters: dict[Formula, int] = {}
 
     def collect(node: Formula) -> None:
@@ -176,9 +188,11 @@ def skeleton_tautology(f: Formula) -> bool:
         collect(node.right)
 
     collect(f)
-    if len(letters) > _SKELETON_VAR_CAP:
-        return False
+    return letters
 
+
+def _truth_tabled(f: Formula, letters: dict[Formula, int]) -> bool:
+    """Whether ``f`` is true in every row of the truth table over ``letters``."""
     def evaluate(node: Formula, row: tuple[bool, ...]) -> bool:
         if isinstance(node, Top):
             return True
@@ -243,7 +257,12 @@ def check_proof(lines: Sequence[ProofLine]) -> ProofVerdict:
     for number, line in enumerate(lines, start=1):
         how = line.justification
         if isinstance(how, Taut):
-            if not skeleton_tautology(line.formula):
+            letters = _skeleton_letters(line.formula)
+            if len(letters) > _SKELETON_VAR_CAP:
+                return ProofVerdict(
+                    False, number, f"{len(letters)} distinct letters exceed the "
+                                   f"{_SKELETON_VAR_CAP}-letter truth-table cap")
+            if not _truth_tabled(line.formula, letters):
                 return ProofVerdict(False, number, "not a propositional tautology")
         elif isinstance(how, AxiomInstance):
             if how.name not in SCHEMAS:

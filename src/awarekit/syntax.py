@@ -30,37 +30,22 @@ from typing import Iterable, Iterator
 from .errors import FormulaSyntaxError
 
 
-_NO_ATOMS: frozenset[str] = frozenset()
-
-
 class Formula:
     """Base class for formula AST nodes. Nodes are immutable and hashable.
 
-    Each node computes its structural hash, its nesting depth and its atom
-    set once, at construction, from its fields and its children's cached
-    values, so a dict lookup keyed by a formula, or :func:`atoms`, costs O(1)
-    rather than a walk of the tree.  Nodes are not interned: equal formulas
+    Each node computes its structural hash, ``hash((type name, *fields))``,
+    its nesting depth and its atom set once, at construction, from its
+    fields and its children's cached values, so a dict lookup keyed by a
+    formula, or :func:`atoms`, costs O(1) rather than a walk of the tree.
+    Leaf, one-child and two-child nodes each set the three directly from
+    their own fields (``_leaf``, ``_negation``, ``_modality``,
+    ``_conjunction``).  A child need not be a node, only carry ``depth`` and
+    ``_atoms``: a schema pattern's metavariable carries depth -1 and no
+    atoms, so it adds to neither.  Nodes are not interned: equal formulas
     built separately are distinct objects with equal hashes.
     """
 
     __slots__ = ("_hash", "depth", "_atoms")
-
-    def __post_init__(self) -> None:
-        parts = [getattr(self, name) for name in self.__match_args__]
-        depth = 0
-        found = _NO_ATOMS
-        for part in parts:
-            if isinstance(part, Formula):
-                if part.depth >= depth:
-                    depth = part.depth + 1
-                # A child's set is shared, not copied, when it holds the other's.
-                if not part._atoms <= found:
-                    found = part._atoms if found <= part._atoms else found | part._atoms
-        if type(self) is Atom:
-            found = frozenset(parts)
-        object.__setattr__(self, "_hash", hash((type(self).__name__, *parts)))
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "_atoms", found)
 
     def __hash__(self) -> int:
         return self._hash
@@ -72,36 +57,80 @@ class Formula:
         return render(self)
 
 
-def _node(cls):
-    """A frozen, slotted dataclass node keeping :class:`Formula`'s cached hash
-    in place of the field-walking one the dataclass would generate."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__hash__ = Formula.__hash__
-    return cls
+# The slots' own setters: a frozen dataclass refuses plain assignment, and
+# these skip the lookup that ``object.__setattr__`` makes by name.
+_set_hash = Formula._hash.__set__
+_set_depth = Formula.depth.__set__
+_set_atoms = Formula._atoms.__set__
 
 
-@_node
+def _leaf(self) -> None:
+    fields = tuple(getattr(self, name) for name in self.__match_args__)
+    _set_hash(self, hash((type(self).__name__, *fields)))
+    _set_depth(self, 0)
+    _set_atoms(self, frozenset(fields))
+
+
+def _negation(self) -> None:
+    child = self.child
+    _set_hash(self, hash(("Not", child)))
+    _set_depth(self, child.depth + 1)
+    _set_atoms(self, child._atoms)
+
+
+def _modality(self) -> None:
+    child = self.child
+    _set_hash(self, hash((type(self).__name__, self.agent, child)))
+    _set_depth(self, child.depth + 1)
+    _set_atoms(self, child._atoms)
+
+
+def _conjunction(self) -> None:
+    left, right = self.left, self.right
+    _set_hash(self, hash(("And", left, right)))
+    _set_depth(self, max(left.depth, right.depth) + 1)
+    # A child's set is shared, not copied, when it holds the other's.
+    found, other = left._atoms, right._atoms
+    if not other <= found:
+        found = other if found <= other else found | other
+    _set_atoms(self, found)
+
+
+def _node(post_init):
+    """A frozen, slotted dataclass node that sets :class:`Formula`'s cached
+    fields with ``post_init``, and keeps the cached hash in place of the
+    field-walking one the dataclass would generate."""
+    def make(cls):
+        cls.__post_init__ = post_init
+        cls = dataclass(frozen=True, slots=True)(cls)
+        cls.__hash__ = Formula.__hash__
+        return cls
+
+    return make
+
+
+@_node(_leaf)
 class Top(Formula):
     pass
 
 
-@_node
+@_node(_leaf)
 class Atom(Formula):
     name: str
 
 
-@_node
+@_node(_negation)
 class Not(Formula):
     child: Formula
 
 
-@_node
+@_node(_conjunction)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@_node(_modality)
 class L(Formula):
     """Implicit knowledge: agent implicitly knows the child formula."""
 
@@ -109,7 +138,7 @@ class L(Formula):
     child: Formula
 
 
-@_node
+@_node(_modality)
 class A(Formula):
     """Awareness: agent is aware of the child formula."""
 
@@ -117,7 +146,7 @@ class A(Formula):
     child: Formula
 
 
-@_node
+@_node(_modality)
 class K(Formula):
     """Explicit knowledge.  A primitive node: each model family has its own clause."""
 

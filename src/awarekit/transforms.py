@@ -155,9 +155,11 @@ def equivalence_check(source, produced, via: str, depth: int = 2) -> Report:
     Per formula, the lattice model's truth masks are taken once, when a
     space first needs them, so a space that the lattice lacks gives
     ``state-alignment``, not an unknown atom.  A space whose state ids are
-    the worlds is compared whole, with one mask operation on them.  A space
-    that disagrees or does not align is walked state by state, reading each
-    state's value from them, which finds the violations and their
+    the worlds is compared whole: its truth masks, shifted to the worlds,
+    give the worlds where the formula is undefined and those where its
+    value differs from the world's, and their violations are added in world
+    order.  A space that does not align is walked state by state, reading
+    each state's value from the masks, which finds the violations and their
     witnesses."""
     if via in ("hms", "implicit-hms"):
         expected = "complemented" if via == "hms" else "implicit"
@@ -206,10 +208,23 @@ def equivalence_check(source, produced, via: str, depth: int = 2) -> Report:
             if not need <= space:
                 continue
             if start is not None:
-                true, false = masks = masks or truth_masks(lattice_model, f)
-                if true >> start & full == ext and false >> start & full == full ^ ext:
-                    report.count(len(worlds))
-                    continue
+                masks = masks or truth_masks(lattice_model, f)
+                true, false = masks[0] >> start & full, masks[1] >> start & full
+                undefined = full & ~(true | false)
+                bad = undefined | (true ^ ext)
+                report.count(len(worlds))
+                while bad:
+                    low = bad & -bad
+                    bad ^= low
+                    ref = StateRef(space, worlds[low.bit_length() - 1])
+                    if undefined & low:
+                        report.add("expected-defined", formula=f, state=ref)
+                        continue
+                    value = TruthValue.TRUE if true & low else TruthValue.FALSE
+                    values = (bool(ext & low), value) if forward else (value, bool(ext & low))
+                    report.add("modal-equivalence", formula=f, state=ref,
+                               source_value=values[0], target_value=values[1])
+                continue
             for ref, i, k in walk(space):
                 report.count()
                 if k is None:

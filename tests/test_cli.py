@@ -549,3 +549,18 @@ def test_an_atom_cap_below_one_is_input_error(monkeypatch, capsys):
     monkeypatch.setenv("AWAREKIT_MAX_ATOMS", "0")
     assert run(capsys, "validate", FIG1L) == \
         (2, "", "error: AWAREKIT_MAX_ATOMS must be at least 1, got 0\n")
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0", "AWAREKIT_MAX_ATOMS must be at least 1, got 0"),
+    ("x", "AWAREKIT_MAX_ATOMS must be an integer, got 'x'"),
+])
+@pytest.mark.parametrize("command", ["gen", "lpa-check"])
+def test_a_malformed_atom_cap_is_input_error_for_every_command(command, value, message,
+                                                                monkeypatch, capsys):
+    """Commands that build no lattice from a file refuse the cap too."""
+    argv = (["gen", "--seed", "1"] if command == "gen"
+            else ["lpa", "check", str(proof_path("good_necessitation_top.proof"))])
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setenv("AWAREKIT_MAX_ATOMS", value)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")

@@ -196,13 +196,13 @@ def test_axiom_verdicts(formula, by, verdict):
 
 def test_tautologies_are_truth_tabled_up_to_sixteen_letters():
     """``p1 & ... & pn -> p1`` is a tautology of n letters: taken at 16,
-    rejected past the cap."""
+    rejected past the cap, with the cap as the reason."""
     def conjunction_implies_first(n: int) -> str:
         return "(" + " & ".join(f"p{k}" for k in range(1, n + 1)) + ") -> p1"
 
     assert _verdict((conjunction_implies_first(16), "taut")) == "accepted"
     assert _verdict((conjunction_implies_first(17), "taut")) == \
-        "rejected at line 1: not a propositional tautology"
+        "rejected at line 1: 17 distinct letters exceed the 16-letter truth-table cap"
 
 
 def test_category_validity_names_its_failing_world():

@@ -204,6 +204,38 @@ def flip_one_valuation_bit(model):
     return data_to_model(data)
 
 
+def base_moved_up(model):
+    """The lattice model with its first atom's valuation based one space
+    higher, at the preimage of its base there: every formula over that atom
+    alone is then Undefined at the states of the atom's own space."""
+    data = model_to_data(model)
+    atom = sorted(data["valuation"])[0]
+    entry = data["valuation"][atom]
+    low = parse_space_key(entry["base_space"])
+    high = low | {min(model.atoms - low)}
+    down = data["projections"][f"{space_key(high)}->{space_key(low)}"]
+    base = set(entry["base"])
+    data["valuation"][atom] = {"base_space": space_key(high),
+                               "base": sorted(s for s, t in down.items() if t in base)}
+    return data_to_model(data)
+
+
+def failing_transforms_of(seed: int):
+    """Each of the four transform triples with one atom flipped at one world
+    of the produced model, each tagged with its edit; and, where the lattice
+    model is complemented and has a space above the atom's, the triple with
+    the lattice model's first atom based one space too high.  An implicit
+    lattice model so edited fails its own laws, and Π cannot be derived."""
+    out = []
+    for source, produced, via in transforms_of(seed):
+        out.append((source, flip_one_valuation_bit(produced), via, "flip"))
+        if via == "hms" and len(produced.atoms) > 1:
+            out.append((source, base_moved_up(produced), via, "moved"))
+        elif via == "fh" and len(source.atoms) > 1:
+            out.append((base_moved_up(source), produced, via, "moved"))
+    return out
+
+
 def assert_same(source, produced, via: str) -> Report:
     report = equivalence_check(source, produced, via)
     assert report.to_data() == naive_equivalence(source, produced, via).to_data()
@@ -218,14 +250,23 @@ def test_equivalence_check_matches_oracle(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_aligned_spaces_are_compared_whole(seed, monkeypatch):
-    """A correct transform aligns every space, so no state is looked up
-    one at a time."""
+    """A transform aligns every space, so no state is looked up one at a
+    time: not when it is correct, and not when an edit makes spaces
+    disagree, where the violations read off the masks must be the
+    oracle's, in its order, with its ``checked`` count."""
     def per_state(*args):
         raise AssertionError("per-state lookup on an aligned space")
 
     monkeypatch.setattr("awarekit.transforms._value", per_state)
     for source, produced, via in transforms_of(seed):
         assert equivalence_check(source, produced, via).ok
+    for source, produced, via, edit in failing_transforms_of(seed):
+        laws = {v.law for v in assert_same(source, produced, via).violations}
+        if edit == "flip":
+            assert "modal-equivalence" in laws, (seed, via)
+        elif via == "hms":
+            assert "expected-defined" in laws, (seed, via)
+        assert "state-alignment" not in laws, (seed, via, edit)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 10])
